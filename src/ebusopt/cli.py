@@ -163,7 +163,7 @@ def _pipeline_solve(inst, theta, segments, estimator, out_dir, solver_cmd,
                    "unconstrained solution's peak")
 @click.option("--solver-cmd", default=None,
               help="command template with {model} {solution} {timelimit} "
-                   "{threads}; default: bundled HiGHS-backed solver")
+                   "{threads}; default: HiGHS in process")
 @click.option("--time-limit", type=float, default=600.0, show_default=True)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--strengthen/--no-strengthen", default=True, show_default=True)
@@ -178,7 +178,7 @@ def _pipeline_solve(inst, theta, segments, estimator, out_dir, solver_cmd,
 def cmd_solve(instance_path, theta, segments, estimator, grid_cap, solver_cmd,
               time_limit, threads, strengthen, precondition_lead,
               egress_lookahead, fmt, out):
-    """Build the model, solve it externally, decode, and validate."""
+    """Build the model, solve it, decode, and validate."""
     inst = _load(instance_path)
     config = {"command": "solve", "instance": instance_path, "theta": theta,
               "segments": segments, "estimator": estimator,
@@ -224,7 +224,6 @@ def cmd_solve(instance_path, theta, segments, estimator, grid_cap, solver_cmd,
         _fail(EXIT_UNSOLVED, f"no schedule: solver status {raw.status}")
     try:
         sched = decode_solution(model, raw)
-        mode = "exact" if estimator == "linear" else f"approx-{estimator}"
         report = validate_schedule(inst, sched, graph, mode="exact",
                                    curves=curves)
         approx_report = None

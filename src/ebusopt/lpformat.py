@@ -309,6 +309,58 @@ def _parse_bound_line(line: str, model: ParsedModel) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Model file as read back, without the file
+# ---------------------------------------------------------------------------
+
+def parsed_model(model, fmt: str = "lp", relax: bool = False) -> ParsedModel:
+    """What ``read_lp`` (or ``read_mps``) returns for the file ``write_lp``
+    (or ``write_mps``) emits, built straight from the model.
+
+    The writers print every number so that it reads back bit for bit, except
+    that -0.0 reads back as 0.0; adding 0.0 does the same here.  Variable
+    order is the reader's first-seen order: for LP the objective terms, then
+    row terms, bound lines and binaries, with variables that appear in none
+    of them left out; for MPS every column in model order.  Rows and the
+    solver's problem are the same as for the file.
+    """
+    if fmt not in ("lp", "mps"):
+        raise LpFormatError(f"unknown model format {fmt!r}")
+    out = ParsedModel()
+    touch = out.touch
+    names = [v.name for v in model.variables]
+    if fmt == "mps":
+        for name in names:
+            touch(name)
+    for v in model.variables:
+        if v.obj != 0.0:
+            touch(v.name)
+            out.objective[v.name] = v.obj
+    for row in model.rows:
+        coeffs = {}
+        for i, coef in sorted(row.coeffs.items()):
+            touch(names[i])
+            coeffs[names[i]] = coef + 0.0
+        out.rows.append((row.name, coeffs, row.sense, row.rhs + 0.0))
+    binaries = []
+    for v in model.variables:
+        if v.binary:
+            if relax:
+                touch(v.name)
+                out.upper[v.name] = 1.0
+            else:
+                binaries.append(v.name)
+        elif v.lb != 0.0 or v.ub != math.inf:
+            touch(v.name)
+            out.lower[v.name] = v.lb + 0.0
+            out.upper[v.name] = v.ub + 0.0
+    for name in binaries:
+        touch(name)
+        out.integers.add(name)
+        out.upper[name] = 1.0
+    return out
+
+
+# ---------------------------------------------------------------------------
 # MPS writing / reading (free format)
 # ---------------------------------------------------------------------------
 

@@ -16,14 +16,19 @@ already force soc to cover any remaining path).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .chargemodel import IncrementDomainPWL
-from .lpformat import RawSolution, write_lp, write_mps
+from .lpformat import (RawSolution, parsed_model, write_lp, write_mps,
+                       write_solution_text)
 from .netgraph import EnergyBounds, SchedulingGraph, compute_energy_bounds
+from .refsolver import parsed_arrays, solve_arrays
+from .solverbridge import SOLVER_ENV_VAR, SolverError, solve_external
 
 INTEGRALITY_TOL = 1e-5
+IN_PROCESS_COMMAND = "in-process HiGHS"
 
 
 class ModelError(ValueError):
@@ -369,16 +374,34 @@ def emit_model(model: MilpModel, fmt: str, path, relax: bool = False) -> None:
 def solve_model(model: MilpModel, workdir, command_template=None,
                 fmt: str = "lp", time_limit=None, threads: int = 1,
                 relax: bool = False) -> RawSolution:
-    """Emit the model into ``workdir`` and run the external solver on it."""
-    import os
+    """Emit the model into ``workdir`` and solve it.
 
-    from .solverbridge import solve_external
+    With a ``command_template`` or ``EBUSOPT_SOLVER_CMD`` set, the emitted
+    file goes through the subprocess bridge (``solverbridge.solve_external``).
+    Otherwise HiGHS solves in this process, on exactly the problem the
+    bundled ``refsolver`` would read back from the file, and the solution is
+    written next to it as ``model.sol``.  The wall-clock kill of the bridge
+    does not apply in process; HiGHS stops itself at ``time_limit``.
+    ``threads`` reaches only the bridge's command.  A failure inside HiGHS
+    raises ``SolverError``.
+    """
     os.makedirs(workdir, exist_ok=True)
     suffix = "_relax" if relax else ""
     model_path = os.path.join(workdir, f"model{suffix}.{fmt}")
     emit_model(model, fmt, model_path, relax=relax)
-    return solve_external(model_path, command_template=command_template,
-                          time_limit=time_limit, threads=threads)
+    if command_template or os.environ.get(SOLVER_ENV_VAR):
+        return solve_external(model_path, command_template=command_template,
+                              time_limit=time_limit, threads=threads)
+    try:
+        status, values, objective, bound = solve_arrays(
+            parsed_arrays(parsed_model(model, fmt, relax)), time_limit)
+    except Exception as exc:  # solver-internal failure
+        raise SolverError(f"in-process HiGHS failed: {exc}",
+                          command=IN_PROCESS_COMMAND) from exc
+    write_solution_text(os.path.join(workdir, f"model{suffix}.sol"), values,
+                        status, objective, bound)
+    return RawSolution(values=values, objective=objective, bound=bound,
+                       status=status, command=IN_PROCESS_COMMAND)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ Solution files are plain text: `# status/objective/bound` headers followed
 by `name value` lines.  Exit code 0 covers every properly diagnosed outcome
 (optimal, infeasible, time limit); nonzero means the model could not be
 read or the solver itself failed.
+
+``solve_arrays`` is the one HiGHS call site: this CLI reaches it through
+``parsed_arrays`` of the file it reads, ``milp.solve_model`` through
+``parsed_arrays`` of the same model built in memory.  scipy is imported on
+first use, so importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .lpformat import (LpFormatError, ParsedModel, read_lp, read_mps,
                        write_solution_text)
@@ -46,9 +50,29 @@ def load_model(path: str) -> ParsedModel:
     return read_lp(path)
 
 
-def solve_parsed(model: ParsedModel, time_limit: float | None = None,
-                 relax: bool = False, mip_gap: float = 1e-9):
-    """Returns (status, values, objective, bound)."""
+@dataclass
+class ProblemArrays:
+    """A MILP in the array form ``scipy.optimize.milp`` takes.
+
+    Columns follow ``names``; ``a`` is the CSR row matrix with row bounds
+    ``row_lb``/``row_ub``; ``c`` is already negated for a maximisation.
+    """
+
+    names: list
+    c: np.ndarray
+    a: object                # scipy.sparse.csr_matrix, len(rows) x len(names)
+    row_lb: np.ndarray
+    row_ub: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    integrality: np.ndarray
+    minimize: bool = True
+
+
+def parsed_arrays(model: ParsedModel, relax: bool = False) -> ProblemArrays:
+    """Arrays of a parsed model; ``relax`` drops integrality."""
+    from scipy import sparse
+
     names = model.variables
     index = {n: i for i, n in enumerate(names)}
     n = len(names)
@@ -64,22 +88,32 @@ def solve_parsed(model: ParsedModel, time_limit: float | None = None,
             ri.append(r)
             ci.append(index[var])
             data.append(coef)
-        if sense == "<=":
-            rows_lb.append(-np.inf)
-            rows_ub.append(rhs)
-        elif sense == ">=":
-            rows_lb.append(rhs)
-            rows_ub.append(np.inf)
-        else:
-            rows_lb.append(rhs)
-            rows_ub.append(rhs)
+        rows_lb.append(-np.inf if sense == "<=" else rhs)
+        rows_ub.append(np.inf if sense == ">=" else rhs)
 
-    lb = np.array([model.lower[v] for v in names], dtype=float)
-    ub = np.array([model.upper[v] for v in names], dtype=float)
     integrality = np.zeros(n)
     if not relax:
         for var in model.integers:
             integrality[index[var]] = 1
+    return ProblemArrays(
+        names=names, c=c,
+        a=sparse.csr_matrix((data, (ri, ci)), shape=(len(model.rows), n)),
+        row_lb=np.array(rows_lb, dtype=float),
+        row_ub=np.array(rows_ub, dtype=float),
+        lb=np.array([model.lower[v] for v in names], dtype=float),
+        ub=np.array([model.upper[v] for v in names], dtype=float),
+        integrality=integrality, minimize=model.minimize)
+
+
+def solve_arrays(p: ProblemArrays, time_limit: float | None = None,
+                 mip_gap: float = 1e-9):
+    """Solve with HiGHS; returns (status, values, objective, bound).
+
+    Status is "optimal", "feasible" (a limit hit with an incumbent),
+    "time-limit" (a limit hit without one), "infeasible", "unbounded" or
+    "error".
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     options = {"mip_rel_gap": mip_gap}
     if time_limit is not None:
@@ -88,33 +122,37 @@ def solve_parsed(model: ParsedModel, time_limit: float | None = None,
         options["time_limit"] = float(time_limit)
 
     constraints = []
-    if model.rows:
-        a = sparse.csr_matrix((data, (ri, ci)), shape=(len(model.rows), n))
-        constraints = [LinearConstraint(a, np.array(rows_lb), np.array(rows_ub))]
-
-    res = milp(c=c, constraints=constraints, integrality=integrality,
-               bounds=Bounds(lb, ub), options=options)
+    if p.a.shape[0]:
+        constraints = [LinearConstraint(p.a, p.row_lb, p.row_ub)]
+    res = milp(c=p.c, constraints=constraints, integrality=p.integrality,
+               bounds=Bounds(p.lb, p.ub), options=options)
 
     status = _STATUS.get(res.status, "error")
     if status == "iteration-limit":
-        status = "time-limit" if res.x is not None else "time-limit"
+        status = "time-limit"
+    sign = 1.0 if p.minimize else -1.0
     values = {}
     objective = None
     bound = None
     if res.x is not None:
-        sign = 1.0 if model.minimize else -1.0
-        values = {names[i]: float(res.x[i]) for i in range(n)}
+        values = {name: float(v) for name, v in zip(p.names, res.x)}
         objective = sign * float(res.fun)
         if status == "time-limit":
             status = "feasible"
     dual = getattr(res, "mip_dual_bound", None)
     if dual is not None and math.isfinite(dual):
-        bound = (1.0 if model.minimize else -1.0) * float(dual)
+        bound = sign * float(dual)
     elif objective is not None and status == "optimal":
         bound = objective
     if res.x is None and status not in ("infeasible", "unbounded"):
         status = "time-limit" if time_limit is not None else status
     return status, values, objective, bound
+
+
+def solve_parsed(model: ParsedModel, time_limit: float | None = None,
+                 relax: bool = False, mip_gap: float = 1e-9):
+    """Returns (status, values, objective, bound)."""
+    return solve_arrays(parsed_arrays(model, relax), time_limit, mip_gap)
 
 
 def main(argv=None) -> int:

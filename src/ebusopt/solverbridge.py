@@ -3,9 +3,13 @@
 The solver is described by a command template with placeholders {model},
 {solution}, {timelimit}, and {threads}; anything that reads a model file and
 writes a solution file one of the bundled parsers understands can be plugged
-in.  The default template runs the bundled HiGHS-backed reference solver in
-a fresh interpreter.  Each solve owns one subprocess and kills it on
-timeout, keeping whatever incumbent made it into the solution file.
+in.  ``milp.solve_model`` comes here only when a template is given or
+EBUSOPT_SOLVER_CMD is set; otherwise it solves with HiGHS in process.  The
+default template below runs the bundled HiGHS-backed reference solver in a
+fresh interpreter, which reproduces the in-process result through a file.
+Each solve owns one subprocess and kills it once the time limit plus a
+grace period has passed, keeping whatever incumbent made it into the
+solution file.
 """
 
 from __future__ import annotations

@@ -443,7 +443,6 @@ def discretization_sweep(instance: Instance, m_grid, theta_grid,
     what the exact charging model is there to catch).
     """
     import tempfile
-    from concurrent.futures import ThreadPoolExecutor
 
     workdir = workdir or tempfile.mkdtemp(prefix="ebusopt-sweep-")
     curves = exact_curves(instance)
@@ -458,45 +457,49 @@ def discretization_sweep(instance: Instance, m_grid, theta_grid,
         except Exception:  # the fs? column is best-effort
             reference = None
 
-    def run_cell(cell):
-        m, theta = cell
-        theta = float(theta)
-        try:
-            graph = build_graph(instance, theta)
-            domains = build_domains(instance, curves, theta, m, "under")
-            model = build_model(graph, domains, ModelOptions())
-            raw = solve_model(model, f"{workdir}/m{m}_t{int(theta)}",
-                              command_template=solver_cmd,
-                              time_limit=time_limit)
-            if not raw.has_incumbent:
-                return SweepRow(m=m, theta=theta, status=raw.status,
-                                feasible=False, fleet=None, objective=None,
-                                bound=raw.bound, gap=None,
-                                ref_feasible=_ref_ok(reference, instance,
-                                                     curves, domains, theta))
-            sched = decode_solution(model, raw)
-            rep = validate_schedule(instance, sched, graph, "exact", curves)
-            gap = None
-            if raw.objective and raw.bound is not None:
-                gap = (raw.objective - raw.bound) / abs(raw.objective)
+    cells = [(instance, curves, reference, m, float(theta), solver_cmd,
+              time_limit, workdir) for m in m_grid for theta in theta_grid]
+    if workers > 1:
+        # HiGHS holds the interpreter lock, so cells run in processes
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(_sweep_cell, cells))
+    return [_sweep_cell(c) for c in cells]
+
+
+def _sweep_cell(cell) -> SweepRow:
+    """One (m, theta) cell of ``discretization_sweep``; errors become rows."""
+    instance, curves, reference, m, theta, solver_cmd, time_limit, workdir = cell
+    try:
+        graph = build_graph(instance, theta)
+        domains = build_domains(instance, curves, theta, m, "under")
+        model = build_model(graph, domains, ModelOptions())
+        raw = solve_model(model, f"{workdir}/m{m}_t{int(theta)}",
+                          command_template=solver_cmd, time_limit=time_limit)
+        if not raw.has_incumbent:
             return SweepRow(m=m, theta=theta, status=raw.status,
-                            feasible=rep.energy_feasible,
-                            fleet=sched.fleet_size, objective=raw.objective,
-                            bound=raw.bound, gap=gap,
+                            feasible=False, fleet=None, objective=None,
+                            bound=raw.bound, gap=None,
                             ref_feasible=_ref_ok(reference, instance, curves,
                                                  domains, theta))
-        except Exception as exc:
-            return SweepRow(m=m, theta=theta, status="error", feasible=False,
-                            fleet=None, objective=None, bound=None, gap=None,
-                            ref_feasible=None, error=str(exc))
-
-    cells = [(m, th) for m in m_grid for th in theta_grid]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
-    return rows
+        sched = decode_solution(model, raw)
+        rep = validate_schedule(instance, sched, graph, "exact", curves)
+        gap = None
+        if raw.objective and raw.bound is not None:
+            gap = (raw.objective - raw.bound) / abs(raw.objective)
+        return SweepRow(m=m, theta=theta, status=raw.status,
+                        feasible=rep.energy_feasible,
+                        fleet=sched.fleet_size, objective=raw.objective,
+                        bound=raw.bound, gap=gap,
+                        ref_feasible=_ref_ok(reference, instance, curves,
+                                             domains, theta))
+    except Exception as exc:
+        return SweepRow(m=m, theta=theta, status="error", feasible=False,
+                        fleet=None, objective=None, bound=None, gap=None,
+                        ref_feasible=None, error=str(exc))
 
 
 def build_domains(instance: Instance, curves: dict, theta: float, m: int,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -86,6 +89,35 @@ def test_solve_missing_solver_exits_3(runner, tmp_path):
                                "--out", str(tmp_path / "run")])
     assert res.exit_code == 3
     assert "solver" in res.output.lower()
+
+
+def test_solve_in_process_solver_failure_exits_3(runner, tmp_path,
+                                                monkeypatch):
+    import scipy.optimize
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("HiGHS crashed")
+    monkeypatch.setattr(scipy.optimize, "milp", boom)
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(), inst_path)
+    res = runner.invoke(main, ["solve", str(inst_path), "--time-limit", "30",
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 3
+    assert "HiGHS crashed" in res.output
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    import ebusopt
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ebusopt.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, ebusopt.cli, ebusopt.validate, ebusopt.milp; "
+            "print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_solve_bad_instance_exits_2(runner, tmp_path):

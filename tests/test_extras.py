@@ -121,6 +121,10 @@ def test_sweep_with_worker_pool(tmp_path):
                                 check_reference=False)
     assert len(rows) == 2
     assert all(r.objective is not None for r in rows)
+    serial = discretization_sweep(inst, [2, 3], [600.0], time_limit=60,
+                                  workdir=str(tmp_path / "serial"), workers=1,
+                                  check_reference=False)
+    assert rows == serial
 
 
 def test_large_shape_generation_smoke():

@@ -2,19 +2,23 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ebusopt.generators import generate_worst_case
 from ebusopt.lpformat import (LpFormatError, RawSolution, parse_solution_file,
-                              parse_solution_text, read_lp, read_mps,
-                              write_solution_text)
+                              parse_solution_text, parsed_model, read_lp,
+                              read_mps, write_solution_text)
 from ebusopt.milp import (DecodeError, ModelError, ModelOptions, Var,
                           add_preconditioning, build_model, decode_solution,
                           emit_model, solve_model)
 from ebusopt.netgraph import GraphOptions, build_graph
-from ebusopt.refsolver import load_model, solve_parsed
-from ebusopt.solverbridge import SolverError, solve_external
+from ebusopt.refsolver import (load_model, parsed_arrays, solve_arrays,
+                               solve_parsed)
+from ebusopt.solverbridge import (DEFAULT_SOLVER_CMD, SOLVER_ENV_VAR,
+                                  SolverError, solve_external)
 from ebusopt.validate import build_domains, exact_curves
 from _toys import charger_toy, charging_required_instance, two_trip_instance
 
@@ -216,6 +220,136 @@ def test_missing_solver_binary(tmp_path):
     with pytest.raises(SolverError):
         solve_model(model, tmp_path,
                     command_template="/nonexistent/solver {model} {solution}")
+
+
+# ---------------------------------------------------------------------------
+# in-process HiGHS: same problem, same answer as the bridge
+# ---------------------------------------------------------------------------
+
+def _identity_models():
+    wc = generate_worst_case(3, 0.005, 0.02, estimator="under")
+    return [toy_setup(charger_toy())[3],
+            toy_setup(wc, m=2, options=ModelOptions(use_strengthening=True))[3]]
+
+
+def _assert_same_arrays(a, b):
+    assert a.names == b.names
+    for field in ("c", "row_lb", "row_ub", "lb", "ub", "integrality"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    for field in ("data", "indices", "indptr"):
+        assert (getattr(a.a, field).tobytes()
+                == getattr(b.a, field).tobytes()), field
+
+
+@pytest.mark.parametrize("relax", [False, True])
+def test_in_process_arrays_equal_lp_file_arrays(tmp_path, relax):
+    for k, model in enumerate(_identity_models()):
+        path = tmp_path / f"m{k}.lp"
+        emit_model(model, "lp", path, relax=relax)
+        from_file = read_lp(str(path))
+        in_memory = parsed_model(model, "lp", relax)
+        assert in_memory == from_file
+        _assert_same_arrays(parsed_arrays(in_memory), parsed_arrays(from_file))
+        assert bool(parsed_arrays(in_memory).integrality.any()) == (not relax)
+
+
+def test_in_process_arrays_equal_mps_file_arrays(tmp_path):
+    model = _identity_models()[1]
+    for relax in (False, True):
+        path = tmp_path / "m.mps"
+        emit_model(model, "mps", path, relax=relax)
+        _assert_same_arrays(parsed_arrays(parsed_model(model, "mps", relax)),
+                            parsed_arrays(read_mps(str(path))))
+
+
+def test_in_process_model_leaves_out_unused_variables(tmp_path):
+    class Tiny:
+        variables = [Var("a", 0, 1, True, 1.0), Var("b", 0, math.inf),
+                     Var("c", 0, 5.0), Var("d", 2.0, math.inf)]
+        rows = []
+    path = tmp_path / "tiny.lp"
+    emit_model(Tiny(), "lp", path)
+    parsed = parsed_model(Tiny(), "lp")
+    assert parsed == read_lp(str(path))
+    assert parsed.variables == ["a", "c", "d"]
+
+
+@pytest.mark.parametrize("relax", [False, True])
+def test_in_process_solution_equals_bridge(tmp_path, relax):
+    for k, model in enumerate(_identity_models()):
+        ours = solve_model(model, tmp_path / f"in{k}", time_limit=60,
+                           relax=relax)
+        bridge = solve_model(model, tmp_path / f"ext{k}", time_limit=60,
+                             relax=relax, command_template=DEFAULT_SOLVER_CMD)
+        assert ours.status == bridge.status == "optimal"
+        assert ours.objective == bridge.objective
+        assert ours.bound == bridge.bound
+        assert ours.values == bridge.values
+        name = "model_relax" if relax else "model"
+        assert ((tmp_path / f"in{k}" / f"{name}.lp").read_bytes()
+                == (tmp_path / f"ext{k}" / f"{name}.lp").read_bytes())
+        assert ((tmp_path / f"in{k}" / f"{name}.sol").read_bytes()
+                == (tmp_path / f"ext{k}" / f"{name}.sol").read_bytes())
+
+
+def test_in_process_solver_failure_is_solver_error(tmp_path, monkeypatch):
+    import scipy.optimize
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("HiGHS crashed")
+    monkeypatch.setattr(scipy.optimize, "milp", boom)
+    _, _, _, model = toy_setup(charger_toy())
+    with pytest.raises(SolverError, match="HiGHS crashed"):
+        solve_model(model, tmp_path, time_limit=30)
+
+
+def test_solver_env_var_routes_through_bridge(tmp_path, monkeypatch):
+    monkeypatch.setenv(SOLVER_ENV_VAR, "/nonexistent/solver {model} {solution}")
+    _, _, _, model = toy_setup(charger_toy())
+    with pytest.raises(SolverError, match="not found"):
+        solve_model(model, tmp_path, time_limit=30)
+
+
+# ---------------------------------------------------------------------------
+# status mapping
+# ---------------------------------------------------------------------------
+
+def _hand_arrays(tmp_path, text):
+    path = tmp_path / "hand.lp"
+    path.write_text(text)
+    return parsed_arrays(read_lp(str(path)))
+
+
+HAND_LP = ("Minimize\n obj: 1 a + 2 b\n"
+           "Subject To\n c1: 1 a + 1 b >= 1\n"
+           "Binaries\n a b\nEnd\n")
+
+
+def test_status_infeasible(tmp_path):
+    arrays = _hand_arrays(tmp_path, "Minimize\n obj: 1 a\n"
+                          "Subject To\n c1: 1 a >= 2\n c2: 1 a <= 1\nEnd\n")
+    for limit in (None, 30):
+        assert solve_arrays(arrays, limit) == ("infeasible", {}, None, None)
+
+
+def test_status_time_limit_zero(tmp_path):
+    arrays = _hand_arrays(tmp_path, HAND_LP)
+    assert solve_arrays(arrays, 0) == ("time-limit", {}, None, None)
+
+
+def test_status_iteration_limit(tmp_path, monkeypatch):
+    import scipy.optimize
+    arrays = _hand_arrays(tmp_path, HAND_LP)
+    result = {}
+    monkeypatch.setattr(scipy.optimize, "milp", lambda **kw: result["res"])
+
+    result["res"] = SimpleNamespace(status=1, x=np.array([1.0, 0.0]), fun=1.0,
+                                    mip_dual_bound=0.5)
+    assert solve_arrays(arrays, 30) == ("feasible", {"a": 1.0, "b": 0.0},
+                                        1.0, 0.5)
+    result["res"] = SimpleNamespace(status=1, x=None, fun=None,
+                                    mip_dual_bound=0.5)
+    assert solve_arrays(arrays, 30) == ("time-limit", {}, None, 0.5)
 
 
 def test_two_trip_single_bus_objective(tmp_path):
