@@ -1,13 +1,15 @@
 """CC-CV charge calculus: exact max-power curves and certified PWL bounds.
 
 A charging power profile maps state of charge (soc, in [0,1]) to the maximal
-relative charge rate (soc per second).  Integrating the autonomous ODE
-y' = f(y) from an empty battery yields the maximum power charge curve.  From
-that curve we derive the charge duration and charge increment operators and
-build piecewise-linear under/overestimators of the per-time-step increment,
-which is what the scheduling MIP consumes.
+relative charge rate (soc per second).  The flow of the autonomous ODE
+y' = f(y) from an empty battery is the maximum power charge curve; every
+supported profile shape has a closed-form flow, so the curve is evaluated
+exactly rather than integrated numerically.  From that curve we derive the
+charge duration and charge increment operators and build piecewise-linear
+under/overestimators of the per-time-step increment, which is what the
+scheduling MIP consumes.
 
-Because f(1) = 0 for a CC-CV profile, the ODE only reaches a full battery
+Because f(1) = 0 for a CC-CV profile, the flow only reaches a full battery
 asymptotically.  All curves therefore stop at an effective full level
 soc_cap = 1 - full_tolerance and every operator clamps there.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +34,11 @@ class ChargeModelError(ValueError):
 
 
 class IntegrationError(ChargeModelError):
-    """ODE integration did not reach soc_cap; carries the last soc reached."""
+    """The charge curve cannot reach soc_cap: the rate vanishes below it.
+
+    ``last_soc`` is the soc where the rate first reaches 0; the curve
+    approaches it but never passes it.
+    """
 
     def __init__(self, message: str, last_soc: float):
         super().__init__(message)
@@ -74,6 +80,9 @@ class ChargingPowerProfile:
     cv_second_derivative_bound: Optional[float] = None
     concave: bool = True
     name: str = ""
+    # cv_points as (socs, rates) arrays, built once in __post_init__
+    _cv_table: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.cc_rate > 0.0:
@@ -97,6 +106,8 @@ class ChargingPowerProfile:
             if self.cv_second_derivative_bound is None:
                 raise ChargeModelError(
                     "tabulated profile requires cv_second_derivative_bound")
+            pts = np.asarray(self.cv_points, dtype=float)
+            object.__setattr__(self, "_cv_table", (pts[:, 0], pts[:, 1]))
         self._check_monotone_and_concave()
 
     def _check_monotone_and_concave(self, samples: int = 512):
@@ -127,9 +138,7 @@ class ChargingPowerProfile:
             s = (yc - self.cv_break) / w
             cv = self.cc_rate * (1.0 - s * s)
         else:
-            xs = np.array([p[0] for p in self.cv_points])
-            rs = np.array([p[1] for p in self.cv_points])
-            cv = np.interp(yc, xs, rs)
+            cv = np.interp(yc, *self._cv_table)
         out = np.where(yc < self.cv_break, self.cc_rate, np.maximum(cv, 0.0))
         return out if out.shape else float(out)
 
@@ -238,29 +247,72 @@ class SampledChargeCurve:
 
 @dataclass(frozen=True)
 class MaxPowerCurve(SampledChargeCurve):
-    """Solution of y' = f(y) from (0, 0), tabulated up to soc_cap.
+    """Flow of y' = f(y) from (0, 0), tabulated up to soc_cap.
 
-    The CC phase is stored exactly (two knots, slope cc_rate); the CV phase
-    is integrated with fixed-step RK4 and tabulated densely enough that
-    linear interpolation stays below the integration tolerance.
+    The CC phase is stored exactly (two knots, slope cc_rate); on the CV
+    phase the knots are exact values of the closed-form flow, spaced densely
+    enough that linear interpolation stays below the curve tolerance.
     """
 
     profile: ChargingPowerProfile = None
     t_cv: float = 0.0
 
 
+def _cv_flow(profile: ChargingPowerProfile, soc_cap: float):
+    """Exact flow of y' = f(y) on the CV phase, started at (t_cv, cv_break).
+
+    Returns (tau_cap, flow): tau_cap is the time from cv_break to soc_cap and
+    flow(tau) the soc reached after charging for tau (vectorized).  On a
+    table segment the rate is r0 + b * (y - y0), whose flow is
+    y0 + r0 * expm1(b * tau) / b (y0 + r0 * tau for b = 0).
+    """
+    cc, yv = profile.cc_rate, profile.cv_break
+    w = 1.0 - yv
+    if profile.cv_shape == "linear":
+        return (w / cc * math.log(w / (1.0 - soc_cap)),
+                lambda tau: 1.0 - w * np.exp(-cc * tau / w))
+    if profile.cv_shape == "quadratic":
+        return (w / cc * math.atanh((soc_cap - yv) / w),
+                lambda tau: yv + w * np.tanh(cc * tau / w))
+
+    xs, rs = profile._cv_table
+    rs = np.maximum(rs, 0.0)
+    j = int(np.searchsorted(xs, soc_cap, side="right")) - 1  # segment of soc_cap
+    stalled = np.flatnonzero(rs[1:j + 1] <= 0.0)
+    if len(stalled):
+        y_stall = float(xs[stalled[0] + 1])
+        raise IntegrationError(
+            f"charge rate vanishes at soc {y_stall:.6f} before soc_cap", y_stall)
+    x0, r0 = xs[:j + 1], rs[:j + 1]
+    b = np.diff(rs[:j + 2]) / np.diff(xs[:j + 2])
+    flat = b == 0.0
+    b_safe = np.where(flat, 1.0, b)
+    # time to cross segments 0..j-1, then to reach soc_cap inside segment j
+    dy = np.append(np.diff(x0), soc_cap - x0[-1])
+    seg_t = np.where(flat, dy / r0, np.log1p(b * dy / r0) / b_safe)
+    t_start = np.concatenate([[0.0], np.cumsum(seg_t)])
+
+    def flow(tau):
+        k = np.clip(np.searchsorted(t_start, tau, side="right") - 1, 0, j)
+        s = tau - t_start[k]
+        return x0[k] + r0[k] * np.where(flat[k], s, np.expm1(b[k] * s) / b_safe[k])
+
+    return float(t_start[-1]), flow
+
+
 def solve_max_power_curve(
     profile: ChargingPowerProfile,
     tolerance: float = DEFAULT_CURVE_TOLERANCE,
     full_tolerance: float = DEFAULT_FULL_TOLERANCE,
-    max_steps: int = 4_000_000,
 ) -> MaxPowerCurve:
-    """Integrate y' = f(y) and tabulate the maximum power charge curve.
+    """Tabulate the maximum power charge curve, the flow of y' = f(y).
 
     ``tolerance`` bounds the linear-interpolation error of the returned
-    tabulation; the RK4 truncation error is far below it at the chosen step.
-    Raises IntegrationError (carrying the last soc reached) if soc_cap is
-    not reached within ``max_steps``.
+    tabulation: CV knots are spaced h = sqrt(8 * tolerance / max|zeta''|)
+    apart in time (at most 1/64 of the linear CV duration) and the last
+    knot sits exactly at (t_full, soc_cap).  Raises IntegrationError
+    (carrying the soc where the rate vanishes) if a tabulated rate reaches 0
+    at or below soc_cap.
     """
     if not 0.0 < full_tolerance < 0.5:
         raise ChargeModelError("full_tolerance must be in (0, 0.5)")
@@ -286,49 +338,16 @@ def solve_max_power_curve(
     h_interp = math.sqrt(8.0 * tolerance / curv)
     h = min(h_interp, (1.0 - profile.cv_break) / cc / 64.0)
 
-    def f(y: float) -> float:
-        return float(profile.rate(min(y, 1.0)))
-
-    ts = [0.0, t_cv]
-    ss = [0.0, profile.cv_break]
-    t, y = t_cv, profile.cv_break
-    steps = 0
-    while y < soc_cap:
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        dy_step = h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if dy_step <= 1e-16:
-            raise IntegrationError(
-                f"charge rate vanished at soc {y:.6f} before soc_cap", y)
-        t += h
-        y += dy_step
-        ts.append(t)
-        ss.append(y)
-        steps += 1
-        if steps > max_steps:
-            raise IntegrationError(
-                f"no convergence to soc_cap within {max_steps} steps", y)
-
-    # trim the final sample to exactly soc_cap
-    frac = (soc_cap - ss[-2]) / (ss[-1] - ss[-2])
-    t_full = ts[-2] + frac * (ts[-1] - ts[-2])
-    ts[-1], ss[-1] = t_full, soc_cap
-
-    return MaxPowerCurve(times=np.asarray(ts), socs=np.asarray(ss),
-                         soc_cap=soc_cap, t_full=t_full,
-                         profile=profile, t_cv=t_cv)
-
-
-def charge_duration(curve: SampledChargeCurve, y_start, y_end):
-    """Charge duration operator T(y_start, y_end)."""
-    return curve.duration(y_start, y_end)
-
-
-def charge_increment(curve: SampledChargeCurve, y, t):
-    """Charge increment operator: soc gained charging from y for time t."""
-    return curve.increment(y, t)
+    tau_cap, flow = _cv_flow(profile, soc_cap)
+    t_full = t_cv + tau_cap
+    # knots t_cv + h*k strictly before t_full, then (t_full, soc_cap)
+    t_cv_knots = t_cv + h * np.arange(1, math.ceil(tau_cap / h))
+    t_cv_knots = t_cv_knots[t_cv_knots < t_full]
+    times = np.concatenate([[0.0, t_cv], t_cv_knots, [t_full]])
+    socs = np.concatenate([[0.0, profile.cv_break],
+                           flow(t_cv_knots - t_cv), [soc_cap]])
+    return MaxPowerCurve(times=times, socs=socs, soc_cap=soc_cap,
+                         t_full=t_full, profile=profile, t_cv=t_cv)
 
 
 def increment_curve_at_step(curve: SampledChargeCurve, theta: float,
@@ -430,12 +449,16 @@ class IncrementDomainPWL:
         inc = np.clip(self.value(y), 0.0, None)
         return np.minimum(inc, np.maximum(self.soc_cap - y, 0.0))
 
-    def greedy_final_soc(self, y0: float, n_steps: int) -> float:
-        """soc after charging greedily at the bound for n_steps steps."""
-        y = float(y0)
+    def greedy_final_soc(self, y0, n_steps: int):
+        """soc after charging greedily at the bound for n_steps steps.
+
+        Vectorized over start socs ``y0``; each element follows the same
+        recurrence, bit for bit, as a scalar start.
+        """
+        y = np.asarray(y0, dtype=float)
         for _ in range(n_steps):
-            y += float(self.greedy_step(y))
-        return y
+            y = y + self.greedy_step(y)
+        return float(y) if y.ndim == 0 else y
 
 
 def _breakpoint_grid(curve: MaxPowerCurve, theta: float, m: int) -> np.ndarray:

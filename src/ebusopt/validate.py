@@ -316,8 +316,7 @@ def _sup_gap(charge_specs, theta) -> float:
         ys = np.linspace(0.0, curve.soc_cap, 1001)
         k = len(win.phis)
         exact = np.asarray(curve.increment(ys, k * theta))
-        greedy = np.array([dom.greedy_final_soc(float(y), k) - float(y)
-                           for y in ys])
+        greedy = dom.greedy_final_soc(ys, k) - ys
         worst = max(worst, float(np.max(np.abs(exact - greedy))))
     return worst
 

@@ -1,10 +1,15 @@
 import math
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ebusopt.chargemodel as cm
+from ebusopt.generators import _wc_profile
 from _oracles import constant_curve, linear_cv_curve, quadratic_cv_curve
+from test_acceptance import sine_tabulated_profile
 
 THETA = 0.2
 
@@ -65,6 +70,21 @@ def test_profile_roundtrip_dict():
     assert q == p
 
 
+def test_tabulated_profile_caches_table_by_value():
+    pts = ((0.8, 0.5), (0.9, 0.25), (1.0, 0.0))
+    p = cm.ChargingPowerProfile(cc_rate=0.5, cv_break=0.8, cv_shape="tabulated",
+                                cv_points=pts, cv_second_derivative_bound=0.0)
+    q = cm.ChargingPowerProfile.from_dict(p.to_dict())
+    assert q == p and hash(q) == hash(p)
+    assert q.to_dict() == p.to_dict()
+    assert "_cv_table" not in repr(p)
+    r = pickle.loads(pickle.dumps(p))
+    assert r == p and hash(r) == hash(p)
+    assert np.array_equal(r._cv_table[0], [0.8, 0.9, 1.0])
+    assert np.array_equal(r._cv_table[1], [0.5, 0.25, 0.0])
+    assert r.rate(0.85) == p.rate(0.85) == pytest.approx(0.375)
+
+
 # ---------------------------------------------------------------------------
 # solve_max_power_curve
 # ---------------------------------------------------------------------------
@@ -120,6 +140,76 @@ def test_integration_failure_carries_last_soc():
     with pytest.raises(cm.IntegrationError) as exc:
         cm.solve_max_power_curve(prof)
     assert exc.value.last_soc < 0.95
+
+
+def test_rate_vanishing_only_at_full_charge_builds():
+    # the table is the linear CV ramp; its rate is 0 only at soc 1
+    pts = ((0.8, 0.5), (0.9, 0.25), (1.0, 0.0))
+    prof = cm.ChargingPowerProfile(cc_rate=0.5, cv_break=0.8, cv_shape="tabulated",
+                                   cv_points=pts, cv_second_derivative_bound=0.0)
+    curve = cm.solve_max_power_curve(prof)
+    oracle = linear_cv_curve(0.5, 0.8, curve.soc_cap)
+    assert math.isfinite(curve.t_full)
+    assert curve.t_full == pytest.approx(oracle.t_full, rel=1e-12)
+    assert np.max(np.abs(curve.socs - oracle.soc_at(curve.times))) <= 1e-12
+
+
+def test_integration_failure_reports_stall_knot():
+    pts = ((0.8, 0.5), (0.85, 0.25), (0.9, 0.0), (1.0, 0.0))
+    prof = cm.ChargingPowerProfile(cc_rate=0.5, cv_break=0.8, cv_shape="tabulated",
+                                   cv_points=pts, cv_second_derivative_bound=0.0,
+                                   concave=False)
+    with pytest.raises(cm.IntegrationError) as exc:
+        cm.solve_max_power_curve(prof)
+    assert exc.value.last_soc == 0.9
+
+
+@pytest.mark.parametrize("profile, knots", [
+    (_wc_profile(), 7577),
+    (cm.ChargingPowerProfile(cc_rate=0.7 / 2400.0, cv_break=0.8,
+                             cv_shape="linear"), 8380),
+    (sine_tabulated_profile(), 7866),
+])
+def test_knot_counts(profile, knots):
+    assert len(cm.solve_max_power_curve(profile).times) == knots
+
+
+# ---------------------------------------------------------------------------
+# exact CV flow: properties over random profiles
+# ---------------------------------------------------------------------------
+
+CC_RATES = st.floats(min_value=1e-4, max_value=1.0)
+CV_BREAKS = st.floats(min_value=0.05, max_value=0.95)
+ORACLES = {"linear": linear_cv_curve, "quadratic": quadratic_cv_curve}
+
+
+@settings(max_examples=40, deadline=None)
+@given(cc=CC_RATES, yv=CV_BREAKS, shape=st.sampled_from(sorted(ORACLES)))
+def test_flow_knots_match_closed_form(cc, yv, shape):
+    curve = cm.solve_max_power_curve(
+        cm.ChargingPowerProfile(cc_rate=cc, cv_break=yv, cv_shape=shape))
+    oracle = ORACLES[shape](cc, yv, curve.soc_cap)
+    assert np.max(np.abs(curve.socs - oracle.soc_at(curve.times))) <= 1e-12
+    # chord error of the tabulation at interval midpoints; the knot spacing
+    # comes from |zeta''| sampled on 2048 socs, which can miss the quadratic
+    # shape's curvature peak by a relative ~3e-7
+    t_mid = 0.5 * (curve.times[1:] + curve.times[:-1])
+    chord = 0.5 * (curve.socs[1:] + curve.socs[:-1])
+    chord_err = np.max(np.abs(oracle.soc_at(t_mid) - chord))
+    assert chord_err <= cm.DEFAULT_CURVE_TOLERANCE * (1.0 + 1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cc=CC_RATES, yv=CV_BREAKS)
+def test_two_point_table_equals_linear_shape(cc, yv):
+    linear = cm.solve_max_power_curve(
+        cm.ChargingPowerProfile(cc_rate=cc, cv_break=yv, cv_shape="linear"))
+    table = cm.solve_max_power_curve(cm.ChargingPowerProfile(
+        cc_rate=cc, cv_break=yv, cv_shape="tabulated",
+        cv_points=((yv, cc), (1.0, 0.0)), cv_second_derivative_bound=0.0))
+    assert len(table.times) == len(linear.times)
+    assert np.max(np.abs(table.socs - linear.socs)) <= 1e-12
+    assert table.t_full == pytest.approx(linear.t_full, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ebusopt.generators import generate_worst_case
 from ebusopt.milp import (ChargeWindow, Course, ModelOptions, Schedule,
                           build_model, decode_solution, solve_model)
 from ebusopt.netgraph import GraphOptions, build_graph
@@ -11,7 +13,7 @@ from ebusopt.validate import (ValidationError, build_domains,
                               geometric_mean_gap, grid_load_profile,
                               peak_shave_report, validate_schedule,
                               write_grid_load_csv, write_peak_shave_csv,
-                              write_sweep_csv)
+                              write_sweep_csv, _sup_gap)
 from _toys import charger_toy, charging_required_instance, two_trip_instance
 
 
@@ -274,3 +276,36 @@ def test_sweep_survives_cell_errors(tmp_path):
     errs = [r for r in rows if r.error]
     oks = [r for r in rows if not r.error]
     assert len(errs) == 1 and len(oks) == 1
+
+
+# ---------------------------------------------------------------------------
+# vectorized greedy sweep
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("estimator", ["under", "over"])
+def test_greedy_sweep_bit_identical_to_scalar_loop(estimator):
+    theta = 300.0
+    inst = generate_worst_case(3, 0.005, 0.02, estimator, theta=theta)
+    curves = exact_curves(inst)
+    domains = build_domains(inst, curves, theta, 2, estimator)
+    curve = next(iter(curves.values()))
+    ys = np.linspace(0.0, curve.soc_cap, 1001)
+
+    def scalar_final_soc(dom, y, k):
+        y = float(y)
+        for _ in range(k):
+            y += float(dom.greedy_step(y))
+        return y
+
+    for dom in domains.values():
+        specs = []
+        for k in (1, 2, 5, 9):
+            scalar = np.array([scalar_final_soc(dom, y, k) for y in ys])
+            assert dom.greedy_final_soc(float(ys[500]), k) == scalar[500]
+            assert dom.greedy_final_soc(ys, k).tobytes() == scalar.tobytes()
+            specs.append((curve, dom, SimpleNamespace(phis=[0.0] * k), 0.0))
+            reference = float(np.max(np.abs(
+                np.asarray(curve.increment(ys, k * theta)) - (scalar - ys))))
+            assert _sup_gap(specs[-1:], theta) == reference
+        assert _sup_gap(specs, theta) == max(
+            _sup_gap([spec], theta) for spec in specs)
