@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -215,6 +216,12 @@ class Instance:
                     raise InstanceError(
                         f"chargers[{c.id}].profiles[{vt}]: unknown profile "
                         f"{pname!r}")
+        for g in self.grid_points:
+            for t0, t1, kw in g.max_power_kw:
+                if math.isnan(kw):
+                    raise InstanceError(
+                        f"grid_points[{g.id}].max_power_kw: NaN limit on "
+                        f"[{t0}, {t1})")
         self._check_triangle_inequality()
 
     def _check_triangle_inequality(self, tol: float = 1e-9) -> None:

@@ -1,10 +1,13 @@
 """LP and MPS model files, and solver solution-file parsers.
 
-Writers emit byte-deterministic files (canonical variable and row order, no
-timestamps, fixed float formatting) so identical models produce identical
-bytes.  Readers cover the dialect the writers emit plus the common core of
-both formats; they back the bundled reference solver and the tests that
-cross-check the two encodings against each other.
+``ModelArrays`` is the one array form of a model: column arrays plus rows in
+CSR layout.  ``milp.MilpModel.arrays()`` produces it, and both writers and
+the in-process solve (``refsolver.emitted_arrays``) read it.  Writers emit
+byte-deterministic files (canonical variable and row order, no timestamps,
+fixed float formatting, each distinct number formatted once) so identical
+models produce identical bytes.  Readers cover the dialect the writers emit
+plus the common core of both formats; they back the bundled reference solver
+and the tests that cross-check the two encodings against each other.
 """
 
 from __future__ import annotations
@@ -12,8 +15,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 from xml.etree import ElementTree
+
+import numpy as np
 
 
 class LpFormatError(ValueError):
@@ -48,51 +54,110 @@ class ParsedModel:
 
 
 # ---------------------------------------------------------------------------
+# The model in array form (what both writers and the in-process solve read)
+# ---------------------------------------------------------------------------
+
+SENSES = ("<=", ">=", "=")      # sense code -> row sense
+
+
+@dataclass(frozen=True)
+class ModelArrays:
+    """A minimisation MILP in one array form.
+
+    Columns are ``names`` with the parallel ``obj``, ``lb``, ``ub`` and
+    ``binary`` (the bounds of a binary column are ignored).  Row ``r`` holds
+    the columns ``cols[start[r]:start[r + 1]]``, ascending, with
+    coefficients ``vals`` at the same positions; its sense is
+    ``SENSES[sense[r]]``, its right-hand side ``rhs[r]`` and its tag
+    ``tags[tag[r]]``.  Row names ``{tag}{r:07d}`` exist only in the files.
+    """
+
+    names: list
+    obj: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    binary: np.ndarray          # bool
+    start: np.ndarray           # int64, one entry more than there are rows
+    cols: np.ndarray            # int64
+    vals: np.ndarray
+    sense: np.ndarray           # codes into SENSES
+    rhs: np.ndarray
+    tag: np.ndarray             # codes into tags
+    tags: list
+
+    def row_names(self) -> list:
+        return [f"{self.tags[t]}{r:07d}" for r, t in enumerate(self.tag.tolist())]
+
+    def row_of_entry(self) -> np.ndarray:
+        """Row index of each entry of ``cols``/``vals``."""
+        return np.repeat(np.arange(len(self.sense)), np.diff(self.start))
+
+
+def _num_strings(values: np.ndarray) -> list:
+    """``_num`` of each value, formatted once per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    table = [_num(v) for v in distinct.tolist()]
+    return [table[i] for i in inverse.tolist()]
+
+
+def _lines_by_column(groups) -> list:
+    """Merge ``(columns, lines)`` groups into one list in column order; the
+    lines of one column keep the order of their groups."""
+    pairs = [(j, line) for cols, lines in groups
+             for j, line in zip(cols.tolist(), lines)]
+    pairs.sort(key=itemgetter(0))
+    return [line for _, line in pairs]
+
+
+# ---------------------------------------------------------------------------
 # LP writing
 # ---------------------------------------------------------------------------
 
-def _write_terms(fh, coeffs, name_of):
-    items = list(coeffs)
-    if not items:
-        fh.write(" 0 __zero__")
-        return
-    for i, (var, coef) in enumerate(items):
-        sign = "-" if coef < 0 else "+"
-        mag = _num(abs(coef))
-        fh.write(f" {sign} {mag} {name_of(var)}")
-        if (i + 1) % 6 == 0 and i + 1 < len(items):
-            fh.write("\n  ")
+def _lp_terms(cols, vals, start, names) -> list:
+    """`` {sign} {magnitude} {name}`` of every entry, with a line break after
+    each sixth term of a row that goes on."""
+    lengths = np.diff(start)
+    pos = np.arange(len(cols)) - np.repeat(start[:-1], lengths)
+    breaks = ((pos + 1) % 6 == 0) & (pos + 1 < np.repeat(lengths, lengths))
+    terms = [f" {'-' if neg else '+'} {mag} {names[j]}"
+             for neg, mag, j in zip((vals < 0).tolist(),
+                                    _num_strings(np.abs(vals)), cols.tolist())]
+    for k in np.flatnonzero(breaks).tolist():
+        terms[k] += "\n  "
+    return terms
 
 
-def write_lp(model, path, relax: bool = False) -> None:
+def write_lp(m: ModelArrays, path, relax: bool = False) -> None:
     """CPLEX-style LP file; ``relax`` drops integrality (binaries become
     continuous in [0, 1])."""
-    names = [v.name for v in model.variables]
+    names = m.names
+    in_obj = np.flatnonzero(m.obj != 0.0)
+    obj = _lp_terms(in_obj, m.obj[in_obj], np.array([0, len(in_obj)]), names)
+    terms = _lp_terms(m.cols, m.vals, m.start, names)
+    starts = m.start.tolist()
+    cont = ~m.binary
+    ranged = np.flatnonzero(cont & (m.ub != math.inf))
+    floored = np.flatnonzero(cont & (m.ub == math.inf) & (m.lb != 0.0))
+    relaxed = np.flatnonzero(m.binary & relax)
+    bounds = _lines_by_column((
+        (relaxed, [f" 0 <= {names[j]} <= 1\n" for j in relaxed.tolist()]),
+        (floored, [f" {names[j]} >= {lo}\n" for j, lo in
+                   zip(floored.tolist(), _num_strings(m.lb[floored]))]),
+        (ranged, [f" {lo} <= {names[j]} <= {hi}\n" for j, lo, hi in
+                  zip(ranged.tolist(), _num_strings(m.lb[ranged]),
+                      _num_strings(m.ub[ranged]))])))
+    binaries = [names[j]
+                for j in np.flatnonzero(m.binary & (not relax)).tolist()]
     with open(path, "w") as fh:
-        fh.write("\\ ebusopt model\n")
-        fh.write("Minimize\n obj:")
-        obj = [(i, v.obj) for i, v in enumerate(model.variables) if v.obj != 0.0]
-        _write_terms(fh, obj, lambda i: names[i])
+        fh.write("\\ ebusopt model\nMinimize\n obj:")
+        fh.write("".join(obj) or " 0 __zero__")
         fh.write("\nSubject To\n")
-        for row in model.rows:
-            fh.write(f" {row.name}:")
-            _write_terms(fh, sorted(row.coeffs.items()), lambda i: names[i])
-            sense = {"<=": "<=", ">=": ">=", "=": "="}[row.sense]
-            fh.write(f" {sense} {_num(row.rhs)}\n")
+        for r, (name, sense, rhs) in enumerate(zip(
+                m.row_names(), m.sense.tolist(), _num_strings(m.rhs))):
+            row = "".join(terms[starts[r]:starts[r + 1]]) or " 0 __zero__"
+            fh.write(f" {name}:{row} {SENSES[sense]} {rhs}\n")
         fh.write("Bounds\n")
-        binaries = []
-        for i, v in enumerate(model.variables):
-            if v.binary:
-                if relax:
-                    fh.write(f" 0 <= {v.name} <= 1\n")
-                else:
-                    binaries.append(v.name)
-                continue
-            if v.ub == math.inf:
-                if v.lb != 0.0:
-                    fh.write(f" {v.name} >= {_num(v.lb)}\n")
-            else:
-                fh.write(f" {_num(v.lb)} <= {v.name} <= {_num(v.ub)}\n")
+        fh.writelines(bounds)
         if binaries:
             fh.write("Binaries\n")
             for i in range(0, len(binaries), 4):
@@ -309,112 +374,67 @@ def _parse_bound_line(line: str, model: ParsedModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Model file as read back, without the file
-# ---------------------------------------------------------------------------
-
-def parsed_model(model, fmt: str = "lp", relax: bool = False) -> ParsedModel:
-    """What ``read_lp`` (or ``read_mps``) returns for the file ``write_lp``
-    (or ``write_mps``) emits, built straight from the model.
-
-    The writers print every number so that it reads back bit for bit, except
-    that -0.0 reads back as 0.0; adding 0.0 does the same here.  Variable
-    order is the reader's first-seen order: for LP the objective terms, then
-    row terms, bound lines and binaries, with variables that appear in none
-    of them left out; for MPS every column in model order.  Rows and the
-    solver's problem are the same as for the file.
-    """
-    if fmt not in ("lp", "mps"):
-        raise LpFormatError(f"unknown model format {fmt!r}")
-    out = ParsedModel()
-    touch = out.touch
-    names = [v.name for v in model.variables]
-    if fmt == "mps":
-        for name in names:
-            touch(name)
-    for v in model.variables:
-        if v.obj != 0.0:
-            touch(v.name)
-            out.objective[v.name] = v.obj
-    for row in model.rows:
-        coeffs = {}
-        for i, coef in sorted(row.coeffs.items()):
-            touch(names[i])
-            coeffs[names[i]] = coef + 0.0
-        out.rows.append((row.name, coeffs, row.sense, row.rhs + 0.0))
-    binaries = []
-    for v in model.variables:
-        if v.binary:
-            if relax:
-                touch(v.name)
-                out.upper[v.name] = 1.0
-            else:
-                binaries.append(v.name)
-        elif v.lb != 0.0 or v.ub != math.inf:
-            touch(v.name)
-            out.lower[v.name] = v.lb + 0.0
-            out.upper[v.name] = v.ub + 0.0
-    for name in binaries:
-        touch(name)
-        out.integers.add(name)
-        out.upper[name] = 1.0
-    return out
-
-
-# ---------------------------------------------------------------------------
 # MPS writing / reading (free format)
 # ---------------------------------------------------------------------------
 
-def write_mps(model, path, relax: bool = False) -> None:
-    names = [v.name for v in model.variables]
-    sense_code = {"<=": "L", ">=": "G", "=": "E"}
-    # column-major coefficient map
-    col_entries: dict = {i: [] for i in range(len(names))}
-    for i, v in enumerate(model.variables):
-        if v.obj != 0.0:
-            col_entries[i].append(("obj", v.obj))
-    for row in model.rows:
-        for i, coef in sorted(row.coeffs.items()):
-            col_entries[i].append((row.name, coef))
+def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
+    names = m.names
+    n = len(names)
+    row_names = m.row_names()
+    # column-major entries: the objective first, then the rows in order; a
+    # column with no entry gets "obj 0"
+    in_obj = np.flatnonzero(m.obj != 0.0)
+    used = np.zeros(n, dtype=bool)
+    used[in_obj] = True
+    used[m.cols] = True
+    unused = np.flatnonzero(~used)
+    col = np.concatenate([in_obj, unused, m.cols])
+    row = np.concatenate([np.full(len(in_obj) + len(unused), -1),
+                          m.row_of_entry()])
+    val = np.concatenate([m.obj[in_obj], np.zeros(len(unused)), m.vals])
+    order = np.argsort(col, kind="stable")
+    col, row, val = col[order], row[order], val[order]
+    first = np.searchsorted(col, np.arange(n + 1)).tolist()
+    entries = [f"{'obj' if r < 0 else row_names[r]} {v}"
+               for r, v in zip(row.tolist(), _num_strings(val))]
+    sense_code = "LGE"              # MPS row type per code in SENSES
     with open(path, "w") as fh:
         fh.write("NAME ebusopt\n")
         fh.write("ROWS\n N obj\n")
-        for row in model.rows:
-            fh.write(f" {sense_code[row.sense]} {row.name}\n")
+        fh.writelines(f" {sense_code[s]} {name}\n"
+                      for s, name in zip(m.sense.tolist(), row_names))
         fh.write("COLUMNS\n")
         in_int = False
-        for i, v in enumerate(model.variables):
-            want_int = v.binary and not relax
+        for j, (name, binary) in enumerate(zip(names, m.binary.tolist())):
+            want_int = binary and not relax
             if want_int and not in_int:
                 fh.write("    MARKER M1 'MARKER' 'INTORG'\n")
                 in_int = True
             elif not want_int and in_int:
                 fh.write("    MARKER M2 'MARKER' 'INTEND'\n")
                 in_int = False
-            entries = col_entries[i]
-            if not entries:
-                entries = [("obj", 0.0)]
-            for j in range(0, len(entries), 2):
-                chunk = entries[j:j + 2]
-                parts = " ".join(f"{rn} {_num(c)}" for rn, c in chunk)
-                fh.write(f"    {names[i]} {parts}\n")
+            mine = entries[first[j]:first[j + 1]]
+            fh.writelines(f"    {name} {' '.join(mine[k:k + 2])}\n"
+                          for k in range(0, len(mine), 2))
         if in_int:
             fh.write("    MARKER M3 'MARKER' 'INTEND'\n")
         fh.write("RHS\n")
-        for row in model.rows:
-            if row.rhs != 0.0:
-                fh.write(f"    RHS {row.name} {_num(row.rhs)}\n")
+        nonzero = np.flatnonzero(m.rhs != 0.0)
+        fh.writelines(f"    RHS {row_names[r]} {rhs}\n" for r, rhs in
+                      zip(nonzero.tolist(), _num_strings(m.rhs[nonzero])))
         fh.write("BOUNDS\n")
-        for v in model.variables:
-            if v.binary:
-                if relax:
-                    fh.write(f" UP BND {v.name} 1\n")
-                else:
-                    fh.write(f" BV BND {v.name}\n")
-            else:
-                if v.lb != 0.0:
-                    fh.write(f" LO BND {v.name} {_num(v.lb)}\n")
-                if v.ub != math.inf:
-                    fh.write(f" UP BND {v.name} {_num(v.ub)}\n")
+        cont = ~m.binary
+        binaries = np.flatnonzero(m.binary)
+        lower = np.flatnonzero(cont & (m.lb != 0.0))
+        upper = np.flatnonzero(cont & (m.ub != math.inf))
+        fh.writelines(_lines_by_column((
+            (binaries, [f" UP BND {names[j]} 1\n" if relax
+                        else f" BV BND {names[j]}\n"
+                        for j in binaries.tolist()]),
+            (lower, [f" LO BND {names[j]} {lo}\n" for j, lo in
+                     zip(lower.tolist(), _num_strings(m.lb[lower]))]),
+            (upper, [f" UP BND {names[j]} {hi}\n" for j, hi in
+                     zip(upper.tolist(), _num_strings(m.ub[upper]))]))))
         fh.write("ENDATA\n")
 
 

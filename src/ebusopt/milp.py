@@ -10,21 +10,29 @@ points cap the weighted sum of simultaneous increments per time step.
 Strengthened soc bounds replace the plain coupling rows with per-arc bounds
 derived from the cheapest paths to and from depots or chargers; they tighten
 the LP relaxation and keep every integer point (the energy-flow equalities
-already force soc to cover any remaining path).
+already force soc to cover any remaining path).  A grid point without a
+limit (+inf kW) gets no grid rows.
+
+``MilpModel`` keeps the program in one array form (columns plus CSR rows);
+the LP/MPS writers, the in-process HiGHS solve and the decoder all read
+that form, never per-row records.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .chargemodel import IncrementDomainPWL
-from .lpformat import (RawSolution, parsed_model, write_lp, write_mps,
+from .lpformat import (SENSES, ModelArrays, RawSolution, write_lp, write_mps,
                        write_solution_text)
 from .netgraph import EnergyBounds, SchedulingGraph, compute_energy_bounds
-from .refsolver import parsed_arrays, solve_arrays
+from .refsolver import emitted_arrays, solve_arrays
 from .solverbridge import SOLVER_ENV_VAR, SolverError, solve_external
 
 INTEGRALITY_TOL = 1e-5
@@ -66,37 +74,123 @@ class ModelOptions:
     grid_limit_override: Optional[dict] = None  # grid point id -> kW or per-step list
 
 
+_SENSE_CODE = {sense: code for code, sense in enumerate(SENSES)}
+
+
 @dataclass
 class MilpModel:
+    """The MIP over a scheduling graph, stored in one array form.
+
+    ``add_var`` appends a column (name, objective, bounds, binary flag) to
+    parallel lists and ``add_row`` a row in CSR layout: its columns in
+    ascending order with their coefficients, then a sense code, the
+    right-hand side and a tag id.  ``arrays()`` hands that storage to the
+    LP/MPS writers and to the in-process solve as ``lpformat.ModelArrays``.
+    ``variables`` and ``rows`` are read-only views that build one
+    ``Var``/``Row`` record per access; row names ``{tag}{index:07d}`` exist
+    only in those records and in the files.  The objective is always
+    minimised.
+    """
+
     graph: SchedulingGraph
     domains: dict                     # (charger id, vehicle type id) -> PWL domain
     options: ModelOptions
-    variables: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
     x_index: dict = field(default_factory=dict)    # (arc, plan) -> var
     y_index: dict = field(default_factory=dict)    # arc -> var
     phi_index: dict = field(default_factory=dict)  # (arc, plan) -> var
     phi_cost: dict = field(default_factory=dict)   # (arc, plan) -> objective coeff
     energy_bounds: Optional[EnergyBounds] = None
-    minimize: bool = True
+    names: list = field(default_factory=list)      # per column
+    obj: list = field(default_factory=list)
+    lb: list = field(default_factory=list)
+    ub: list = field(default_factory=list)
+    binary: list = field(default_factory=list)
+    start: list = field(default_factory=lambda: [0])   # per row, plus the end
+    cols: list = field(default_factory=list)       # per entry
+    vals: list = field(default_factory=list)
+    sense: list = field(default_factory=list)      # per row, codes into SENSES
+    rhs: list = field(default_factory=list)
+    tag: list = field(default_factory=list)        # codes into tags
+    tags: dict = field(default_factory=dict)       # tag -> code, first use first
 
     def add_var(self, name, lb=0.0, ub=math.inf, binary=False, obj=0.0) -> int:
-        self.variables.append(Var(name, lb, ub, binary, obj))
-        return len(self.variables) - 1
+        self.names.append(name)
+        self.obj.append(obj)
+        self.lb.append(lb)
+        self.ub.append(ub)
+        self.binary.append(binary)
+        return len(self.names) - 1
 
     def add_row(self, coeffs: dict, sense: str, rhs: float, tag: str) -> None:
-        name = f"{tag}{len(self.rows):07d}"
-        self.rows.append(Row(name, coeffs, sense, rhs, tag))
+        cols = sorted(coeffs)
+        self.cols += cols
+        self.vals += [coeffs[j] for j in cols]
+        self.start.append(len(self.cols))
+        self.sense.append(_SENSE_CODE[sense])
+        self.rhs.append(rhs)
+        self.tag.append(self.tags.setdefault(tag, len(self.tags)))
+
+    def arrays(self) -> ModelArrays:
+        """The storage as numpy arrays; later ``add_*`` calls leave them be."""
+        return ModelArrays(
+            names=list(self.names), obj=np.array(self.obj, dtype=float),
+            lb=np.array(self.lb, dtype=float),
+            ub=np.array(self.ub, dtype=float),
+            binary=np.array(self.binary, dtype=bool),
+            start=np.array(self.start, dtype=np.int64),
+            cols=np.array(self.cols, dtype=np.int64),
+            vals=np.array(self.vals, dtype=float),
+            sense=np.array(self.sense, dtype=np.int8),
+            rhs=np.array(self.rhs, dtype=float),
+            tag=np.array(self.tag, dtype=np.int64), tags=list(self.tags))
+
+    @property
+    def variables(self) -> "_Records":
+        return _Records(len(self.names), self._var)
+
+    @property
+    def rows(self) -> "_Records":
+        return _Records(len(self.sense), self._row)
+
+    def _var(self, j: int) -> Var:
+        return Var(self.names[j], self.lb[j], self.ub[j], bool(self.binary[j]),
+                   self.obj[j])
+
+    def _row(self, r: int) -> Row:
+        s, e = self.start[r], self.start[r + 1]
+        tag = list(self.tags)[self.tag[r]]
+        return Row(f"{tag}{r:07d}", dict(zip(self.cols[s:e], self.vals[s:e])),
+                   SENSES[self.sense[r]], self.rhs[r], tag)
 
     def rows_by_tag(self) -> dict:
-        counts: dict = {}
-        for r in self.rows:
-            counts[r.tag] = counts.get(r.tag, 0) + 1
-        return counts
+        counts = np.bincount(self.tag, minlength=len(self.tags))
+        return {t: int(c) for t, c in zip(self.tags, counts) if c}
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self.names)
+
+    @property
+    def minimize(self) -> bool:
+        return True
+
+
+class _Records(Sequence):
+    """Read-only sequence that builds each record when it is accessed."""
+
+    def __init__(self, length: int, record):
+        self._length = length
+        self._record = record
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i: int):
+        if i < 0:
+            i += self._length
+        if not 0 <= i < self._length:
+            raise IndexError("record index out of range")
+        return self._record(i)
 
 
 def _domain_for(domains: dict, charger: str, vtype: str) -> IncrementDomainPWL:
@@ -311,7 +405,7 @@ def build_model(graph: SchedulingGraph, domains: dict,
                         if key in model.phi_index:
                             omega = battery[vtype_of[pid]] * 3600.0 / graph.theta
                             coeffs[model.phi_index[key]] = omega
-                if coeffs:
+                if coeffs and limit != math.inf:
                     model.add_row(coeffs, "<=", limit, "grid")
 
     if options.precondition_lead:
@@ -361,14 +455,18 @@ def add_preconditioning(model: MilpModel, lead_steps: int) -> MilpModel:
     return model
 
 
+_WRITERS = {"lp": write_lp, "mps": write_mps}
+
+
 def emit_model(model: MilpModel, fmt: str, path, relax: bool = False) -> None:
     """Write the model as LP or MPS; byte-deterministic for a fixed model."""
-    if fmt == "lp":
-        write_lp(model, path, relax=relax)
-    elif fmt == "mps":
-        write_mps(model, path, relax=relax)
-    else:
+    _emit(model.arrays(), fmt, path, relax)
+
+
+def _emit(arrays: ModelArrays, fmt: str, path, relax: bool) -> None:
+    if fmt not in _WRITERS:
         raise ModelError(f"unknown model format {fmt!r} (use 'lp' or 'mps')")
+    _WRITERS[fmt](arrays, path, relax=relax)
 
 
 def solve_model(model: MilpModel, workdir, command_template=None,
@@ -378,23 +476,24 @@ def solve_model(model: MilpModel, workdir, command_template=None,
 
     With a ``command_template`` or ``EBUSOPT_SOLVER_CMD`` set, the emitted
     file goes through the subprocess bridge (``solverbridge.solve_external``).
-    Otherwise HiGHS solves in this process, on exactly the problem the
-    bundled ``refsolver`` would read back from the file, and the solution is
-    written next to it as ``model.sol``.  The wall-clock kill of the bridge
-    does not apply in process; HiGHS stops itself at ``time_limit``.
-    ``threads`` reaches only the bridge's command.  A failure inside HiGHS
-    raises ``SolverError``.
+    Otherwise HiGHS solves in this process on ``refsolver.emitted_arrays``
+    of the model's arrays, which equal the arrays the bundled ``refsolver``
+    would read back from the file, and the solution is written next to it as
+    ``model.sol``.  The wall-clock kill of the bridge does not apply in
+    process; HiGHS stops itself at ``time_limit``.  ``threads`` reaches only
+    the bridge's command.  A failure inside HiGHS raises ``SolverError``.
     """
     os.makedirs(workdir, exist_ok=True)
     suffix = "_relax" if relax else ""
     model_path = os.path.join(workdir, f"model{suffix}.{fmt}")
-    emit_model(model, fmt, model_path, relax=relax)
+    arrays = model.arrays()
+    _emit(arrays, fmt, model_path, relax)
     if command_template or os.environ.get(SOLVER_ENV_VAR):
         return solve_external(model_path, command_template=command_template,
                               time_limit=time_limit, threads=threads)
     try:
         status, values, objective, bound = solve_arrays(
-            parsed_arrays(parsed_model(model, fmt, relax)), time_limit)
+            emitted_arrays(arrays, fmt, relax), time_limit)
     except Exception as exc:  # solver-internal failure
         raise SolverError(f"in-process HiGHS failed: {exc}",
                           command=IN_PROCESS_COMMAND) from exc
@@ -503,16 +602,16 @@ def decode_solution(model: MilpModel, raw: RawSolution,
     if not raw.has_incumbent:
         raise DecodeError(f"no incumbent to decode (status {raw.status})")
     active: dict = {}
+    names = model.names
     for (arc_idx, pid), vidx in model.x_index.items():
-        v = raw.value(model.variables[vidx].name)
+        v = raw.value(names[vidx])
         if INTEGRALITY_TOL < v < 1.0 - INTEGRALITY_TOL:
-            raise DecodeError(
-                f"fractional flow {v:.6f} on {model.variables[vidx].name}")
+            raise DecodeError(f"fractional flow {v:.6f} on {names[vidx]}")
         if v >= 1.0 - INTEGRALITY_TOL:
             active.setdefault(pid, []).append(graph.arcs[arc_idx])
 
     inst = graph.instance
-    y_values = {a_idx: raw.value(model.variables[vy].name)
+    y_values = {a_idx: raw.value(names[vy])
                 for a_idx, vy in model.y_index.items()}
     courses = []
     for pid in sorted(active):
@@ -571,16 +670,14 @@ def _course_from_path(model: MilpModel, graph: SchedulingGraph, pid: str,
             phi = 0.0
             key = (a.index, pid)
             if key in model.phi_index:
-                phi = max(raw.value(model.variables[model.phi_index[key]].name),
-                          0.0)
+                phi = max(raw.value(model.names[model.phi_index[key]]), 0.0)
                 cost += model.phi_cost[key] * phi
             if current is None:
                 current = ChargeWindow(
                     slot=a.slot, charger=a.charger,
                     grid_point=inst.charger(a.charger).grid_point,
                     start_step=a.step, steps=[], phis=[],
-                    soc_before=raw.value(
-                        model.variables[model.y_index[a.index]].name))
+                    soc_before=raw.value(model.names[model.y_index[a.index]]))
             current.steps.append(a.step)
             current.phis.append(phi)
         else:

@@ -12,8 +12,9 @@ read or the solver itself failed.
 
 ``solve_arrays`` is the one HiGHS call site: this CLI reaches it through
 ``parsed_arrays`` of the file it reads, ``milp.solve_model`` through
-``parsed_arrays`` of the same model built in memory.  scipy is imported on
-first use, so importing this module stays cheap.
+``emitted_arrays`` of the model's own arrays, which are the same arrays
+without the file.  scipy is imported on first use, so importing this module
+stays cheap.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lpformat import (LpFormatError, ParsedModel, read_lp, read_mps,
-                       write_solution_text)
+from .lpformat import (SENSES, LpFormatError, ModelArrays, ParsedModel,
+                       read_lp, read_mps, write_solution_text)
 
 _STATUS = {
     0: "optimal",
@@ -103,6 +104,47 @@ def parsed_arrays(model: ParsedModel, relax: bool = False) -> ProblemArrays:
         lb=np.array([model.lower[v] for v in names], dtype=float),
         ub=np.array([model.upper[v] for v in names], dtype=float),
         integrality=integrality, minimize=model.minimize)
+
+
+def emitted_arrays(m: ModelArrays, fmt: str = "lp",
+                   relax: bool = False) -> ProblemArrays:
+    """What ``parsed_arrays`` returns for the file ``write_lp`` (or
+    ``write_mps``) emits from ``m``, built without the file.
+
+    The writers print every number so that it reads back bit for bit, except
+    that -0.0 reads back as 0.0; adding 0.0 does the same here.  Columns
+    follow the reader's first-seen order: for LP the objective terms, then
+    row terms, bound lines and binaries, with columns that appear in none of
+    them left out; for MPS every column in model order.
+    """
+    from scipy import sparse
+
+    n = len(m.names)
+    binary = m.binary
+    if fmt == "mps":
+        order = np.arange(n)
+    elif fmt == "lp":
+        bounded = (binary & relax) | (~binary & ((m.lb != 0.0)
+                                                 | (m.ub != math.inf)))
+        seen = np.concatenate([np.flatnonzero(m.obj != 0.0), m.cols,
+                               np.flatnonzero(bounded),
+                               np.flatnonzero(binary & (not relax))])
+        cols, first = np.unique(seen, return_index=True)
+        order = cols[np.argsort(first)]
+    else:
+        raise LpFormatError(f"unknown model format {fmt!r}")
+    pos = np.full(n, -1)
+    pos[order] = np.arange(len(order))
+    rhs = m.rhs + 0.0
+    return ProblemArrays(
+        names=[m.names[j] for j in order.tolist()], c=m.obj[order] + 0.0,
+        a=sparse.csr_matrix((m.vals + 0.0, (m.row_of_entry(), pos[m.cols])),
+                            shape=(len(rhs), len(order))),
+        row_lb=np.where(m.sense == SENSES.index("<="), -np.inf, rhs),
+        row_ub=np.where(m.sense == SENSES.index(">="), np.inf, rhs),
+        lb=np.where(binary, 0.0, m.lb + 0.0)[order],
+        ub=np.where(binary, 1.0, m.ub + 0.0)[order],
+        integrality=(binary & (not relax))[order].astype(float))
 
 
 def solve_arrays(p: ProblemArrays, time_limit: float | None = None,

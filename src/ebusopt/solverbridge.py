@@ -77,7 +77,8 @@ def solve_external(model_path, command_template: Optional[str] = None,
         raise SolverError(f"solver executable not found: {exc}",
                           command=command) from exc
     except subprocess.TimeoutExpired as exc:
-        out = (exc.stdout or "") + (exc.stderr or "")
+        # the captured output comes as bytes here even with text=True
+        out = _decoded(exc.stdout) + _decoded(exc.stderr)
         if os.path.exists(solution_path):
             try:
                 sol = parse_solution_file(solution_path)
@@ -106,6 +107,12 @@ def solve_external(model_path, command_template: Optional[str] = None,
     sol.command = command
     sol.solver_output = output[-4000:]
     return sol
+
+
+def _decoded(out) -> str:
+    if isinstance(out, bytes):
+        return out.decode(errors="replace")
+    return out or ""
 
 
 def _fmt_limit(time_limit: Optional[float]) -> str:

@@ -1,22 +1,29 @@
 import math
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _oracles
+from ebusopt import solverbridge
 from ebusopt.generators import generate_worst_case
-from ebusopt.lpformat import (LpFormatError, RawSolution, parse_solution_file,
-                              parse_solution_text, parsed_model, read_lp,
-                              read_mps, write_solution_text)
-from ebusopt.milp import (DecodeError, ModelError, ModelOptions, Var,
+from ebusopt.instance import InstanceError
+from ebusopt.lpformat import (SENSES, LpFormatError, RawSolution,
+                              parse_solution_file, parse_solution_text,
+                              read_lp, read_mps, write_lp, write_mps,
+                              write_solution_text)
+from ebusopt.milp import (DecodeError, MilpModel, ModelError, ModelOptions,
                           add_preconditioning, build_model, decode_solution,
                           emit_model, solve_model)
 from ebusopt.netgraph import GraphOptions, build_graph
-from ebusopt.refsolver import (load_model, parsed_arrays, solve_arrays,
-                               solve_parsed)
+from ebusopt.refsolver import (emitted_arrays, load_model, parsed_arrays,
+                               solve_arrays, solve_parsed)
 from ebusopt.solverbridge import (DEFAULT_SOLVER_CMD, SOLVER_ENV_VAR,
                                   SolverError, solve_external)
 from ebusopt.validate import build_domains, exact_curves
@@ -136,15 +143,17 @@ def test_lp_vs_mps_solved_externally_equal(tmp_path):
     assert sol_lp.objective == pytest.approx(sol_mps.objective, abs=1e-6)
 
 
+def _bare_model() -> MilpModel:
+    return MilpModel(graph=None, domains={}, options=ModelOptions())
+
+
 def test_variable_count_in_lp(tmp_path):
-    class Tiny:
-        variables = [Var("a", 0, 1, True, 1.0), Var("b", 0, math.inf, False, 2.0),
-                     Var("c", 0, 5.0, False, 0.0)]
-        rows = []
-        minimize = True
-    from ebusopt.lpformat import write_lp
+    tiny = _bare_model()
+    tiny.add_var("a", 0, 1, True, 1.0)
+    tiny.add_var("b", 0, math.inf, False, 2.0)
+    tiny.add_var("c", 0, 5.0, False, 0.0)
     path = tmp_path / "tiny.lp"
-    write_lp(Tiny(), path)
+    write_lp(tiny.arrays(), path)
     parsed = read_lp(str(path))
     assert sorted(parsed.variables) == ["a", "b", "c"]
     assert parsed.integers == {"a"}
@@ -222,6 +231,22 @@ def test_missing_solver_binary(tmp_path):
                     command_template="/nonexistent/solver {model} {solution}")
 
 
+def test_bridge_timeout_returns_incumbent(tmp_path, monkeypatch):
+    # the solver writes an incumbent, prints, then hangs until it is killed
+    monkeypatch.setattr(solverbridge, "_TIMEOUT_GRACE_S", 1.0)
+    script = ("import sys, time; "
+              "open(sys.argv[1], 'w').write('# status feasible\\nx 1.5\\n'); "
+              "print('incumbent written', flush=True); time.sleep(60)")
+    model_path = tmp_path / "m.lp"
+    model_path.write_text(HAND_LP)
+    raw = solve_external(model_path, time_limit=0.5,
+                         command_template="{python} -c " + shlex.quote(script)
+                         + " {solution}")
+    assert raw.status == "time-limit"
+    assert raw.values == {"x": 1.5}
+    assert "incumbent written" in raw.solver_output
+
+
 # ---------------------------------------------------------------------------
 # in-process HiGHS: same problem, same answer as the bridge
 # ---------------------------------------------------------------------------
@@ -247,10 +272,10 @@ def test_in_process_arrays_equal_lp_file_arrays(tmp_path, relax):
         path = tmp_path / f"m{k}.lp"
         emit_model(model, "lp", path, relax=relax)
         from_file = read_lp(str(path))
-        in_memory = parsed_model(model, "lp", relax)
-        assert in_memory == from_file
-        _assert_same_arrays(parsed_arrays(in_memory), parsed_arrays(from_file))
-        assert bool(parsed_arrays(in_memory).integrality.any()) == (not relax)
+        assert _oracles.parsed_model(model, "lp", relax) == from_file
+        in_memory = emitted_arrays(model.arrays(), "lp", relax)
+        _assert_same_arrays(in_memory, parsed_arrays(from_file))
+        assert bool(in_memory.integrality.any()) == (not relax)
 
 
 def test_in_process_arrays_equal_mps_file_arrays(tmp_path):
@@ -258,20 +283,111 @@ def test_in_process_arrays_equal_mps_file_arrays(tmp_path):
     for relax in (False, True):
         path = tmp_path / "m.mps"
         emit_model(model, "mps", path, relax=relax)
-        _assert_same_arrays(parsed_arrays(parsed_model(model, "mps", relax)),
+        _assert_same_arrays(emitted_arrays(model.arrays(), "mps", relax),
                             parsed_arrays(read_mps(str(path))))
 
 
 def test_in_process_model_leaves_out_unused_variables(tmp_path):
-    class Tiny:
-        variables = [Var("a", 0, 1, True, 1.0), Var("b", 0, math.inf),
-                     Var("c", 0, 5.0), Var("d", 2.0, math.inf)]
-        rows = []
+    tiny = _bare_model()
+    tiny.add_var("a", 0, 1, True, 1.0)
+    tiny.add_var("b", 0, math.inf)
+    tiny.add_var("c", 0, 5.0)
+    tiny.add_var("d", 2.0, math.inf)
     path = tmp_path / "tiny.lp"
-    emit_model(Tiny(), "lp", path)
-    parsed = parsed_model(Tiny(), "lp")
+    emit_model(tiny, "lp", path)
+    parsed = _oracles.parsed_model(tiny, "lp")
     assert parsed == read_lp(str(path))
     assert parsed.variables == ["a", "c", "d"]
+    arrays = emitted_arrays(tiny.arrays(), "lp")
+    _assert_same_arrays(arrays, parsed_arrays(parsed))
+    assert arrays.names == ["a", "c", "d"]
+
+
+def _reference_models():
+    models = [("toy", toy_setup(charger_toy())[3])]
+    for est in ("under", "over"):
+        wc = generate_worst_case(3, 0.005, 0.02, estimator=est)
+        models.append((f"n3-{est}", toy_setup(
+            wc, m=2, estimator=est,
+            options=ModelOptions(use_strengthening=True))[3]))
+    return models
+
+
+@pytest.mark.parametrize("relax", [False, True])
+def test_writers_match_dict_row_reference(tmp_path, relax):
+    writers = {"lp": (write_lp, _oracles.write_lp),
+               "mps": (write_mps, _oracles.write_mps)}
+    for label, model in _reference_models():
+        for fmt, (ours, reference) in writers.items():
+            got, want = tmp_path / f"{label}.{fmt}", tmp_path / f"ref.{fmt}"
+            ours(model.arrays(), got, relax=relax)
+            reference(model, want, relax=relax)
+            assert got.read_bytes() == want.read_bytes(), (label, fmt)
+            _assert_same_arrays(
+                emitted_arrays(model.arrays(), fmt, relax),
+                parsed_arrays(_oracles.parsed_model(model, fmt, relax)))
+
+
+def test_record_views_match_storage():
+    model = toy_setup(charger_toy())[3]
+    rows = model.rows
+    assert len(rows) == sum(model.rows_by_tag().values())
+    assert rows[-1] == rows[len(rows) - 1]
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+    assert [r.name for r in rows][:2] == ["flow0000000", "flow0000001"]
+    assert sum(len(r.coeffs) for r in rows) == len(model.arrays().cols)
+    assert [v.name for v in model.variables] == model.names
+
+
+# ---------------------------------------------------------------------------
+# writer -> reader round trip over random models
+# ---------------------------------------------------------------------------
+
+SPECIAL = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.1 + 0.2, 1e15, -1e15,
+                           5e-324, -2.2250738585072014e-308 / 3])
+COEFS = st.one_of(
+    SPECIAL, st.integers(10**15, 2**62).map(float),
+    st.integers(-2**62, -10**15).map(float),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def random_models(draw):
+    model = _bare_model()
+    n = draw(st.integers(1, 8))
+    for j in range(n):
+        kind = draw(st.sampled_from(["binary", "free", "floor", "bounded"]))
+        obj = draw(st.one_of(SPECIAL, COEFS))
+        if kind == "binary":
+            model.add_var(f"b{j}", binary=True, obj=obj)
+        elif kind == "free":
+            model.add_var(f"u{j}", obj=obj)
+        elif kind == "floor":
+            model.add_var(f"f{j}", lb=draw(st.one_of(SPECIAL, COEFS)),
+                          obj=obj)
+        else:
+            model.add_var(f"c{j}", lb=draw(st.one_of(SPECIAL, COEFS)),
+                          ub=draw(COEFS), obj=obj)
+    for _ in range(draw(st.integers(0, 6))):
+        cols = draw(st.lists(st.integers(0, n - 1), unique=True))
+        model.add_row({j: draw(COEFS) for j in cols}, draw(st.sampled_from(SENSES)),
+                      draw(COEFS), draw(st.sampled_from(["r", "grid"])))
+    return model
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=random_models())
+def test_writer_reader_round_trip_is_exact(model):
+    arrays = model.arrays()
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt, write, read in (("lp", write_lp, read_lp),
+                                 ("mps", write_mps, read_mps)):
+            for relax in (False, True):
+                path = os.path.join(tmp, f"m.{fmt}")
+                write(arrays, path, relax=relax)
+                _assert_same_arrays(emitted_arrays(arrays, fmt, relax),
+                                    parsed_arrays(read(path)))
 
 
 @pytest.mark.parametrize("relax", [False, True])
@@ -308,6 +424,40 @@ def test_solver_env_var_routes_through_bridge(tmp_path, monkeypatch):
     _, _, _, model = toy_setup(charger_toy())
     with pytest.raises(SolverError, match="not found"):
         solve_model(model, tmp_path, time_limit=30)
+
+
+def _grid_optimum(tmp_path, inst, override=None, **solve):
+    _, _, _, model = toy_setup(
+        inst, options=ModelOptions(grid_limit_override=override))
+    raw = solve_model(model, tmp_path, time_limit=60, **solve)
+    assert raw.status == "optimal"
+    return model, raw.objective
+
+
+@pytest.mark.parametrize("bridge", [False, True])
+def test_unlimited_grid_point_has_no_grid_rows(tmp_path, bridge):
+    solve = {"command_template": DEFAULT_SOLVER_CMD} if bridge else {}
+    _, capped = _grid_optimum(tmp_path / "cap", charger_toy(grid_kw=1e12),
+                              **solve)
+    for k, (inst, override) in enumerate((
+            (charger_toy(grid_kw=math.inf), None),
+            (charger_toy(), {"G0": math.inf}))):
+        model, objective = _grid_optimum(tmp_path / f"inf{k}", inst,
+                                         override, **solve)
+        assert "grid" not in model.rows_by_tag()
+        assert objective == pytest.approx(capped, rel=1e-9)
+
+
+def test_nan_grid_limit_is_rejected(tmp_path):
+    with pytest.raises(InstanceError, match="NaN"):
+        charger_toy(grid_kw=math.nan)
+    # a NaN override is not taken for "unlimited": the row stays and the
+    # writer refuses it
+    _, _, _, model = toy_setup(
+        charger_toy(), options=ModelOptions(grid_limit_override={"G0": math.nan}))
+    assert "grid" in model.rows_by_tag()
+    with pytest.raises(ValueError):
+        emit_model(model, "lp", tmp_path / "m.lp")
 
 
 # ---------------------------------------------------------------------------
