@@ -8,13 +8,23 @@ fixed float formatting, each distinct number formatted once) so identical
 models produce identical bytes.  Readers cover the dialect the writers emit
 plus the common core of both formats; they back the bundled reference solver
 and the tests that cross-check the two encodings against each other.
+
+The LP reader splits each section on whitespace and lexes each distinct
+chunk once with ``_TOKEN_RE``, the one definition of the token grammar; a
+memo that lives for one read hands out the same token tuples for every
+repeat of a chunk.  The MPS reader runs one loop per section.  Both pause
+the cyclic garbage collector while they build the parsed model, and report
+a malformed file as ``LpFormatError`` naming the offending line.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Optional
 from xml.etree import ElementTree
@@ -30,6 +40,20 @@ def _num(v: float) -> str:
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return format(v, ".17g")
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector.  A reader builds one large acyclic
+    structure, and every collection its allocations trigger would only walk
+    that structure again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -169,190 +193,206 @@ def write_lp(m: ModelArrays, path, relax: bool = False) -> None:
 # LP reading
 # ---------------------------------------------------------------------------
 
+_COMMENT_RE = re.compile(r"\\.*")
+# a section header is a line holding only its keyword; the text searched has
+# a newline added before and after it, so every line has one on each side
+# (the lookahead keeps a failed line from retrying with fewer leading blanks)
 _SECTION_RE = re.compile(
-    r"^\s*(minimize|minimise|min|maximize|maximise|max|subject\s+to|such\s+that"
-    r"|s\.t\.|st|bounds?|binar(?:y|ies)|bin|generals?|gen|integers?|int|end)\s*$",
+    r"\n[^\S\n]*(?![^\S\n])(minimize|minimise|min|maximize|maximise|max"
+    r"|subject[^\S\n]+to|such[^\S\n]+that|s\.t\.|st|bounds?|binar(?:y|ies)|bin"
+    r"|generals?|gen|integers?|int|end)[^\S\n]*(?=\n)",
     re.IGNORECASE)
+_SECTION_KINDS = {
+    **dict.fromkeys(("minimize", "minimise", "min"), "objective-min"),
+    **dict.fromkeys(("maximize", "maximise", "max"), "objective-max"),
+    **dict.fromkeys(("subject to", "such that", "s.t.", "st"), "constraints"),
+    **dict.fromkeys(("bound", "bounds"), "bounds"),
+    **dict.fromkeys(("binary", "binaries", "bin"), "binaries"),
+    **dict.fromkeys(("general", "generals", "gen", "integer", "integers",
+                     "int"), "generals"),
+    "end": "end"}
 
 _TOKEN_RE = re.compile(
     r"(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?![\w.\[\]@#]))"
     r"|(?P<name>[A-Za-z_!\"#$%&(),;?@'`{}|~.][A-Za-z0-9_!\"#$%&(),;?@'`{}|~.\[\]]*)"
-    r"|(?P<op><=|>=|=<|=>|=|\+|-|:)"
-    r"|(?P<ws>\s+)")
+    r"|(?P<op><=|>=|=<|=>|=|\+|-|:)")
+
+_OP_ALIASES = {"=<": "<=", "=>": ">="}
+_COLON = ("op", ":")
+_SIGNS = {("op", "+"): 1.0, ("op", "-"): -1.0}
+_OBJECTIVE_END = (("op", "="), ("num", "0"))
 
 
-def _tokenize_lp(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise LpFormatError(f"cannot tokenize LP text near {text[pos:pos+30]!r}")
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        kind = m.lastgroup
-        val = m.group()
-        if kind == "op" and val in ("=<", "=>"):
-            val = "<=" if val == "=<" else ">="
-        tokens.append((kind, val))
-    return tokens
+class _ChunkTokens(dict):
+    """Whitespace-free chunk -> its tokens, lexed with ``_TOKEN_RE`` on the
+    first lookup of the chunk."""
+
+    def __missing__(self, chunk: str) -> tuple:
+        tokens = []
+        pos = 0
+        while pos < len(chunk):
+            m = _TOKEN_RE.match(chunk, pos)
+            if m is None:
+                raise LpFormatError(
+                    f"cannot tokenize LP text near {chunk[pos:pos + 30]!r}")
+            pos = m.end()
+            val = m.group()
+            tokens.append((m.lastgroup, _OP_ALIASES.get(val, val)))
+        self[chunk] = tokens = tuple(tokens)
+        return tokens
 
 
-def _parse_linear_expr(tokens, i):
-    """Parse [+-] [coef] name ... ; returns (coeffs, next index)."""
-    coeffs: dict = {}
-    sign = 1.0
-    pending_coef = None
-    while i < len(tokens):
-        kind, val = tokens[i]
-        if kind == "op" and val in ("+", "-"):
-            if val == "-":
-                sign = -sign
-            i += 1
-        elif kind == "num":
-            if pending_coef is not None:
-                raise LpFormatError("two consecutive numbers in expression")
-            pending_coef = float(val)
-            i += 1
-        elif kind == "name":
-            coef = sign * (pending_coef if pending_coef is not None else 1.0)
-            coeffs[val] = coeffs.get(val, 0.0) + coef
-            sign, pending_coef = 1.0, None
-            i += 1
-        else:
-            break
-    return coeffs, pending_coef, sign, i
+def _tokenize_lp(text: str, memo: Optional[_ChunkTokens] = None):
+    """Iterator over the ``(kind, text)`` tokens of ``text``.
+
+    No token spans whitespace, and the one lookahead (after a number) passes
+    both before whitespace and at the end of a chunk, so the tokens of the
+    text are those of its ``split()`` chunks in turn; the text is split line
+    by line, so that only one line's chunks exist at a time.  ``memo`` lexes
+    each distinct chunk once and hands out the same token tuples after that;
+    one read shares it across its sections and drops it when it returns.
+    """
+    if memo is None:
+        memo = _ChunkTokens()
+    chunks = chain.from_iterable(map(str.split, text.split("\n")))
+    return chain.from_iterable(map(memo.__getitem__, chunks))
 
 
-def read_lp(path) -> ParsedModel:
-    with open(path) as fh:
-        raw_lines = fh.readlines()
-    # strip comments, find sections
-    sections: list = []  # (kind, text)
-    current, buf = None, []
-    for line in raw_lines:
-        line = line.split("\\", 1)[0].rstrip("\n")
-        if not line.strip():
-            continue
-        m = _SECTION_RE.match(line)
-        if m:
-            if current is not None:
-                sections.append((current, "\n".join(buf)))
-            word = re.sub(r"\s+", " ", m.group(1).lower())
-            if word in ("minimize", "minimise", "min"):
-                current = "objective-min"
-            elif word in ("maximize", "maximise", "max"):
-                current = "objective-max"
-            elif word in ("subject to", "such that", "s.t.", "st"):
-                current = "constraints"
-            elif word in ("bound", "bounds"):
-                current = "bounds"
-            elif word in ("binary", "binaries", "bin"):
-                current = "binaries"
-            elif word in ("general", "generals", "gen", "integer", "integers",
-                          "int"):
-                current = "generals"
+def _lp_sections(path) -> list:
+    """``(kind, text)`` of each section of an LP file, comments removed."""
+    try:
+        with open(path) as fh:
+            text = _COMMENT_RE.sub("", "\n" + fh.read() + "\n")
+    except UnicodeDecodeError as exc:
+        raise LpFormatError(f"{path} is not a text file: {exc}") from None
+    heads = list(_SECTION_RE.finditer(text))
+    ends = [h.start() for h in heads[1:]] + [len(text)]
+    return [(_SECTION_KINDS[" ".join(h.group(1).lower().split())],
+             text[h.end():e]) for h, e in zip(heads, ends)]
+
+
+def _lp_rows(tokens, model: ParsedModel, rows: list) -> None:
+    """Append the rows ``[name:] expression sense [+|-] rhs`` read from the
+    token iterator ``tokens`` to ``rows``, touching their variables.
+
+    An expression is a run of ``[+|-]... [coefficient] variable`` terms; a
+    variable named twice sums its coefficients and ``__zero__`` is dropped.
+    """
+    lower, touch = model.lower, model.touch
+    for head in tokens:
+        name, body = None, tokens
+        if head[0] == "name":
+            second = next(tokens, None)
+            if second == _COLON:
+                name = head[1]
             else:
-                current = "end"
-            buf = []
+                body = chain((head,) if second is None else (head, second),
+                             tokens)
         else:
-            buf.append(line)
-    if current is not None:
-        sections.append((current, "\n".join(buf)))
+            body = chain((head,), tokens)
+        label = name or f"r{len(rows)}"
+        coeffs: dict = {}
+        sign, coef, sense = 1.0, None, None
+        for kind, val in body:
+            if kind == "name":
+                coeffs[val] = coeffs.get(val, 0.0) + (
+                    sign if coef is None else sign * coef)
+                sign, coef = 1.0, None
+            elif kind == "num":
+                if coef is not None:
+                    raise LpFormatError(
+                        f"row {label}: two consecutive numbers")
+                coef = float(val)
+            elif val == "-":
+                sign = -sign
+            elif val != "+":
+                sense = val
+                break
+        if coef is not None:
+            raise LpFormatError(f"row {label} ends with a dangling number")
+        if sense not in SENSES:
+            raise LpFormatError(f"row {label}: missing sense")
+        rhs = next(tokens, None)
+        sign = _SIGNS.get(rhs)
+        if sign is None:
+            sign = 1.0
+        else:
+            rhs = next(tokens, None)
+        if rhs is None or rhs[0] != "num":
+            raise LpFormatError(f"row {label}: missing rhs")
+        coeffs.pop("__zero__", None)
+        for var in coeffs:
+            if var not in lower:
+                touch(var)
+        rows.append((label, coeffs, sense, sign * float(rhs[1])))
 
+
+@_gc_paused()
+def read_lp(path) -> ParsedModel:
+    """Parse an LP file.  Its sections share one token memo, so each distinct
+    chunk is lexed once per read."""
     model = ParsedModel()
-    for kind, text in sections:
+    memo = _ChunkTokens()
+    for kind, text in _lp_sections(path):
         if kind in ("objective-min", "objective-max"):
+            # the objective reads as the one row "[name:] expression = 0"
             model.minimize = kind == "objective-min"
-            tokens = _tokenize_lp(text)
-            i = 0
-            if (len(tokens) >= 2 and tokens[0][0] == "name"
-                    and tokens[1] == ("op", ":")):
-                i = 2
-            coeffs, pending, _, i = _parse_linear_expr(tokens, i)
-            if i != len(tokens) or pending is not None:
+            rows: list = []
+            _lp_rows(chain(_tokenize_lp(text, memo), _OBJECTIVE_END), model,
+                     rows)
+            if len(rows) != 1:
                 raise LpFormatError("trailing tokens in objective")
-            coeffs.pop("__zero__", None)
-            for var in coeffs:
-                model.touch(var)
-            model.objective = coeffs
+            model.objective = rows[0][1]
         elif kind == "constraints":
-            tokens = _tokenize_lp(text)
-            i = 0
-            while i < len(tokens):
-                name = None
-                if (i + 1 < len(tokens) and tokens[i][0] == "name"
-                        and tokens[i + 1] == ("op", ":")):
-                    name = tokens[i][1]
-                    i += 2
-                coeffs, pending, _, i = _parse_linear_expr(tokens, i)
-                if pending is not None:
-                    raise LpFormatError("constraint ends with a dangling number")
-                if i >= len(tokens) or tokens[i][0] != "op" \
-                        or tokens[i][1] not in ("<=", ">=", "="):
-                    raise LpFormatError(f"constraint {name or coeffs}: missing sense")
-                sense = tokens[i][1]
-                i += 1
-                sign = 1.0
-                if i < len(tokens) and tokens[i] == ("op", "-"):
-                    sign, i = -1.0, i + 1
-                elif i < len(tokens) and tokens[i] == ("op", "+"):
-                    i += 1
-                if i >= len(tokens) or tokens[i][0] != "num":
-                    raise LpFormatError(f"constraint {name}: missing rhs")
-                rhs = sign * float(tokens[i][1])
-                i += 1
-                coeffs.pop("__zero__", None)
-                for var in coeffs:
-                    model.touch(var)
-                model.rows.append((name or f"r{len(model.rows)}", coeffs,
-                                   sense, rhs))
+            _lp_rows(_tokenize_lp(text, memo), model, model.rows)
         elif kind == "bounds":
             for line in text.splitlines():
-                _parse_bound_line(line, model)
-        elif kind == "binaries":
+                tokens = list(_tokenize_lp(line, memo))
+                if tokens:
+                    try:
+                        _parse_bound(tokens, model)
+                    except (IndexError, LpFormatError) as exc:
+                        raise LpFormatError(
+                            f"bad bound line {line.strip()!r}: {exc}") from exc
+        elif kind in ("binaries", "generals"):
             for var in text.split():
                 model.touch(var)
                 model.integers.add(var)
-                model.lower[var] = 0.0
-                model.upper[var] = min(model.upper.get(var, math.inf), 1.0)
-        elif kind == "generals":
-            for var in text.split():
-                model.touch(var)
-                model.integers.add(var)
+                if kind == "binaries":
+                    model.lower[var] = 0.0
+                    model.upper[var] = min(model.upper[var], 1.0)
     return model
 
 
-def _parse_bound_line(line: str, model: ParsedModel) -> None:
-    tokens = _tokenize_lp(line)
-    if not tokens:
-        return
+def _bound_value(tokens: list, i: int):
+    """The value ``[+|-] number`` or ``[+|-] inf`` at ``tokens[i]``, and the
+    index after it."""
+    sign = _SIGNS.get(tokens[i])
+    if sign is None:
+        sign = 1.0
+    else:
+        i += 1
+    kind, val = tokens[i]
+    if kind == "num":
+        return sign * float(val), i + 1
+    if kind == "name" and val.lower() in ("inf", "infinity", "+inf"):
+        return sign * math.inf, i + 1
+    raise LpFormatError(f"bad bound value {val!r}")
+
+
+def _parse_bound(tokens: list, model: ParsedModel) -> None:
+    """Apply the tokens of one bound line: ``v free``, ``v sense b``,
+    ``b <= v`` or ``b <= v <= b``."""
     if len(tokens) == 2 and tokens[1][1].lower() == "free":
         var = tokens[0][1]
         model.touch(var)
         model.lower[var] = -math.inf
         return
-
-    def read_value(i):
-        sign = 1.0
-        if tokens[i] == ("op", "-"):
-            sign, i = -1.0, i + 1
-        elif tokens[i] == ("op", "+"):
-            i += 1
-        kind, val = tokens[i]
-        if kind == "num":
-            return sign * float(val), i + 1
-        if kind == "name" and val.lower() in ("inf", "infinity", "+inf"):
-            return sign * math.inf, i + 1
-        raise LpFormatError(f"bad bound value in {line!r}")
-
-    # forms: v op b | b op v | b op v op b
     if tokens[0][0] == "name" and tokens[0][1].lower() not in ("inf", "infinity"):
         var = tokens[0][1]
         model.touch(var)
         sense = tokens[1][1]
-        value, _ = read_value(2)
+        value, _ = _bound_value(tokens, 2)
         if sense == "<=":
             model.upper[var] = value
         elif sense == ">=":
@@ -360,22 +400,26 @@ def _parse_bound_line(line: str, model: ParsedModel) -> None:
         else:
             model.lower[var] = model.upper[var] = value
         return
-    lo, i = read_value(0)
+    lo, i = _bound_value(tokens, 0)
     if tokens[i][1] != "<=":
-        raise LpFormatError(f"bad bound line {line!r}")
+        raise LpFormatError(f"expected '<=' after {lo}")
     var = tokens[i + 1][1]
     model.touch(var)
     model.lower[var] = lo
     if i + 2 < len(tokens):
         if tokens[i + 2][1] != "<=":
-            raise LpFormatError(f"bad bound line {line!r}")
-        hi, _ = read_value(i + 3)
-        model.upper[var] = hi
+            raise LpFormatError(f"expected '<=' after {var}")
+        model.upper[var], _ = _bound_value(tokens, i + 3)
 
 
 # ---------------------------------------------------------------------------
 # MPS writing / reading (free format)
 # ---------------------------------------------------------------------------
+
+_MPS_TYPES = "LGE"              # MPS row type per code in SENSES
+_MARKERS = ("    MARKER M2 'MARKER' 'INTEND'\n",     # before a continuous run
+            "    MARKER M1 'MARKER' 'INTORG'\n")     # before an integer run
+
 
 def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
     names = m.names
@@ -394,30 +438,32 @@ def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
     val = np.concatenate([m.obj[in_obj], np.zeros(len(unused)), m.vals])
     order = np.argsort(col, kind="stable")
     col, row, val = col[order], row[order], val[order]
-    first = np.searchsorted(col, np.arange(n + 1)).tolist()
+    first = np.searchsorted(col, np.arange(n + 1))
     entries = [f"{'obj' if r < 0 else row_names[r]} {v}"
                for r, v in zip(row.tolist(), _num_strings(val))]
-    sense_code = "LGE"              # MPS row type per code in SENSES
+    # two entries a line: each even entry of a column opens one, and takes
+    # the next entry along if that is in the same column
+    starts = np.flatnonzero((np.arange(len(col)) - first[col]) % 2 == 0)
+    paired = starts + 1 < first[col[starts] + 1]
+    lines = [f"    {names[j]} {entries[k]} {entries[k + 1]}\n" if pair
+             else f"    {names[j]} {entries[k]}\n"
+             for k, j, pair in zip(starts.tolist(), col[starts].tolist(),
+                                   paired.tolist())]
+    # each run of integer columns sits between an INTORG and an INTEND line
+    want_int = m.binary & (not relax)
+    runs = np.flatnonzero(want_int != np.append(False, want_int[:-1]))
+    for k, integer in zip(np.searchsorted(starts, first[runs]).tolist(),
+                          want_int[runs].tolist()):
+        lines[k] = _MARKERS[integer] + lines[k]
+    if n and want_int[-1]:
+        lines.append("    MARKER M3 'MARKER' 'INTEND'\n")
     with open(path, "w") as fh:
         fh.write("NAME ebusopt\n")
         fh.write("ROWS\n N obj\n")
-        fh.writelines(f" {sense_code[s]} {name}\n"
+        fh.writelines(f" {_MPS_TYPES[s]} {name}\n"
                       for s, name in zip(m.sense.tolist(), row_names))
         fh.write("COLUMNS\n")
-        in_int = False
-        for j, (name, binary) in enumerate(zip(names, m.binary.tolist())):
-            want_int = binary and not relax
-            if want_int and not in_int:
-                fh.write("    MARKER M1 'MARKER' 'INTORG'\n")
-                in_int = True
-            elif not want_int and in_int:
-                fh.write("    MARKER M2 'MARKER' 'INTEND'\n")
-                in_int = False
-            mine = entries[first[j]:first[j + 1]]
-            fh.writelines(f"    {name} {' '.join(mine[k:k + 2])}\n"
-                          for k in range(0, len(mine), 2))
-        if in_int:
-            fh.write("    MARKER M3 'MARKER' 'INTEND'\n")
+        fh.writelines(lines)
         fh.write("RHS\n")
         nonzero = np.flatnonzero(m.rhs != 0.0)
         fh.writelines(f"    RHS {row_names[r]} {rhs}\n" for r, rhs in
@@ -438,92 +484,120 @@ def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
         fh.write("ENDATA\n")
 
 
-def read_mps(path) -> ParsedModel:
-    model = ParsedModel()
+_MPS_SENSES = dict(zip(_MPS_TYPES, SENSES))
+
+
+def _mps_lines(fh):
+    """``(section, parts)`` of each data line of an MPS file up to ENDATA.
+    A header line starts with neither whitespace nor the "*" of a comment;
+    blank lines and comments split into no parts or a "*" part."""
     section = None
-    row_sense: dict = {}
+    try:
+        for line in fh:
+            parts = line.split()
+            if not parts or parts[0][0] == "*":
+                continue
+            if not line[0].isspace():
+                section = parts[0].upper()
+                if section == "ENDATA":
+                    return
+                continue
+            yield section, parts
+    except UnicodeDecodeError as exc:
+        raise LpFormatError(f"{fh.name} is not a text file: {exc}") from None
+
+
+@_gc_paused()
+def read_mps(path) -> ParsedModel:
+    """Parse a free-format MPS file, one loop per section."""
+    model = ParsedModel()
+    lower, upper, touch = model.lower, model.upper, model.touch
+    integers, objective = model.integers, model.objective
     obj_row = None
     rows_order: list = []
+    row_sense: dict = {}
     row_coeffs: dict = {}
     row_rhs: dict = {}
     integer_mode = False
     with open(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("*"):
-                continue
-            if not line[0].isspace():
-                parts = line.split()
-                section = parts[0].upper()
-                if section == "ENDATA":
-                    break
-                continue
-            parts = line.split()
-            if section == "ROWS":
-                code, name = parts[0].upper(), parts[1]
-                if code == "N":
-                    if obj_row is None:
-                        obj_row = name
-                else:
-                    row_sense[name] = {"L": "<=", "G": ">=", "E": "="}[code]
-                    rows_order.append(name)
-                    row_coeffs[name] = {}
-            elif section == "COLUMNS":
-                if len(parts) >= 3 and parts[1].startswith("'MARKER'"):
-                    integer_mode = parts[2].strip("'") == "INTORG"
-                    continue
-                if "'MARKER'" in parts:
-                    integer_mode = "'INTORG'" in parts
-                    continue
-                var = parts[0]
-                model.touch(var)
-                if integer_mode:
-                    model.integers.add(var)
-                for j in range(1, len(parts) - 1, 2):
-                    row, val = parts[j], float(parts[j + 1])
-                    if row == obj_row:
-                        model.objective[var] = model.objective.get(var, 0.0) + val
-                    elif row in row_coeffs:
-                        idx = row_coeffs[row]
-                        idx[var] = idx.get(var, 0.0) + val
-                    else:
-                        raise LpFormatError(f"MPS column references unknown row "
-                                            f"{row!r}")
-            elif section == "RHS":
-                for j in range(1, len(parts) - 1, 2):
-                    row_rhs[parts[j]] = float(parts[j + 1])
-            elif section == "RANGES":
-                raise LpFormatError("MPS RANGES section is not supported")
-            elif section == "BOUNDS":
-                btype = parts[0].upper()
-                var = parts[2]
-                model.touch(var)
-                if btype == "UP":
-                    model.upper[var] = float(parts[3])
-                elif btype == "LO":
-                    model.lower[var] = float(parts[3])
-                elif btype == "FX":
-                    model.lower[var] = model.upper[var] = float(parts[3])
-                elif btype == "BV":
-                    model.integers.add(var)
-                    model.lower[var] = 0.0
-                    model.upper[var] = 1.0
-                elif btype == "MI":
-                    model.lower[var] = -math.inf
-                elif btype == "PL":
-                    model.upper[var] = math.inf
-                elif btype == "UI":
-                    model.integers.add(var)
-                    model.upper[var] = float(parts[3])
-                else:
-                    raise LpFormatError(f"unsupported bound type {btype!r}")
-    for name in rows_order:
-        model.rows.append((name, row_coeffs[name], row_sense[name],
-                           row_rhs.get(name, 0.0)))
+        for section, group in groupby(_mps_lines(fh), key=itemgetter(0)):
+            lines = map(itemgetter(1), group)
+            try:
+                if section == "ROWS":
+                    for parts in lines:
+                        code, name = parts[0].upper(), parts[1]
+                        if code == "N":
+                            if obj_row is None:
+                                obj_row = name
+                        else:
+                            row_sense[name] = _MPS_SENSES[code]
+                            row_coeffs[name] = {}
+                            rows_order.append(name)
+                elif section == "COLUMNS":
+                    for parts in lines:
+                        if len(parts) >= 3 and parts[1].startswith("'MARKER'"):
+                            integer_mode = parts[2].strip("'") == "INTORG"
+                            continue
+                        if "'MARKER'" in parts:
+                            integer_mode = "'INTORG'" in parts
+                            continue
+                        var = parts[0]
+                        if var not in lower:
+                            touch(var)
+                        if integer_mode:
+                            integers.add(var)
+                        for j in range(1, len(parts) - 1, 2):
+                            row, val = parts[j], float(parts[j + 1])
+                            if row == obj_row:
+                                objective[var] = objective.get(var, 0.0) + val
+                                continue
+                            coeffs = row_coeffs.get(row)
+                            if coeffs is None:
+                                raise ValueError(f"unknown row {row!r}")
+                            coeffs[var] = coeffs.get(var, 0.0) + val
+                elif section == "RHS":
+                    for parts in lines:
+                        for j in range(1, len(parts) - 1, 2):
+                            row_rhs[parts[j]] = float(parts[j + 1])
+                elif section == "RANGES":
+                    for parts in lines:
+                        raise ValueError("RANGES is not supported")
+                elif section == "BOUNDS":
+                    for parts in lines:
+                        btype, var = parts[0].upper(), parts[2]
+                        if var not in lower:
+                            touch(var)
+                        if btype == "UP":
+                            upper[var] = float(parts[3])
+                        elif btype == "LO":
+                            lower[var] = float(parts[3])
+                        elif btype == "FX":
+                            lower[var] = upper[var] = float(parts[3])
+                        elif btype == "BV":
+                            integers.add(var)
+                            lower[var] = 0.0
+                            upper[var] = 1.0
+                        elif btype == "MI":
+                            lower[var] = -math.inf
+                        elif btype == "PL":
+                            upper[var] = math.inf
+                        elif btype == "UI":
+                            integers.add(var)
+                            upper[var] = float(parts[3])
+                        else:
+                            raise ValueError(
+                                f"unsupported bound type {btype!r}")
+            except LpFormatError:                  # not a text file
+                raise
+            except (IndexError, KeyError, ValueError) as exc:
+                raise LpFormatError(f"bad {section} line "
+                                    f"{' '.join(parts)!r}: {exc}") from exc
+    model.rows.extend((name, row_coeffs[name], row_sense[name],
+                       row_rhs.get(name, 0.0)) for name in rows_order)
     # integer variables with no explicit bounds default to [0, 1] in MPS
-    for var in model.integers:
-        if model.upper.get(var) == math.inf:
-            model.upper[var] = 1.0
+    for var in integers:
+        if upper[var] == math.inf:
+            upper[var] = 1.0
     return model
 
 

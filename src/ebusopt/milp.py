@@ -11,7 +11,7 @@ Strengthened soc bounds replace the plain coupling rows with per-arc bounds
 derived from the cheapest paths to and from depots or chargers; they tighten
 the LP relaxation and keep every integer point (the energy-flow equalities
 already force soc to cover any remaining path).  A grid point without a
-limit (+inf kW) gets no grid rows.
+limit (+inf kW) gets no grid rows; a NaN limit override is a ``ModelError``.
 
 ``MilpModel`` keeps the program in one array form (columns plus CSR rows);
 the LP/MPS writers, the in-process HiGHS solve and the decoder all read
@@ -416,9 +416,13 @@ def build_model(graph: SchedulingGraph, domains: dict,
 def _grid_limit(gp, graph, step: int, override) -> float:
     if override is not None and gp.id in override:
         val = override[gp.id]
-        if isinstance(val, (int, float)):
-            return float(val)
-        return float(val[step - 1])
+        if not isinstance(val, (int, float)):
+            val = val[step - 1]
+        val = float(val)
+        if math.isnan(val):
+            raise ModelError(
+                f"grid limit override of {gp.id!r} is NaN at step {step}")
+        return val
     lo = graph.event_time(step - 1)
     hi = graph.event_time(step)
     return gp.min_power_over(lo, hi)

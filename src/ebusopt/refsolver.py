@@ -7,8 +7,9 @@ actual branch-and-bound is HiGHS, reached through scipy.optimize.milp.
 
 Solution files are plain text: `# status/objective/bound` headers followed
 by `name value` lines.  Exit code 0 covers every properly diagnosed outcome
-(optimal, infeasible, time limit); nonzero means the model could not be
-read or the solver itself failed.
+(optimal, infeasible, time limit); 2 means the model file could not be read
+(missing, not text, or a malformed line, which the message names); 3 means
+the solver itself failed.
 
 ``solve_arrays`` is the one HiGHS call site: this CLI reaches it through
 ``parsed_arrays`` of the file it reads, ``milp.solve_model`` through
@@ -43,8 +44,9 @@ def load_model(path: str) -> ParsedModel:
         return read_mps(path)
     if path.endswith(".lp"):
         return read_lp(path)
-    # sniff: MPS starts with NAME/ROWS
-    with open(path) as fh:
+    # sniff: MPS starts with NAME/ROWS; the reader reports a file that is
+    # not text
+    with open(path, errors="replace") as fh:
         head = fh.read(400).lstrip()
     if head.upper().startswith(("NAME", "ROWS", "*")):
         return read_mps(path)

@@ -1,9 +1,12 @@
 """Independent oracles used in the tests.
 
-The dict-row model-file writers at the bottom (``write_lp``, ``write_mps``
-and ``parsed_model``) are the reference for the array-form writers and for
+The dict-row model-file writers (``write_lp``, ``write_mps`` and
+``parsed_model``) are the reference for the array-form writers and for
 ``refsolver.emitted_arrays``: they read a model only through its
-``variables`` and ``rows`` record views.
+``variables`` and ``rows`` record views.  The readers at the bottom
+(``_tokenize_lp``, ``read_lp`` and ``read_mps``) lex an LP file one regex
+match per position and read an MPS file line by line; they are the
+reference for the package's readers.
 
 The closed-form charge curves evaluate the max-power charge curve
 analytically, bypassing the numerical integrator entirely:
@@ -16,6 +19,7 @@ with t_cv = y_v / c, w = 1 - y_v, k = c / w.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -254,3 +258,301 @@ def write_mps(model, path, relax: bool = False) -> None:
                 if v.ub != math.inf:
                     fh.write(f" UP BND {v.name} {_num(v.ub)}\n")
         fh.write("ENDATA\n")
+
+
+# ---------------------------------------------------------------------------
+# Per-position regex LP reader and line-by-line MPS reader (reference for
+# the chunk-memo readers)
+# ---------------------------------------------------------------------------
+
+_SECTION_RE = re.compile(
+    r"^\s*(minimize|minimise|min|maximize|maximise|max|subject\s+to|such\s+that"
+    r"|s\.t\.|st|bounds?|binar(?:y|ies)|bin|generals?|gen|integers?|int|end)\s*$",
+    re.IGNORECASE)
+
+_TOKEN_RE = re.compile(
+    r"(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?![\w.\[\]@#]))"
+    r"|(?P<name>[A-Za-z_!\"#$%&(),;?@'`{}|~.][A-Za-z0-9_!\"#$%&(),;?@'`{}|~.\[\]]*)"
+    r"|(?P<op><=|>=|=<|=>|=|\+|-|:)"
+    r"|(?P<ws>\s+)")
+
+
+def _tokenize_lp(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise LpFormatError(f"cannot tokenize LP text near {text[pos:pos+30]!r}")
+        pos = m.end()
+        if m.lastgroup == "ws":
+            continue
+        kind = m.lastgroup
+        val = m.group()
+        if kind == "op" and val in ("=<", "=>"):
+            val = "<=" if val == "=<" else ">="
+        tokens.append((kind, val))
+    return tokens
+
+
+def _parse_linear_expr(tokens, i):
+    """Parse [+-] [coef] name ... ; returns (coeffs, next index)."""
+    coeffs: dict = {}
+    sign = 1.0
+    pending_coef = None
+    while i < len(tokens):
+        kind, val = tokens[i]
+        if kind == "op" and val in ("+", "-"):
+            if val == "-":
+                sign = -sign
+            i += 1
+        elif kind == "num":
+            if pending_coef is not None:
+                raise LpFormatError("two consecutive numbers in expression")
+            pending_coef = float(val)
+            i += 1
+        elif kind == "name":
+            coef = sign * (pending_coef if pending_coef is not None else 1.0)
+            coeffs[val] = coeffs.get(val, 0.0) + coef
+            sign, pending_coef = 1.0, None
+            i += 1
+        else:
+            break
+    return coeffs, pending_coef, sign, i
+
+
+def read_lp(path) -> ParsedModel:
+    with open(path) as fh:
+        raw_lines = fh.readlines()
+    # strip comments, find sections
+    sections: list = []  # (kind, text)
+    current, buf = None, []
+    for line in raw_lines:
+        line = line.split("\\", 1)[0].rstrip("\n")
+        if not line.strip():
+            continue
+        m = _SECTION_RE.match(line)
+        if m:
+            if current is not None:
+                sections.append((current, "\n".join(buf)))
+            word = re.sub(r"\s+", " ", m.group(1).lower())
+            if word in ("minimize", "minimise", "min"):
+                current = "objective-min"
+            elif word in ("maximize", "maximise", "max"):
+                current = "objective-max"
+            elif word in ("subject to", "such that", "s.t.", "st"):
+                current = "constraints"
+            elif word in ("bound", "bounds"):
+                current = "bounds"
+            elif word in ("binary", "binaries", "bin"):
+                current = "binaries"
+            elif word in ("general", "generals", "gen", "integer", "integers",
+                          "int"):
+                current = "generals"
+            else:
+                current = "end"
+            buf = []
+        else:
+            buf.append(line)
+    if current is not None:
+        sections.append((current, "\n".join(buf)))
+
+    model = ParsedModel()
+    for kind, text in sections:
+        if kind in ("objective-min", "objective-max"):
+            model.minimize = kind == "objective-min"
+            tokens = _tokenize_lp(text)
+            i = 0
+            if (len(tokens) >= 2 and tokens[0][0] == "name"
+                    and tokens[1] == ("op", ":")):
+                i = 2
+            coeffs, pending, _, i = _parse_linear_expr(tokens, i)
+            if i != len(tokens) or pending is not None:
+                raise LpFormatError("trailing tokens in objective")
+            coeffs.pop("__zero__", None)
+            for var in coeffs:
+                model.touch(var)
+            model.objective = coeffs
+        elif kind == "constraints":
+            tokens = _tokenize_lp(text)
+            i = 0
+            while i < len(tokens):
+                name = None
+                if (i + 1 < len(tokens) and tokens[i][0] == "name"
+                        and tokens[i + 1] == ("op", ":")):
+                    name = tokens[i][1]
+                    i += 2
+                coeffs, pending, _, i = _parse_linear_expr(tokens, i)
+                if pending is not None:
+                    raise LpFormatError("constraint ends with a dangling number")
+                if i >= len(tokens) or tokens[i][0] != "op" \
+                        or tokens[i][1] not in ("<=", ">=", "="):
+                    raise LpFormatError(f"constraint {name or coeffs}: missing sense")
+                sense = tokens[i][1]
+                i += 1
+                sign = 1.0
+                if i < len(tokens) and tokens[i] == ("op", "-"):
+                    sign, i = -1.0, i + 1
+                elif i < len(tokens) and tokens[i] == ("op", "+"):
+                    i += 1
+                if i >= len(tokens) or tokens[i][0] != "num":
+                    raise LpFormatError(f"constraint {name}: missing rhs")
+                rhs = sign * float(tokens[i][1])
+                i += 1
+                coeffs.pop("__zero__", None)
+                for var in coeffs:
+                    model.touch(var)
+                model.rows.append((name or f"r{len(model.rows)}", coeffs,
+                                   sense, rhs))
+        elif kind == "bounds":
+            for line in text.splitlines():
+                _parse_bound_line(line, model)
+        elif kind == "binaries":
+            for var in text.split():
+                model.touch(var)
+                model.integers.add(var)
+                model.lower[var] = 0.0
+                model.upper[var] = min(model.upper.get(var, math.inf), 1.0)
+        elif kind == "generals":
+            for var in text.split():
+                model.touch(var)
+                model.integers.add(var)
+    return model
+
+
+def _parse_bound_line(line: str, model: ParsedModel) -> None:
+    tokens = _tokenize_lp(line)
+    if not tokens:
+        return
+    if len(tokens) == 2 and tokens[1][1].lower() == "free":
+        var = tokens[0][1]
+        model.touch(var)
+        model.lower[var] = -math.inf
+        return
+
+    def read_value(i):
+        sign = 1.0
+        if tokens[i] == ("op", "-"):
+            sign, i = -1.0, i + 1
+        elif tokens[i] == ("op", "+"):
+            i += 1
+        kind, val = tokens[i]
+        if kind == "num":
+            return sign * float(val), i + 1
+        if kind == "name" and val.lower() in ("inf", "infinity", "+inf"):
+            return sign * math.inf, i + 1
+        raise LpFormatError(f"bad bound value in {line!r}")
+
+    # forms: v op b | b op v | b op v op b
+    if tokens[0][0] == "name" and tokens[0][1].lower() not in ("inf", "infinity"):
+        var = tokens[0][1]
+        model.touch(var)
+        sense = tokens[1][1]
+        value, _ = read_value(2)
+        if sense == "<=":
+            model.upper[var] = value
+        elif sense == ">=":
+            model.lower[var] = value
+        else:
+            model.lower[var] = model.upper[var] = value
+        return
+    lo, i = read_value(0)
+    if tokens[i][1] != "<=":
+        raise LpFormatError(f"bad bound line {line!r}")
+    var = tokens[i + 1][1]
+    model.touch(var)
+    model.lower[var] = lo
+    if i + 2 < len(tokens):
+        if tokens[i + 2][1] != "<=":
+            raise LpFormatError(f"bad bound line {line!r}")
+        hi, _ = read_value(i + 3)
+        model.upper[var] = hi
+
+
+def read_mps(path) -> ParsedModel:
+    model = ParsedModel()
+    section = None
+    row_sense: dict = {}
+    obj_row = None
+    rows_order: list = []
+    row_coeffs: dict = {}
+    row_rhs: dict = {}
+    integer_mode = False
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("*"):
+                continue
+            if not line[0].isspace():
+                parts = line.split()
+                section = parts[0].upper()
+                if section == "ENDATA":
+                    break
+                continue
+            parts = line.split()
+            if section == "ROWS":
+                code, name = parts[0].upper(), parts[1]
+                if code == "N":
+                    if obj_row is None:
+                        obj_row = name
+                else:
+                    row_sense[name] = {"L": "<=", "G": ">=", "E": "="}[code]
+                    rows_order.append(name)
+                    row_coeffs[name] = {}
+            elif section == "COLUMNS":
+                if len(parts) >= 3 and parts[1].startswith("'MARKER'"):
+                    integer_mode = parts[2].strip("'") == "INTORG"
+                    continue
+                if "'MARKER'" in parts:
+                    integer_mode = "'INTORG'" in parts
+                    continue
+                var = parts[0]
+                model.touch(var)
+                if integer_mode:
+                    model.integers.add(var)
+                for j in range(1, len(parts) - 1, 2):
+                    row, val = parts[j], float(parts[j + 1])
+                    if row == obj_row:
+                        model.objective[var] = model.objective.get(var, 0.0) + val
+                    elif row in row_coeffs:
+                        idx = row_coeffs[row]
+                        idx[var] = idx.get(var, 0.0) + val
+                    else:
+                        raise LpFormatError(f"MPS column references unknown row "
+                                            f"{row!r}")
+            elif section == "RHS":
+                for j in range(1, len(parts) - 1, 2):
+                    row_rhs[parts[j]] = float(parts[j + 1])
+            elif section == "RANGES":
+                raise LpFormatError("MPS RANGES section is not supported")
+            elif section == "BOUNDS":
+                btype = parts[0].upper()
+                var = parts[2]
+                model.touch(var)
+                if btype == "UP":
+                    model.upper[var] = float(parts[3])
+                elif btype == "LO":
+                    model.lower[var] = float(parts[3])
+                elif btype == "FX":
+                    model.lower[var] = model.upper[var] = float(parts[3])
+                elif btype == "BV":
+                    model.integers.add(var)
+                    model.lower[var] = 0.0
+                    model.upper[var] = 1.0
+                elif btype == "MI":
+                    model.lower[var] = -math.inf
+                elif btype == "PL":
+                    model.upper[var] = math.inf
+                elif btype == "UI":
+                    model.integers.add(var)
+                    model.upper[var] = float(parts[3])
+                else:
+                    raise LpFormatError(f"unsupported bound type {btype!r}")
+    for name in rows_order:
+        model.rows.append((name, row_coeffs[name], row_sense[name],
+                           row_rhs.get(name, 0.0)))
+    # integer variables with no explicit bounds default to [0, 1] in MPS
+    for var in model.integers:
+        if model.upper.get(var) == math.inf:
+            model.upper[var] = 1.0
+    return model

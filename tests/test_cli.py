@@ -80,6 +80,17 @@ def test_solve_grid_cap_at_reference_peak(runner, tmp_path):
     assert (capped_out / "reference").exists()
 
 
+def test_solve_nan_grid_cap_exits_2(runner, tmp_path):
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(), inst_path)
+    res = runner.invoke(main, ["solve", str(inst_path), "--grid-cap", "nan",
+                               "--time-limit", "30",
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert "grid limit override" in res.output
+    assert not (tmp_path / "run" / "capped").exists()
+
+
 def test_solve_missing_solver_exits_3(runner, tmp_path):
     inst_path = tmp_path / "toy.json"
     save_instance(charger_toy(), inst_path)

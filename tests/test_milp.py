@@ -451,13 +451,11 @@ def test_unlimited_grid_point_has_no_grid_rows(tmp_path, bridge):
 def test_nan_grid_limit_is_rejected(tmp_path):
     with pytest.raises(InstanceError, match="NaN"):
         charger_toy(grid_kw=math.nan)
-    # a NaN override is not taken for "unlimited": the row stays and the
-    # writer refuses it
-    _, _, _, model = toy_setup(
-        charger_toy(), options=ModelOptions(grid_limit_override={"G0": math.nan}))
-    assert "grid" in model.rows_by_tag()
-    with pytest.raises(ValueError):
-        emit_model(model, "lp", tmp_path / "m.lp")
+    # a NaN override is not taken for "unlimited": the build refuses it
+    for override in (math.nan, [math.nan] * 12):
+        with pytest.raises(ModelError, match="NaN"):
+            toy_setup(charger_toy(), options=ModelOptions(
+                grid_limit_override={"G0": override}))
 
 
 # ---------------------------------------------------------------------------
