@@ -739,10 +739,6 @@ class CourseTrace:
             if not charging and self.durations[i] != 0:
                 raise ChargeModelError(f"transition {i} is not a charge window")
 
-    @property
-    def recharge_count(self) -> int:
-        return sum(1 for r in self.roles if r == ROLE_CHARGE_DEPARTURE)
-
 
 def propagate_course(trace: CourseTrace,
                      exact: SampledChargeCurve,

@@ -346,7 +346,7 @@ def read_lp(path) -> ParsedModel:
         elif kind == "constraints":
             _lp_rows(_tokenize_lp(text, memo), model, model.rows)
         elif kind == "bounds":
-            for line in text.splitlines():
+            for line in text.split("\n"):
                 tokens = list(_tokenize_lp(line, memo))
                 if tokens:
                     try:

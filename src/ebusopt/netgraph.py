@@ -74,10 +74,10 @@ class SchedulingGraph:
     slot_charger: dict              # slot id -> charger id
     in_arcs: dict = field(default_factory=dict)
     out_arcs: dict = field(default_factory=dict)
-
-    @property
-    def electric_plans(self) -> list:
-        return [p for p in self.plan_types if p.electric]
+    _order: Optional[list] = field(default=None, init=False, repr=False,
+                                   compare=False)
+    _bounds: Optional["EnergyBounds"] = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     def plan(self, pid: str) -> PlanType:
         for p in self.plan_types:
@@ -88,25 +88,20 @@ class SchedulingGraph:
     def event_time(self, i: int) -> int:
         return self.instance.horizon[0] + int(i * self.theta)
 
-    def recharge_arcs(self):
-        return [a for a in self.arcs if a.kind == "recharge"]
-
     def topological_order(self) -> list:
-        indeg = {nid: 0 for nid in self.nodes}
-        for a in self.arcs:
-            indeg[a.head] += 1
-        queue = deque(sorted(nid for nid, d in indeg.items() if d == 0))
-        order = []
-        while queue:
-            nid = queue.popleft()
-            order.append(nid)
-            for a in self.out_arcs[nid]:
-                indeg[a.head] -= 1
-                if indeg[a.head] == 0:
-                    queue.append(a.head)
-        if len(order) != len(self.nodes):
-            raise GraphError("scheduling graph contains a cycle")
-        return order
+        """Node ids in topological order, computed once per graph."""
+        if self._order is None:
+            self._order = _topological_order(self)
+        return list(self._order)
+
+    def energy_bounds(self) -> "EnergyBounds":
+        """``compute_energy_bounds`` of this graph, computed once per graph.
+
+        Every caller gets the same object; it is read-only.
+        """
+        if self._bounds is None:
+            self._bounds = compute_energy_bounds(self)
+        return self._bounds
 
     def stats(self) -> dict:
         node_counts = defaultdict(int)
@@ -126,6 +121,24 @@ class SchedulingGraph:
                 w.writerow(["node", kind, cnt])
             for kind, cnt in sorted(stats["arcs"].items()):
                 w.writerow(["arc", kind, cnt])
+
+
+def _topological_order(graph: SchedulingGraph) -> list:
+    indeg = {nid: 0 for nid in graph.nodes}
+    for a in graph.arcs:
+        indeg[a.head] += 1
+    queue = deque(sorted(nid for nid, d in indeg.items() if d == 0))
+    order = []
+    while queue:
+        nid = queue.popleft()
+        order.append(nid)
+        for a in graph.out_arcs[nid]:
+            indeg[a.head] -= 1
+            if indeg[a.head] == 0:
+                queue.append(a.head)
+    if len(order) != len(graph.nodes):
+        raise GraphError("scheduling graph contains a cycle")
+    return order
 
 
 def _snap_windows_to_steps(windows, start: int, theta: float,

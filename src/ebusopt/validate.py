@@ -144,7 +144,7 @@ def validate_schedule(instance: Instance, schedule: Schedule,
     if mode != "exact" and domains is None:
         raise ValidationError(f"mode {mode!r} requires the PWL domains")
     curves = curves if curves is not None else exact_curves(instance)
-    bounds = bounds if bounds is not None else compute_energy_bounds(graph)
+    bounds = bounds if bounds is not None else graph.energy_bounds()
 
     course_reports = []
     violations: list = []

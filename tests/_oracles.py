@@ -3,7 +3,10 @@
 The dict-row model-file writers (``write_lp``, ``write_mps`` and
 ``parsed_model``) are the reference for the array-form writers and for
 ``refsolver.emitted_arrays``: they read a model only through its
-``variables`` and ``rows`` record views.  The readers at the bottom
+``variables`` and ``rows`` record views.  The dict-row ``build_model`` and
+``add_preconditioning`` build each row as a dict and append it with
+``MilpModel.add_row``; they are the reference for the array-native
+assembly.  The readers at the bottom
 (``_tokenize_lp``, ``read_lp`` and ``read_mps``) lex an LP file one regex
 match per position and read an MPS file line by line; they are the
 reference for the package's readers.
@@ -24,6 +27,9 @@ import re
 import numpy as np
 
 from ebusopt.lpformat import LpFormatError, ParsedModel
+from ebusopt.milp import (MilpModel, ModelError, ModelOptions, _domain_for,
+                          _grid_limit)
+from ebusopt.netgraph import compute_energy_bounds
 
 
 class ClosedFormCurve:
@@ -261,6 +267,248 @@ def write_mps(model, path, relax: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Dict-row model assembly (reference for the array-native ``build_model``)
+# ---------------------------------------------------------------------------
+
+def build_model(graph, domains, options=ModelOptions()):
+    """The dict-row assembly: one dict per row, appended with ``add_row``."""
+    inst = graph.instance
+    model = MilpModel(graph=graph, domains=domains, options=options)
+    vtype_of = {p.id: p.vehicle_type for p in graph.plan_types}
+    electric = {p.id for p in graph.plan_types if p.electric}
+    battery = {v.id: v.battery_kwh for v in inst.vehicle_types}
+
+    # --- variables, canonical order: x per arc/plan, y per arc, phi ---------
+    for a in graph.arcs:
+        for pid in a.plans:
+            idx = model.add_var(f"x[{a.index:06d}][{pid}]", binary=True,
+                                obj=a.cost.get(pid, 0.0))
+            model.x_index[(a.index, pid)] = idx
+    for a in graph.arcs:
+        model.y_index[a.index] = model.add_var(f"y[{a.index:06d}]", 0.0, 1.0)
+    for a in graph.arcs:
+        if a.kind != "recharge":
+            continue
+        gp = inst.grid_point(inst.charger(a.charger).grid_point)
+        step_start = graph.event_time(a.step - 1)
+        for pid in a.plans:
+            if pid not in electric:
+                continue
+            dom = _domain_for(domains, a.charger, vtype_of[pid])
+            price = gp.price_at(step_start) * battery[vtype_of[pid]]
+            ub = dom.offsets[0] if a.available else 0.0
+            idx = model.add_var(f"phi[{a.index:06d}][{pid}]", 0.0, ub,
+                                obj=price)
+            model.phi_index[(a.index, pid)] = idx
+            model.phi_cost[(a.index, pid)] = price
+
+    # --- flow conservation per (non-depot node, plan) ------------------------
+    for nid in sorted(graph.nodes):
+        node = graph.nodes[nid]
+        if node.kind in ("depot-source", "depot-sink"):
+            continue
+        plans_here = sorted({p for a in graph.in_arcs[nid] for p in a.plans}
+                            | {p for a in graph.out_arcs[nid] for p in a.plans})
+        for pid in plans_here:
+            coeffs: dict = {}
+            for a in graph.in_arcs[nid]:
+                if pid in a.plans:
+                    coeffs[model.x_index[(a.index, pid)]] = 1.0
+            for a in graph.out_arcs[nid]:
+                if pid in a.plans:
+                    coeffs[model.x_index[(a.index, pid)]] = \
+                        coeffs.get(model.x_index[(a.index, pid)], 0.0) - 1.0
+            if coeffs:
+                model.add_row(coeffs, "=", 0.0, "flow")
+
+    # --- every trip serviced exactly once ------------------------------------
+    for t in inst.trips:
+        nid = f"trip:{t.id}"
+        coeffs = {model.x_index[(a.index, pid)]: 1.0
+                  for a in graph.out_arcs[nid] for pid in a.plans}
+        if not coeffs:
+            raise ModelError(f"trip {t.id} has no outgoing arcs")
+        model.add_row(coeffs, "=", 1.0, "cover")
+
+    # --- out-capacity of charge (and counted park) nodes ----------------------
+    for nid in sorted(graph.nodes):
+        node = graph.nodes[nid]
+        if node.kind == "charge" or (node.kind == "park"):
+            coeffs = {model.x_index[(a.index, pid)]: 1.0
+                      for a in graph.out_arcs[nid] for pid in a.plans}
+            if coeffs:
+                model.add_row(coeffs, "<=", 1.0, "capacity")
+
+    # --- vehicle-mix constraints ----------------------------------------------
+    if options.mix:
+        for m in inst.mix_constraints:
+            coeffs: dict = {}
+            for (vt, dep), kappa in zip(m.plan_types, m.coeffs):
+                pid = f"{vt}.{dep}"
+                for a in graph.out_arcs.get(f"src:{dep}", []):
+                    if pid in a.plans:
+                        idx = model.x_index[(a.index, pid)]
+                        coeffs[idx] = coeffs.get(idx, 0.0) + kappa
+            if not coeffs:
+                continue
+            if m.upper < math.inf:
+                model.add_row(dict(coeffs), "<=", m.upper, "mix")
+            if m.lower > 0:
+                model.add_row(dict(coeffs), ">=", m.lower, "mix")
+
+    # --- soc coupling ----------------------------------------------------------
+    bounds = None
+    if options.use_strengthening:
+        bounds = compute_energy_bounds(graph)
+        model.energy_bounds = bounds
+    for a in graph.arcs:
+        y = model.y_index[a.index]
+        e_plans = [p for p in a.plans if p in electric]
+        if a.kind == "pullout":
+            coeffs = {model.x_index[(a.index, pid)]: 1.0 for pid in e_plans}
+            coeffs[y] = coeffs.get(y, 0.0) - 1.0
+            model.add_row(coeffs, "=", 0.0, "pullout")
+            continue
+        if not options.use_strengthening:
+            coeffs = {model.x_index[(a.index, pid)]: 1.0 for pid in e_plans}
+            coeffs[y] = coeffs.get(y, 0.0) - 1.0
+            model.add_row(coeffs, ">=", 0.0, "coupling")
+            if graph.nodes[a.head].kind == "depot-sink":
+                # depot sinks have no energy row, so the last leg's
+                # consumption must be billed on the arc itself
+                coeffs = {y: 1.0}
+                for pid in e_plans:
+                    cons = a.consumption(pid)
+                    if cons:
+                        coeffs[model.x_index[(a.index, pid)]] = -cons
+                if len(coeffs) > 1:
+                    model.add_row(coeffs, ">=", 0.0, "sinkfloor")
+        else:
+            lo_coeffs = {y: 1.0}
+            for pid in e_plans:
+                exit_floor = bounds.exit_floor(a.head, pid)
+                coef = a.consumption(pid) + exit_floor
+                if not math.isfinite(coef):
+                    coef = 2.0  # dead-end arc for this plan: forces x = 0
+                lo_coeffs[model.x_index[(a.index, pid)]] = -min(coef, 2.0)
+            model.add_row(lo_coeffs, ">=", 0.0, "strengthlo")
+            hi_coeffs = {y: -1.0}
+            for pid in e_plans:
+                ceiling = bounds.arrival_ceiling(a.tail, pid)
+                if not math.isfinite(ceiling):
+                    ceiling = 0.0  # unreachable tail for this plan
+                hi_coeffs[model.x_index[(a.index, pid)]] = max(min(ceiling, 1.0),
+                                                               0.0)
+            model.add_row(hi_coeffs, ">=", 0.0, "strengthhi")
+
+    # --- energy flow through every non-depot node ------------------------------
+    recharge_into = {}
+    for a in graph.arcs:
+        if a.kind == "recharge":
+            recharge_into[a.head] = a
+    for nid in sorted(graph.nodes):
+        node = graph.nodes[nid]
+        if node.kind in ("depot-source", "depot-sink"):
+            continue
+        coeffs: dict = {}
+        for a in graph.in_arcs[nid]:
+            for pid in a.plans:
+                if pid in electric:
+                    cons = a.consumption(pid)
+                    if cons:
+                        idx = model.x_index[(a.index, pid)]
+                        coeffs[idx] = coeffs.get(idx, 0.0) + cons
+            y = model.y_index[a.index]
+            coeffs[y] = coeffs.get(y, 0.0) - 1.0
+        for a in graph.out_arcs[nid]:
+            y = model.y_index[a.index]
+            coeffs[y] = coeffs.get(y, 0.0) + 1.0
+        ra = recharge_into.get(nid)
+        if ra is not None:
+            for pid in ra.plans:
+                if (ra.index, pid) in model.phi_index:
+                    coeffs[model.phi_index[(ra.index, pid)]] = -1.0
+        if coeffs:
+            model.add_row(coeffs, "=", 0.0, "energy")
+
+    # --- increment coupling and domain segments --------------------------------
+    for a in graph.arcs:
+        if a.kind != "recharge":
+            continue
+        y = model.y_index[a.index]
+        for pid in a.plans:
+            if (a.index, pid) not in model.phi_index:
+                continue
+            dom = _domain_for(domains, a.charger, vtype_of[pid])
+            phi = model.phi_index[(a.index, pid)]
+            x = model.x_index[(a.index, pid)]
+            model.add_row({x: float(dom.offsets[0]), phi: -1.0}, ">=", 0.0,
+                          "inccoupling")
+            for j in range(1, dom.segment_count):
+                model.add_row({y: float(dom.slopes[j]), phi: -1.0}, ">=",
+                              -float(dom.offsets[j]), "incdomain")
+
+    # --- grid capacity per (access point, step) ---------------------------------
+    if options.grid_caps:
+        slots_of_gp: dict = {}
+        for c in inst.chargers:
+            for s, cid in graph.slot_charger.items():
+                if cid == c.id:
+                    slots_of_gp.setdefault(c.grid_point, []).append(s)
+        recharge_by_slot_step = {(a.slot, a.step): a
+                                 for a in graph.arcs if a.kind == "recharge"}
+        for g in inst.grid_points:
+            slot_ids = sorted(slots_of_gp.get(g.id, []))
+            if not slot_ids:
+                continue
+            for i in range(1, graph.horizon_steps + 1):
+                limit = _grid_limit(g, graph, i, options.grid_limit_override)
+                coeffs = {}
+                for s in slot_ids:
+                    a = recharge_by_slot_step.get((s, i))
+                    if a is None:
+                        continue
+                    for pid in a.plans:
+                        key = (a.index, pid)
+                        if key in model.phi_index:
+                            omega = battery[vtype_of[pid]] * 3600.0 / graph.theta
+                            coeffs[model.phi_index[key]] = omega
+                if coeffs and limit != math.inf:
+                    model.add_row(coeffs, "<=", limit, "grid")
+
+    if options.precondition_lead:
+        add_preconditioning(model, options.precondition_lead)
+    return model
+
+
+def add_preconditioning(model, lead_steps):
+    """The dict-row preconditioning rows, one ``add_row`` per row."""
+    if lead_steps < 1:
+        raise ModelError("lead_steps must be >= 1")
+    graph = model.graph
+    vtype_of = {p.id: p.vehicle_type for p in graph.plan_types}
+    by_slot_step = {(a.slot, a.step): a for a in graph.arcs
+                    if a.kind == "recharge"}
+    for a in graph.arcs:
+        if a.kind != "recharge":
+            continue
+        earlier = by_slot_step.get((a.slot, a.step - lead_steps))
+        if earlier is None:
+            continue
+        for pid in a.plans:
+            key = (a.index, pid)
+            if key not in model.phi_index:
+                continue
+            dom = _domain_for(model.domains, a.charger, vtype_of[pid])
+            x_prev = model.x_index[(earlier.index, pid)]
+            model.add_row({x_prev: float(dom.offsets[0]),
+                           model.phi_index[key]: -1.0}, ">=", 0.0,
+                          "precondition")
+    return model
+
+
+
+# ---------------------------------------------------------------------------
 # Per-position regex LP reader and line-by-line MPS reader (reference for
 # the chunk-memo readers)
 # ---------------------------------------------------------------------------
@@ -405,7 +653,7 @@ def read_lp(path) -> ParsedModel:
                 model.rows.append((name or f"r{len(model.rows)}", coeffs,
                                    sense, rhs))
         elif kind == "bounds":
-            for line in text.splitlines():
+            for line in text.split("\n"):
                 _parse_bound_line(line, model)
         elif kind == "binaries":
             for var in text.split():

@@ -516,8 +516,7 @@ def test_propagate_underestimator_sign_and_bound():
         sup_gap = {}
         for k in set(ks):
             exact_k = np.asarray(curve.increment(ys, k * THETA))
-            greedy_k = np.array([under.greedy_final_soc(float(y), k) - float(y)
-                                 for y in ys])
+            greedy_k = under.greedy_final_soc(ys, k) - ys
             sup_gap[k] = float(np.max(exact_k - greedy_k))
         worst = max(sup_gap.values())
         for e, s in zip(out.eps, out.sigma):

@@ -128,7 +128,7 @@ def lp_texts(draw):
     bounds = draw(st.lists(st.sampled_from(
         ["x <= 4", "0 <= y <= 1", "z1 free", "x >= -inf", "-inf <= z1",
          "y = 3", "- 2 <= x <= + infinity", "x", "y <=", "3 <= ", "inf <= x",
-         "1 >= x"]), max_size=3))
+         "1 >= x", "x <=\x0b5"]), max_size=3))
     binaries = draw(st.lists(NAMES, max_size=3))
     return (f"\\ generated\nMinimize\n {join(objective)}\nSubject To\n"
             f"{join(rows)}\nBounds\n" + "\n".join(bounds)
@@ -162,6 +162,16 @@ def test_lp_reader_matches_reference_on_generated_files(text, lp_file):
         fh.write(text)
     _assert_same_parse(_read_or_error(read_lp, lp_file),
                        _read_or_error(_oracles.read_lp, lp_file))
+
+
+def test_bound_line_breaks_only_at_newline(lp_file):
+    # rows and bound lines alike read \x0b as a blank, not as a line break
+    with open(lp_file, "w") as fh:
+        fh.write("Minimize\n obj: 1 x\nSubject To\n c1: 1 x >=\x0b1\n"
+                 "Bounds\n x <=\x0b5\nEnd\n")
+    model = read_lp(lp_file)
+    assert model.rows == [("c1", {"x": 1.0}, ">=", 1.0)]
+    assert (model.lower["x"], model.upper["x"]) == (0.0, 5.0)
 
 
 # ---------------------------------------------------------------------------
