@@ -271,10 +271,11 @@ def cmd_solve(instance_path, theta, segments, estimator, grid_cap, solver_cmd,
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--no-reference", is_flag=True,
               help="skip the linear-charging reference schedule check")
+@click.option("--strengthen/--no-strengthen", default=True, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), default="ebusopt-sweep",
               show_default=True)
 def cmd_sweep(instance_path, m_grid, theta_grid, time_limit, solver_cmd,
-              workers, no_reference, out):
+              workers, no_reference, strengthen, out):
     """Solve over an (m, theta) grid and tabulate objective/bound/gap rows."""
     inst = _load(instance_path)
     try:
@@ -283,13 +284,15 @@ def cmd_sweep(instance_path, m_grid, theta_grid, time_limit, solver_cmd,
     except ValueError as exc:
         _fail(EXIT_INPUT, f"bad grid: {exc}")
     config = {"command": "sweep", "instance": instance_path, "m_grid": ms,
-              "theta_grid": thetas, "time_limit": time_limit}
+              "theta_grid": thetas, "time_limit": time_limit,
+              "strengthen": strengthen}
     digest = _emit_config(out, config)
     rows = discretization_sweep(inst, ms, thetas, solver_cmd=solver_cmd,
                                 time_limit=time_limit,
                                 workdir=os.path.join(out, "cells"),
                                 workers=workers,
-                                check_reference=not no_reference)
+                                check_reference=not no_reference,
+                                strengthen=strengthen)
     path = os.path.join(out, "sweep.csv")
     write_sweep_csv(rows, path)
     solved = sum(1 for r in rows if r.objective is not None)

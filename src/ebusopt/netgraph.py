@@ -5,6 +5,11 @@ node per (charger slot, time event i = 0..H).  Consecutive timeline nodes
 are linked by recharge arcs a(s, i) that carry the charge increment
 variables.  Splitting each depot into source/sink makes the graph a DAG.
 
+The arcs of a slot carry only the plans that are live on it: those with a
+path of arcs admitting them from their depot source through the slot to
+their depot sink.  No feasible schedule uses any other (arc, plan) pair,
+so dropping them is exact (see ``build_graph``).
+
 Consumption on an arc covers the connecting deadhead plus the head node's
 service (a trip's own consumption), so propagating soc along active arcs
 reproduces course energy arithmetic exactly.
@@ -16,7 +21,7 @@ import csv
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .instance import Instance, PlanType
 
@@ -89,7 +94,11 @@ class SchedulingGraph:
         return self.instance.horizon[0] + int(i * self.theta)
 
     def topological_order(self) -> list:
-        """Node ids in topological order, computed once per graph."""
+        """Node ids in topological order, computed once per graph.
+
+        ``build_graph`` sets it from the arcs as laid out, before the dead
+        plans are dropped; an order of those arcs is one of any subset.
+        """
         if self._order is None:
             self._order = _topological_order(self)
         return list(self._order)
@@ -152,6 +161,58 @@ def _snap_windows_to_steps(windows, start: int, theta: float,
     return usable
 
 
+class _Draft(NamedTuple):
+    """An arc as laid out, before the dead plans of its slot are dropped."""
+    tail: str
+    head: str
+    mask: int       # the leg's electric plans, bit k for the k-th one
+    leg: int        # position of the ``Arc`` fields it shares in ``legs``
+    extra: dict     # its own ``Arc`` fields
+
+
+class _Layout(NamedTuple):
+    """The laid-out graph, as ``_topological_order`` reads it."""
+    nodes: dict
+    arcs: list      # list[_Draft]
+    out_arcs: dict  # node id -> list[_Draft]
+
+
+def _live_slot_plans(order: list, out_arcs: dict, electric: list,
+                     slot_events: dict) -> dict:
+    """Per slot, the bit mask of the electric plans that can use it.
+
+    Bit k stands for ``electric[k]``.  One forward pass in topological
+    order marks the plans that reach each node from their depot source,
+    one backward pass those that reach their depot sink from it, each only
+    over the arcs that admit the plan.  A slot is live for a plan when its
+    earliest source-reachable event is no later than its latest event that
+    reaches the sink: the recharge arcs between them close the path.
+    """
+    reach = dict.fromkeys(order, 0)
+    leave = dict.fromkeys(order, 0)
+    for k, p in enumerate(electric):
+        reach[f"src:{p.depot}"] |= 1 << k
+        leave[f"snk:{p.depot}"] |= 1 << k
+    for nid in order:
+        m = reach[nid]
+        if m:
+            for a in out_arcs[nid]:
+                reach[a.head] |= m & a.mask
+    for nid in reversed(order):
+        m = leave[nid]
+        for a in out_arcs[nid]:
+            m |= leave[a.head] & a.mask
+        leave[nid] = m
+    live = {}
+    for sid, events in slot_events.items():
+        seen = m = 0
+        for nid in events:
+            seen |= reach[nid]
+            m |= seen & leave[nid]
+        live[sid] = m
+    return live
+
+
 def build_graph(instance: Instance, theta: float,
                 options: GraphOptions = GraphOptions()) -> SchedulingGraph:
     """Expand an instance into the scheduling DAG at time step theta.
@@ -161,6 +222,19 @@ def build_graph(instance: Instance, theta: float,
     access snaps forward to the next timeline event, egress leaves from any
     event that still reaches the target in time (optionally limited to a
     lookahead window before the latest such event).
+
+    Each charger arc (recharge, access, pull-out onto and egress from a
+    timeline) carries only the plans that are live on its slot, and an arc
+    left with no plan is dropped; the other arcs keep their order, with
+    ``index`` equal to the position.  A plan is live on a slot when some
+    path of arcs admitting it runs from its depot source through the slot
+    to its depot sink (``_live_slot_plans``).  This is exact: only depot
+    d's pull-out, pull-in and egress-to-sink arcs admit a plan of depot d,
+    so the plan's flow leaves only ``src:d`` and enters only ``snk:d``, and
+    in a DAG that flow splits into such paths.  An (arc, plan) pair on no
+    such path is 0 in every feasible solution, so dropping it keeps every
+    schedule, and the energy bounds of the narrower graph, which can only
+    tighten, stay valid.
     """
     start, end = instance.horizon
     span = end - start
@@ -174,10 +248,11 @@ def build_graph(instance: Instance, theta: float,
     plan_by_depot = defaultdict(list)
     for p in plans:
         plan_by_depot[p.depot].append(p)
-    etype_ids = {v.id for v in instance.vehicle_types if v.electric}
+    vtype_of = {p.id: p.vehicle_type for p in plans}
+    electric = [p for p in plans if p.electric]
+    plan_bit = {p.id: 1 << k for k, p in enumerate(electric)}
 
     nodes: dict = {}
-    arcs: list = []
 
     def add_node(n: Node):
         nodes[n.id] = n
@@ -190,6 +265,7 @@ def build_graph(instance: Instance, theta: float,
 
     slots, slot_charger = [], {}
     slot_available: dict = {}
+    slot_events: dict = {}          # slot id -> its node ids, event 0..H
     for c in instance.chargers:
         for j in range(c.slots):
             sid = f"{c.id}#{j}"
@@ -200,8 +276,9 @@ def build_graph(instance: Instance, theta: float,
                     c.windows, start, theta, horizon_steps)
             else:
                 slot_available[sid] = set(range(1, horizon_steps + 1))
-            for i in range(horizon_steps + 1):
-                add_node(Node(f"{sid}@{i}", "charge", slot=sid, event=i))
+            slot_events[sid] = [f"{sid}@{i}" for i in range(horizon_steps + 1)]
+            for i, nid in enumerate(slot_events[sid]):
+                add_node(Node(nid, "charge", slot=sid, event=i))
 
     dh = instance.deadhead_map()
 
@@ -210,19 +287,30 @@ def build_graph(instance: Instance, theta: float,
         return [p for p in plans if p.electric and p.vehicle_type in prof]
 
     def plan_cons(table: dict, plan_ids) -> dict:
-        return {p: table.get(p.split(".", 1)[0], 0.0) for p in plan_ids}
+        return {p: table.get(vtype_of[p], 0.0) for p in plan_ids}
 
     def electric_only(table: dict, plan_ids) -> dict:
-        return {p: table.get(p.split(".", 1)[0], 0.0) for p in plan_ids
-                if p.split(".", 1)[0] in etype_ids}
+        return {p: table.get(vtype_of[p], 0.0) for p in plan_ids
+                if p in plan_bit}
 
-    counter = [0]
+    # Arcs are laid out as drafts first.  The arcs of one leg (one deadhead
+    # or timeline, over all its events) share one dict of Arc fields, so
+    # dropping dead plans costs one copy per leg, not one per arc.
+    legs: list = []
+    leg_mask: list = []
+    plan_mask: dict = {}
+    drafts: list = []
 
-    def add_arc(**kw) -> Arc:
-        a = Arc(index=counter[0], **kw)
-        counter[0] += 1
-        arcs.append(a)
-        return a
+    def add_leg(**fields) -> int:
+        pids = fields["plans"]
+        if pids not in plan_mask:
+            plan_mask[pids] = sum(plan_bit.get(p, 0) for p in pids)
+        legs.append(fields)
+        leg_mask.append(plan_mask[pids])
+        return len(legs) - 1
+
+    def add_arc(tail: str, head: str, leg: int, **extra):
+        drafts.append(_Draft(tail, head, leg_mask[leg], leg, extra))
 
     all_plan_ids = tuple(p.id for p in plans)
     fixed = {p.id: instance.vehicle_type(p.vehicle_type).fixed_cost
@@ -248,13 +336,12 @@ def build_graph(instance: Instance, theta: float,
             if start + dur > t.departure_s:
                 continue
             pids = tuple(p.id for p in plan_by_depot[d.id])
-            add_arc(tail=f"src:{d.id}", head=f"trip:{t.id}", kind="pullout",
-                    plans=pids,
-                    move_consumption=electric_only(cons, pids),
-                    service_consumption=electric_only(t.consumption, pids),
-                    cost={p: cost.get(p.split(".", 1)[0], 0.0) + fixed[p]
-                          for p in pids},
-                    duration_s=dur)
+            add_arc(f"src:{d.id}", f"trip:{t.id}", add_leg(
+                kind="pullout", plans=pids,
+                move_consumption=electric_only(cons, pids),
+                service_consumption=electric_only(t.consumption, pids),
+                cost={p: cost.get(vtype_of[p], 0.0) + fixed[p] for p in pids},
+                duration_s=dur))
             trips_with_pullout.add(t.id)
         for d in instance.depots:
             leg = connection_leg(t.destination, d.id)
@@ -264,34 +351,39 @@ def build_graph(instance: Instance, theta: float,
             if t.arrival_s + dur > end:
                 continue
             pids = tuple(p.id for p in plan_by_depot[d.id])
-            add_arc(tail=f"trip:{t.id}", head=f"snk:{d.id}", kind="pullin",
-                    plans=pids,
-                    move_consumption=electric_only(cons, pids),
-                    service_consumption={},
-                    cost={p: cost.get(p.split(".", 1)[0], 0.0) for p in pids},
-                    duration_s=dur)
+            add_arc(f"trip:{t.id}", f"snk:{d.id}", add_leg(
+                kind="pullin", plans=pids,
+                move_consumption=electric_only(cons, pids),
+                service_consumption={},
+                cost=plan_cons(cost, pids),
+                duration_s=dur))
     missing = [t.id for t in instance.trips if t.id not in trips_with_pullout]
     if missing:
         raise GraphError(f"trips unreachable from every depot: {missing}")
 
     # --- trip-to-trip connections -------------------------------------------
+    # per-plan tables are built once per trip and per deadhead and shared
+    service = {t.id: electric_only(t.consumption, all_plan_ids)
+               for t in instance.trips}
+    deadhead_tables: dict = {}
     for a in instance.trips:
         for b in instance.trips:
             if a.id == b.id:
                 continue
-            leg = connection_leg(a.destination, b.origin)
-            if leg is None:
+            key = (a.destination, b.origin)
+            if key not in deadhead_tables:
+                leg = connection_leg(*key)
+                deadhead_tables[key] = None if leg is None else (
+                    leg[0], electric_only(leg[1], all_plan_ids),
+                    plan_cons(leg[2], all_plan_ids))
+            leg = deadhead_tables[key]
+            if leg is None or a.arrival_s + leg[0] > b.departure_s:
                 continue
-            dur, cons, cost = leg
-            if a.arrival_s + dur > b.departure_s:
-                continue
-            add_arc(tail=f"trip:{a.id}", head=f"trip:{b.id}", kind="connection",
-                    plans=all_plan_ids,
-                    move_consumption=electric_only(cons, all_plan_ids),
-                    service_consumption=electric_only(b.consumption,
-                                                      all_plan_ids),
-                    cost=plan_cons(cost, all_plan_ids),
-                    duration_s=dur)
+            dur, move, cost = leg
+            add_arc(f"trip:{a.id}", f"trip:{b.id}", add_leg(
+                kind="connection", plans=all_plan_ids,
+                move_consumption=move, service_consumption=service[b.id],
+                cost=cost, duration_s=dur))
 
     # --- charger timelines ---------------------------------------------------
     for sid in slots:
@@ -300,14 +392,15 @@ def build_graph(instance: Instance, theta: float,
         cpids = tuple(p.id for p in cplans)
         if not cpids:
             continue
+        events = slot_events[sid]
         idle = instance.charger(cid).step_consumption
-        idle_cons = ({p: idle for p in cpids} if idle else {})
+        shared = add_leg(kind="recharge", plans=cpids,
+                         move_consumption=({p: idle for p in cpids} if idle
+                                           else {}),
+                         service_consumption={}, cost={p: 0.0 for p in cpids},
+                         duration_s=int(theta), charger=cid, slot=sid)
         for i in range(1, horizon_steps + 1):
-            add_arc(tail=f"{sid}@{i-1}", head=f"{sid}@{i}", kind="recharge",
-                    plans=cpids, move_consumption=idle_cons,
-                    service_consumption={},
-                    cost={p: 0.0 for p in cpids},
-                    duration_s=int(theta), charger=cid, slot=sid, step=i,
+            add_arc(events[i - 1], events[i], shared, step=i,
                     available=i in slot_available[sid])
 
         # access from trips (snap forward to the next event)
@@ -319,11 +412,11 @@ def build_graph(instance: Instance, theta: float,
             i = math.ceil((t.arrival_s + dur - start) / theta)
             if i > horizon_steps:
                 continue
-            add_arc(tail=f"trip:{t.id}", head=f"{sid}@{max(i, 0)}", kind="access",
-                    plans=cpids, move_consumption=electric_only(cons, cpids),
-                    service_consumption={},
-                    cost=plan_cons(cost, cpids), duration_s=dur,
-                    charger=cid, slot=sid)
+            add_arc(f"trip:{t.id}", events[max(i, 0)], add_leg(
+                kind="access", plans=cpids,
+                move_consumption=electric_only(cons, cpids),
+                service_consumption={}, cost=plan_cons(cost, cpids),
+                duration_s=dur, charger=cid, slot=sid))
 
         # access straight from depots (pull-out onto the timeline)
         for d in instance.depots:
@@ -335,15 +428,14 @@ def build_graph(instance: Instance, theta: float,
                          if p.depot == d.id)
             if not pids:
                 continue
-            i_min = max(0, math.ceil(dur / theta))
-            for i in range(i_min, horizon_steps + 1):
-                add_arc(tail=f"src:{d.id}", head=f"{sid}@{i}", kind="pullout",
-                        plans=pids,
-                        move_consumption=electric_only(cons, pids),
-                        service_consumption={},
-                        cost={p: cost.get(p.split(".", 1)[0], 0.0) + fixed[p]
-                              for p in pids},
-                        duration_s=dur, charger=cid, slot=sid)
+            shared = add_leg(kind="pullout", plans=pids,
+                             move_consumption=electric_only(cons, pids),
+                             service_consumption={},
+                             cost={p: cost.get(vtype_of[p], 0.0) + fixed[p]
+                                   for p in pids},
+                             duration_s=dur, charger=cid, slot=sid)
+            for i in range(max(0, math.ceil(dur / theta)), horizon_steps + 1):
+                add_arc(f"src:{d.id}", events[i], shared)
 
         # egress to trips (leave at or before the latest feasible event)
         for t in instance.trips:
@@ -358,13 +450,14 @@ def build_graph(instance: Instance, theta: float,
             i_lo = 0
             if options.egress_lookahead_steps is not None:
                 i_lo = max(0, i_max - options.egress_lookahead_steps)
+            shared = add_leg(kind="egress", plans=cpids,
+                             move_consumption=electric_only(cons, cpids),
+                             service_consumption=electric_only(t.consumption,
+                                                               cpids),
+                             cost=plan_cons(cost, cpids), duration_s=dur,
+                             charger=cid, slot=sid)
             for i in range(i_lo, i_max + 1):
-                add_arc(tail=f"{sid}@{i}", head=f"trip:{t.id}", kind="egress",
-                        plans=cpids,
-                        move_consumption=electric_only(cons, cpids),
-                        service_consumption=electric_only(t.consumption, cpids),
-                        cost=plan_cons(cost, cpids), duration_s=dur,
-                        charger=cid, slot=sid)
+                add_arc(events[i], f"trip:{t.id}", shared)
 
         # egress to depot sinks
         for d in instance.depots:
@@ -375,15 +468,15 @@ def build_graph(instance: Instance, theta: float,
             pids = tuple(p.id for p in charger_plans(cid) if p.depot == d.id)
             if not pids:
                 continue
+            shared = add_leg(kind="egress", plans=pids,
+                             move_consumption=electric_only(cons, pids),
+                             service_consumption={},
+                             cost=plan_cons(cost, pids), duration_s=dur,
+                             charger=cid, slot=sid)
             for i in range(0, horizon_steps + 1):
                 if start + i * theta + dur > end:
                     break
-                add_arc(tail=f"{sid}@{i}", head=f"snk:{d.id}", kind="egress",
-                        plans=pids,
-                        move_consumption=electric_only(cons, pids),
-                        service_consumption={},
-                        cost=plan_cons(cost, pids), duration_s=dur,
-                        charger=cid, slot=sid)
+                add_arc(events[i], f"snk:{d.id}", shared)
 
     # --- optional depot parking timelines ------------------------------------
     if options.depot_parking:
@@ -391,39 +484,70 @@ def build_graph(instance: Instance, theta: float,
             pids = tuple(p.id for p in plan_by_depot[d.id])
             for i in range(horizon_steps + 1):
                 add_node(Node(f"park:{d.id}@{i}", "park", depot=d.id, event=i))
+            shared = add_leg(kind="wait", plans=pids, move_consumption={},
+                             service_consumption={},
+                             cost={p: 0.0 for p in pids},
+                             duration_s=int(theta))
             for i in range(1, horizon_steps + 1):
-                add_arc(tail=f"park:{d.id}@{i-1}", head=f"park:{d.id}@{i}",
-                        kind="wait", plans=pids, move_consumption={},
-                        service_consumption={}, cost={p: 0.0 for p in pids},
-                        duration_s=int(theta))
+                add_arc(f"park:{d.id}@{i-1}", f"park:{d.id}@{i}", shared)
             for t in instance.trips:
                 leg = connection_leg(t.destination, d.id)
                 if leg is not None:
                     dur, cons, cost = leg
                     i = math.ceil((t.arrival_s + dur - start) / theta)
                     if 0 <= i <= horizon_steps:
-                        add_arc(tail=f"trip:{t.id}", head=f"park:{d.id}@{i}",
-                                kind="access", plans=pids,
-                                move_consumption=electric_only(cons, pids),
-                                service_consumption={},
-                                cost=plan_cons(cost, pids), duration_s=dur)
+                        add_arc(f"trip:{t.id}", f"park:{d.id}@{i}", add_leg(
+                            kind="access", plans=pids,
+                            move_consumption=electric_only(cons, pids),
+                            service_consumption={},
+                            cost=plan_cons(cost, pids), duration_s=dur))
                 leg = connection_leg(d.id, t.origin)
                 if leg is not None:
                     dur, cons, cost = leg
                     i_max = math.floor((t.departure_s - dur - start) / theta)
                     if i_max >= 0:
                         i_max = min(i_max, horizon_steps)
-                        add_arc(tail=f"park:{d.id}@{i_max}",
-                                head=f"trip:{t.id}", kind="egress", plans=pids,
-                                move_consumption=electric_only(cons, pids),
-                                service_consumption=electric_only(
-                                    t.consumption, pids),
-                                cost=plan_cons(cost, pids), duration_s=dur)
+                        add_arc(f"park:{d.id}@{i_max}", f"trip:{t.id}",
+                                add_leg(kind="egress", plans=pids,
+                                        move_consumption=electric_only(
+                                            cons, pids),
+                                        service_consumption=electric_only(
+                                            t.consumption, pids),
+                                        cost=plan_cons(cost, pids),
+                                        duration_s=dur))
             # parked buses may finish their day in place
-            add_arc(tail=f"park:{d.id}@{horizon_steps}", head=f"snk:{d.id}",
-                    kind="pullin", plans=pids, move_consumption={},
-                    service_consumption={}, cost={p: 0.0 for p in pids},
-                    duration_s=0)
+            add_arc(f"park:{d.id}@{horizon_steps}", f"snk:{d.id}", add_leg(
+                kind="pullin", plans=pids, move_consumption={},
+                service_consumption={}, cost={p: 0.0 for p in pids},
+                duration_s=0))
+
+    # --- keep only the plans that are live on each slot ----------------------
+    layout_out = {nid: [] for nid in nodes}
+    for a in drafts:
+        layout_out[a.tail].append(a)
+    # raises on cycles; the graph keeps this order (see topological_order)
+    order = _topological_order(_Layout(nodes, drafts, layout_out))
+    live = _live_slot_plans(order, layout_out, electric, slot_events)
+    for k, fields in enumerate(legs):
+        sid = fields.get("slot")
+        if sid is None or not leg_mask[k] & ~live[sid]:
+            continue
+        keep = leg_mask[k] & live[sid]
+        if not keep:
+            legs[k] = None              # its arcs are dropped
+            continue
+        legs[k] = dict(fields, plans=tuple(p for p in fields["plans"]
+                                           if plan_bit[p] & keep))
+        for f in ("move_consumption", "service_consumption", "cost"):
+            legs[k][f] = {p: v for p, v in fields[f].items()
+                          if plan_bit[p] & keep}
+
+    arcs: list = []
+    for a in drafts:
+        fields = legs[a.leg]
+        if fields is not None:
+            arcs.append(Arc(index=len(arcs), tail=a.tail, head=a.head,
+                            **fields, **a.extra))
 
     graph = SchedulingGraph(instance=instance, theta=float(theta),
                             horizon_steps=horizon_steps, nodes=nodes,
@@ -434,7 +558,7 @@ def build_graph(instance: Instance, theta: float,
     for a in arcs:
         graph.in_arcs[a.head].append(a)
         graph.out_arcs[a.tail].append(a)
-    graph.topological_order()  # raises on cycles
+    graph._order = order
     return graph
 
 

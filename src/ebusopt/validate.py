@@ -33,8 +33,7 @@ from .chargemodel import (CourseTrace, ROLE_CHARGE_ARRIVAL,
 from .instance import Instance
 from .milp import (ModelOptions, Schedule, build_model, decode_solution,
                    solve_model)
-from .netgraph import (EnergyBounds, SchedulingGraph, build_graph,
-                       compute_energy_bounds)
+from .netgraph import EnergyBounds, SchedulingGraph, build_graph
 
 SOC_TOL = 1e-6
 
@@ -431,11 +430,14 @@ class SweepRow:
 
 def discretization_sweep(instance: Instance, m_grid, theta_grid,
                          solver_cmd=None, time_limit=None, workdir=None,
-                         workers: int = 1, check_reference: bool = True):
+                         workers: int = 1, check_reference: bool = True,
+                         strengthen: bool = True):
     """Solve the model over an (m, theta) grid and tabulate the outcomes.
 
     One row per configuration with the solver status, fleet size, objective,
-    bound and the recomputed gap (objective - bound) / objective.  When
+    bound and the recomputed gap (objective - bound) / objective.  Every
+    model, the cells' and the reference's, has the energy-bound
+    strengthening rows unless ``strengthen`` is off.  When
     ``check_reference`` is set, a schedule solved under the fully linear
     charging model is re-validated against each cell's increment domains and
     reported in ``ref_feasible`` (infeasible reference schedules are exactly
@@ -452,12 +454,13 @@ def discretization_sweep(instance: Instance, m_grid, theta_grid,
         try:
             reference = _solve_reference_linear(instance, curves, theta_ref,
                                                 solver_cmd, time_limit,
-                                                f"{workdir}/ref")
+                                                f"{workdir}/ref", strengthen)
         except Exception:  # the fs? column is best-effort
             reference = None
 
     cells = [(instance, curves, reference, m, float(theta), solver_cmd,
-              time_limit, workdir) for m in m_grid for theta in theta_grid]
+              time_limit, workdir, strengthen)
+             for m in m_grid for theta in theta_grid]
     if workers > 1:
         # HiGHS holds the interpreter lock, so cells run in processes
         import multiprocessing
@@ -471,11 +474,13 @@ def discretization_sweep(instance: Instance, m_grid, theta_grid,
 
 def _sweep_cell(cell) -> SweepRow:
     """One (m, theta) cell of ``discretization_sweep``; errors become rows."""
-    instance, curves, reference, m, theta, solver_cmd, time_limit, workdir = cell
+    (instance, curves, reference, m, theta, solver_cmd, time_limit, workdir,
+     strengthen) = cell
     try:
         graph = build_graph(instance, theta)
         domains = build_domains(instance, curves, theta, m, "under")
-        model = build_model(graph, domains, ModelOptions())
+        model = build_model(graph, domains,
+                            ModelOptions(use_strengthening=strengthen))
         raw = solve_model(model, f"{workdir}/m{m}_t{int(theta)}",
                           command_template=solver_cmd, time_limit=time_limit)
         if not raw.has_incumbent:
@@ -527,11 +532,12 @@ def build_domains(instance: Instance, curves: dict, theta: float, m: int,
 
 
 def _solve_reference_linear(instance, curves, theta, solver_cmd, time_limit,
-                            workdir):
+                            workdir, strengthen):
     """Schedule under the fully linear charging model (the classic baseline)."""
     graph = build_graph(instance, theta)
     domains = build_domains(instance, curves, theta, 0, "linear")
-    model = build_model(graph, domains, ModelOptions())
+    model = build_model(graph, domains,
+                        ModelOptions(use_strengthening=strengthen))
     raw = solve_model(model, workdir, command_template=solver_cmd,
                       time_limit=time_limit)
     if not raw.has_incumbent:
@@ -554,7 +560,7 @@ def _ref_ok(reference, instance, curves, domains, theta):
 def _reference_feasible_at(instance, curves, domains, theta, sched, ref_graph):
     """Greedy re-charge the reference courses under a cell's domains."""
     start = instance.horizon[0]
-    bounds = compute_energy_bounds(ref_graph)
+    bounds = ref_graph.energy_bounds()
     for course in sched.courses:
         pid = course.plan
         vtype = course.vehicle_type

@@ -6,7 +6,9 @@ The dict-row model-file writers (``write_lp``, ``write_mps`` and
 ``variables`` and ``rows`` record views.  The dict-row ``build_model`` and
 ``add_preconditioning`` build each row as a dict and append it with
 ``MilpModel.add_row``; they are the reference for the array-native
-assembly.  The readers at the bottom
+assembly.  The unpruned ``build_graph`` gives every charger arc every
+plan its charger serves; it is the reference for the package's graph,
+which drops the plans that cannot reach a slot.  The readers at the bottom
 (``_tokenize_lp``, ``read_lp`` and ``read_mps``) lex an LP file one regex
 match per position and read an MPS file line by line; they are the
 reference for the package's readers.
@@ -23,13 +25,16 @@ with t_cv = y_v / c, w = 1 - y_v, k = c / w.
 
 import math
 import re
+from collections import defaultdict
 
 import numpy as np
 
 from ebusopt.lpformat import LpFormatError, ParsedModel
 from ebusopt.milp import (MilpModel, ModelError, ModelOptions, _domain_for,
                           _grid_limit)
-from ebusopt.netgraph import compute_energy_bounds
+from ebusopt.netgraph import (Arc, GraphError, GraphOptions, Node,
+                              SchedulingGraph, _snap_windows_to_steps,
+                              compute_energy_bounds)
 
 
 class ClosedFormCurve:
@@ -506,6 +511,295 @@ def add_preconditioning(model, lead_steps):
                           "precondition")
     return model
 
+
+# ---------------------------------------------------------------------------
+# Unpruned graph expansion (reference for ``netgraph.build_graph``)
+# ---------------------------------------------------------------------------
+
+def build_graph(instance, theta, options=GraphOptions()):
+    """The full expansion: every charger arc carries every plan the
+    charger serves, whether or not the plan can reach the slot.
+
+    Connection arcs exist exactly for time-feasible pairs from the deadhead
+    table (same-location connections are implicit with zero cost).  Charger
+    access snaps forward to the next timeline event, egress leaves from any
+    event that still reaches the target in time (optionally limited to a
+    lookahead window before the latest such event).
+    """
+    start, end = instance.horizon
+    span = end - start
+    if span <= 0:
+        raise GraphError("empty horizon")
+    if theta <= 0 or span % int(theta) != 0:
+        raise GraphError(f"theta={theta} must divide the horizon span {span}")
+    horizon_steps = int(span // int(theta))
+
+    plans = instance.plan_types()
+    plan_by_depot = defaultdict(list)
+    for p in plans:
+        plan_by_depot[p.depot].append(p)
+    etype_ids = {v.id for v in instance.vehicle_types if v.electric}
+
+    nodes: dict = {}
+    arcs: list = []
+
+    def add_node(n):
+        nodes[n.id] = n
+
+    for d in instance.depots:
+        add_node(Node(f"src:{d.id}", "depot-source", depot=d.id))
+        add_node(Node(f"snk:{d.id}", "depot-sink", depot=d.id))
+    for t in instance.trips:
+        add_node(Node(f"trip:{t.id}", "trip", trip=t.id))
+
+    slots, slot_charger = [], {}
+    slot_available: dict = {}
+    for c in instance.chargers:
+        for j in range(c.slots):
+            sid = f"{c.id}#{j}"
+            slots.append(sid)
+            slot_charger[sid] = c.id
+            if c.windows:
+                slot_available[sid] = _snap_windows_to_steps(
+                    c.windows, start, theta, horizon_steps)
+            else:
+                slot_available[sid] = set(range(1, horizon_steps + 1))
+            for i in range(horizon_steps + 1):
+                add_node(Node(f"{sid}@{i}", "charge", slot=sid, event=i))
+
+    dh = instance.deadhead_map()
+
+    def charger_plans(cid):
+        prof = instance.charger(cid).profiles
+        return [p for p in plans if p.electric and p.vehicle_type in prof]
+
+    def plan_cons(table, plan_ids):
+        return {p: table.get(p.split(".", 1)[0], 0.0) for p in plan_ids}
+
+    def electric_only(table, plan_ids):
+        return {p: table.get(p.split(".", 1)[0], 0.0) for p in plan_ids
+                if p.split(".", 1)[0] in etype_ids}
+
+    counter = [0]
+
+    def add_arc(**kw):
+        a = Arc(index=counter[0], **kw)
+        counter[0] += 1
+        arcs.append(a)
+        return a
+
+    all_plan_ids = tuple(p.id for p in plans)
+    fixed = {p.id: instance.vehicle_type(p.vehicle_type).fixed_cost
+             for p in plans}
+
+    def connection_leg(a_loc, b_loc):
+        """(duration, consumption table, cost table) or None."""
+        if a_loc == b_loc:
+            return 0, {}, {}
+        leg = dh.get((a_loc, b_loc))
+        if leg is None:
+            return None
+        return leg.duration_s, leg.consumption, leg.cost
+
+    # --- depot pull-outs / pull-ins to trips --------------------------------
+    trips_with_pullout = set()
+    for t in instance.trips:
+        for d in instance.depots:
+            leg = connection_leg(d.id, t.origin)
+            if leg is None:
+                continue
+            dur, cons, cost = leg
+            if start + dur > t.departure_s:
+                continue
+            pids = tuple(p.id for p in plan_by_depot[d.id])
+            add_arc(tail=f"src:{d.id}", head=f"trip:{t.id}", kind="pullout",
+                    plans=pids,
+                    move_consumption=electric_only(cons, pids),
+                    service_consumption=electric_only(t.consumption, pids),
+                    cost={p: cost.get(p.split(".", 1)[0], 0.0) + fixed[p]
+                          for p in pids},
+                    duration_s=dur)
+            trips_with_pullout.add(t.id)
+        for d in instance.depots:
+            leg = connection_leg(t.destination, d.id)
+            if leg is None:
+                continue
+            dur, cons, cost = leg
+            if t.arrival_s + dur > end:
+                continue
+            pids = tuple(p.id for p in plan_by_depot[d.id])
+            add_arc(tail=f"trip:{t.id}", head=f"snk:{d.id}", kind="pullin",
+                    plans=pids,
+                    move_consumption=electric_only(cons, pids),
+                    service_consumption={},
+                    cost={p: cost.get(p.split(".", 1)[0], 0.0) for p in pids},
+                    duration_s=dur)
+    missing = [t.id for t in instance.trips if t.id not in trips_with_pullout]
+    if missing:
+        raise GraphError(f"trips unreachable from every depot: {missing}")
+
+    # --- trip-to-trip connections -------------------------------------------
+    for a in instance.trips:
+        for b in instance.trips:
+            if a.id == b.id:
+                continue
+            leg = connection_leg(a.destination, b.origin)
+            if leg is None:
+                continue
+            dur, cons, cost = leg
+            if a.arrival_s + dur > b.departure_s:
+                continue
+            add_arc(tail=f"trip:{a.id}", head=f"trip:{b.id}", kind="connection",
+                    plans=all_plan_ids,
+                    move_consumption=electric_only(cons, all_plan_ids),
+                    service_consumption=electric_only(b.consumption,
+                                                      all_plan_ids),
+                    cost=plan_cons(cost, all_plan_ids),
+                    duration_s=dur)
+
+    # --- charger timelines ---------------------------------------------------
+    for sid in slots:
+        cid = slot_charger[sid]
+        cplans = charger_plans(cid)
+        cpids = tuple(p.id for p in cplans)
+        if not cpids:
+            continue
+        idle = instance.charger(cid).step_consumption
+        idle_cons = ({p: idle for p in cpids} if idle else {})
+        for i in range(1, horizon_steps + 1):
+            add_arc(tail=f"{sid}@{i-1}", head=f"{sid}@{i}", kind="recharge",
+                    plans=cpids, move_consumption=idle_cons,
+                    service_consumption={},
+                    cost={p: 0.0 for p in cpids},
+                    duration_s=int(theta), charger=cid, slot=sid, step=i,
+                    available=i in slot_available[sid])
+
+        # access from trips (snap forward to the next event)
+        for t in instance.trips:
+            leg = connection_leg(t.destination, cid)
+            if leg is None:
+                continue
+            dur, cons, cost = leg
+            i = math.ceil((t.arrival_s + dur - start) / theta)
+            if i > horizon_steps:
+                continue
+            add_arc(tail=f"trip:{t.id}", head=f"{sid}@{max(i, 0)}", kind="access",
+                    plans=cpids, move_consumption=electric_only(cons, cpids),
+                    service_consumption={},
+                    cost=plan_cons(cost, cpids), duration_s=dur,
+                    charger=cid, slot=sid)
+
+        # access straight from depots (pull-out onto the timeline)
+        for d in instance.depots:
+            leg = connection_leg(d.id, cid)
+            if leg is None:
+                continue
+            dur, cons, cost = leg
+            pids = tuple(p.id for p in charger_plans(cid)
+                         if p.depot == d.id)
+            if not pids:
+                continue
+            i_min = max(0, math.ceil(dur / theta))
+            for i in range(i_min, horizon_steps + 1):
+                add_arc(tail=f"src:{d.id}", head=f"{sid}@{i}", kind="pullout",
+                        plans=pids,
+                        move_consumption=electric_only(cons, pids),
+                        service_consumption={},
+                        cost={p: cost.get(p.split(".", 1)[0], 0.0) + fixed[p]
+                              for p in pids},
+                        duration_s=dur, charger=cid, slot=sid)
+
+        # egress to trips (leave at or before the latest feasible event)
+        for t in instance.trips:
+            leg = connection_leg(cid, t.origin)
+            if leg is None:
+                continue
+            dur, cons, cost = leg
+            i_max = math.floor((t.departure_s - dur - start) / theta)
+            if i_max < 0:
+                continue
+            i_max = min(i_max, horizon_steps)
+            i_lo = 0
+            if options.egress_lookahead_steps is not None:
+                i_lo = max(0, i_max - options.egress_lookahead_steps)
+            for i in range(i_lo, i_max + 1):
+                add_arc(tail=f"{sid}@{i}", head=f"trip:{t.id}", kind="egress",
+                        plans=cpids,
+                        move_consumption=electric_only(cons, cpids),
+                        service_consumption=electric_only(t.consumption, cpids),
+                        cost=plan_cons(cost, cpids), duration_s=dur,
+                        charger=cid, slot=sid)
+
+        # egress to depot sinks
+        for d in instance.depots:
+            leg = connection_leg(cid, d.id)
+            if leg is None:
+                continue
+            dur, cons, cost = leg
+            pids = tuple(p.id for p in charger_plans(cid) if p.depot == d.id)
+            if not pids:
+                continue
+            for i in range(0, horizon_steps + 1):
+                if start + i * theta + dur > end:
+                    break
+                add_arc(tail=f"{sid}@{i}", head=f"snk:{d.id}", kind="egress",
+                        plans=pids,
+                        move_consumption=electric_only(cons, pids),
+                        service_consumption={},
+                        cost=plan_cons(cost, pids), duration_s=dur,
+                        charger=cid, slot=sid)
+
+    # --- optional depot parking timelines ------------------------------------
+    if options.depot_parking:
+        for d in instance.depots:
+            pids = tuple(p.id for p in plan_by_depot[d.id])
+            for i in range(horizon_steps + 1):
+                add_node(Node(f"park:{d.id}@{i}", "park", depot=d.id, event=i))
+            for i in range(1, horizon_steps + 1):
+                add_arc(tail=f"park:{d.id}@{i-1}", head=f"park:{d.id}@{i}",
+                        kind="wait", plans=pids, move_consumption={},
+                        service_consumption={}, cost={p: 0.0 for p in pids},
+                        duration_s=int(theta))
+            for t in instance.trips:
+                leg = connection_leg(t.destination, d.id)
+                if leg is not None:
+                    dur, cons, cost = leg
+                    i = math.ceil((t.arrival_s + dur - start) / theta)
+                    if 0 <= i <= horizon_steps:
+                        add_arc(tail=f"trip:{t.id}", head=f"park:{d.id}@{i}",
+                                kind="access", plans=pids,
+                                move_consumption=electric_only(cons, pids),
+                                service_consumption={},
+                                cost=plan_cons(cost, pids), duration_s=dur)
+                leg = connection_leg(d.id, t.origin)
+                if leg is not None:
+                    dur, cons, cost = leg
+                    i_max = math.floor((t.departure_s - dur - start) / theta)
+                    if i_max >= 0:
+                        i_max = min(i_max, horizon_steps)
+                        add_arc(tail=f"park:{d.id}@{i_max}",
+                                head=f"trip:{t.id}", kind="egress", plans=pids,
+                                move_consumption=electric_only(cons, pids),
+                                service_consumption=electric_only(
+                                    t.consumption, pids),
+                                cost=plan_cons(cost, pids), duration_s=dur)
+            # parked buses may finish their day in place
+            add_arc(tail=f"park:{d.id}@{horizon_steps}", head=f"snk:{d.id}",
+                    kind="pullin", plans=pids, move_consumption={},
+                    service_consumption={}, cost={p: 0.0 for p in pids},
+                    duration_s=0)
+
+    graph = SchedulingGraph(instance=instance, theta=float(theta),
+                            horizon_steps=horizon_steps, nodes=nodes,
+                            arcs=arcs, plan_types=plans, slots=slots,
+                            slot_charger=slot_charger)
+    graph.in_arcs = {nid: [] for nid in nodes}
+    graph.out_arcs = {nid: [] for nid in nodes}
+    for a in arcs:
+        graph.in_arcs[a.head].append(a)
+        graph.out_arcs[a.tail].append(a)
+    graph.topological_order()  # raises on cycles
+    return graph
 
 
 # ---------------------------------------------------------------------------

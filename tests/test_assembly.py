@@ -23,7 +23,8 @@ from ebusopt.milp import (ModelError, ModelOptions, add_preconditioning,
                           build_model, decode_solution, emit_model,
                           solve_model)
 from ebusopt.netgraph import GraphError, GraphOptions, build_graph
-from ebusopt.validate import build_domains, exact_curves, validate_schedule
+from ebusopt.validate import (build_domains, discretization_sweep,
+                              exact_curves, validate_schedule)
 from _toys import charger_toy
 
 THETA = 300.0
@@ -200,15 +201,15 @@ GOLDEN_SHA256 = {
         "mps": ("96c2b7aa3ad476f540a071c3d9628adf0183a97fa8966158caf53883ebecacba",
                 "cf9a51c5accee11c50303be1608956cb962b20df71ef6f55f7c21e0e86d9b193")},
     "n3-under": {
-        "lp": ("d2992e153c28fd32d677fed51eb170770f7a3b3ab998c7b4ae83a34b98e2b595",
-               "94c958422b9cca4e7b4c8d7b4f25234ac0d8df4bf48c97fd4cb17bf12514e3ef"),
-        "mps": ("50362833ced357c123468b90bfd0827011723093fff9085e96e6a179f10d3c46",
-                "0fd9dca4e0e5e29189b0d00e3469fc3106b4073c3e9d96757d54d78c61a8a9a5")},
+        "lp": ("746c8573153e5347de43e99047018e9846f94539040d7fc3af0f3d08591bffe6",
+               "54e05e0e4e538694a075100b5c47c917bd5d028a9f59a29e46b5b845b2b54290"),
+        "mps": ("8099a72440a769d8cb8c1f3627d974bc250cc96422a7d9944ba592977de86166",
+                "7e919e3746c63a4bd3eca78df61848e4bd57ef6d0cdebd1bd50ea2ccfac4e24b")},
     "n3-over": {
-        "lp": ("a5e0297e1a49e68b3ae388efe8406210b42d72057e792812db4c3779d0bb4a11",
-               "2dbd84b343a6ea87fd986dca52f27648d12b039489e9096b405d76ab9024ff35"),
-        "mps": ("9f946f7781c3466d346fb33bed70a7d19cd248d7fd6e7b4dee8637717b7c4a73",
-                "77778a73771d9429751968bfa67e0bc70c862058d455c006ec029321edfeff2b")},
+        "lp": ("d2e2b8fcefe7a60d118cf906a6cdaf6be3196826e86a88169ac8054653a09726",
+               "84c7b89b1f2b9dc00e861c7114866cde4dcd8a542b7be9af1da28777960f74fd"),
+        "mps": ("c9b18dd4318ab295fc57067d4f094650160871a3d4b990072b1f342e1f7f6caf",
+                "035122ea5c681d2604f25eaa2c9584693d9b1e03e20ddabe4cda12a5052e36d3")},
     "synth20": {
         "lp": ("981f75b6afc65d2fd5e417aaa5abf193e581b111dfce5b0e5182fbcc0b717d1c",
                "89c0caf67183d0a30f3d7e157086124197f5c31f4e3b8d66c0c2ac2c27a42617"),
@@ -259,3 +260,27 @@ def test_energy_bounds_are_computed_once_per_graph(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert graph.energy_bounds() == netgraph.compute_energy_bounds(graph)
     assert graph.topological_order() == netgraph._topological_order(graph)
+
+
+def test_energy_bounds_are_computed_once_per_graph_in_a_sweep(tmp_path,
+                                                              monkeypatch):
+    calls = Counter()
+
+    def spy(graph, _real=netgraph._topological_order):
+        calls["_topological_order"] += 1
+        return _real(graph)
+
+    class CountedBounds(netgraph.EnergyBounds):
+        def __init__(self, *args, **kwargs):
+            calls["energy_bounds"] += 1
+            super().__init__(*args, **kwargs)
+
+    # every computation of the bounds, by any caller, builds one
+    monkeypatch.setattr(netgraph, "EnergyBounds", CountedBounds)
+    monkeypatch.setattr(netgraph, "_topological_order", spy)
+    inst = charger_toy(horizon_s=7200, theta=600, trip_consumption=0.3)
+    rows = discretization_sweep(inst, [2, 3], [600.0], time_limit=60,
+                                workdir=str(tmp_path))
+    assert [r.ref_feasible is not None for r in rows] == [True, True]
+    # the reference graph and one graph per cell
+    assert calls == {"energy_bounds": 3, "_topological_order": 3}

@@ -152,6 +152,20 @@ def test_sweep_command(runner, tmp_path):
     assert (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("flag, strengthen", [([], True),
+                                              (["--no-strengthen"], False)])
+def test_sweep_records_strengthening(runner, tmp_path, flag, strengthen):
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(horizon_s=7200, trip_consumption=0.3), inst_path)
+    out = tmp_path / "sweep"
+    res = runner.invoke(main, ["sweep", str(inst_path), "--m-grid", "2",
+                               "--theta-grid", "600", "--time-limit", "60",
+                               "--no-reference", "--out", str(out)] + flag)
+    assert res.exit_code == 0, res.output
+    config = json.loads((out / "config.json").read_text())
+    assert config["strengthen"] is strengthen
+
+
 def test_compare_estimators_command(runner, tmp_path):
     inst_path = tmp_path / "toy.json"
     save_instance(charging_required_instance(), inst_path)

@@ -268,6 +268,27 @@ def test_sweep_row_grid(tmp_path):
     assert gm is None or gm >= 0.0
 
 
+@pytest.mark.parametrize("strengthen", [None, False])
+def test_sweep_models_are_strengthened_by_default(tmp_path, monkeypatch,
+                                                  strengthen):
+    import ebusopt.validate as validate
+    built = []
+
+    def spy(graph, domains, options):
+        model = build_model(graph, domains, options)
+        built.append(bool({"strengthlo", "strengthhi"}
+                          & set(model.arrays().tags)))
+        return model
+
+    monkeypatch.setattr(validate, "build_model", spy)
+    inst = charger_toy(horizon_s=7200, theta=600, trip_consumption=0.3)
+    kwargs = {} if strengthen is None else {"strengthen": strengthen}
+    rows = discretization_sweep(inst, [2], [600.0], time_limit=60,
+                                workdir=str(tmp_path), **kwargs)
+    assert rows[0].ref_feasible is not None      # the reference was solved
+    assert built == [strengthen is None] * 2     # reference, then the cell
+
+
 def test_sweep_survives_cell_errors(tmp_path):
     inst = charger_toy(horizon_s=7200)
     # 777 does not divide the horizon: that cell must fail, not raise
