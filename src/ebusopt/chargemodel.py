@@ -720,7 +720,6 @@ class CourseTrace:
     roles: tuple[str, ...]
     consumptions: tuple[float, ...]
     durations: tuple[float, ...]
-    labels: tuple[str, ...] = ()
     soc_exact: Optional[tuple[float, ...]] = None
     soc_approx: Optional[tuple[float, ...]] = None
     eps: Optional[tuple[float, ...]] = None
@@ -740,6 +739,39 @@ class CourseTrace:
                 raise ChargeModelError(f"transition {i} is not a charge window")
 
 
+def soc_ledger(trace: CourseTrace, charge, initial_soc: float = 1.0):
+    """Soc at every element of ``trace``, and sigma before every element.
+
+    The one walk that advances soc along a course.  A leg subtracts its
+    consumption; the w-th charge window (w = 0, 1, ...) turns its entry soc
+    y into ``charge(w, y)``, so the rule owns every per-step detail: the
+    increment it grants, the cap and any idle draw.
+    """
+    y, events = float(initial_soc), 0
+    socs, sigma = [y], [0]
+    for cons, duration in zip(trace.consumptions, trace.durations):
+        if duration > 0:
+            y = charge(events, y)
+            events += 1
+        else:
+            y -= cons
+        socs.append(y)
+        sigma.append(events)
+    return tuple(socs), tuple(sigma)
+
+
+def trace_ledgers(trace: CourseTrace, exact_rule, approx_rule=None,
+                  initial_soc: float = 1.0) -> CourseTrace:
+    """``trace`` with the ``soc_ledger`` of each rule (no approximate rule:
+    a mirror of the exact ledger), eps and sigma filled in."""
+    soc_e, sigma = soc_ledger(trace, exact_rule, initial_soc)
+    soc_a = (soc_e if approx_rule is None
+             else soc_ledger(trace, approx_rule, initial_soc)[0])
+    eps = tuple(a - e for a, e in zip(soc_a, soc_e))
+    return replace(trace, soc_exact=soc_e, soc_approx=soc_a, eps=eps,
+                   sigma=sigma)
+
+
 def propagate_course(trace: CourseTrace,
                      exact: SampledChargeCurve,
                      approx=None,
@@ -747,46 +779,34 @@ def propagate_course(trace: CourseTrace,
     """Propagate exact and approximate charge states along a course.
 
     Recharge events charge greedily at the maximal admissible rate: the
-    exact ledger uses the curve's increment operator, the approximate ledger
-    uses ``approx`` (an IncrementDomainPWL iterated per time step, or a
-    spline charge curve, or None to mirror the exact ledger).  A soc below
+    exact ledger uses the curve's increment operator over the whole window,
+    the approximate ledger uses ``approx`` (an IncrementDomainPWL iterated
+    per time step, or a spline charge curve, or None to mirror the exact
+    ledger).  Both ledgers are runs of ``soc_ledger``, the soc arithmetic
+    that validation uses too; a trace carries no idle draw.  A soc below
     zero is recorded, not raised; feasibility is judged elsewhere.
     """
-    y = float(initial_soc)
-    y_tilde = float(initial_soc)
-    soc_e, soc_a, sig = [y], [y_tilde], [0]
-    events = 0
-    def charge_along(curve, soc, t):
-        if soc < 0 or soc >= curve.soc_cap:
-            return soc  # stranded or already (effectively) full
-        return min(soc + float(curve.increment(soc, t)), curve.soc_cap)
+    windows = [t for t in trace.durations if t > 0]
 
-    for i in range(len(trace.roles) - 1):
-        charging = trace.durations[i] > 0
-        if charging:
-            t = trace.durations[i]
-            y = charge_along(exact, y, t)
-            if approx is None:
-                y_tilde = y
-            elif isinstance(approx, IncrementDomainPWL):
-                k = int(round(t / approx.theta))
-                if abs(k * approx.theta - t) > 1e-6 * max(1.0, approx.theta):
-                    raise ChargeModelError(
-                        f"window {t} is not a multiple of theta={approx.theta}")
-                y_tilde = approx.greedy_final_soc(max(y_tilde, 0.0), k) \
-                    if y_tilde >= 0 else y_tilde
-            else:
-                y_tilde = charge_along(approx, y_tilde, t)
-            events += 1
-        else:
-            y -= trace.consumptions[i]
-            y_tilde -= trace.consumptions[i]
-        soc_e.append(y)
-        soc_a.append(y_tilde)
-        sig.append(events)
-    eps = tuple(a - e for a, e in zip(soc_a, soc_e))
-    return replace(trace, soc_exact=tuple(soc_e), soc_approx=tuple(soc_a),
-                   eps=eps, sigma=tuple(sig))
+    def along(curve):
+        def charge(w, soc):
+            if soc < 0 or soc >= curve.soc_cap:
+                return soc  # stranded or already (effectively) full
+            return min(soc + float(curve.increment(soc, windows[w])),
+                       curve.soc_cap)
+        return charge
+
+    def greedy(w, soc):
+        t = windows[w]
+        k = int(round(t / approx.theta))
+        if abs(k * approx.theta - t) > 1e-6 * max(1.0, approx.theta):
+            raise ChargeModelError(
+                f"window {t} is not a multiple of theta={approx.theta}")
+        return approx.greedy_final_soc(soc, k) if soc >= 0 else soc
+
+    rule = greedy if isinstance(approx, IncrementDomainPWL) else (
+        None if approx is None else along(approx))
+    return trace_ledgers(trace, along(exact), rule, initial_soc)
 
 
 # ---------------------------------------------------------------------------

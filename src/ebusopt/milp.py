@@ -835,7 +835,7 @@ def decode_solution(model: MilpModel, raw: RawSolution,
 def _course_from_path(model: MilpModel, graph: SchedulingGraph, pid: str,
                       path: list, raw: RawSolution) -> Course:
     inst = graph.instance
-    vtype, depot = pid.split(".", 1)
+    plan = graph.plan(pid)
     trips = []
     windows: list = []
     cost = 0.0
@@ -865,7 +865,7 @@ def _course_from_path(model: MilpModel, graph: SchedulingGraph, pid: str,
                 trips.append(head.trip)
     if current is not None:
         windows.append(current)
-    return Course(plan=pid, vehicle_type=vtype, depot=depot,
+    return Course(plan=pid, vehicle_type=plan.vehicle_type, depot=plan.depot,
                   arc_indices=[a.index for a in path], trips=trips,
                   windows=windows, cost=cost)
 

@@ -1,19 +1,23 @@
 """Schedule validation against exact charging physics, plus grid reports.
 
 A decoded schedule carries per-step claimed increments (the model's phi
-values).  Validation propagates two soc ledgers along every course: the
-claimed ledger applies the increments as promised (this is the model's own
-arithmetic), the exact ledger caps every step at the maximum the charge
-curve allows from the current exact soc.  A course is
+values).  ``course_trace`` walks each course once into its elements, floors
+and charge windows, and validation runs the one soc ledger
+(``chargemodel.soc_ledger``) over it twice.  The claimed ledger applies the
+increments as promised, y + phi - idle per step (the model's own energy
+rows); the exact ledger caps every step at the maximum the charge curve
+allows from the current exact soc, less the same idle draw.  A course is
 
-- energy-feasible   if the exact ledger stays above the location floors,
+- energy-feasible   if the exact ledger stays above the floors,
 - weakly feasible   if the claimed ledger does (and, when an approximation
                     domain is given, every claimed step is admissible under
-                    it),
+                    it at the claimed soc it starts from),
 - strongly feasible if both.
 
 The floor at a location is the cheapest consumption to reach any depot or
-charger from there (plus an optional operator-set minimum level).
+charger from there (plus an optional operator-set minimum level).  The
+sweep's ``fs?`` column re-charges the reference courses greedily through the
+same walk and ledger, under each cell's domains.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .chargemodel import (CourseTrace, ROLE_CHARGE_ARRIVAL,
                           ROLE_CHARGE_DEPARTURE, ROLE_DEPOT_END,
                           ROLE_DEPOT_START, ROLE_TRIP_END, ROLE_TRIP_START,
                           build_underestimator, linear_reference_domain,
-                          solve_max_power_curve)
+                          soc_ledger, solve_max_power_curve, trace_ledgers)
 from .instance import Instance
 from .milp import (ModelOptions, Schedule, build_model, decode_solution,
                    solve_model)
@@ -168,137 +172,116 @@ def validate_schedule(instance: Instance, schedule: Schedule,
                             grid_load=load, peak=peak, violations=violations)
 
 
-def _validate_course(ci, course, instance, schedule, graph, mode, curves,
-                     domains, bounds, min_soc_floor):
-    inst = instance
+_END_ROLES = {"charge": ROLE_CHARGE_ARRIVAL, "depot-sink": ROLE_DEPOT_END,
+              "park": "park"}
+
+
+def course_trace(course, graph: SchedulingGraph, theta: float,
+                 bounds: EnergyBounds, min_soc_floor: float = 0.0):
+    """A decoded course as its ``CourseTrace``, floors and charge windows.
+
+    The one walk over a course's arcs.  A trip's start must keep its
+    service plus its exit floor, its end the exit floor; other elements
+    keep ``min_soc_floor``.  A charger visit followed by recharge arcs is a
+    charge window (the next of ``course.windows``), a pass-through visit
+    only an arrival.  The windows come back in charge-transition order.
+    """
     pid = course.plan
-    vtype = course.vehicle_type
-    theta = schedule.theta
-
-    roles = [ROLE_DEPOT_START]
-    floors = [min_soc_floor]
-    consumptions: list = []
-    durations: list = []
-    charge_specs: list = []   # aligned with charge transitions: (curve, domain, phis)
-    window_iter = iter(course.windows)
-
-    exact_soc = [1.0]
-    claimed_soc = [1.0]
-    sigma = [0]
-    events = 0
-
-    def floor_at(node_id):
-        e = bounds.exit_floor(node_id, pid)
-        if not math.isfinite(e):
-            e = 0.0
-        return max(e, min_soc_floor)
-
-    def push(role, cons, floor):
-        roles.append(role)
-        consumptions.append(cons)
-        durations.append(0.0)
-        floors.append(floor)
-        exact_soc.append(exact_soc[-1] - cons)
-        claimed_soc.append(claimed_soc[-1] - cons)
-        sigma.append(events)
-
-    arcs_list = [graph.arcs[i] for i in course.arc_indices]
-    for idx, arc in enumerate(arcs_list):
-        head = graph.nodes[arc.head]
-        move = arc.move_consumption.get(pid, 0.0)
-        service = arc.service_consumption.get(pid, 0.0)
+    # (role, consumption and duration of the transition into it, floor)
+    elements = [(ROLE_DEPOT_START, 0.0, 0.0, min_soc_floor)]
+    windows: list = []
+    pending = iter(course.windows)
+    arcs = [graph.arcs[i] for i in course.arc_indices]
+    for arc, nxt in zip(arcs, arcs[1:] + [None]):
         if arc.kind == "recharge":
-            continue  # handled with the window below
-        if head.kind == "trip":
-            trip_floor = floor_at(arc.head)
-            push(ROLE_TRIP_START, move, service + trip_floor)
-            push(ROLE_TRIP_END, service, trip_floor)
-        elif head.kind == "charge":
-            charges_here = (idx + 1 < len(arcs_list)
-                            and arcs_list[idx + 1].kind == "recharge")
-            if not charges_here:
-                # pass-through timeline visit without occupying a step
-                push(ROLE_CHARGE_ARRIVAL, move, min_soc_floor)
-                continue
-            # decode emits one window per charging timeline visit, in order
-            win = next(window_iter, None)
+            continue  # taken with the window at its charger visit
+        kind = graph.nodes[arc.head].kind
+        move = arc.move_consumption.get(pid, 0.0)
+        if kind == "trip":
+            service = arc.service_consumption.get(pid, 0.0)
+            floor = bounds.exit_floor(arc.head, pid)
+            floor = max(floor if math.isfinite(floor) else 0.0, min_soc_floor)
+            elements += [(ROLE_TRIP_START, move, 0.0, service + floor),
+                         (ROLE_TRIP_END, service, 0.0, floor)]
+        elif kind in _END_ROLES:
+            elements.append((_END_ROLES[kind], move, 0.0, min_soc_floor))
+        if kind == "charge" and nxt is not None and nxt.kind == "recharge":
+            win = next(pending, None)
             if win is None:
                 raise ValidationError(
-                    f"course {ci}: access arc {arc.index} has no matching "
+                    f"plan {pid}: access arc {arc.index} has no matching "
                     f"charge window")
-            push(ROLE_CHARGE_ARRIVAL, move, min_soc_floor)
-            # the charge transition itself
-            roles.append(ROLE_CHARGE_DEPARTURE)
-            consumptions.append(0.0)
-            durations.append(len(win.phis) * theta)
-            floors.append(min_soc_floor)
-            charger = inst.charger(win.charger)
-            curve = curves[charger.profiles[vtype]]
-            dom = None
-            if domains is not None:
-                dom = domains.get((win.charger, vtype))
-            y_ex, y_cl = exact_soc[-1], claimed_soc[-1]
-            charge_specs.append((curve, dom, win, y_cl))
-            for phi in win.phis:
-                cap_inc = float(curve.increment(
-                    min(max(y_ex, 0.0), curve.soc_cap), theta))
-                if y_ex < curve.soc_cap:
-                    y_ex = min(y_ex + min(phi, cap_inc + SOC_TOL),
-                               curve.soc_cap)
-                y_ex -= charger.step_consumption
-                y_cl = y_cl + phi - charger.step_consumption
-            events += 1
-            exact_soc.append(y_ex)
-            claimed_soc.append(min(y_cl, 1.0))
-            sigma.append(events)
-        elif head.kind == "depot-sink":
-            push(ROLE_DEPOT_END, move, min_soc_floor)
-        elif head.kind == "park":
-            push("park", move, min_soc_floor)
+            elements.append((ROLE_CHARGE_DEPARTURE, 0.0,
+                             len(win.phis) * theta, min_soc_floor))
+            windows.append(win)
+    roles, consumptions, durations, floors = zip(*elements)
+    trace = CourseTrace(roles=roles, consumptions=consumptions[1:],
+                        durations=durations[1:])
+    return trace, floors, windows
 
-    eps = tuple(c - e for c, e in zip(claimed_soc, exact_soc))
-    trace = CourseTrace(roles=tuple(roles), consumptions=tuple(consumptions),
-                        durations=tuple(durations),
-                        soc_exact=tuple(exact_soc),
-                        soc_approx=tuple(claimed_soc), eps=eps,
-                        sigma=tuple(sigma))
 
-    energy_ok, weak_ok = True, True
-    first_violation = None
-    for j, (role, ex, cl, fl) in enumerate(zip(roles, exact_soc, claimed_soc,
-                                               floors)):
-        if ex < fl - SOC_TOL:
-            energy_ok = False
-            if first_violation is None:
-                first_violation = (j, role, ex, fl)
-        if cl < fl - SOC_TOL:
-            weak_ok = False
-            if first_violation is None:
-                first_violation = (j, role, cl, fl)
+def _first_below(socs, floors) -> Optional[int]:
+    """The first element whose soc is below its floor, or None."""
+    return next((j for j, (y, floor) in enumerate(zip(socs, floors))
+                 if y < floor - SOC_TOL), None)
 
-    if mode != "exact":
-        # claimed increments must be admissible under the approximation
-        for curve, dom, win, y_entry in charge_specs:
-            if dom is None:
-                weak_ok = False
-                continue
-            y = y_entry
-            for phi in win.phis:
-                adm = max(float(dom.value(max(y, 0.0))), 0.0)
-                if phi > adm + SOC_TOL:
-                    weak_ok = False
-                y += phi
 
-    eps_bound = None
-    if domains is not None and charge_specs:
-        eps_bound = events * _sup_gap(charge_specs, schedule.theta)
+def _validate_course(ci, course, instance, schedule, graph, mode, curves,
+                     domains, bounds, min_soc_floor):
+    vtype = course.vehicle_type
+    theta = schedule.theta
+    trace, floors, windows = course_trace(course, graph, theta, bounds,
+                                          min_soc_floor)
+    specs = []   # per window: (curve, domain, window, idle draw per step)
+    for win in windows:
+        charger = instance.charger(win.charger)
+        specs.append((curves[charger.profiles[vtype]],
+                      None if domains is None
+                      else domains.get((win.charger, vtype)),
+                      win, charger.step_consumption))
 
-    return CourseReport(course_index=ci, plan=pid, trace=trace,
-                        floors=tuple(floors), energy_feasible=energy_ok,
-                        weakly_feasible=weak_ok,
+    def exact(w, y):
+        # the claimed step, capped by what the curve allows from y
+        curve, _, win, idle = specs[w]
+        for phi in win.phis:
+            if y < curve.soc_cap:
+                cap_inc = float(curve.increment(max(y, 0.0), theta))
+                y = min(y + min(phi, cap_inc + SOC_TOL), curve.soc_cap)
+            y -= idle
+        return y
+
+    admissible = True
+
+    def claimed(w, y):
+        # the model's own arithmetic; each phi must be admissible at the
+        # claimed soc it is taken from
+        nonlocal admissible
+        _, dom, win, idle = specs[w]
+        for phi in win.phis:
+            if mode != "exact" and (
+                    dom is None
+                    or phi > max(float(dom.value(max(y, 0.0))), 0.0)
+                    + SOC_TOL):
+                admissible = False
+            y = y + phi - idle
+        return min(y, 1.0)
+
+    trace = trace_ledgers(trace, exact, claimed)
+    j_exact = _first_below(trace.soc_exact, floors)
+    j_claimed = _first_below(trace.soc_approx, floors)
+    j = min((j for j in (j_exact, j_claimed) if j is not None), default=None)
+    first_violation = None if j is None else (   # exact first on a tie
+        j, trace.roles[j],
+        (trace.soc_exact if j == j_exact else trace.soc_approx)[j], floors[j])
+    eps_bound = (len(specs) * _sup_gap(specs, theta)
+                 if domains is not None and specs else None)
+
+    return CourseReport(course_index=ci, plan=course.plan, trace=trace,
+                        floors=floors, energy_feasible=j_exact is None,
+                        weakly_feasible=j_claimed is None and admissible,
                         first_violation=first_violation,
-                        max_abs_eps=float(max(abs(e) for e in eps)),
-                        eps_bound=eps_bound, sigma_final=events)
+                        max_abs_eps=float(max(abs(e) for e in trace.eps)),
+                        eps_bound=eps_bound, sigma_final=len(specs))
 
 
 def _sup_gap(charge_specs, theta) -> float:
@@ -479,6 +462,7 @@ def _sweep_cell(cell) -> SweepRow:
     try:
         graph = build_graph(instance, theta)
         domains = build_domains(instance, curves, theta, m, "under")
+        fs = _reference_feasible_at(reference, instance, domains, theta)
         model = build_model(graph, domains,
                             ModelOptions(use_strengthening=strengthen))
         raw = solve_model(model, f"{workdir}/m{m}_t{int(theta)}",
@@ -486,9 +470,7 @@ def _sweep_cell(cell) -> SweepRow:
         if not raw.has_incumbent:
             return SweepRow(m=m, theta=theta, status=raw.status,
                             feasible=False, fleet=None, objective=None,
-                            bound=raw.bound, gap=None,
-                            ref_feasible=_ref_ok(reference, instance, curves,
-                                                 domains, theta))
+                            bound=raw.bound, gap=None, ref_feasible=fs)
         sched = decode_solution(model, raw)
         rep = validate_schedule(instance, sched, graph, "exact", curves)
         gap = None
@@ -497,9 +479,7 @@ def _sweep_cell(cell) -> SweepRow:
         return SweepRow(m=m, theta=theta, status=raw.status,
                         feasible=rep.energy_feasible,
                         fleet=sched.fleet_size, objective=raw.objective,
-                        bound=raw.bound, gap=gap,
-                        ref_feasible=_ref_ok(reference, instance, curves,
-                                             domains, theta))
+                        bound=raw.bound, gap=gap, ref_feasible=fs)
     except Exception as exc:
         return SweepRow(m=m, theta=theta, status="error", feasible=False,
                         fleet=None, objective=None, bound=None, gap=None,
@@ -546,52 +526,44 @@ def _solve_reference_linear(instance, curves, theta, solver_cmd, time_limit,
     return graph, decode_solution(model, raw)
 
 
-def _ref_ok(reference, instance, curves, domains, theta):
+def _reference_feasible_at(reference, instance, domains, theta):
+    """The ``fs?`` verdict: the reference courses, greedily re-charged
+    under a cell's domains, stay above their floors (None: no verdict).
+
+    Each reference window holds the k cell steps that fit in its time span;
+    the bus charges at the cell's domain bound in each, less the charger's
+    idle draw.  The floor test is validation's energy check.
+    """
     if reference is None:
         return None
-    graph, sched = reference
-    try:
-        return _reference_feasible_at(instance, curves, domains, theta, sched,
-                                      graph)
-    except Exception:
-        return None
-
-
-def _reference_feasible_at(instance, curves, domains, theta, sched, ref_graph):
-    """Greedy re-charge the reference courses under a cell's domains."""
+    ref_graph, sched = reference
     start = instance.horizon[0]
-    bounds = ref_graph.energy_bounds()
-    for course in sched.courses:
-        pid = course.plan
-        vtype = course.vehicle_type
-        y = 1.0
-        win_iter = iter(course.windows)
-        for a_idx in course.arc_indices:
-            arc = ref_graph.arcs[a_idx]
-            if arc.kind == "recharge":
-                continue
-            head = ref_graph.nodes[arc.head]
-            y -= arc.consumption(pid)
-            if head.kind == "trip":
-                floor = bounds.exit_floor(arc.head, pid)
-                floor = floor if math.isfinite(floor) else 0.0
-                if y < floor - SOC_TOL:
-                    return False
-            elif head.kind == "charge":
-                win = next(win_iter, None)
-                if win is None:
-                    continue
-                dom = domains.get((win.charger, vtype))
-                if dom is None:
-                    return False
+    try:
+        bounds = ref_graph.energy_bounds()
+        for course in sched.courses:
+            trace, floors, windows = course_trace(course, ref_graph,
+                                                  sched.theta, bounds)
+            doms = [domains.get((win.charger, course.vehicle_type))
+                    for win in windows]
+            if None in doms:
+                return False
+
+            def greedy(w, y):
+                win = windows[w]
                 w_start = start + (win.steps[0] - 1) * sched.theta
                 w_end = start + win.steps[-1] * sched.theta
-                first = math.ceil((w_start - start) / theta)
-                last = math.floor((w_end - start) / theta)
-                k = max(0, last - first)
-                y = dom.greedy_final_soc(max(y, 0.0), k)
-            if y < -SOC_TOL:
+                k = max(0, math.floor((w_end - start) / theta)
+                        - math.ceil((w_start - start) / theta))
+                idle = instance.charger(win.charger).step_consumption
+                y = max(y, 0.0)
+                for _ in range(k):
+                    y = y + doms[w].greedy_step(y) - idle
+                return y
+
+            if _first_below(soc_ledger(trace, greedy)[0], floors) is not None:
                 return False
+    except Exception:
+        return None
     return True
 
 

@@ -82,3 +82,61 @@ def charging_required_instance(horizon_s=7200):
         mix_constraints=(), horizon=(0, horizon_s))
     inst.validate()
     return inst
+
+
+IDLE_PROFILE = ChargingPowerProfile(cc_rate=0.4 / 600.0, cv_break=0.5,
+                                    cv_shape="quadratic", name="idle-quad")
+
+
+def idle_draw_instance(step_consumption=0.004, horizon_s=6 * 3600):
+    """Out and back with one charge between: the charger draws idle soc.
+
+    One bus covers both trips only if it recharges at C0, which takes
+    ``step_consumption`` per occupied step on top of what it charges.
+    """
+    e0 = VehicleType("e0", True, 100.0, fixed_cost=100.0)
+    trips = (Trip("t1", "A", "B", 600, 2400, {"e0": 0.6}),
+             Trip("t2", "B", "A", horizon_s - 4000, horizon_s - 1000,
+                  {"e0": 0.55}))
+    deadheads = (
+        _dh("D0", "A", 300, 0.3), _dh("A", "D0", 300, 0.3),
+        _dh("D0", "B", 300, 0.3), _dh("B", "D0", 300, 0.3),
+        _dh("B", "C0", 60, 0.02), _dh("C0", "B", 60, 0.02),
+        _dh("C0", "D0", 240, 0.29), _dh("D0", "C0", 240, 0.29),
+    )
+    inst = Instance(
+        vehicle_types=(e0,), depots=(Depot("D0"),), trips=trips,
+        deadheads=deadheads,
+        chargers=(Charger("C0", 1, "G0", {"e0": "idle-quad"},
+                          step_consumption=step_consumption),),
+        grid_points=(GridPoint("G0", ((0, horizon_s, 1000.0),),
+                               ((0, horizon_s, 0.25),)),),
+        profiles={"idle-quad": IDLE_PROFILE},
+        mix_constraints=(), horizon=(0, horizon_s))
+    inst.validate()
+    return inst
+
+
+def pass_through_instance(horizon_s=7200):
+    """Two trips with the charger visited twice: the pull-out passes
+    through C0 without charging, and the bus charges between the trips."""
+    e0 = VehicleType("e0", True, 100.0, fixed_cost=100.0)
+    trips = (Trip("t1", "A", "B", 1200, 1800, {"e0": 0.6}),
+             Trip("t2", "B", "A", 4800, 5400, {"e0": 0.6}))
+    deadheads = (
+        _dh("D0", "A", 120, 0.02), _dh("A", "D0", 120, 0.02),
+        _dh("D0", "B", 120, 0.02), _dh("B", "D0", 120, 0.02),
+        _dh("A", "C0", 60, 0.01), _dh("C0", "A", 60, 0.01),
+        _dh("B", "C0", 60, 0.01), _dh("C0", "B", 60, 0.01),
+        _dh("D0", "C0", 120, 0.02), _dh("C0", "D0", 120, 0.02),
+    )
+    inst = Instance(
+        vehicle_types=(e0,), depots=(Depot("D0"),), trips=trips,
+        deadheads=deadheads,
+        chargers=(Charger("C0", 1, "G0", {"e0": "toy-quad"}),),
+        grid_points=(GridPoint("G0", ((0, horizon_s, 1000.0),),
+                               ((0, horizon_s, 0.25),)),),
+        profiles={"toy-quad": PROFILE},
+        mix_constraints=(), horizon=(0, horizon_s))
+    inst.validate()
+    return inst

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import shlex
@@ -636,3 +637,21 @@ def test_decode_recharge_window_matches_soc_jump(tmp_path):
                    and graph.nodes[graph.arcs[i].tail].event == last_arc.step)
     y_out = sched.y_values[out_arc.index]
     assert y_out - y_in == pytest.approx(win.total_phi, abs=1e-6)
+
+
+def test_decode_vehicle_type_id_with_a_dot(tmp_path):
+    # the plan id "e.0.D0" splits ambiguously at its first dot; the course
+    # must carry the plan's own vehicle type and depot
+    from ebusopt.instance import Instance, dumps_instance
+    from ebusopt.validate import validate_schedule
+    inst = Instance.from_dict(json.loads(
+        dumps_instance(charger_toy()).replace('"e0"', '"e.0"')))
+    curves, graph, domains, model = toy_setup(inst)
+    raw = solve_model(model, tmp_path, time_limit=60)
+    assert raw.status == "optimal"
+    sched = decode_solution(model, raw)
+    assert [(c.plan, c.vehicle_type, c.depot) for c in sched.courses] == [
+        ("e.0.D0", "e.0", "D0")]
+    rep = validate_schedule(inst, sched, graph, "approx-under", curves,
+                            domains)
+    assert rep.strongly_feasible

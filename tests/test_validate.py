@@ -13,8 +13,11 @@ from ebusopt.validate import (ValidationError, build_domains,
                               geometric_mean_gap, grid_load_profile,
                               peak_shave_report, validate_schedule,
                               write_grid_load_csv, write_peak_shave_csv,
-                              write_sweep_csv, _sup_gap)
-from _toys import charger_toy, charging_required_instance, two_trip_instance
+                              write_sweep_csv, _reference_feasible_at,
+                              _sup_gap)
+from _toys import (charger_toy, charging_required_instance,
+                   idle_draw_instance, pass_through_instance,
+                   two_trip_instance)
 
 
 def solve_toy(inst, theta=300.0, m=4, estimator="under", time_limit=90,
@@ -110,6 +113,26 @@ def test_first_violation_reported(tmp_path):
     assert bad.first_violation is not None
     j, role, soc, floor = bad.first_violation
     assert soc < floor
+
+
+@pytest.mark.parametrize("idle", [0.004, 0.01])
+def test_idle_draw_underestimator_schedule_is_weakly_feasible(tmp_path, idle):
+    # the model steps y + phi - idle; admissibility is judged at those socs
+    inst = idle_draw_instance(idle)
+    curves, graph, domains, model, raw, sched = solve_toy(
+        inst, tmp_path=str(tmp_path))
+    assert raw.status == "optimal" and sched.fleet_size == 1
+    rep = validate_schedule(inst, sched, graph, "approx-under", curves,
+                            domains)
+    assert rep.weakly_feasible and rep.strongly_feasible
+    # both ledgers draw the idle soc in every occupied step
+    trace = rep.courses[0].trace
+    j = trace.roles.index("charge-departure")
+    claimed = trace.soc_approx[j - 1]
+    for phi in sched.courses[0].windows[0].phis:
+        claimed = claimed + phi - idle
+    assert trace.soc_approx[j] == min(claimed, 1.0)
+    assert trace.soc_exact[j] == pytest.approx(claimed, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +320,98 @@ def test_sweep_survives_cell_errors(tmp_path):
     errs = [r for r in rows if r.error]
     oks = [r for r in rows if not r.error]
     assert len(errs) == 1 and len(oks) == 1
+
+
+# ---------------------------------------------------------------------------
+# the fs? column on hand-built reference courses
+# ---------------------------------------------------------------------------
+
+def reference_along(graph, nodes, steps):
+    """A one-course reference schedule over the given node path; the window
+    occupies ``steps`` (its phis do not matter to the re-charge)."""
+    ends = {(a.tail, a.head): a.index for a in graph.arcs}
+    win = ChargeWindow(slot="C0#0", charger="C0", grid_point="G0",
+                       start_step=steps[0], steps=list(steps),
+                       phis=[0.0] * len(steps))
+    course = Course(plan="e0.D0", vehicle_type="e0", depot="D0",
+                    arc_indices=[ends[u, v] for u, v in zip(nodes, nodes[1:])],
+                    trips=["t1", "t2"], windows=[win], cost=0.0)
+    return graph, Schedule([course], 300.0, 0.0, None, None, "optimal")
+
+
+def walk(y, legs):
+    """Soc along written-out legs; False at the first one below its floor.
+
+    A leg is ("move", consumption, floor) or ("charge", domain, k, idle):
+    k greedy steps y <- y + step(y) - idle from max(y, 0).
+    """
+    for leg in legs:
+        if leg[0] == "move":
+            y -= leg[1]
+            if y < leg[2] - 1e-6:
+                return False
+        else:
+            _, dom, k, idle = leg
+            y = max(y, 0.0)
+            for _ in range(k):
+                y = y + float(dom.greedy_step(y)) - idle
+            if y < -1e-6:
+                return False
+    return True
+
+
+CELLS = [(2, 300.0), (2, 600.0), (4, 300.0), (4, 600.0)]
+
+
+def test_reference_check_applies_idle_draw_per_step():
+    inst = idle_draw_instance(0.02)
+    curves = exact_curves(inst)
+    graph = build_graph(inst, 300.0)
+    floor = graph.energy_bounds().exit_floor
+    t1, t2 = floor("trip:t1", "e0.D0"), floor("trip:t2", "e0.D0")
+    events = [f"C0#0@{i}" for i in range(9, 17)]     # charge steps 10..16
+    reference = reference_along(
+        graph, ["src:D0", "trip:t1"] + events + ["trip:t2", "snk:D0"],
+        range(10, 17))
+    # the window spans 2700-4800 s: 7 steps of 300 s, 3 of 600 s
+    k = {300.0: 7, 600.0: 3}
+    got = {}
+    for m, theta in CELLS:
+        dom = build_domains(inst, curves, theta, m, "under")[("C0", "e0")]
+        want = walk(1.0, [("move", 0.3, 0.6 + t1), ("move", 0.6, t1),
+                          ("move", 0.02, 0.0), ("charge", dom, k[theta], 0.02),
+                          ("move", 0.02, 0.55 + t2), ("move", 0.55, t2),
+                          ("move", 0.3, 0.0)])
+        doms = {("C0", "e0"): dom}
+        got[m, theta] = _reference_feasible_at(reference, inst, doms, theta)
+        assert got[m, theta] is want
+    # without the idle draw the m=2, 300 s cell would pass
+    assert got == {(2, 300.0): False, (2, 600.0): False, (4, 300.0): True,
+                   (4, 600.0): True}
+
+
+def test_reference_check_charges_at_the_visit_that_charges():
+    inst = pass_through_instance()
+    curves = exact_curves(inst)
+    graph = build_graph(inst, 300.0)
+    floor = graph.energy_bounds().exit_floor
+    t1, t2 = floor("trip:t1", "e0.D0"), floor("trip:t2", "e0.D0")
+    # pulled out onto event 1 and off again at once, then charge steps 8..11
+    reference = reference_along(
+        graph, ["src:D0", "C0#0@1", "trip:t1"]
+        + [f"C0#0@{i}" for i in range(7, 12)] + ["trip:t2", "snk:D0"],
+        range(8, 12))
+    k = {300.0: 4, 600.0: 1}   # the window spans 2100-3300 s
+    for m, theta in CELLS:
+        dom = build_domains(inst, curves, theta, m, "under")[("C0", "e0")]
+        want = walk(1.0, [("move", 0.02, 0.0), ("move", 0.01, 0.6 + t1),
+                          ("move", 0.6, t1), ("move", 0.01, 0.0),
+                          ("charge", dom, k[theta], 0.0),
+                          ("move", 0.01, 0.6 + t2), ("move", 0.6, t2),
+                          ("move", 0.02, 0.0)])
+        assert want is True     # taking the window at the first visit fails
+        assert _reference_feasible_at(reference, inst, {("C0", "e0"): dom},
+                                      theta) is want
 
 
 # ---------------------------------------------------------------------------
