@@ -20,11 +20,11 @@ from .chargemodel import ChargeModelError
 from .generators import GenerationError, SyntheticParams, generate_synthetic, \
     generate_worst_case
 from .instance import Instance, InstanceError, load_instance, save_instance
-from .lpformat import LpFormatError
+from .lpformat import LpFormatError, write_solution_text
 from .milp import (DecodeError, ModelError, ModelOptions, build_model,
-                   decode_solution, save_schedule, solve_model)
+                   decode_solution, emit_model, save_schedule, solve_model)
 from .netgraph import GraphError, GraphOptions, build_graph
-from .solverbridge import SolverError
+from .solverbridge import SolverError, external_command
 from .validate import (ValidationError, build_domains, discretization_sweep,
                        exact_curves, grid_load_profile,
                        save_validation_report, validate_schedule,
@@ -144,10 +144,25 @@ def _pipeline_solve(inst, theta, segments, estimator, out_dir, solver_cmd,
                            precondition_lead=precondition_lead,
                            grid_limit_override=grid_limit_override)
     model = build_model(graph, domains, options)
-    workdir = os.path.join(out_dir, tag)
+    raw = _solve_into(model, os.path.join(out_dir, tag), solver_cmd, fmt,
+                      time_limit, threads)
+    return curves, graph, domains, model, raw
+
+
+def _solve_into(model, workdir, solver_cmd, fmt, time_limit, threads):
+    """``solve_model`` that leaves ``model.<fmt>`` and ``model.sol`` in
+    ``workdir`` on either path: the bridge writes them itself, the
+    in-process solve writes none, so they are written here."""
+    in_process = not external_command(solver_cmd)
+    if in_process:
+        os.makedirs(workdir, exist_ok=True)
+        emit_model(model, fmt, os.path.join(workdir, f"model.{fmt}"))
     raw = solve_model(model, workdir, command_template=solver_cmd, fmt=fmt,
                       time_limit=time_limit, threads=threads)
-    return curves, graph, domains, model, raw
+    if in_process:
+        write_solution_text(os.path.join(workdir, "model.sol"), raw.values,
+                            raw.status, raw.objective, raw.bound)
+    return raw
 
 
 @main.command("solve")
@@ -212,9 +227,8 @@ def cmd_solve(instance_path, theta, segments, estimator, grid_cap, solver_cmd,
                                    precondition_lead=precondition_lead,
                                    grid_limit_override=override)
             model = build_model(graph, domains, options)
-            raw = solve_model(model, os.path.join(out, "capped"),
-                              command_template=solver_cmd, fmt=fmt,
-                              time_limit=time_limit, threads=threads)
+            raw = _solve_into(model, os.path.join(out, "capped"), solver_cmd,
+                              fmt, time_limit, threads)
     except SolverError as exc:
         _fail(EXIT_ENV, f"{exc} (command: {exc.command})")
     except _INPUT_ERRORS as exc:
@@ -300,7 +314,10 @@ def cmd_sweep(instance_path, m_grid, theta_grid, time_limit, solver_cmd,
                            "cells": len(rows), "solved": solved,
                            "csv": path}))
     if solved == 0:
-        sys.exit(EXIT_UNSOLVED)
+        # no schedule because the solver could not run is an environment
+        # failure, not an infeasible model
+        sys.exit(EXIT_ENV if any(r.solver_failed for r in rows)
+                 else EXIT_UNSOLVED)
 
 
 # ---------------------------------------------------------------------------

@@ -641,10 +641,16 @@ def write_solution_text(path, values: dict, status: str,
 
 
 def parse_solution_text(path) -> RawSolution:
+    """Parse ``name value`` lines under ``# status/objective/bound`` headers.
+
+    Comment lines (``#``, ``//``), objective lines (``=obj=`` and the like)
+    and one-word lines are skipped; a value line whose value is not a number
+    is an ``LpFormatError`` naming the line, never a variable read as 0.
+    """
     values: dict = {}
     meta: dict = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -663,7 +669,9 @@ def parse_solution_text(path) -> RawSolution:
             try:
                 values[parts[0]] = float(parts[1])
             except ValueError:
-                continue
+                raise LpFormatError(
+                    f"{path}:{lineno}: value of {parts[0]!r} is not a "
+                    f"number: {line!r}") from None
     status = meta.get("status", "unknown")
     if not values and status == "unknown":
         raise LpFormatError(f"no variable values or status found in {path}")
@@ -689,17 +697,26 @@ def parse_solution_xml(path) -> RawSolution:
         name = var.get("name")
         val = var.get("value")
         if name is not None and val is not None:
-            values[name] = float(val)
+            values[name] = _xml_number(val, f"value of {name!r}", path)
     objective = None
     status = "unknown"
     header = root.find("header")
     if header is not None:
         objective = header.get("objectiveValue")
-        objective = float(objective) if objective is not None else None
+        if objective is not None:
+            objective = _xml_number(objective, "objectiveValue", path)
         status = header.get("solutionStatusString", "unknown")
     if not values:
         raise LpFormatError(f"no variables in XML solution file {path}")
     return RawSolution(values=values, objective=objective, status=status)
+
+
+def _xml_number(text: str, what: str, path) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise LpFormatError(f"{path}: {what} is not a number: "
+                            f"{text!r}") from None
 
 
 def parse_solution_file(path) -> RawSolution:

@@ -15,10 +15,11 @@ limit (+inf kW) gets no grid rows; a NaN limit override is a ``ModelError``.
 
 ``MilpModel`` keeps the program in one array form (columns plus CSR rows);
 the LP/MPS writers, the in-process HiGHS solve and the decoder all read
-that form, never per-row records.  ``build_model`` reads the graph once
-into arrays and builds each constraint family as COO entries in one numpy
-pass, appended in one ``add_rows`` call; only the few vehicle-mix rows are
-built one dict at a time.
+that form, never per-row records; the in-process solve hands those arrays
+to HiGHS with no model or solution file.  ``build_model`` reads the graph
+once into arrays and builds each constraint family as COO entries in one
+numpy pass, appended in one ``add_rows`` call; only the few vehicle-mix rows
+are built one dict at a time.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from typing import Optional
 import numpy as np
 
 from .chargemodel import IncrementDomainPWL
-from .lpformat import (SENSES, ModelArrays, RawSolution, write_lp, write_mps,
-                       write_solution_text)
+from .lpformat import SENSES, ModelArrays, RawSolution, write_lp, write_mps
 from .netgraph import EnergyBounds, SchedulingGraph
 from .refsolver import emitted_arrays, solve_arrays
-from .solverbridge import SOLVER_ENV_VAR, SolverError, solve_external
+from .solverbridge import SolverError, external_command, solve_external
 
 INTEGRALITY_TOL = 1e-5
 IN_PROCESS_COMMAND = "in-process HiGHS"
@@ -639,47 +639,49 @@ def _add_precondition_rows(model: MilpModel, g: _GraphArrays,
 _WRITERS = {"lp": write_lp, "mps": write_mps}
 
 
-def emit_model(model: MilpModel, fmt: str, path, relax: bool = False) -> None:
-    """Write the model as LP or MPS; byte-deterministic for a fixed model."""
-    _emit(model.arrays(), fmt, path, relax)
-
-
-def _emit(arrays: ModelArrays, fmt: str, path, relax: bool) -> None:
+def _writer(fmt: str):
     if fmt not in _WRITERS:
         raise ModelError(f"unknown model format {fmt!r} (use 'lp' or 'mps')")
-    _WRITERS[fmt](arrays, path, relax=relax)
+    return _WRITERS[fmt]
+
+
+def emit_model(model: MilpModel, fmt: str, path, relax: bool = False) -> None:
+    """Write the model as LP or MPS; byte-deterministic for a fixed model."""
+    _writer(fmt)(model.arrays(), path, relax=relax)
 
 
 def solve_model(model: MilpModel, workdir, command_template=None,
                 fmt: str = "lp", time_limit=None, threads: int = 1,
                 relax: bool = False) -> RawSolution:
-    """Emit the model into ``workdir`` and solve it.
+    """Solve the model in process, or through a solver command.
 
-    With a ``command_template`` or ``EBUSOPT_SOLVER_CMD`` set, the emitted
-    file goes through the subprocess bridge (``solverbridge.solve_external``).
-    Otherwise HiGHS solves in this process on ``refsolver.emitted_arrays``
-    of the model's arrays, which equal the arrays the bundled ``refsolver``
-    would read back from the file, and the solution is written next to it as
-    ``model.sol``.  The wall-clock kill of the bridge does not apply in
-    process; HiGHS stops itself at ``time_limit``.  ``threads`` reaches only
-    the bridge's command.  A failure inside HiGHS raises ``SolverError``.
+    With a ``command_template`` or ``EBUSOPT_SOLVER_CMD`` set, the model is
+    emitted into ``workdir`` as ``model.<fmt>`` (``model_relax.<fmt>`` with
+    ``relax``) and goes through the subprocess bridge
+    (``solverbridge.solve_external``), whose solver writes the ``.sol`` next
+    to it.  Otherwise HiGHS solves in this process on
+    ``refsolver.emitted_arrays`` of the model's arrays, which equal the
+    arrays the bundled ``refsolver`` would read back from that file, so both
+    paths give the same values; this path writes no file and does not
+    create ``workdir``.  An unknown ``fmt`` is a ``ModelError`` on either
+    path.  The wall-clock kill of the bridge does not apply in process;
+    HiGHS stops itself at ``time_limit``.  ``threads`` reaches only the
+    bridge's command.  A failure inside HiGHS raises ``SolverError``.
     """
-    os.makedirs(workdir, exist_ok=True)
-    suffix = "_relax" if relax else ""
-    model_path = os.path.join(workdir, f"model{suffix}.{fmt}")
-    arrays = model.arrays()
-    _emit(arrays, fmt, model_path, relax)
-    if command_template or os.environ.get(SOLVER_ENV_VAR):
+    _writer(fmt)
+    if external_command(command_template):
+        os.makedirs(workdir, exist_ok=True)
+        suffix = "_relax" if relax else ""
+        model_path = os.path.join(workdir, f"model{suffix}.{fmt}")
+        emit_model(model, fmt, model_path, relax)
         return solve_external(model_path, command_template=command_template,
                               time_limit=time_limit, threads=threads)
     try:
         status, values, objective, bound = solve_arrays(
-            emitted_arrays(arrays, fmt, relax), time_limit)
+            emitted_arrays(model.arrays(), fmt, relax), time_limit)
     except Exception as exc:  # solver-internal failure
         raise SolverError(f"in-process HiGHS failed: {exc}",
                           command=IN_PROCESS_COMMAND) from exc
-    write_solution_text(os.path.join(workdir, f"model{suffix}.sol"), values,
-                        status, objective, bound)
     return RawSolution(values=values, objective=objective, bound=bound,
                        status=status, command=IN_PROCESS_COMMAND)
 

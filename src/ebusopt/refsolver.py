@@ -14,8 +14,9 @@ the solver itself failed.
 ``solve_arrays`` is the one HiGHS call site: this CLI reaches it through
 ``parsed_arrays`` of the file it reads, ``milp.solve_model`` through
 ``emitted_arrays`` of the model's own arrays, which are the same arrays
-without the file.  scipy is imported on first use, so importing this module
-stays cheap.
+with no model file written and no solution file written back; only this
+CLI writes a solution file.  scipy is imported on first use, so importing
+this module stays cheap.
 """
 
 from __future__ import annotations

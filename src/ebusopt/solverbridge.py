@@ -3,10 +3,12 @@
 The solver is described by a command template with placeholders {model},
 {solution}, {timelimit}, and {threads}; anything that reads a model file and
 writes a solution file one of the bundled parsers understands can be plugged
-in.  ``milp.solve_model`` comes here only when a template is given or
-EBUSOPT_SOLVER_CMD is set; otherwise it solves with HiGHS in process.  The
-default template below runs the bundled HiGHS-backed reference solver in a
-fresh interpreter, which reproduces the in-process result through a file.
+in.  ``milp.solve_model`` comes here only when ``external_command`` finds a
+template (given, or in EBUSOPT_SOLVER_CMD); it then writes the model file
+the command reads.  Otherwise it solves with HiGHS in process and no file
+is written.  The default template below runs the bundled HiGHS-backed
+reference solver in a fresh interpreter, which reproduces the in-process
+result through a file.
 Each solve owns one subprocess and kills it once the time limit plus a
 grace period has passed, keeping whatever incumbent made it into the
 solution file.
@@ -41,8 +43,14 @@ class SolverError(RuntimeError):
         self.output = output
 
 
+def external_command(template: Optional[str] = None) -> Optional[str]:
+    """The solver command template in force: ``template``, else
+    EBUSOPT_SOLVER_CMD; None when the solve stays in process."""
+    return template or os.environ.get(SOLVER_ENV_VAR) or None
+
+
 def resolve_solver_command(template: Optional[str] = None) -> str:
-    cmd = template or os.environ.get(SOLVER_ENV_VAR) or DEFAULT_SOLVER_CMD
+    cmd = external_command(template) or DEFAULT_SOLVER_CMD
     return cmd.replace("{python}", sys.executable)
 
 

@@ -38,6 +38,7 @@ from .instance import Instance
 from .milp import (ModelOptions, Schedule, build_model, decode_solution,
                    solve_model)
 from .netgraph import EnergyBounds, SchedulingGraph, build_graph
+from .solverbridge import SolverError, external_command
 
 SOC_TOL = 1e-6
 
@@ -409,6 +410,7 @@ class SweepRow:
     gap: Optional[float]
     ref_feasible: Optional[bool]     # "fs?": reference schedule ok at this cell
     error: Optional[str] = None
+    solver_failed: bool = False      # the error is a SolverError
 
 
 def discretization_sweep(instance: Instance, m_grid, theta_grid,
@@ -425,10 +427,16 @@ def discretization_sweep(instance: Instance, m_grid, theta_grid,
     charging model is re-validated against each cell's increment domains and
     reported in ``ref_feasible`` (infeasible reference schedules are exactly
     what the exact charging model is there to catch).
+
+    Solves run in process and write no files unless ``solver_cmd`` or
+    EBUSOPT_SOLVER_CMD sends them through the bridge; only then are model
+    and solution files written, under ``workdir`` (a fresh temporary
+    directory when None).
     """
     import tempfile
 
-    workdir = workdir or tempfile.mkdtemp(prefix="ebusopt-sweep-")
+    if workdir is None and external_command(solver_cmd):
+        workdir = tempfile.mkdtemp(prefix="ebusopt-sweep-")
     curves = exact_curves(instance)
 
     reference = None
@@ -437,7 +445,8 @@ def discretization_sweep(instance: Instance, m_grid, theta_grid,
         try:
             reference = _solve_reference_linear(instance, curves, theta_ref,
                                                 solver_cmd, time_limit,
-                                                f"{workdir}/ref", strengthen)
+                                                workdir and f"{workdir}/ref",
+                                                strengthen)
         except Exception:  # the fs? column is best-effort
             reference = None
 
@@ -465,7 +474,7 @@ def _sweep_cell(cell) -> SweepRow:
         fs = _reference_feasible_at(reference, instance, domains, theta)
         model = build_model(graph, domains,
                             ModelOptions(use_strengthening=strengthen))
-        raw = solve_model(model, f"{workdir}/m{m}_t{int(theta)}",
+        raw = solve_model(model, workdir and f"{workdir}/m{m}_t{int(theta)}",
                           command_template=solver_cmd, time_limit=time_limit)
         if not raw.has_incumbent:
             return SweepRow(m=m, theta=theta, status=raw.status,
@@ -483,7 +492,8 @@ def _sweep_cell(cell) -> SweepRow:
     except Exception as exc:
         return SweepRow(m=m, theta=theta, status="error", feasible=False,
                         fleet=None, objective=None, bound=None, gap=None,
-                        ref_feasible=None, error=str(exc))
+                        ref_feasible=None, error=str(exc),
+                        solver_failed=isinstance(exc, SolverError))
 
 
 def build_domains(instance: Instance, curves: dict, theta: float, m: int,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -117,6 +118,110 @@ def test_solve_in_process_solver_failure_exits_3(runner, tmp_path,
     assert "HiGHS crashed" in res.output
 
 
+# sha256 of the model and solution files `ebusopt solve` writes for
+# charger_toy (time limit 60 s, other options at their defaults)
+TOY_FILES_SHA256 = {
+    ("lp", "model/model.lp"):
+        "715fe232b864556958062a2c5af487e8b225995cc85dcebb6167443af260dfa7",
+    ("lp", "model/model.sol"):
+        "9bcd3985e6feacc2732f1f31bcc10b36b5ea2e2b448dbdf62fab9e11a5071399",
+    ("lp", "reference/model.lp"):
+        "2c7449e355938acd1a38f6f83779da88bc0be1e2a490d55c027788f857622e65",
+    ("lp", "reference/model.sol"):
+        "9bcd3985e6feacc2732f1f31bcc10b36b5ea2e2b448dbdf62fab9e11a5071399",
+    ("lp", "capped/model.lp"):
+        "a8520413ef0ab280f5b39016cb3ce25856249f4c1fd743ba9e9030da1f9afd81",
+    ("lp", "capped/model.sol"):
+        "b1160f1be696c7c9bcdd02c0a5bdf322a97b8c9cfead296b10232a222543680c",
+    ("mps", "model/model.mps"):
+        "2720dd38e7a67ee95315e39108ca64f88e4d4dc771b11abc1eb5c371e2a52652",
+    ("mps", "model/model.sol"):
+        "a2f7fbca011fe29c618ae9bc718ee11a307878a62cf7957b34735b09fdb4af1d",
+    ("mps", "reference/model.mps"):
+        "1738da81518cb6648175dd26a295545b418cf1ea6f3b6f93af5dfaee3c680454",
+    ("mps", "reference/model.sol"):
+        "a2f7fbca011fe29c618ae9bc718ee11a307878a62cf7957b34735b09fdb4af1d",
+    ("mps", "capped/model.mps"):
+        "f0579c9d2ac9f8359abb141e5120a47d03ca08a645d7c5a9e58401af413f54f6",
+    ("mps", "capped/model.sol"):
+        "4f48f203cbb82e1ddac0e58c94dbbccca521bbc6af9555eada95da4214e5cc8e",
+}
+
+
+@pytest.mark.parametrize("fmt", ["lp", "mps"])
+def test_solve_writes_model_and_solution_files(runner, tmp_path, fmt):
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(), inst_path)
+    for extra, subdirs in (([], ["model"]),
+                           (["--grid-cap", "0.5"], ["reference", "capped"])):
+        out = tmp_path / f"run{len(extra)}"
+        res = runner.invoke(main, ["solve", str(inst_path), "--format", fmt,
+                                   "--time-limit", "60", "--out", str(out)]
+                            + extra)
+        assert res.exit_code == 0, res.output
+        for sub in subdirs:
+            assert sorted(os.listdir(out / sub)) == sorted(
+                [f"model.{fmt}", "model.sol"])
+            for name in (f"model.{fmt}", "model.sol"):
+                digest = hashlib.sha256(
+                    (out / sub / name).read_bytes()).hexdigest()
+                assert digest == TOY_FILES_SHA256[(fmt, f"{sub}/{name}")]
+
+
+def _solver_cmd(tmp_path, solution_text):
+    """A solver command that writes ``solution_text`` and exits 0."""
+    script = tmp_path / "fake_solver.py"
+    script.write_text("import sys\n"
+                      f"open(sys.argv[1], 'w').write({solution_text!r})\n")
+    return f"{{python}} {script} {{solution}}"
+
+
+@pytest.mark.parametrize("solution_text, message", [
+    ("# status optimal\na 1,5\n", "a 1,5"),
+    ('<?xml version="1.0"?>\n<CPLEXSolution><header objectiveValue="1" '
+     'solutionStatusString="optimal"/><variables><variable name="a" '
+     'value="one"/></variables></CPLEXSolution>\n', "'one'"),
+    ('<?xml version="1.0"?>\n<CPLEXSolution><header objectiveValue="n/a" '
+     'solutionStatusString="optimal"/><variables><variable name="a" '
+     'value="1"/></variables></CPLEXSolution>\n', "objectiveValue"),
+], ids=["text-value", "xml-value", "xml-objective"])
+def test_solve_non_numeric_solution_exits_3(runner, tmp_path, solution_text,
+                                            message):
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(), inst_path)
+    res = runner.invoke(main, ["solve", str(inst_path), "--time-limit", "30",
+                               "--solver-cmd",
+                               _solver_cmd(tmp_path, solution_text),
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 3, res.output
+    assert "cannot parse solution file" in res.output
+    assert message in res.output
+
+
+def test_sweep_missing_solver_exits_3(runner, tmp_path):
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(horizon_s=7200, trip_consumption=0.3), inst_path)
+    out = tmp_path / "sweep"
+    res = runner.invoke(main, ["sweep", str(inst_path), "--m-grid", "2",
+                               "--theta-grid", "600", "--time-limit", "30",
+                               "--solver-cmd",
+                               "/no/such/solver {model} {solution}",
+                               "--no-reference", "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "not found" in (out / "sweep.csv").read_text()
+
+
+def test_sweep_in_process_writes_no_cell_files(runner, tmp_path):
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(horizon_s=7200, trip_consumption=0.3), inst_path)
+    out = tmp_path / "sweep"
+    res = runner.invoke(main, ["sweep", str(inst_path), "--m-grid", "2,3",
+                               "--theta-grid", "600", "--time-limit", "60",
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert sorted(os.listdir(out)) == ["config.json", "sweep.csv"]
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     import ebusopt
     src = os.path.dirname(os.path.dirname(os.path.abspath(ebusopt.__file__)))
@@ -178,3 +283,5 @@ def test_compare_estimators_command(runner, tmp_path):
     assert payload["objective_over"] <= payload["objective_under"] + 1e-6
     assert payload["objective_gap"] >= 0.0
     assert (out / "comparison.json").exists()
+    for est in ("under", "over"):
+        assert sorted(os.listdir(out / est)) == ["model.lp", "model.sol"]

@@ -393,6 +393,7 @@ def test_writer_reader_round_trip_is_exact(model):
 
 @pytest.mark.parametrize("relax", [False, True])
 def test_in_process_solution_equals_bridge(tmp_path, relax):
+    name = "model_relax" if relax else "model"
     for k, model in enumerate(_identity_models()):
         ours = solve_model(model, tmp_path / f"in{k}", time_limit=60,
                            relax=relax)
@@ -402,11 +403,45 @@ def test_in_process_solution_equals_bridge(tmp_path, relax):
         assert ours.objective == bridge.objective
         assert ours.bound == bridge.bound
         assert ours.values == bridge.values
-        name = "model_relax" if relax else "model"
-        assert ((tmp_path / f"in{k}" / f"{name}.lp").read_bytes()
-                == (tmp_path / f"ext{k}" / f"{name}.lp").read_bytes())
-        assert ((tmp_path / f"in{k}" / f"{name}.sol").read_bytes()
-                == (tmp_path / f"ext{k}" / f"{name}.sol").read_bytes())
+        # the bridge's files are the model as emitted and the in-process
+        # solution as written
+        emit_model(model, "lp", tmp_path / f"{name}{k}.lp", relax=relax)
+        write_solution_text(tmp_path / f"{name}{k}.sol", ours.values,
+                            ours.status, ours.objective, ours.bound)
+        for ext in ("lp", "sol"):
+            assert ((tmp_path / f"ext{k}" / f"{name}.{ext}").read_bytes()
+                    == (tmp_path / f"{name}{k}.{ext}").read_bytes())
+
+
+def test_in_process_solve_writes_no_files(tmp_path):
+    _, _, _, model = toy_setup(charger_toy())
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    for fmt in ("lp", "mps"):
+        for relax in (False, True):
+            for workdir in (existing, tmp_path / "absent"):
+                raw = solve_model(model, workdir, fmt=fmt, relax=relax,
+                                  time_limit=60)
+                assert raw.status == "optimal"
+    assert os.listdir(tmp_path) == ["existing"]
+    assert os.listdir(existing) == []
+
+
+@pytest.mark.parametrize("command_template",
+                         [None, "/nonexistent/solver {model} {solution}"],
+                         ids=["in-process", "bridge"])
+def test_unknown_format_is_model_error_before_any_solve(tmp_path, monkeypatch,
+                                                        command_template):
+    import scipy.optimize
+
+    def boom(*args, **kwargs):
+        raise AssertionError("solved a model in an unknown format")
+    monkeypatch.setattr(scipy.optimize, "milp", boom)
+    _, _, _, model = toy_setup(charger_toy())
+    with pytest.raises(ModelError, match="unknown model format"):
+        solve_model(model, tmp_path / "work", fmt="xml",
+                    command_template=command_template, time_limit=30)
+    assert not (tmp_path / "work").exists()
 
 
 def test_in_process_solver_failure_is_solver_error(tmp_path, monkeypatch):
