@@ -310,7 +310,8 @@ def cmd_sweep(instance_path, m_grid, theta_grid, time_limit, solver_cmd,
     path = os.path.join(out, "sweep.csv")
     write_sweep_csv(rows, path)
     solved = sum(1 for r in rows if r.objective is not None)
-    click.echo(json.dumps({"status": "ok", "config_hash": digest,
+    click.echo(json.dumps({"status": "ok" if solved else "error",
+                           "config_hash": digest,
                            "cells": len(rows), "solved": solved,
                            "csv": path}))
     if solved == 0:
@@ -353,6 +354,9 @@ def cmd_compare_estimators(instance_path, theta, segments, time_limit,
                 threads, strengthen=True, precondition_lead=0, tag=est)
             if not raw.has_incumbent:
                 _fail(EXIT_UNSOLVED, f"{est} solve failed: {raw.status}")
+            if raw.objective is None:
+                _fail(EXIT_ENV, f"{est} solve reported an incumbent "
+                                f"without an objective ({raw.status})")
             results[est] = raw
     except SolverError as exc:
         _fail(EXIT_ENV, str(exc))

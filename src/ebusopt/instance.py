@@ -196,6 +196,9 @@ class Instance:
                     raise InstanceError(
                         f"deadheads[{d.origin}->{d.destination}].{side}: "
                         f"unknown location {endp!r}")
+            if d.duration_s < 0:
+                raise InstanceError(f"deadheads[{d.origin}->{d.destination}]: "
+                                    f"negative duration {d.duration_s}")
             for k, c in d.consumption.items():
                 if not 0.0 <= c <= 1.0:
                     raise InstanceError(

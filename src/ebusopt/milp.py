@@ -72,8 +72,7 @@ class Row:
 class ModelOptions:
     use_strengthening: bool = False
     grid_caps: bool = True
-    mix: bool = True
-    precondition_lead: int = 0
+    precondition_lead: int = 0      # see _add_precondition_rows
     grid_limit_override: Optional[dict] = None  # grid point id -> kW or per-step list
 
 
@@ -446,21 +445,21 @@ def build_model(graph: SchedulingGraph, domains: dict,
                    np.ones(len(keys)), "capacity")
 
     # --- vehicle-mix constraints ----------------------------------------------
-    if options.mix:
-        for m in inst.mix_constraints:
-            coeffs: dict = {}
-            for (vt, dep), kappa in zip(m.plan_types, m.coeffs):
-                pid = f"{vt}.{dep}"
-                for a in graph.out_arcs.get(f"src:{dep}", []):
-                    if pid in a.plans:
-                        idx = model.x_index[(a.index, pid)]
-                        coeffs[idx] = coeffs.get(idx, 0.0) + kappa
-            if not coeffs:
-                continue
-            if m.upper < math.inf:
-                model.add_row(dict(coeffs), "<=", m.upper, "mix")
-            if m.lower > 0:
-                model.add_row(dict(coeffs), ">=", m.lower, "mix")
+    plan_id = {(p.vehicle_type, p.depot): p.id for p in graph.plan_types}
+    for m in inst.mix_constraints:
+        coeffs: dict = {}
+        for (vt, dep), kappa in zip(m.plan_types, m.coeffs):
+            pid = plan_id.get((vt, dep))
+            for a in graph.out_arcs.get(f"src:{dep}", []):
+                if pid in a.plans:
+                    idx = model.x_index[(a.index, pid)]
+                    coeffs[idx] = coeffs.get(idx, 0.0) + kappa
+        if not coeffs:
+            continue
+        if m.upper < math.inf:
+            model.add_row(dict(coeffs), "<=", m.upper, "mix")
+        if m.lower > 0:
+            model.add_row(dict(coeffs), ">=", m.lower, "mix")
 
     # --- soc coupling: rows 2a and 2a + 1 of arc a ------------------------------
     # row 2a: "pullout" (x = y over the electric plans) on a pull-out arc;
@@ -603,21 +602,14 @@ def _grid_limit(gp, graph, step: int, override) -> float:
     return gp.min_power_over(lo, hi)
 
 
-def add_preconditioning(model: MilpModel, lead_steps: int) -> MilpModel:
+def _add_precondition_rows(model: MilpModel, g: _GraphArrays,
+                           lead_steps: int) -> None:
     """Couple each increment to slot occupation ``lead_steps`` earlier.
 
     Models batteries that need preparation before drawing power: phi at step
     i stays zero unless the bus already held the slot at step i - lead.
-    Arcs too close to the horizon start are skipped.  ``model`` comes from
-    ``build_model``, whose column layout the rows refer to.
+    Arcs too close to the horizon start are skipped.
     """
-    _add_precondition_rows(model, _GraphArrays(model.graph, model.domains),
-                           lead_steps)
-    return model
-
-
-def _add_precondition_rows(model: MilpModel, g: _GraphArrays,
-                           lead_steps: int) -> None:
     if lead_steps < 1:
         raise ModelError("lead_steps must be >= 1")
     slot, step, plan = g.slot[g.phi_arc], g.step[g.phi_arc], g.phi_plan

@@ -23,7 +23,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .instance import Instance, PlanType
+from .instance import Deadhead, Instance, PlanType
 
 
 class GraphError(ValueError):
@@ -217,11 +217,31 @@ def build_graph(instance: Instance, theta: float,
                 options: GraphOptions = GraphOptions()) -> SchedulingGraph:
     """Expand an instance into the scheduling DAG at time step theta.
 
-    Connection arcs exist exactly for time-feasible pairs from the deadhead
-    table (same-location connections are implicit with zero cost).  Charger
-    access snaps forward to the next timeline event, egress leaves from any
-    event that still reaches the target in time (optionally limited to a
-    lookahead window before the latest such event).
+    Every arc that moves a bus from one place to another is a deadhead leg
+    (pull-out, pull-in, connection, and access to or egress from a charger
+    timeline or a depot parking timeline), and all of them are laid out by
+    one constructor under one rule: a bus free to leave at ``ready`` and
+    due at the far end by ``due`` has the leg exactly when the deadhead
+    table has it (a leg within one place is implicit, with zero duration,
+    consumption and cost) and ``ready + duration <= due``.  ``ready`` is
+    the trip's arrival when a leg leaves a trip and the horizon start
+    otherwise; ``due`` is the trip's departure when a leg enters a trip and
+    the horizon end otherwise.  Access snaps forward to the first event at
+    or after arrival, a pull-out onto a timeline enters at that event or
+    any later one, and egress leaves from any event that still arrives in
+    time (optionally only from a lookahead window before the latest one).
+
+    The rule is the same as asking for a timeline event to use, so it never
+    lays out a leg without one: theta divides the horizon span, so
+    H * theta = end - start, and a leg onto a timeline (due = end) or off
+    one (ready = start) has::
+
+        ceil((ready + duration - start) / theta) <= H  iff  ready + duration <= end
+        floor((due - duration - start) / theta) >= 0   iff  start + duration <= due
+
+    Deadhead durations are not negative and every trip has a pull-out, so
+    a trip's arrival is never before the start and access never snaps to
+    an event before 0.
 
     Each charger arc (recharge, access, pull-out onto and egress from a
     timeline) carries only the plans that are live on its slot, and an arc
@@ -240,17 +260,18 @@ def build_graph(instance: Instance, theta: float,
     span = end - start
     if span <= 0:
         raise GraphError("empty horizon")
-    if theta <= 0 or span % int(theta) != 0:
-        raise GraphError(f"theta={theta} must divide the horizon span {span}")
+    if theta <= 0 or theta % 1 or span % int(theta) != 0:
+        raise GraphError(f"theta={theta} must be whole seconds and divide "
+                         f"the horizon span {span}")
     horizon_steps = int(span // int(theta))
 
     plans = instance.plan_types()
-    plan_by_depot = defaultdict(list)
-    for p in plans:
-        plan_by_depot[p.depot].append(p)
     vtype_of = {p.id: p.vehicle_type for p in plans}
     electric = [p for p in plans if p.electric]
     plan_bit = {p.id: 1 << k for k, p in enumerate(electric)}
+    all_pids = tuple(p.id for p in plans)
+    depot_pids = {d.id: tuple(p.id for p in plans if p.depot == d.id)
+                  for d in instance.depots}
 
     nodes: dict = {}
 
@@ -280,19 +301,6 @@ def build_graph(instance: Instance, theta: float,
             for i, nid in enumerate(slot_events[sid]):
                 add_node(Node(nid, "charge", slot=sid, event=i))
 
-    dh = instance.deadhead_map()
-
-    def charger_plans(cid: str) -> list:
-        prof = instance.charger(cid).profiles
-        return [p for p in plans if p.electric and p.vehicle_type in prof]
-
-    def plan_cons(table: dict, plan_ids) -> dict:
-        return {p: table.get(vtype_of[p], 0.0) for p in plan_ids}
-
-    def electric_only(table: dict, plan_ids) -> dict:
-        return {p: table.get(vtype_of[p], 0.0) for p in plan_ids
-                if p in plan_bit}
-
     # Arcs are laid out as drafts first.  The arcs of one leg (one deadhead
     # or timeline, over all its events) share one dict of Arc fields, so
     # dropping dead plans costs one copy per leg, not one per arc.
@@ -312,88 +320,89 @@ def build_graph(instance: Instance, theta: float,
     def add_arc(tail: str, head: str, leg: int, **extra):
         drafts.append(_Draft(tail, head, leg_mask[leg], leg, extra))
 
-    all_plan_ids = tuple(p.id for p in plans)
+    def electric_only(table: dict, pids: tuple) -> dict:
+        return {p: table.get(vtype_of[p], 0.0) for p in pids if p in plan_bit}
+
+    dh = instance.deadhead_map()
     fixed = {p.id: instance.vehicle_type(p.vehicle_type).fixed_cost
              for p in plans}
+    # per-plan tables, shared by every leg with the same key
+    tables: dict = {}       # (from, to, plans, pull-out?) -> (dur, move, cost)
+    services: dict = {}     # (trip id, plans) -> service consumption
 
-    def connection_leg(a_loc: str, b_loc: str):
-        """(duration, consumption table, cost table) or None."""
-        if a_loc == b_loc:
-            return 0, {}, {}
-        leg = dh.get((a_loc, b_loc))
-        if leg is None:
+    def deadhead(kind: str, from_loc: str, to_loc: str, ready: int, due: int,
+                 pids: tuple, trip=None, **slot):
+        """``(duration, leg)`` of the leg from_loc -> to_loc, or None when
+        the table has no such leg or it arrives after ``due``."""
+        key = (from_loc, to_loc, pids, kind == "pullout")
+        if key not in tables:
+            row = (Deadhead(from_loc, to_loc, 0, {}, {}) if from_loc == to_loc
+                   else dh.get((from_loc, to_loc)))
+            if row is not None:
+                cost = {p: row.cost.get(vtype_of[p], 0.0) for p in pids}
+                if kind == "pullout":
+                    cost = {p: c + fixed[p] for p, c in cost.items()}
+                row = row.duration_s, electric_only(row.consumption, pids), cost
+            tables[key] = row
+        entry = tables[key]
+        if entry is None or ready + entry[0] > due:
             return None
-        return leg.duration_s, leg.consumption, leg.cost
+        service = {}
+        if trip is not None:
+            if (trip.id, pids) not in services:
+                services[trip.id, pids] = electric_only(trip.consumption, pids)
+            service = services[trip.id, pids]
+        dur, move, cost = entry
+        return dur, add_leg(kind=kind, plans=pids, move_consumption=move,
+                            service_consumption=service, cost=cost,
+                            duration_s=dur, **slot)
+
+    def first_event(ready: int, dur: int) -> int:
+        """The event a bus leaving at ``ready`` reaches, snapped forward."""
+        return max(0, math.ceil((ready + dur - start) / theta))
+
+    def last_event(due: int, dur: int) -> int:
+        """The latest event a bus can leave at and arrive by ``due``."""
+        return min(horizon_steps, math.floor((due - dur - start) / theta))
 
     # --- depot pull-outs / pull-ins to trips --------------------------------
     trips_with_pullout = set()
     for t in instance.trips:
         for d in instance.depots:
-            leg = connection_leg(d.id, t.origin)
-            if leg is None:
-                continue
-            dur, cons, cost = leg
-            if start + dur > t.departure_s:
-                continue
-            pids = tuple(p.id for p in plan_by_depot[d.id])
-            add_arc(f"src:{d.id}", f"trip:{t.id}", add_leg(
-                kind="pullout", plans=pids,
-                move_consumption=electric_only(cons, pids),
-                service_consumption=electric_only(t.consumption, pids),
-                cost={p: cost.get(vtype_of[p], 0.0) + fixed[p] for p in pids},
-                duration_s=dur))
-            trips_with_pullout.add(t.id)
+            leg = deadhead("pullout", d.id, t.origin, start, t.departure_s,
+                           depot_pids[d.id], trip=t)
+            if leg:
+                add_arc(f"src:{d.id}", f"trip:{t.id}", leg[1])
+                trips_with_pullout.add(t.id)
         for d in instance.depots:
-            leg = connection_leg(t.destination, d.id)
-            if leg is None:
-                continue
-            dur, cons, cost = leg
-            if t.arrival_s + dur > end:
-                continue
-            pids = tuple(p.id for p in plan_by_depot[d.id])
-            add_arc(f"trip:{t.id}", f"snk:{d.id}", add_leg(
-                kind="pullin", plans=pids,
-                move_consumption=electric_only(cons, pids),
-                service_consumption={},
-                cost=plan_cons(cost, pids),
-                duration_s=dur))
+            leg = deadhead("pullin", t.destination, d.id, t.arrival_s, end,
+                           depot_pids[d.id])
+            if leg:
+                add_arc(f"trip:{t.id}", f"snk:{d.id}", leg[1])
     missing = [t.id for t in instance.trips if t.id not in trips_with_pullout]
     if missing:
         raise GraphError(f"trips unreachable from every depot: {missing}")
 
     # --- trip-to-trip connections -------------------------------------------
-    # per-plan tables are built once per trip and per deadhead and shared
-    service = {t.id: electric_only(t.consumption, all_plan_ids)
-               for t in instance.trips}
-    deadhead_tables: dict = {}
     for a in instance.trips:
         for b in instance.trips:
             if a.id == b.id:
                 continue
-            key = (a.destination, b.origin)
-            if key not in deadhead_tables:
-                leg = connection_leg(*key)
-                deadhead_tables[key] = None if leg is None else (
-                    leg[0], electric_only(leg[1], all_plan_ids),
-                    plan_cons(leg[2], all_plan_ids))
-            leg = deadhead_tables[key]
-            if leg is None or a.arrival_s + leg[0] > b.departure_s:
-                continue
-            dur, move, cost = leg
-            add_arc(f"trip:{a.id}", f"trip:{b.id}", add_leg(
-                kind="connection", plans=all_plan_ids,
-                move_consumption=move, service_consumption=service[b.id],
-                cost=cost, duration_s=dur))
+            leg = deadhead("connection", a.destination, b.origin, a.arrival_s,
+                           b.departure_s, all_pids, trip=b)
+            if leg:
+                add_arc(f"trip:{a.id}", f"trip:{b.id}", leg[1])
 
     # --- charger timelines ---------------------------------------------------
     for sid in slots:
         cid = slot_charger[sid]
-        cplans = charger_plans(cid)
-        cpids = tuple(p.id for p in cplans)
+        charger = instance.charger(cid)
+        cpids = tuple(p.id for p in electric
+                      if p.vehicle_type in charger.profiles)
         if not cpids:
             continue
         events = slot_events[sid]
-        idle = instance.charger(cid).step_consumption
+        idle = charger.step_consumption
         shared = add_leg(kind="recharge", plans=cpids,
                          move_consumption=({p: idle for p in cpids} if idle
                                            else {}),
@@ -403,120 +412,63 @@ def build_graph(instance: Instance, theta: float,
             add_arc(events[i - 1], events[i], shared, step=i,
                     available=i in slot_available[sid])
 
-        # access from trips (snap forward to the next event)
-        for t in instance.trips:
-            leg = connection_leg(t.destination, cid)
-            if leg is None:
-                continue
-            dur, cons, cost = leg
-            i = math.ceil((t.arrival_s + dur - start) / theta)
-            if i > horizon_steps:
-                continue
-            add_arc(f"trip:{t.id}", events[max(i, 0)], add_leg(
-                kind="access", plans=cpids,
-                move_consumption=electric_only(cons, cpids),
-                service_consumption={}, cost=plan_cons(cost, cpids),
-                duration_s=dur, charger=cid, slot=sid))
-
-        # access straight from depots (pull-out onto the timeline)
-        for d in instance.depots:
-            leg = connection_leg(d.id, cid)
-            if leg is None:
-                continue
-            dur, cons, cost = leg
-            pids = tuple(p.id for p in charger_plans(cid)
-                         if p.depot == d.id)
-            if not pids:
-                continue
-            shared = add_leg(kind="pullout", plans=pids,
-                             move_consumption=electric_only(cons, pids),
-                             service_consumption={},
-                             cost={p: cost.get(vtype_of[p], 0.0) + fixed[p]
-                                   for p in pids},
-                             duration_s=dur, charger=cid, slot=sid)
-            for i in range(max(0, math.ceil(dur / theta)), horizon_steps + 1):
-                add_arc(f"src:{d.id}", events[i], shared)
-
-        # egress to trips (leave at or before the latest feasible event)
-        for t in instance.trips:
-            leg = connection_leg(cid, t.origin)
-            if leg is None:
-                continue
-            dur, cons, cost = leg
-            i_max = math.floor((t.departure_s - dur - start) / theta)
-            if i_max < 0:
-                continue
-            i_max = min(i_max, horizon_steps)
-            i_lo = 0
-            if options.egress_lookahead_steps is not None:
-                i_lo = max(0, i_max - options.egress_lookahead_steps)
-            shared = add_leg(kind="egress", plans=cpids,
-                             move_consumption=electric_only(cons, cpids),
-                             service_consumption=electric_only(t.consumption,
-                                                               cpids),
-                             cost=plan_cons(cost, cpids), duration_s=dur,
-                             charger=cid, slot=sid)
-            for i in range(i_lo, i_max + 1):
-                add_arc(events[i], f"trip:{t.id}", shared)
-
-        # egress to depot sinks
-        for d in instance.depots:
-            leg = connection_leg(cid, d.id)
-            if leg is None:
-                continue
-            dur, cons, cost = leg
-            pids = tuple(p.id for p in charger_plans(cid) if p.depot == d.id)
-            if not pids:
-                continue
-            shared = add_leg(kind="egress", plans=pids,
-                             move_consumption=electric_only(cons, pids),
-                             service_consumption={},
-                             cost=plan_cons(cost, pids), duration_s=dur,
-                             charger=cid, slot=sid)
-            for i in range(0, horizon_steps + 1):
-                if start + i * theta + dur > end:
-                    break
-                add_arc(events[i], f"snk:{d.id}", shared)
+        for t in instance.trips:        # access from trips
+            leg = deadhead("access", t.destination, cid, t.arrival_s, end,
+                           cpids, charger=cid, slot=sid)
+            if leg:
+                add_arc(f"trip:{t.id}", events[first_event(t.arrival_s,
+                                                           leg[0])], leg[1])
+        for d in instance.depots:       # pull-out onto the timeline
+            pids = tuple(p for p in cpids if p in depot_pids[d.id])
+            leg = pids and deadhead("pullout", d.id, cid, start, end, pids,
+                                    charger=cid, slot=sid)
+            if leg:
+                for i in range(first_event(start, leg[0]), horizon_steps + 1):
+                    add_arc(f"src:{d.id}", events[i], leg[1])
+        for t in instance.trips:        # egress to trips
+            leg = deadhead("egress", cid, t.origin, start, t.departure_s,
+                           cpids, trip=t, charger=cid, slot=sid)
+            if leg:
+                i_max = last_event(t.departure_s, leg[0])
+                i_lo = 0
+                if options.egress_lookahead_steps is not None:
+                    i_lo = max(0, i_max - options.egress_lookahead_steps)
+                for i in range(i_lo, i_max + 1):
+                    add_arc(events[i], f"trip:{t.id}", leg[1])
+        for d in instance.depots:       # egress to depot sinks
+            pids = tuple(p for p in cpids if p in depot_pids[d.id])
+            leg = pids and deadhead("egress", cid, d.id, start, end, pids,
+                                    charger=cid, slot=sid)
+            if leg:
+                for i in range(last_event(end, leg[0]) + 1):
+                    add_arc(events[i], f"snk:{d.id}", leg[1])
 
     # --- optional depot parking timelines ------------------------------------
     if options.depot_parking:
         for d in instance.depots:
-            pids = tuple(p.id for p in plan_by_depot[d.id])
-            for i in range(horizon_steps + 1):
-                add_node(Node(f"park:{d.id}@{i}", "park", depot=d.id, event=i))
+            pids = depot_pids[d.id]
+            park = [f"park:{d.id}@{i}" for i in range(horizon_steps + 1)]
+            for i, nid in enumerate(park):
+                add_node(Node(nid, "park", depot=d.id, event=i))
             shared = add_leg(kind="wait", plans=pids, move_consumption={},
                              service_consumption={},
                              cost={p: 0.0 for p in pids},
                              duration_s=int(theta))
             for i in range(1, horizon_steps + 1):
-                add_arc(f"park:{d.id}@{i-1}", f"park:{d.id}@{i}", shared)
+                add_arc(park[i - 1], park[i], shared)
             for t in instance.trips:
-                leg = connection_leg(t.destination, d.id)
-                if leg is not None:
-                    dur, cons, cost = leg
-                    i = math.ceil((t.arrival_s + dur - start) / theta)
-                    if 0 <= i <= horizon_steps:
-                        add_arc(f"trip:{t.id}", f"park:{d.id}@{i}", add_leg(
-                            kind="access", plans=pids,
-                            move_consumption=electric_only(cons, pids),
-                            service_consumption={},
-                            cost=plan_cons(cost, pids), duration_s=dur))
-                leg = connection_leg(d.id, t.origin)
-                if leg is not None:
-                    dur, cons, cost = leg
-                    i_max = math.floor((t.departure_s - dur - start) / theta)
-                    if i_max >= 0:
-                        i_max = min(i_max, horizon_steps)
-                        add_arc(f"park:{d.id}@{i_max}", f"trip:{t.id}",
-                                add_leg(kind="egress", plans=pids,
-                                        move_consumption=electric_only(
-                                            cons, pids),
-                                        service_consumption=electric_only(
-                                            t.consumption, pids),
-                                        cost=plan_cons(cost, pids),
-                                        duration_s=dur))
+                leg = deadhead("access", t.destination, d.id, t.arrival_s,
+                               end, pids)
+                if leg:
+                    add_arc(f"trip:{t.id}",
+                            park[first_event(t.arrival_s, leg[0])], leg[1])
+                leg = deadhead("egress", d.id, t.origin, start, t.departure_s,
+                               pids, trip=t)
+                if leg:
+                    add_arc(park[last_event(t.departure_s, leg[0])],
+                            f"trip:{t.id}", leg[1])
             # parked buses may finish their day in place
-            add_arc(f"park:{d.id}@{horizon_steps}", f"snk:{d.id}", add_leg(
+            add_arc(park[horizon_steps], f"snk:{d.id}", add_leg(
                 kind="pullin", plans=pids, move_consumption={},
                 service_consumption={}, cost={p: 0.0 for p in pids},
                 duration_s=0))

@@ -55,9 +55,10 @@ def resolve_solver_command(template: Optional[str] = None) -> str:
 
 
 def solve_external(model_path, command_template: Optional[str] = None,
-                   time_limit: Optional[float] = None, threads: int = 1,
-                   solution_path=None) -> RawSolution:
-    """Run the solver command on a model file and parse its solution file.
+                   time_limit: Optional[float] = None,
+                   threads: int = 1) -> RawSolution:
+    """Run the solver command on a model file and parse its solution file,
+    the model path with ``.sol`` for its extension.
 
     A nonzero exit or unparseable output raises SolverError carrying the
     captured diagnostics; a wall-clock timeout (time limit plus grace) kills
@@ -65,9 +66,7 @@ def solve_external(model_path, command_template: Optional[str] = None,
     found in the solution file, if any.
     """
     model_path = str(model_path)
-    if solution_path is None:
-        solution_path = model_path.rsplit(".", 1)[0] + ".sol"
-    solution_path = str(solution_path)
+    solution_path = model_path.rsplit(".", 1)[0] + ".sol"
     if os.path.exists(solution_path):
         os.unlink(solution_path)
 

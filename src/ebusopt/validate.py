@@ -135,7 +135,6 @@ def validate_schedule(instance: Instance, schedule: Schedule,
                       graph: SchedulingGraph, mode: str = "exact",
                       curves: Optional[dict] = None,
                       domains: Optional[dict] = None,
-                      bounds: Optional[EnergyBounds] = None,
                       min_soc_floor: float = 0.0) -> ValidationReport:
     """Judge a decoded schedule; see the module docstring for the verdicts.
 
@@ -148,7 +147,7 @@ def validate_schedule(instance: Instance, schedule: Schedule,
     if mode != "exact" and domains is None:
         raise ValidationError(f"mode {mode!r} requires the PWL domains")
     curves = curves if curves is not None else exact_curves(instance)
-    bounds = bounds if bounds is not None else graph.energy_bounds()
+    bounds = graph.energy_bounds()
 
     course_reports = []
     violations: list = []

@@ -345,21 +345,20 @@ def build_model(graph, domains, options=ModelOptions()):
                 model.add_row(coeffs, "<=", 1.0, "capacity")
 
     # --- vehicle-mix constraints ----------------------------------------------
-    if options.mix:
-        for m in inst.mix_constraints:
-            coeffs: dict = {}
-            for (vt, dep), kappa in zip(m.plan_types, m.coeffs):
-                pid = f"{vt}.{dep}"
-                for a in graph.out_arcs.get(f"src:{dep}", []):
-                    if pid in a.plans:
-                        idx = model.x_index[(a.index, pid)]
-                        coeffs[idx] = coeffs.get(idx, 0.0) + kappa
-            if not coeffs:
-                continue
-            if m.upper < math.inf:
-                model.add_row(dict(coeffs), "<=", m.upper, "mix")
-            if m.lower > 0:
-                model.add_row(dict(coeffs), ">=", m.lower, "mix")
+    for m in inst.mix_constraints:
+        coeffs: dict = {}
+        for (vt, dep), kappa in zip(m.plan_types, m.coeffs):
+            pid = f"{vt}.{dep}"
+            for a in graph.out_arcs.get(f"src:{dep}", []):
+                if pid in a.plans:
+                    idx = model.x_index[(a.index, pid)]
+                    coeffs[idx] = coeffs.get(idx, 0.0) + kappa
+        if not coeffs:
+            continue
+        if m.upper < math.inf:
+            model.add_row(dict(coeffs), "<=", m.upper, "mix")
+        if m.lower > 0:
+            model.add_row(dict(coeffs), ">=", m.lower, "mix")
 
     # --- soc coupling ----------------------------------------------------------
     bounds = None

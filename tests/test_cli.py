@@ -209,6 +209,7 @@ def test_sweep_missing_solver_exits_3(runner, tmp_path):
                                "--no-reference", "--out", str(out)])
     assert res.exit_code == 3, res.output
     assert "not found" in (out / "sweep.csv").read_text()
+    assert json.loads(res.output.strip().splitlines()[-1])["status"] == "error"
 
 
 def test_sweep_in_process_writes_no_cell_files(runner, tmp_path):
@@ -285,3 +286,17 @@ def test_compare_estimators_command(runner, tmp_path):
     assert (out / "comparison.json").exists()
     for est in ("under", "over"):
         assert sorted(os.listdir(out / est)) == ["model.lp", "model.sol"]
+
+
+def test_compare_estimators_incumbent_without_objective_exits_3(runner,
+                                                                 tmp_path):
+    inst_path = tmp_path / "toy.json"
+    save_instance(charging_required_instance(), inst_path)
+    res = runner.invoke(main, ["compare-estimators", str(inst_path),
+                               "--time-limit", "30", "--solver-cmd",
+                               _solver_cmd(tmp_path, "# status optimal\nx 1\n"),
+                               "--out", str(tmp_path / "cmp")])
+    assert res.exit_code == 3, res.output
+    payload = json.loads(res.output.strip().splitlines()[-1])
+    assert payload["status"] == "error" and payload["exit"] == 3
+    assert payload["message"].startswith("under solve")

@@ -39,6 +39,15 @@ def test_unknown_deadhead_endpoint(tmp_path):
         load_instance(path)
 
 
+def test_negative_deadhead_duration_rejected(tmp_path):
+    doc = two_trip_instance().to_dict()
+    doc["deadheads"][0]["duration_s"] = -60
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceError, match="negative duration -60"):
+        load_instance(path)
+
+
 def test_trip_arrival_before_departure_rejected():
     e0 = VehicleType("e0", True, 100.0, 10.0)
     with pytest.raises(InstanceError, match="arrival"):

@@ -20,8 +20,8 @@ from ebusopt.lpformat import (SENSES, LpFormatError, RawSolution,
                               read_lp, read_mps, write_lp, write_mps,
                               write_solution_text)
 from ebusopt.milp import (DecodeError, MilpModel, ModelError, ModelOptions,
-                          add_preconditioning, build_model, decode_solution,
-                          emit_model, solve_model)
+                          build_model, decode_solution, emit_model,
+                          solve_model)
 from ebusopt.netgraph import GraphOptions, build_graph
 from ebusopt.refsolver import (emitted_arrays, load_model, parsed_arrays,
                                solve_arrays, solve_parsed)
@@ -591,21 +591,21 @@ def test_unparseable_solution_raises(tmp_path):
 
 def test_preconditioning_row_counts():
     inst = charger_toy(horizon_s=3600, theta=300)
-    _, graph, domains, model = toy_setup(inst)
-    base_rows = len(model.rows)
-    add_preconditioning(model, 1)
-    added = len(model.rows) - base_rows
+    _, graph, _, base = toy_setup(inst)
+    _, _, _, model = toy_setup(inst, options=ModelOptions(precondition_lead=1))
+    added = len(model.rows) - len(base.rows)
     # one row per (recharge arc, plan) that has a predecessor step
     n = sum(1 for a in graph.arcs if a.kind == "recharge" and a.step > 1)
     assert added == n
+    assert model.rows_by_tag()["precondition"] == n
 
 
 def test_preconditioning_beyond_horizon_adds_nothing():
     inst = charger_toy(horizon_s=3600, theta=300)
-    _, graph, _, model = toy_setup(inst)
-    base_rows = len(model.rows)
-    add_preconditioning(model, graph.horizon_steps + 5)
-    assert len(model.rows) == base_rows
+    _, graph, _, base = toy_setup(inst)
+    _, _, _, model = toy_setup(inst, options=ModelOptions(
+        precondition_lead=graph.horizon_steps + 5))
+    assert len(model.rows) == len(base.rows)
 
 
 def test_preconditioning_forces_first_step_idle(tmp_path):

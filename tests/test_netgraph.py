@@ -65,6 +65,10 @@ def test_theta_must_divide_horizon():
     inst = two_trip_instance()  # horizon 7200
     with pytest.raises(GraphError):
         build_graph(inst, 700.0)
+    # 300.5 s would put event 24 at 7212 s, past the horizon end
+    for theta in (0.5, 300.5, float("inf"), float("nan")):
+        with pytest.raises(GraphError, match="whole seconds"):
+            build_graph(inst, theta)
 
 
 def test_unreachable_trip_reported():

@@ -205,6 +205,55 @@ def test_chains_drop_foreign_depot_plans():
 
 
 # ---------------------------------------------------------------------------
+# the time rule: a leg exists exactly when ready + duration <= due
+# ---------------------------------------------------------------------------
+
+def _boundary_instance(leg, duration, parking):
+    """Horizon [1800, 5400] (12 steps); t1 runs A -> B from 2700 to 3300,
+    t2 C -> A from 4200 to 4800.  Every deadhead takes 60 s except ``leg``;
+    D1 pulls out to both trips, so neither needs a pull-out from D0."""
+    legs = [("D0", "A"), ("D0", "C"), ("A", "D0"), ("B", "D0"), ("B", "C"),
+            ("B", "C0"), ("D0", "C0"), ("C0", "C"), ("C0", "D0"),
+            ("D1", "A"), ("D1", "C"), ("A", "D1"), ("B", "D1")]
+    inst = Instance(
+        vehicle_types=(VehicleType("e0", True, 100.0, 100.0),),
+        depots=(Depot("D0"), Depot("D1")),
+        trips=(Trip("t1", "A", "B", 2700, 3300, {"e0": 0.1}),
+               Trip("t2", "C", "A", 4200, 4800, {"e0": 0.1})),
+        deadheads=tuple(Deadhead(a, b, duration if (a, b) == leg else 60,
+                                 {"e0": 0.01}, {"e0": 1.0}) for a, b in legs),
+        chargers=(Charger("C0", 1, "G0", {"e0": "quad"}),),
+        grid_points=(GridPoint("G0", ((1800, 5400, 1000.0),),
+                               ((1800, 5400, 0.2),)),),
+        profiles={"quad": PROFILE}, mix_constraints=(), horizon=(1800, 5400))
+    return inst, GraphOptions(depot_parking=parking)
+
+
+@pytest.mark.parametrize("leg, ready, due, arc, parking", [
+    (("D0", "A"), 1800, 2700, ("src:D0", "trip:t1", "pullout"), False),
+    (("B", "D0"), 3300, 5400, ("trip:t1", "snk:D0", "pullin"), False),
+    (("B", "C"), 3300, 4200, ("trip:t1", "trip:t2", "connection"), False),
+    (("B", "C0"), 3300, 5400, ("trip:t1", "C0#0@12", "access"), False),
+    (("D0", "C0"), 1800, 5400, ("src:D0", "C0#0@12", "pullout"), False),
+    (("C0", "C"), 1800, 4200, ("C0#0@0", "trip:t2", "egress"), False),
+    (("C0", "D0"), 1800, 5400, ("C0#0@0", "snk:D0", "egress"), False),
+    (("B", "D0"), 3300, 5400, ("trip:t1", "park:D0@12", "access"), True),
+    (("D0", "C"), 1800, 4200, ("park:D0@0", "trip:t2", "egress"), True),
+], ids=["pullout", "pullin", "connection", "timeline-access",
+        "timeline-pullout", "egress-to-trip", "egress-to-sink",
+        "park-access", "park-egress"])
+def test_a_leg_on_time_is_kept_and_one_second_late_is_not(
+        leg, ready, due, arc, parking):
+    for late, kept in ((0, True), (1, False)):
+        inst, options = _boundary_instance(leg, due - ready + late, parking)
+        got = build_graph(inst, THETA, options)
+        assert got.arcs == _pruned_reference(
+            _oracles.build_graph(inst, THETA, options))
+        assert any((a.tail, a.head, a.kind) == arc
+                   for a in got.arcs) is kept, late
+
+
+# ---------------------------------------------------------------------------
 # solve by solve
 # ---------------------------------------------------------------------------
 
