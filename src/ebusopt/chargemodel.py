@@ -11,7 +11,7 @@ scheduling MIP consumes.
 
 Because f(1) = 0 for a CC-CV profile, the flow only reaches a full battery
 asymptotically.  All curves therefore stop at an effective full level
-soc_cap = 1 - full_tolerance and every operator clamps there.
+soc_cap = 1 - DEFAULT_FULL_TOLERANCE and every operator clamps there.
 """
 
 from __future__ import annotations
@@ -300,23 +300,17 @@ def _cv_flow(profile: ChargingPowerProfile, soc_cap: float):
     return float(t_start[-1]), flow
 
 
-def solve_max_power_curve(
-    profile: ChargingPowerProfile,
-    tolerance: float = DEFAULT_CURVE_TOLERANCE,
-    full_tolerance: float = DEFAULT_FULL_TOLERANCE,
-) -> MaxPowerCurve:
+def solve_max_power_curve(profile: ChargingPowerProfile) -> MaxPowerCurve:
     """Tabulate the maximum power charge curve, the flow of y' = f(y).
 
-    ``tolerance`` bounds the linear-interpolation error of the returned
-    tabulation: CV knots are spaced h = sqrt(8 * tolerance / max|zeta''|)
-    apart in time (at most 1/64 of the linear CV duration) and the last
-    knot sits exactly at (t_full, soc_cap).  Raises IntegrationError
-    (carrying the soc where the rate vanishes) if a tabulated rate reaches 0
-    at or below soc_cap.
+    ``DEFAULT_CURVE_TOLERANCE`` bounds the linear-interpolation error of
+    the returned tabulation: CV knots are spaced
+    h = sqrt(8 * DEFAULT_CURVE_TOLERANCE / max|zeta''|) apart in time (at
+    most 1/64 of the linear CV duration) and the last knot sits exactly at
+    (t_full, soc_cap).  Raises IntegrationError (carrying the soc where the
+    rate vanishes) if a tabulated rate reaches 0 at or below soc_cap.
     """
-    if not 0.0 < full_tolerance < 0.5:
-        raise ChargeModelError("full_tolerance must be in (0, 0.5)")
-    soc_cap = 1.0 - full_tolerance
+    soc_cap = 1.0 - DEFAULT_FULL_TOLERANCE
     cc = profile.cc_rate
 
     if profile.cv_break >= soc_cap:
@@ -335,7 +329,7 @@ def solve_max_power_curve(
     dy = ys[1] - ys[0]
     fprime = np.gradient(rates, dy)
     curv = float(np.max(np.abs(fprime) * rates)) or 1e-30
-    h_interp = math.sqrt(8.0 * tolerance / curv)
+    h_interp = math.sqrt(8.0 * DEFAULT_CURVE_TOLERANCE / curv)
     h = min(h_interp, (1.0 - profile.cv_break) / cc / 64.0)
 
     tau_cap, flow = _cv_flow(profile, soc_cap)
@@ -616,23 +610,16 @@ def linear_reference_domain(curve: SampledChargeCurve,
 # ---------------------------------------------------------------------------
 
 def spline_charge_curve(curve: SampledChargeCurve,
-                        time_grid: Optional[Sequence[float]] = None,
-                        soc_grid: Optional[Sequence[float]] = None,
-                        ) -> SampledChargeCurve:
-    """Linear spline interpolation of the charge curve on a knot grid.
+                        time_grid: Sequence[float]) -> SampledChargeCurve:
+    """Linear spline interpolation of the charge curve on a time grid.
 
     This is the widely used baseline that approximates soc-over-time
-    directly.  The knots may be given in time or in soc; endpoints 0 and
-    t_full / soc_cap are added if missing.  For a concave curve the spline
-    underestimates soc pointwise, yet the induced increment operator both
-    under- and overestimates (see detect_spline_oscillation).
+    directly.  The endpoints 0 and t_full are added if missing.  For a
+    concave curve the spline underestimates soc pointwise, yet the induced
+    increment operator both under- and overestimates (see
+    detect_spline_oscillation).
     """
-    if (time_grid is None) == (soc_grid is None):
-        raise ChargeModelError("give exactly one of time_grid / soc_grid")
-    if soc_grid is not None:
-        grid = np.asarray(curve.time_at(np.asarray(soc_grid, dtype=float)))
-    else:
-        grid = np.asarray(time_grid, dtype=float)
+    grid = np.asarray(time_grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise ChargeModelError("spline grid must be strictly increasing")
     if np.any(grid < -1e-12) or np.any(grid > curve.t_full + 1e-9):
@@ -739,15 +726,16 @@ class CourseTrace:
                 raise ChargeModelError(f"transition {i} is not a charge window")
 
 
-def soc_ledger(trace: CourseTrace, charge, initial_soc: float = 1.0):
+def soc_ledger(trace: CourseTrace, charge):
     """Soc at every element of ``trace``, and sigma before every element.
 
-    The one walk that advances soc along a course.  A leg subtracts its
-    consumption; the w-th charge window (w = 0, 1, ...) turns its entry soc
-    y into ``charge(w, y)``, so the rule owns every per-step detail: the
+    The one walk that advances soc along a course, from a full battery
+    (soc 1) at its first element.  A leg subtracts its consumption; the
+    w-th charge window (w = 0, 1, ...) turns its entry soc y into
+    ``charge(w, y)``, so the rule owns every per-step detail: the
     increment it grants, the cap and any idle draw.
     """
-    y, events = float(initial_soc), 0
+    y, events = 1.0, 0
     socs, sigma = [y], [0]
     for cons, duration in zip(trace.consumptions, trace.durations):
         if duration > 0:
@@ -760,13 +748,13 @@ def soc_ledger(trace: CourseTrace, charge, initial_soc: float = 1.0):
     return tuple(socs), tuple(sigma)
 
 
-def trace_ledgers(trace: CourseTrace, exact_rule, approx_rule=None,
-                  initial_soc: float = 1.0) -> CourseTrace:
+def trace_ledgers(trace: CourseTrace, exact_rule,
+                  approx_rule=None) -> CourseTrace:
     """``trace`` with the ``soc_ledger`` of each rule (no approximate rule:
     a mirror of the exact ledger), eps and sigma filled in."""
-    soc_e, sigma = soc_ledger(trace, exact_rule, initial_soc)
+    soc_e, sigma = soc_ledger(trace, exact_rule)
     soc_a = (soc_e if approx_rule is None
-             else soc_ledger(trace, approx_rule, initial_soc)[0])
+             else soc_ledger(trace, approx_rule)[0])
     eps = tuple(a - e for a, e in zip(soc_a, soc_e))
     return replace(trace, soc_exact=soc_e, soc_approx=soc_a, eps=eps,
                    sigma=sigma)
@@ -774,8 +762,7 @@ def trace_ledgers(trace: CourseTrace, exact_rule, approx_rule=None,
 
 def propagate_course(trace: CourseTrace,
                      exact: SampledChargeCurve,
-                     approx=None,
-                     initial_soc: float = 1.0) -> CourseTrace:
+                     approx=None) -> CourseTrace:
     """Propagate exact and approximate charge states along a course.
 
     Recharge events charge greedily at the maximal admissible rate: the
@@ -806,7 +793,7 @@ def propagate_course(trace: CourseTrace,
 
     rule = greedy if isinstance(approx, IncrementDomainPWL) else (
         None if approx is None else along(approx))
-    return trace_ledgers(trace, along(exact), rule, initial_soc)
+    return trace_ledgers(trace, along(exact), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ class VehicleType:
 @dataclass(frozen=True)
 class Depot:
     id: str
-    capacity: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -177,9 +176,16 @@ class Instance:
         start, end = self.horizon
         if end <= start:
             raise InstanceError("horizon: end must be after start")
-        ids = [v.id for v in self.vehicle_types]
-        if len(set(ids)) != len(ids):
-            raise InstanceError("vehicle_types: duplicate ids")
+        for kind, items in (("vehicle_types", self.vehicle_types),
+                            ("depots", self.depots), ("trips", self.trips),
+                            ("chargers", self.chargers),
+                            ("grid_points", self.grid_points)):
+            seen: set = set()
+            for x in items:
+                if x.id in seen:
+                    raise InstanceError(f"{kind}: duplicate id {x.id!r}")
+                seen.add(x.id)
+        ids = {v.id for v in self.vehicle_types}
         etypes = {v.id for v in self.vehicle_types if v.electric}
         locs = self.locations()
         for t in self.trips:
@@ -252,7 +258,7 @@ class Instance:
                 {"id": v.id, "electric": v.electric,
                  "battery_kwh": v.battery_kwh, "fixed_cost": v.fixed_cost}
                 for v in self.vehicle_types],
-            "depots": [{"id": d.id, "capacity": d.capacity} for d in self.depots],
+            "depots": [{"id": d.id} for d in self.depots],
             "trips": [
                 {"id": t.id, "from": t.origin, "to": t.destination,
                  "dep_s": t.departure_s, "arr_s": t.arrival_s,
@@ -293,7 +299,12 @@ class Instance:
             vts = tuple(VehicleType(v["id"], bool(v["electric"]),
                                     float(v["battery_kwh"]), float(v["fixed_cost"]))
                         for v in doc["vehicle_types"])
-            deps = tuple(Depot(d["id"], d.get("capacity")) for d in doc["depots"])
+            deps = tuple(Depot(d["id"]) for d in doc["depots"])
+            for d in doc["depots"]:
+                if d.get("capacity") is not None:
+                    raise InstanceError(
+                        f"depots[{d['id']}].capacity: depot capacity is not "
+                        f"modelled; give null or leave it out")
             trips = tuple(Trip(t["id"], t["from"], t["to"], int(t["dep_s"]),
                                int(t["arr_s"]), dict(t["consumption"]))
                           for t in doc["trips"])

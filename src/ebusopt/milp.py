@@ -73,7 +73,7 @@ class ModelOptions:
     use_strengthening: bool = False
     grid_caps: bool = True
     precondition_lead: int = 0      # see _add_precondition_rows
-    grid_limit_override: Optional[dict] = None  # grid point id -> kW or per-step list
+    grid_limit_override: Optional[dict] = None  # grid point id -> kW
 
 
 _SENSE_CODE = {sense: code for code, sense in enumerate(SENSES)}
@@ -260,9 +260,8 @@ def _domain_for(domains: dict, charger: str, vtype: str) -> IncrementDomainPWL:
     return dom
 
 
-_NODE_KIND = {"depot-source": 0, "depot-sink": 1, "trip": 2, "charge": 3,
-              "park": 4}
-_SINK, _CHARGE, _PARK = 1, 3, 4           # depot nodes have the codes 0, 1
+_NODE_KIND = {"depot-source": 0, "depot-sink": 1, "trip": 2, "charge": 3}
+_SINK, _CHARGE = 1, 3                   # depot nodes have the codes 0, 1
 _ARC_KIND = {"pullout": 1, "recharge": 2}     # any other kind is 0
 _PULLOUT, _RECHARGE = 1, 2
 
@@ -438,8 +437,8 @@ def build_model(graph: SchedulingGraph, domains: dict,
     model.add_rows(row[keep], x[keep], np.ones(keep.sum()), "=",
                    np.ones(len(inst.trips)), "cover")
 
-    # --- out-capacity of charge (and counted park) nodes ----------------------
-    keep = np.isin(g.node_kind, (_CHARGE, _PARK))[g.tail[pa]]
+    # --- out-capacity of charge nodes -----------------------------------------
+    keep = g.node_kind[g.tail[pa]] == _CHARGE
     row, keys = _ranked(g.tail[pa][keep])
     model.add_rows(row, x[keep], np.ones(keep.sum()), "<=",
                    np.ones(len(keys)), "capacity")
@@ -561,7 +560,7 @@ def _add_grid_rows(model: MilpModel, g: _GraphArrays) -> None:
     """One row per (access point, step) over the increments of its slots.
 
     A point with a +inf limit at a step gets no row there; its limit is
-    still read, so a NaN override fails at any step of a point with slots.
+    still read, so a NaN override fails for any point with slots.
     """
     graph, options = model.graph, model.options
     inst, steps = graph.instance, graph.horizon_steps
@@ -589,13 +588,9 @@ def _add_grid_rows(model: MilpModel, g: _GraphArrays) -> None:
 
 def _grid_limit(gp, graph, step: int, override) -> float:
     if override is not None and gp.id in override:
-        val = override[gp.id]
-        if not isinstance(val, (int, float)):
-            val = val[step - 1]
-        val = float(val)
+        val = float(override[gp.id])
         if math.isnan(val):
-            raise ModelError(
-                f"grid limit override of {gp.id!r} is NaN at step {step}")
+            raise ModelError(f"grid limit override of {gp.id!r} is NaN")
         return val
     lo = graph.event_time(step - 1)
     hi = graph.event_time(step)

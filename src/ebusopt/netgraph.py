@@ -33,11 +33,11 @@ class GraphError(ValueError):
 @dataclass(frozen=True)
 class Node:
     id: str
-    kind: str                       # depot-source | depot-sink | trip | charge | park
+    kind: str                       # depot-source | depot-sink | trip | charge
     depot: Optional[str] = None
     trip: Optional[str] = None
     slot: Optional[str] = None
-    event: Optional[int] = None     # timeline index for charge/park nodes
+    event: Optional[int] = None     # timeline index for charge nodes
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class Arc:
     index: int
     tail: str
     head: str
-    kind: str                       # pullout | pullin | connection | access | egress | recharge | wait
+    kind: str                       # pullout | pullin | connection | access | egress | recharge
     plans: tuple                    # admissible plan ids
     move_consumption: dict          # plan id -> relative soc for the deadhead leg
     service_consumption: dict       # plan id -> relative soc for the head node's trip
@@ -64,7 +64,6 @@ class Arc:
 @dataclass(frozen=True)
 class GraphOptions:
     egress_lookahead_steps: Optional[int] = None  # None = egress from every event
-    depot_parking: bool = False
 
 
 @dataclass
@@ -219,11 +218,11 @@ def build_graph(instance: Instance, theta: float,
 
     Every arc that moves a bus from one place to another is a deadhead leg
     (pull-out, pull-in, connection, and access to or egress from a charger
-    timeline or a depot parking timeline), and all of them are laid out by
-    one constructor under one rule: a bus free to leave at ``ready`` and
-    due at the far end by ``due`` has the leg exactly when the deadhead
-    table has it (a leg within one place is implicit, with zero duration,
-    consumption and cost) and ``ready + duration <= due``.  ``ready`` is
+    timeline), and all of them are laid out by one constructor under one
+    rule: a bus free to leave at ``ready`` and due at the far end by
+    ``due`` has the leg exactly when the deadhead table has it (a leg
+    within one place is implicit, with zero duration, consumption and
+    cost) and ``ready + duration <= due``.  ``ready`` is
     the trip's arrival when a leg leaves a trip and the horizon start
     otherwise; ``due`` is the trip's departure when a leg enters a trip and
     the horizon end otherwise.  Access snaps forward to the first event at
@@ -442,36 +441,6 @@ def build_graph(instance: Instance, theta: float,
             if leg:
                 for i in range(last_event(end, leg[0]) + 1):
                     add_arc(events[i], f"snk:{d.id}", leg[1])
-
-    # --- optional depot parking timelines ------------------------------------
-    if options.depot_parking:
-        for d in instance.depots:
-            pids = depot_pids[d.id]
-            park = [f"park:{d.id}@{i}" for i in range(horizon_steps + 1)]
-            for i, nid in enumerate(park):
-                add_node(Node(nid, "park", depot=d.id, event=i))
-            shared = add_leg(kind="wait", plans=pids, move_consumption={},
-                             service_consumption={},
-                             cost={p: 0.0 for p in pids},
-                             duration_s=int(theta))
-            for i in range(1, horizon_steps + 1):
-                add_arc(park[i - 1], park[i], shared)
-            for t in instance.trips:
-                leg = deadhead("access", t.destination, d.id, t.arrival_s,
-                               end, pids)
-                if leg:
-                    add_arc(f"trip:{t.id}",
-                            park[first_event(t.arrival_s, leg[0])], leg[1])
-                leg = deadhead("egress", d.id, t.origin, start, t.departure_s,
-                               pids, trip=t)
-                if leg:
-                    add_arc(park[last_event(t.departure_s, leg[0])],
-                            f"trip:{t.id}", leg[1])
-            # parked buses may finish their day in place
-            add_arc(park[horizon_steps], f"snk:{d.id}", add_leg(
-                kind="pullin", plans=pids, move_consumption={},
-                service_consumption={}, cost={p: 0.0 for p in pids},
-                duration_s=0))
 
     # --- keep only the plans that are live on each slot ----------------------
     layout_out = {nid: [] for nid in nodes}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import shlex
+import string
 import subprocess
 import sys
 from typing import Optional
@@ -70,11 +71,10 @@ def solve_external(model_path, command_template: Optional[str] = None,
     if os.path.exists(solution_path):
         os.unlink(solution_path)
 
-    template = resolve_solver_command(command_template)
-    command = template.format(model=shlex.quote(model_path),
-                              solution=shlex.quote(solution_path),
-                              timelimit=_fmt_limit(time_limit),
-                              threads=threads)
+    command = _fill(resolve_solver_command(command_template),
+                    model=shlex.quote(model_path),
+                    solution=shlex.quote(solution_path),
+                    timelimit=_fmt_limit(time_limit), threads=threads)
     argv = shlex.split(command)
     wall_limit = None if time_limit is None else time_limit + _TIMEOUT_GRACE_S
     try:
@@ -114,6 +114,23 @@ def solve_external(model_path, command_template: Optional[str] = None,
     sol.command = command
     sol.solver_output = output[-4000:]
     return sol
+
+
+def _fill(template: str, **fields) -> str:
+    """``template`` with its placeholders filled in from ``fields``.
+
+    SolverError names the first placeholder that is not a field, or
+    reports a stray brace.
+    """
+    try:
+        for _, name, _, _ in string.Formatter().parse(template):
+            if name is not None and name not in fields:
+                raise SolverError(f"unknown placeholder {{{name}}} in solver "
+                                  f"command", command=template)
+        return template.format(**fields)
+    except (ValueError, LookupError) as exc:
+        raise SolverError(f"malformed solver command: {exc}",
+                          command=template) from exc
 
 
 def _decoded(out) -> str:

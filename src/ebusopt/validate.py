@@ -15,9 +15,9 @@ allows from the current exact soc, less the same idle draw.  A course is
 - strongly feasible if both.
 
 The floor at a location is the cheapest consumption to reach any depot or
-charger from there (plus an optional operator-set minimum level).  The
-sweep's ``fs?`` column re-charges the reference courses greedily through the
-same walk and ledger, under each cell's domains.
+charger from there, and 0 where there is none.  The sweep's ``fs?`` column
+re-charges the reference courses greedily through the same walk and ledger,
+under each cell's domains.
 """
 
 from __future__ import annotations
@@ -134,8 +134,7 @@ def exact_curves(instance: Instance) -> dict:
 def validate_schedule(instance: Instance, schedule: Schedule,
                       graph: SchedulingGraph, mode: str = "exact",
                       curves: Optional[dict] = None,
-                      domains: Optional[dict] = None,
-                      min_soc_floor: float = 0.0) -> ValidationReport:
+                      domains: Optional[dict] = None) -> ValidationReport:
     """Judge a decoded schedule; see the module docstring for the verdicts.
 
     ``mode`` selects what the claimed increments are checked against:
@@ -153,7 +152,7 @@ def validate_schedule(instance: Instance, schedule: Schedule,
     violations: list = []
     for ci, course in enumerate(schedule.courses):
         rep = _validate_course(ci, course, instance, schedule, graph, mode,
-                               curves, domains, bounds, min_soc_floor)
+                               curves, domains, bounds)
         course_reports.append(rep)
         if not rep.strongly_feasible and rep.first_violation is not None:
             j, role, soc, floor = rep.first_violation
@@ -172,23 +171,23 @@ def validate_schedule(instance: Instance, schedule: Schedule,
                             grid_load=load, peak=peak, violations=violations)
 
 
-_END_ROLES = {"charge": ROLE_CHARGE_ARRIVAL, "depot-sink": ROLE_DEPOT_END,
-              "park": "park"}
+_END_ROLES = {"charge": ROLE_CHARGE_ARRIVAL, "depot-sink": ROLE_DEPOT_END}
 
 
 def course_trace(course, graph: SchedulingGraph, theta: float,
-                 bounds: EnergyBounds, min_soc_floor: float = 0.0):
+                 bounds: EnergyBounds):
     """A decoded course as its ``CourseTrace``, floors and charge windows.
 
     The one walk over a course's arcs.  A trip's start must keep its
-    service plus its exit floor, its end the exit floor; other elements
-    keep ``min_soc_floor``.  A charger visit followed by recharge arcs is a
-    charge window (the next of ``course.windows``), a pass-through visit
-    only an arrival.  The windows come back in charge-transition order.
+    service plus its exit floor, its end the exit floor (0 where no exit
+    is reachable); other elements keep 0.  A charger visit followed by
+    recharge arcs is a charge window (the next of ``course.windows``), a
+    pass-through visit only an arrival.  The windows come back in
+    charge-transition order.
     """
     pid = course.plan
     # (role, consumption and duration of the transition into it, floor)
-    elements = [(ROLE_DEPOT_START, 0.0, 0.0, min_soc_floor)]
+    elements = [(ROLE_DEPOT_START, 0.0, 0.0, 0.0)]
     windows: list = []
     pending = iter(course.windows)
     arcs = [graph.arcs[i] for i in course.arc_indices]
@@ -200,11 +199,11 @@ def course_trace(course, graph: SchedulingGraph, theta: float,
         if kind == "trip":
             service = arc.service_consumption.get(pid, 0.0)
             floor = bounds.exit_floor(arc.head, pid)
-            floor = max(floor if math.isfinite(floor) else 0.0, min_soc_floor)
+            floor = floor if math.isfinite(floor) else 0.0
             elements += [(ROLE_TRIP_START, move, 0.0, service + floor),
                          (ROLE_TRIP_END, service, 0.0, floor)]
         elif kind in _END_ROLES:
-            elements.append((_END_ROLES[kind], move, 0.0, min_soc_floor))
+            elements.append((_END_ROLES[kind], move, 0.0, 0.0))
         if kind == "charge" and nxt is not None and nxt.kind == "recharge":
             win = next(pending, None)
             if win is None:
@@ -212,7 +211,7 @@ def course_trace(course, graph: SchedulingGraph, theta: float,
                     f"plan {pid}: access arc {arc.index} has no matching "
                     f"charge window")
             elements.append((ROLE_CHARGE_DEPARTURE, 0.0,
-                             len(win.phis) * theta, min_soc_floor))
+                             len(win.phis) * theta, 0.0))
             windows.append(win)
     roles, consumptions, durations, floors = zip(*elements)
     trace = CourseTrace(roles=roles, consumptions=consumptions[1:],
@@ -227,11 +226,10 @@ def _first_below(socs, floors) -> Optional[int]:
 
 
 def _validate_course(ci, course, instance, schedule, graph, mode, curves,
-                     domains, bounds, min_soc_floor):
+                     domains, bounds):
     vtype = course.vehicle_type
     theta = schedule.theta
-    trace, floors, windows = course_trace(course, graph, theta, bounds,
-                                          min_soc_floor)
+    trace, floors, windows = course_trace(course, graph, theta, bounds)
     specs = []   # per window: (curve, domain, window, idle draw per step)
     for win in windows:
         charger = instance.charger(win.charger)

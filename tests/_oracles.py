@@ -335,10 +335,9 @@ def build_model(graph, domains, options=ModelOptions()):
             raise ModelError(f"trip {t.id} has no outgoing arcs")
         model.add_row(coeffs, "=", 1.0, "cover")
 
-    # --- out-capacity of charge (and counted park) nodes ----------------------
+    # --- out-capacity of charge nodes -----------------------------------------
     for nid in sorted(graph.nodes):
-        node = graph.nodes[nid]
-        if node.kind == "charge" or (node.kind == "park"):
+        if graph.nodes[nid].kind == "charge":
             coeffs = {model.x_index[(a.index, pid)]: 1.0
                       for a in graph.out_arcs[nid] for pid in a.plans}
             if coeffs:
@@ -747,46 +746,6 @@ def build_graph(instance, theta, options=GraphOptions()):
                         service_consumption={},
                         cost=plan_cons(cost, pids), duration_s=dur,
                         charger=cid, slot=sid)
-
-    # --- optional depot parking timelines ------------------------------------
-    if options.depot_parking:
-        for d in instance.depots:
-            pids = tuple(p.id for p in plan_by_depot[d.id])
-            for i in range(horizon_steps + 1):
-                add_node(Node(f"park:{d.id}@{i}", "park", depot=d.id, event=i))
-            for i in range(1, horizon_steps + 1):
-                add_arc(tail=f"park:{d.id}@{i-1}", head=f"park:{d.id}@{i}",
-                        kind="wait", plans=pids, move_consumption={},
-                        service_consumption={}, cost={p: 0.0 for p in pids},
-                        duration_s=int(theta))
-            for t in instance.trips:
-                leg = connection_leg(t.destination, d.id)
-                if leg is not None:
-                    dur, cons, cost = leg
-                    i = math.ceil((t.arrival_s + dur - start) / theta)
-                    if 0 <= i <= horizon_steps:
-                        add_arc(tail=f"trip:{t.id}", head=f"park:{d.id}@{i}",
-                                kind="access", plans=pids,
-                                move_consumption=electric_only(cons, pids),
-                                service_consumption={},
-                                cost=plan_cons(cost, pids), duration_s=dur)
-                leg = connection_leg(d.id, t.origin)
-                if leg is not None:
-                    dur, cons, cost = leg
-                    i_max = math.floor((t.departure_s - dur - start) / theta)
-                    if i_max >= 0:
-                        i_max = min(i_max, horizon_steps)
-                        add_arc(tail=f"park:{d.id}@{i_max}",
-                                head=f"trip:{t.id}", kind="egress", plans=pids,
-                                move_consumption=electric_only(cons, pids),
-                                service_consumption=electric_only(
-                                    t.consumption, pids),
-                                cost=plan_cons(cost, pids), duration_s=dur)
-            # parked buses may finish their day in place
-            add_arc(tail=f"park:{d.id}@{horizon_steps}", head=f"snk:{d.id}",
-                    kind="pullin", plans=pids, move_consumption={},
-                    service_consumption={}, cost={p: 0.0 for p in pids},
-                    duration_s=0)
 
     graph = SchedulingGraph(instance=instance, theta=float(theta),
                             horizon_steps=horizon_steps, nodes=nodes,

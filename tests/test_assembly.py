@@ -125,8 +125,7 @@ def assembly_cases(draw):
     try:
         graph = build_graph(inst, theta, GraphOptions(
             egress_lookahead_steps=draw(st.one_of(st.none(),
-                                                  st.integers(0, 3))),
-            depot_parking=draw(st.booleans())))
+                                                  st.integers(0, 3)))))
     except GraphError:
         reject()
     domains = build_domains(inst, exact_curves(inst), theta,
@@ -136,9 +135,7 @@ def assembly_cases(draw):
         del domains[draw(st.sampled_from(sorted(domains)))]
     override = None
     if draw(st.booleans()):
-        override = {g.id: draw(st.one_of(
-            LIMITS, st.lists(LIMITS, min_size=steps, max_size=steps)))
-            for g in inst.grid_points}
+        override = {g.id: draw(LIMITS) for g in inst.grid_points}
     options = ModelOptions(
         use_strengthening=draw(st.booleans()),
         grid_caps=draw(st.booleans()),

@@ -92,6 +92,35 @@ def test_solve_nan_grid_cap_exits_2(runner, tmp_path):
     assert not (tmp_path / "run" / "capped").exists()
 
 
+def test_solve_duplicate_trip_id_exits_2(runner, tmp_path):
+    inst = charger_toy()
+    doc = inst.to_dict()
+    doc["trips"][1]["id"] = doc["trips"][0]["id"]
+    inst_path = tmp_path / "dup.json"
+    inst_path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["solve", str(inst_path),
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert "duplicate id 't1'" in res.output
+
+
+@pytest.mark.parametrize("template, named", [
+    ("echo {model} {solver}", "unknown placeholder {solver}"),
+    ("echo {model} {0}", "unknown placeholder {0}"),
+    ("echo {model} }", "Single '}'")])
+def test_solve_bad_solver_template_exits_3(runner, tmp_path, template,
+                                           named):
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(), inst_path)
+    res = runner.invoke(main, ["solve", str(inst_path), "--time-limit", "30",
+                               "--solver-cmd", template,
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 3, res.output
+    line = json.loads(res.output.strip().splitlines()[-1])
+    assert (line["status"], line["exit"]) == ("error", 3)
+    assert named in line["message"]
+
+
 def test_solve_missing_solver_exits_3(runner, tmp_path):
     inst_path = tmp_path / "toy.json"
     save_instance(charger_toy(), inst_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -64,6 +65,33 @@ def test_consumption_out_of_range_rejected():
                  trips=(Trip("t", "A", "B", 0, 50, {"e0": 1.5}),),
                  deadheads=(), chargers=(), grid_points=(), profiles={},
                  mix_constraints=(), horizon=(0, 3600)).validate()
+
+
+def _with_a_second(inst, kind):
+    """``inst`` with the first entry of ``kind`` appended once more."""
+    items = getattr(inst, kind)
+    return dataclasses.replace(inst, **{kind: items + items[:1]})
+
+
+@pytest.mark.parametrize("kind, dup", [
+    ("vehicle_types", "e0"), ("depots", "D0"), ("trips", "t1"),
+    ("chargers", "C0"), ("grid_points", "G0")])
+def test_duplicate_ids_rejected(kind, dup):
+    with pytest.raises(InstanceError, match=f"{kind}: duplicate id '{dup}'"):
+        _with_a_second(charger_toy(), kind).validate()
+
+
+def test_depot_capacity_must_be_null(tmp_path):
+    doc = charger_toy().to_dict()
+    assert doc["depots"] == [{"id": "D0"}]
+    path = tmp_path / "old.json"
+    doc["depots"][0]["capacity"] = None     # what older files hold
+    path.write_text(json.dumps(doc))
+    assert load_instance(path) == charger_toy()
+    doc["depots"][0]["capacity"] = 4
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceError, match=r"depots\[D0\]\.capacity"):
+        load_instance(path)
 
 
 def test_grid_point_piecewise_lookup():

@@ -488,10 +488,9 @@ def test_nan_grid_limit_is_rejected(tmp_path):
     with pytest.raises(InstanceError, match="NaN"):
         charger_toy(grid_kw=math.nan)
     # a NaN override is not taken for "unlimited": the build refuses it
-    for override in (math.nan, [math.nan] * 12):
-        with pytest.raises(ModelError, match="NaN"):
-            toy_setup(charger_toy(), options=ModelOptions(
-                grid_limit_override={"G0": override}))
+    with pytest.raises(ModelError, match="NaN"):
+        toy_setup(charger_toy(), options=ModelOptions(
+            grid_limit_override={"G0": math.nan}))
 
 
 # ---------------------------------------------------------------------------

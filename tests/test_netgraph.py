@@ -115,15 +115,6 @@ def test_egress_lookahead_limits_arcs():
     assert n_look < n_all
 
 
-def test_depot_parking_timeline_optional():
-    inst = two_trip_instance()
-    g = build_graph(inst, 300.0, GraphOptions(depot_parking=True))
-    kinds = {a.kind for a in g.arcs}
-    assert "wait" in kinds
-    assert any(n.kind == "park" for n in g.nodes.values())
-    g.topological_order()
-
-
 # ---------------------------------------------------------------------------
 # energy bounds
 # ---------------------------------------------------------------------------

@@ -140,8 +140,7 @@ def graph_cases(draw):
         grid_points=(GridPoint("G0", ((0, end, 1000.0),), ((0, end, 0.2),)),),
         profiles={"quad": PROFILE}, mix_constraints=(), horizon=(0, end))
     options = GraphOptions(
-        egress_lookahead_steps=draw(st.one_of(st.none(), st.integers(0, 4))),
-        depot_parking=draw(st.booleans()))
+        egress_lookahead_steps=draw(st.one_of(st.none(), st.integers(0, 4))))
     return inst, options
 
 
@@ -208,7 +207,7 @@ def test_chains_drop_foreign_depot_plans():
 # the time rule: a leg exists exactly when ready + duration <= due
 # ---------------------------------------------------------------------------
 
-def _boundary_instance(leg, duration, parking):
+def _boundary_instance(leg, duration):
     """Horizon [1800, 5400] (12 steps); t1 runs A -> B from 2700 to 3300,
     t2 C -> A from 4200 to 4800.  Every deadhead takes 60 s except ``leg``;
     D1 pulls out to both trips, so neither needs a pull-out from D0."""
@@ -226,29 +225,25 @@ def _boundary_instance(leg, duration, parking):
         grid_points=(GridPoint("G0", ((1800, 5400, 1000.0),),
                                ((1800, 5400, 0.2),)),),
         profiles={"quad": PROFILE}, mix_constraints=(), horizon=(1800, 5400))
-    return inst, GraphOptions(depot_parking=parking)
+    return inst
 
 
-@pytest.mark.parametrize("leg, ready, due, arc, parking", [
-    (("D0", "A"), 1800, 2700, ("src:D0", "trip:t1", "pullout"), False),
-    (("B", "D0"), 3300, 5400, ("trip:t1", "snk:D0", "pullin"), False),
-    (("B", "C"), 3300, 4200, ("trip:t1", "trip:t2", "connection"), False),
-    (("B", "C0"), 3300, 5400, ("trip:t1", "C0#0@12", "access"), False),
-    (("D0", "C0"), 1800, 5400, ("src:D0", "C0#0@12", "pullout"), False),
-    (("C0", "C"), 1800, 4200, ("C0#0@0", "trip:t2", "egress"), False),
-    (("C0", "D0"), 1800, 5400, ("C0#0@0", "snk:D0", "egress"), False),
-    (("B", "D0"), 3300, 5400, ("trip:t1", "park:D0@12", "access"), True),
-    (("D0", "C"), 1800, 4200, ("park:D0@0", "trip:t2", "egress"), True),
+@pytest.mark.parametrize("leg, ready, due, arc", [
+    (("D0", "A"), 1800, 2700, ("src:D0", "trip:t1", "pullout")),
+    (("B", "D0"), 3300, 5400, ("trip:t1", "snk:D0", "pullin")),
+    (("B", "C"), 3300, 4200, ("trip:t1", "trip:t2", "connection")),
+    (("B", "C0"), 3300, 5400, ("trip:t1", "C0#0@12", "access")),
+    (("D0", "C0"), 1800, 5400, ("src:D0", "C0#0@12", "pullout")),
+    (("C0", "C"), 1800, 4200, ("C0#0@0", "trip:t2", "egress")),
+    (("C0", "D0"), 1800, 5400, ("C0#0@0", "snk:D0", "egress")),
 ], ids=["pullout", "pullin", "connection", "timeline-access",
-        "timeline-pullout", "egress-to-trip", "egress-to-sink",
-        "park-access", "park-egress"])
+        "timeline-pullout", "egress-to-trip", "egress-to-sink"])
 def test_a_leg_on_time_is_kept_and_one_second_late_is_not(
-        leg, ready, due, arc, parking):
+        leg, ready, due, arc):
     for late, kept in ((0, True), (1, False)):
-        inst, options = _boundary_instance(leg, due - ready + late, parking)
-        got = build_graph(inst, THETA, options)
-        assert got.arcs == _pruned_reference(
-            _oracles.build_graph(inst, THETA, options))
+        inst = _boundary_instance(leg, due - ready + late)
+        got = build_graph(inst, THETA)
+        assert got.arcs == _pruned_reference(_oracles.build_graph(inst, THETA))
         assert any((a.tail, a.head, a.kind) == arc
                    for a in got.arcs) is kept, late
 
@@ -259,8 +254,8 @@ def test_a_leg_on_time_is_kept_and_one_second_late_is_not(
 
 def _corpus_instance(seed: int):
     """A small synthetic instance whose depots past D0 reach only one or
-    two terminals and maybe no charger; some get depot parking, a charger
-    window or idle draw."""
+    two terminals and maybe no charger; some get a charger window or idle
+    draw."""
     rng = np.random.default_rng(seed)
     inst = generate_synthetic(SyntheticParams(
         trips=int(rng.integers(5, 8)), depots=int(rng.integers(2, 4)),
@@ -293,7 +288,7 @@ def _corpus_instance(seed: int):
     inst = dataclasses.replace(
         inst, chargers=chargers,
         deadheads=tuple(leg for leg in inst.deadheads if kept(leg)))
-    return inst, GraphOptions(depot_parking=seed % 3 == 1)
+    return inst
 
 
 def _outcome(inst, graph, curves, workdir):
@@ -310,10 +305,10 @@ def _outcome(inst, graph, curves, workdir):
 def test_pruned_graph_keeps_every_outcome_on_a_corpus(tmp_path):
     pruned = 0
     for seed in range(12):
-        inst, options = _corpus_instance(seed)
+        inst = _corpus_instance(seed)
         curves = exact_curves(inst)
-        ref = _oracles.build_graph(inst, 600.0, options)
-        got = build_graph(inst, 600.0, options)
+        ref = _oracles.build_graph(inst, 600.0)
+        got = build_graph(inst, 600.0)
         pruned += _pairs(ref) - _pairs(got)
         want, want_obj = _outcome(inst, ref, curves, tmp_path / f"r{seed}")
         have, have_obj = _outcome(inst, got, curves, tmp_path / f"g{seed}")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -105,9 +106,15 @@ def test_first_violation_reported(tmp_path):
     model = build_model(graph, {}, ModelOptions())
     raw = solve_model(model, str(tmp_path), time_limit=60)
     sched = decode_solution(model, raw)
-    # raise the floor so the course becomes infeasible mid-way
-    rep = validate_schedule(inst, sched, graph, "exact", curves,
-                            min_soc_floor=0.5)
+    # the same schedule on a copy whose second trip drains the battery;
+    # consumption decides no arc, so the copy's graph has the same arcs
+    t1, t2 = inst.trips
+    heavy = dataclasses.replace(inst, trips=(
+        t1, dataclasses.replace(t2, consumption={"e0": 0.7})))
+    heavy_graph = build_graph(heavy, 300.0)
+    assert ([(a.tail, a.head, a.kind) for a in heavy_graph.arcs]
+            == [(a.tail, a.head, a.kind) for a in graph.arcs])
+    rep = validate_schedule(heavy, sched, heavy_graph, "exact", curves)
     assert not rep.energy_feasible
     bad = rep.courses[0]
     assert bad.first_violation is not None
