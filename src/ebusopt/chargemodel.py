@@ -16,7 +16,6 @@ soc_cap = 1 - DEFAULT_FULL_TOLERANCE and every operator clamps there.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -27,6 +26,7 @@ DEFAULT_FULL_TOLERANCE = 1e-3
 DEFAULT_CURVE_TOLERANCE = 1e-8
 
 CV_SHAPES = ("linear", "quadratic", "tabulated")
+_SHAPE_CHECK_SAMPLES = 512   # soc samples of the cv-rate shape check
 
 
 class ChargeModelError(ValueError):
@@ -110,10 +110,10 @@ class ChargingPowerProfile:
             object.__setattr__(self, "_cv_table", (pts[:, 0], pts[:, 1]))
         self._check_monotone_and_concave()
 
-    def _check_monotone_and_concave(self, samples: int = 512):
+    def _check_monotone_and_concave(self):
         if self.cv_break >= 1.0:
             return
-        ys = np.linspace(self.cv_break, 1.0, samples)
+        ys = np.linspace(self.cv_break, 1.0, _SHAPE_CHECK_SAMPLES)
         r = self.rate(ys)
         tol = 1e-9 * max(1.0, self.cc_rate)
         if np.any(np.diff(r) > tol):
@@ -342,18 +342,6 @@ def solve_max_power_curve(profile: ChargingPowerProfile) -> MaxPowerCurve:
                            flow(t_cv_knots - t_cv), [soc_cap]])
     return MaxPowerCurve(times=times, socs=socs, soc_cap=soc_cap,
                          t_full=t_full, profile=profile, t_cv=t_cv)
-
-
-def increment_curve_at_step(curve: SampledChargeCurve, theta: float,
-                            samples: int = 2001):
-    """Tabulate the per-step increment y -> increment(y, theta) on [0, cap].
-
-    Returns (socs, increments); the increment is non-increasing in soc.
-    """
-    if theta <= 0:
-        raise ChargeModelError("theta must be positive")
-    ys = np.linspace(0.0, curve.soc_cap, samples)
-    return ys, curve.increment(ys, theta)
 
 
 def increment_slope(curve: MaxPowerCurve, y: float, theta: float) -> float:
@@ -794,26 +782,3 @@ def propagate_course(trace: CourseTrace,
     rule = greedy if isinstance(approx, IncrementDomainPWL) else (
         None if approx is None else along(approx))
     return trace_ledgers(trace, along(exact), rule)
-
-
-# ---------------------------------------------------------------------------
-# CSV exports
-# ---------------------------------------------------------------------------
-
-def write_curve_csv(curve: SampledChargeCurve, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "soc"])
-        for t, s in zip(curve.times, curve.socs):
-            w.writerow([f"{t:.9g}", f"{s:.9g}"])
-
-
-def write_domain_csv(domain: IncrementDomainPWL, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["y", "alpha", "beta"])
-        bounds = list(domain.breakpoints[:-1])
-        while len(bounds) < len(domain.slopes):
-            bounds.insert(0, 0.0)
-        for y, a, b in zip(bounds, domain.slopes, domain.offsets):
-            w.writerow([f"{y:.9g}", f"{a:.12g}", f"{b:.12g}"])

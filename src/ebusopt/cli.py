@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -134,13 +135,13 @@ def _load(instance_path: str) -> Instance:
 
 def _pipeline_solve(inst, theta, segments, estimator, out_dir, solver_cmd,
                     time_limit, threads, strengthen, precondition_lead,
-                    grid_caps=True, grid_limit_override=None, fmt="lp",
+                    grid_limit_override=None, fmt="lp",
                     tag="model", egress_lookahead=None):
     curves = exact_curves(inst)
     graph = build_graph(inst, theta,
                         GraphOptions(egress_lookahead_steps=egress_lookahead))
     domains = build_domains(inst, curves, theta, segments, estimator)
-    options = ModelOptions(use_strengthening=strengthen, grid_caps=grid_caps,
+    options = ModelOptions(use_strengthening=strengthen,
                            precondition_lead=precondition_lead,
                            grid_limit_override=grid_limit_override)
     model = build_model(graph, domains, options)
@@ -210,10 +211,11 @@ def cmd_solve(instance_path, theta, segments, estimator, grid_cap, solver_cmd,
                 egress_lookahead=egress_lookahead)
         else:
             # reference solve without caps fixes the peak to scale against
+            uncapped = {gp.id: math.inf for gp in inst.grid_points}
             curves, graph, domains, model, raw = _pipeline_solve(
                 inst, theta, segments, estimator, out, solver_cmd, time_limit,
-                threads, strengthen, precondition_lead, grid_caps=False,
-                fmt=fmt, tag="reference",
+                threads, strengthen, precondition_lead,
+                grid_limit_override=uncapped, fmt=fmt, tag="reference",
                 egress_lookahead=egress_lookahead)
             if not raw.has_incumbent:
                 _fail(EXIT_UNSOLVED,
@@ -223,7 +225,6 @@ def cmd_solve(instance_path, theta, segments, estimator, grid_cap, solver_cmd,
             override = {gid: max(float(series.max()) * grid_cap, 0.0)
                         for gid, series in ref_load.items()}
             options = ModelOptions(use_strengthening=strengthen,
-                                   grid_caps=True,
                                    precondition_lead=precondition_lead,
                                    grid_limit_override=override)
             model = build_model(graph, domains, options)

@@ -16,6 +16,9 @@ from typing import Optional
 from .chargemodel import ChargingPowerProfile
 
 
+_TRIANGLE_TOL = 1e-9   # slack of the deadhead consumption triangle check
+
+
 class InstanceError(ValueError):
     """Schema or invariant violation; message carries the offending path."""
 
@@ -67,12 +70,6 @@ class GridPoint:
     id: str
     max_power_kw: tuple   # ((start_s, end_s, kw), ...) piecewise constant
     energy_price: tuple   # ((start_s, end_s, price_per_kwh), ...)
-
-    def power_at(self, t: float) -> float:
-        for s, e, kw in self.max_power_kw:
-            if s <= t < e:
-                return kw
-        return 0.0
 
     def min_power_over(self, start: float, end: float) -> float:
         """Most restrictive limit over [start, end) — conservative snapping."""
@@ -217,6 +214,10 @@ class Instance:
                     f"{c.grid_point!r}")
             if c.slots < 1:
                 raise InstanceError(f"chargers[{c.id}].slots: must be >= 1")
+            if not 0.0 <= c.step_consumption <= 1.0:
+                raise InstanceError(
+                    f"chargers[{c.id}].step_consumption: "
+                    f"{c.step_consumption} not in [0,1]")
             for vt, pname in c.profiles.items():
                 if vt not in etypes:
                     raise InstanceError(
@@ -231,9 +232,18 @@ class Instance:
                     raise InstanceError(
                         f"grid_points[{g.id}].max_power_kw: NaN limit on "
                         f"[{t0}, {t1})")
+                if kw < 0:
+                    raise InstanceError(
+                        f"grid_points[{g.id}].max_power_kw: negative limit "
+                        f"{kw} on [{t0}, {t1})")
+            for t0, t1, price in g.energy_price:
+                if not math.isfinite(price):
+                    raise InstanceError(
+                        f"grid_points[{g.id}].energy_price: {price} on "
+                        f"[{t0}, {t1}) is not finite")
         self._check_triangle_inequality()
 
-    def _check_triangle_inequality(self, tol: float = 1e-9) -> None:
+    def _check_triangle_inequality(self) -> None:
         dh = self.deadhead_map()
         for (a, b), leg in dh.items():
             for c in self.locations():
@@ -243,7 +253,7 @@ class Instance:
                     continue
                 for k, cons in leg.consumption.items():
                     via = first.consumption.get(k, 0.0) + second.consumption.get(k, 0.0)
-                    if cons > via + tol:
+                    if cons > via + _TRIANGLE_TOL:
                         raise InstanceError(
                             f"deadheads[{a}->{b}]: consumption {cons} violates "
                             f"the triangle inequality via {c} ({via})")
@@ -355,20 +365,3 @@ def load_instance(path) -> Instance:
             raise InstanceError(f"not valid JSON: {exc}") from exc
     return Instance.from_dict(doc)
 
-
-def write_trips_csv(instance: Instance, path) -> None:
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "from", "to", "dep_s", "arr_s"])
-        for t in instance.trips:
-            w.writerow([t.id, t.origin, t.destination, t.departure_s, t.arrival_s])
-
-
-def write_deadheads_csv(instance: Instance, path) -> None:
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["from", "to", "duration_s"])
-        for d in instance.deadheads:
-            w.writerow([d.origin, d.destination, d.duration_s])

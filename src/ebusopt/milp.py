@@ -34,7 +34,7 @@ import numpy as np
 
 from .chargemodel import IncrementDomainPWL
 from .lpformat import SENSES, ModelArrays, RawSolution, write_lp, write_mps
-from .netgraph import EnergyBounds, SchedulingGraph
+from .netgraph import SchedulingGraph
 from .refsolver import emitted_arrays, solve_arrays
 from .solverbridge import SolverError, external_command, solve_external
 
@@ -71,7 +71,6 @@ class Row:
 @dataclass
 class ModelOptions:
     use_strengthening: bool = False
-    grid_caps: bool = True
     precondition_lead: int = 0      # see _add_precondition_rows
     grid_limit_override: Optional[dict] = None  # grid point id -> kW
 
@@ -134,7 +133,6 @@ class MilpModel:
     y_index: dict = field(default_factory=dict)    # arc -> var
     phi_index: dict = field(default_factory=dict)  # (arc, plan) -> var
     phi_cost: dict = field(default_factory=dict)   # (arc, plan) -> objective coeff
-    energy_bounds: Optional[EnergyBounds] = None
     names: list = field(default_factory=list)      # per column
     tags: dict = field(default_factory=dict)       # tag -> code, first use first
     # batches of (obj, lb, ub, binary) per column and of (ends, cols, vals,
@@ -470,7 +468,6 @@ def build_model(graph: SchedulingGraph, domains: dict,
     pull = g.kind == _PULLOUT
     if options.use_strengthening:
         bounds = graph.energy_bounds()
-        model.energy_bounds = bounds
         exit_floor = np.full((len(g.node_kind), len(g.plan_ids)), math.inf)
         ceiling = np.full(exit_floor.shape, -math.inf)
         plan_code = {pid: i for i, pid in enumerate(g.plan_ids)}
@@ -548,8 +545,7 @@ def build_model(graph: SchedulingGraph, domains: dict,
                    np.where(first, "inccoupling", "incdomain"))
 
     # --- grid capacity per (access point, step) ---------------------------------
-    if options.grid_caps:
-        _add_grid_rows(model, g)
+    _add_grid_rows(model, g)
 
     if options.precondition_lead:
         _add_precondition_rows(model, g, options.precondition_lead)
@@ -682,14 +678,8 @@ class ChargeWindow:
     slot: str
     charger: str
     grid_point: str
-    start_step: int                 # first occupied step index (1-based)
     steps: list                     # step indices
     phis: list                      # soc increment per step
-    soc_before: Optional[float] = None
-
-    @property
-    def total_phi(self) -> float:
-        return float(sum(self.phis))
 
 
 @dataclass
@@ -726,7 +716,6 @@ class Schedule:
     solver_objective: Optional[float]
     solver_bound: Optional[float]
     solver_status: str
-    y_values: dict = field(default_factory=dict)   # arc index -> soc value
 
     @property
     def fleet_size(self) -> int:
@@ -777,8 +766,6 @@ def decode_solution(model: MilpModel, raw: RawSolution,
             active.setdefault(pid, []).append(graph.arcs[arc_idx])
 
     inst = graph.instance
-    y_values = {a_idx: raw.value(names[vy])
-                for a_idx, vy in model.y_index.items()}
     courses = []
     for pid in sorted(active):
         arcs = active[pid]
@@ -818,7 +805,7 @@ def decode_solution(model: MilpModel, raw: RawSolution,
     objective = float(sum(c.cost for c in courses))
     return Schedule(courses=courses, theta=graph.theta, objective=objective,
                     solver_objective=raw.objective, solver_bound=raw.bound,
-                    solver_status=raw.status, y_values=y_values)
+                    solver_status=raw.status)
 
 
 def _course_from_path(model: MilpModel, graph: SchedulingGraph, pid: str,
@@ -842,8 +829,7 @@ def _course_from_path(model: MilpModel, graph: SchedulingGraph, pid: str,
                 current = ChargeWindow(
                     slot=a.slot, charger=a.charger,
                     grid_point=inst.charger(a.charger).grid_point,
-                    start_step=a.step, steps=[], phis=[],
-                    soc_before=raw.value(model.names[model.y_index[a.index]]))
+                    steps=[], phis=[])
             current.steps.append(a.step)
             current.phis.append(phi)
         else:

@@ -17,7 +17,6 @@ reproduces course energy arithmetic exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -119,16 +118,6 @@ class SchedulingGraph:
         for a in self.arcs:
             arc_counts[a.kind] += 1
         return {"nodes": dict(node_counts), "arcs": dict(arc_counts)}
-
-    def write_stats_csv(self, path):
-        stats = self.stats()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["class", "kind", "count"])
-            for kind, cnt in sorted(stats["nodes"].items()):
-                w.writerow(["node", kind, cnt])
-            for kind, cnt in sorted(stats["arcs"].items()):
-                w.writerow(["arc", kind, cnt])
 
 
 def _topological_order(graph: SchedulingGraph) -> list:
@@ -493,13 +482,12 @@ class EnergyBounds:
 
     E is the cheapest consumption path from the node to any depot sink or
     charge node; Y is 1 minus the cheapest path from any depot source or
-    charge node.  Unreachable exits are +inf (reported in ``dead_ends``),
-    unreachable nodes have Y = -inf.
+    charge node.  Unreachable exits are +inf, unreachable nodes have
+    Y = -inf.
     """
 
     min_exit: dict      # (node id, plan id) -> E
     max_arrival: dict   # (node id, plan id) -> Y
-    dead_ends: list     # (node id, plan id) with no exit path
 
     def exit_floor(self, node: str, plan: str) -> float:
         return self.min_exit.get((node, plan), math.inf)
@@ -514,7 +502,6 @@ def compute_energy_bounds(graph: SchedulingGraph) -> EnergyBounds:
                  for nid, n in graph.nodes.items()}
     min_exit: dict = {}
     max_arrival: dict = {}
-    dead_ends = []
     for plan in graph.plan_types:
         pid = plan.id
         for nid in reversed(order):
@@ -529,8 +516,6 @@ def compute_energy_bounds(graph: SchedulingGraph) -> EnergyBounds:
                                                               math.inf)
                 best = min(best, tail_cost)
             min_exit[(nid, pid)] = best
-            if best is math.inf and graph.nodes[nid].kind == "trip":
-                dead_ends.append((nid, pid))
         for nid in order:
             if is_anchor[nid] and graph.nodes[nid].kind != "depot-sink":
                 max_arrival[(nid, pid)] = 1.0
@@ -543,5 +528,4 @@ def compute_energy_bounds(graph: SchedulingGraph) -> EnergyBounds:
                            max_arrival.get((a.tail, pid), -math.inf)
                            - a.consumption(pid))
             max_arrival[(nid, pid)] = best
-    return EnergyBounds(min_exit=min_exit, max_arrival=max_arrival,
-                        dead_ends=dead_ends)
+    return EnergyBounds(min_exit=min_exit, max_arrival=max_arrival)

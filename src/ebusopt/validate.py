@@ -332,66 +332,6 @@ def write_grid_load_csv(load: dict, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Peak shaving comparison
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PeakShaveRow:
-    cap_fraction: float
-    objective: float
-    normalized_objective: float
-    fleet: int
-    peak_kw: float
-    load_deciles: list
-    monotone: bool          # objective does not improve under a tighter cap
-
-
-def peak_shave_report(instance: Instance, schedules: dict,
-                      tol: float = 1e-6) -> list:
-    """Compare schedules solved under decreasing grid-cap fractions.
-
-    ``schedules`` maps cap fraction -> Schedule and must contain the 1.0
-    reference; objectives are normalized to it.
-    """
-    if 1.0 not in schedules:
-        raise ValidationError("peak-shave comparison needs the 1.0 reference cap")
-    ref_obj = schedules[1.0].objective
-    rows = []
-    prev_obj = None
-    for cap in sorted(schedules, reverse=True):
-        sched = schedules[cap]
-        load = grid_load_profile(instance, sched)
-        total = np.zeros(max(len(s) for s in load.values()) if load else 0)
-        for series in load.values():
-            total[:len(series)] += series
-        nonzero = total[total > tol]
-        deciles = (np.percentile(nonzero, [10, 50, 90]).round(3).tolist()
-                   if len(nonzero) else [0.0, 0.0, 0.0])
-        monotone = prev_obj is None or sched.objective >= prev_obj - tol
-        rows.append(PeakShaveRow(
-            cap_fraction=cap, objective=sched.objective,
-            normalized_objective=(sched.objective / ref_obj if ref_obj else math.nan),
-            fleet=sched.fleet_size,
-            peak_kw=float(total.max()) if len(total) else 0.0,
-            load_deciles=deciles, monotone=monotone))
-        prev_obj = sched.objective
-    return rows
-
-
-def write_peak_shave_csv(rows: list, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cap_fraction", "objective", "normalized_objective",
-                    "fleet", "peak_kw", "load_q10", "load_q50", "load_q90",
-                    "monotone"])
-        for r in rows:
-            w.writerow([r.cap_fraction, f"{r.objective:.6f}",
-                        f"{r.normalized_objective:.6f}", r.fleet,
-                        f"{r.peak_kw:.3f}"] + [f"{d:.3f}" for d in r.load_deciles]
-                       + [int(r.monotone)])
-
-
-# ---------------------------------------------------------------------------
 # Discretization sweep
 # ---------------------------------------------------------------------------
 
@@ -591,10 +531,3 @@ def write_sweep_csv(rows: list, path) -> None:
                 "" if r.gap is None else f"{r.gap:.6f}",
                 r.error or ""])
 
-
-def geometric_mean_gap(rows: list) -> Optional[float]:
-    """Geometric mean of the recomputed gaps over rows that have one."""
-    gaps = [max(r.gap, 1e-12) for r in rows if r.gap is not None]
-    if not gaps:
-        return None
-    return float(np.exp(np.mean(np.log(gaps))))

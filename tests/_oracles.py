@@ -363,7 +363,6 @@ def build_model(graph, domains, options=ModelOptions()):
     bounds = None
     if options.use_strengthening:
         bounds = compute_energy_bounds(graph)
-        model.energy_bounds = bounds
     for a in graph.arcs:
         y = model.y_index[a.index]
         e_plans = [p for p in a.plans if p in electric]
@@ -452,32 +451,31 @@ def build_model(graph, domains, options=ModelOptions()):
                               -float(dom.offsets[j]), "incdomain")
 
     # --- grid capacity per (access point, step) ---------------------------------
-    if options.grid_caps:
-        slots_of_gp: dict = {}
-        for c in inst.chargers:
-            for s, cid in graph.slot_charger.items():
-                if cid == c.id:
-                    slots_of_gp.setdefault(c.grid_point, []).append(s)
-        recharge_by_slot_step = {(a.slot, a.step): a
-                                 for a in graph.arcs if a.kind == "recharge"}
-        for g in inst.grid_points:
-            slot_ids = sorted(slots_of_gp.get(g.id, []))
-            if not slot_ids:
-                continue
-            for i in range(1, graph.horizon_steps + 1):
-                limit = _grid_limit(g, graph, i, options.grid_limit_override)
-                coeffs = {}
-                for s in slot_ids:
-                    a = recharge_by_slot_step.get((s, i))
-                    if a is None:
-                        continue
-                    for pid in a.plans:
-                        key = (a.index, pid)
-                        if key in model.phi_index:
-                            omega = battery[vtype_of[pid]] * 3600.0 / graph.theta
-                            coeffs[model.phi_index[key]] = omega
-                if coeffs and limit != math.inf:
-                    model.add_row(coeffs, "<=", limit, "grid")
+    slots_of_gp: dict = {}
+    for c in inst.chargers:
+        for s, cid in graph.slot_charger.items():
+            if cid == c.id:
+                slots_of_gp.setdefault(c.grid_point, []).append(s)
+    recharge_by_slot_step = {(a.slot, a.step): a
+                             for a in graph.arcs if a.kind == "recharge"}
+    for g in inst.grid_points:
+        slot_ids = sorted(slots_of_gp.get(g.id, []))
+        if not slot_ids:
+            continue
+        for i in range(1, graph.horizon_steps + 1):
+            limit = _grid_limit(g, graph, i, options.grid_limit_override)
+            coeffs = {}
+            for s in slot_ids:
+                a = recharge_by_slot_step.get((s, i))
+                if a is None:
+                    continue
+                for pid in a.plans:
+                    key = (a.index, pid)
+                    if key in model.phi_index:
+                        omega = battery[vtype_of[pid]] * 3600.0 / graph.theta
+                        coeffs[model.phi_index[key]] = omega
+            if coeffs and limit != math.inf:
+                model.add_row(coeffs, "<=", limit, "grid")
 
     if options.precondition_lead:
         add_preconditioning(model, options.precondition_lead)

@@ -41,7 +41,6 @@ def _assert_same_model(got, want):
     for index in ("x_index", "y_index", "phi_index", "phi_cost"):
         assert list(getattr(got, index).items()) == \
             list(getattr(want, index).items()), index
-    assert got.energy_bounds == want.energy_bounds
 
 
 def _build_or_error(build, graph, domains, options):
@@ -136,9 +135,10 @@ def assembly_cases(draw):
     override = None
     if draw(st.booleans()):
         override = {g.id: draw(LIMITS) for g in inst.grid_points}
+    elif draw(st.booleans()):
+        override = {g.id: math.inf for g in inst.grid_points}
     options = ModelOptions(
         use_strengthening=draw(st.booleans()),
-        grid_caps=draw(st.booleans()),
         precondition_lead=draw(st.integers(0, 3)),
         grid_limit_override=override)
     return graph, domains, options
@@ -249,7 +249,6 @@ def test_energy_bounds_are_computed_once_per_graph(tmp_path, monkeypatch):
     validate_schedule(inst, schedule, graph, mode="approx-under",
                       curves=curves, domains=domains)
     assert calls == {"compute_energy_bounds": 1, "_topological_order": 1}
-    assert model.energy_bounds is graph.energy_bounds()
     monkeypatch.undo()
     assert graph.energy_bounds() == netgraph.compute_energy_bounds(graph)
     assert graph.topological_order() == netgraph._topological_order(graph)

@@ -251,14 +251,15 @@ def test_increment_exponential_closed_form():
 
 def test_increment_curve_monotone_and_zero_at_cap():
     for curve in (make_linear(), make_quadratic(), make_constant()):
-        ys, vals = cm.increment_curve_at_step(curve, THETA)
+        vals = curve.increment(np.linspace(0, curve.soc_cap, 2001), THETA)
         assert np.all(np.diff(vals) <= 1e-9)
         assert vals[-1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_increment_curve_constant_profile_shape():
     curve = make_constant(0.5)
-    ys, vals = cm.increment_curve_at_step(curve, 1.0)
+    ys = np.linspace(0, curve.soc_cap, 2001)
+    vals = curve.increment(ys, 1.0)
     want = np.minimum(0.5, curve.soc_cap - ys)
     assert np.max(np.abs(vals - want)) < 1e-9
 
@@ -596,22 +597,3 @@ def test_increment_domain_convex_closed_form():
             p2 = u2 * oracle.increment(y2, THETA)
             ym, pm = 0.5 * (y1 + y2), 0.5 * (p1 + p2)
             assert pm <= oracle.increment(ym, THETA) + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# CSV exports
-# ---------------------------------------------------------------------------
-
-def test_csv_exports(tmp_path):
-    curve = make_quadratic()
-    dom = cm.build_underestimator(curve, THETA, 3)
-    cpath = tmp_path / "curve.csv"
-    dpath = tmp_path / "domain.csv"
-    cm.write_curve_csv(curve, cpath)
-    cm.write_domain_csv(dom, dpath)
-    lines = cpath.read_text().splitlines()
-    assert lines[0] == "time,soc"
-    assert len(lines) == len(curve.times) + 1
-    dlines = dpath.read_text().splitlines()
-    assert dlines[0] == "y,alpha,beta"
-    assert len(dlines) == dom.segment_count + 1

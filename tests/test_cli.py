@@ -104,6 +104,23 @@ def test_solve_duplicate_trip_id_exits_2(runner, tmp_path):
     assert "duplicate id 't1'" in res.output
 
 
+@pytest.mark.parametrize("kind, key, value, named", [
+    ("chargers", "step_consumption", float("nan"), "step_consumption"),
+    ("grid_points", "energy_price", [[0, 3600, float("inf")]],
+     "energy_price"),
+    ("grid_points", "max_power_kw", [[0, 3600, -5.0]], "max_power_kw")])
+def test_solve_out_of_range_input_exits_2(runner, tmp_path, kind, key, value,
+                                          named):
+    doc = charger_toy().to_dict()
+    doc[kind][0][key] = value
+    inst_path = tmp_path / "bad.json"
+    inst_path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["solve", str(inst_path),
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert named in res.output
+
+
 @pytest.mark.parametrize("template, named", [
     ("echo {model} {solver}", "unknown placeholder {solver}"),
     ("echo {model} {0}", "unknown placeholder {0}"),

@@ -1,5 +1,5 @@
 """Coverage for the remaining interface corners: mix constraints, charger
-availability snapping, instance CSV exports, env-var solver override,
+availability snapping, env-var solver override,
 recharge-arc idle draw, sweep workers, and large-shape generation."""
 
 import dataclasses
@@ -9,8 +9,7 @@ import pytest
 
 from ebusopt.cli import main
 from ebusopt.generators import SyntheticParams, generate_synthetic
-from ebusopt.instance import (MixConstraint, write_deadheads_csv,
-                              write_trips_csv)
+from ebusopt.instance import MixConstraint
 from ebusopt.milp import ModelOptions, build_model, decode_solution, solve_model
 from ebusopt.netgraph import GraphOptions, build_graph
 from ebusopt.solverbridge import SOLVER_ENV_VAR, resolve_solver_command
@@ -76,15 +75,6 @@ def test_recharge_arc_idle_draw(tmp_path):
     sched = decode_solution(model, raw)
     report = validate_schedule(drawing, sched, graph, "exact", curves)
     assert report.energy_feasible
-
-
-def test_instance_csv_exports(tmp_path):
-    inst = two_trip_instance()
-    tpath, dpath = tmp_path / "trips.csv", tmp_path / "dh.csv"
-    write_trips_csv(inst, tpath)
-    write_deadheads_csv(inst, dpath)
-    assert tpath.read_text().splitlines()[0] == "id,from,to,dep_s,arr_s"
-    assert len(dpath.read_text().splitlines()) == len(inst.deadheads) + 1
 
 
 def test_validation_report_document(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -81,6 +82,38 @@ def test_duplicate_ids_rejected(kind, dup):
         _with_a_second(charger_toy(), kind).validate()
 
 
+def _with_first(inst, kind, **changes):
+    """``inst`` with ``changes`` applied to the first entry of ``kind``."""
+    items = getattr(inst, kind)
+    first = dataclasses.replace(items[0], **changes)
+    return dataclasses.replace(inst, **{kind: (first,) + items[1:]})
+
+
+@pytest.mark.parametrize("draw", [math.nan, -0.5, 2.0])
+def test_step_consumption_out_of_range_rejected(draw):
+    inst = _with_first(charger_toy(), "chargers", step_consumption=draw)
+    with pytest.raises(InstanceError,
+                       match=r"chargers\[C0\]\.step_consumption: .* not in"):
+        inst.validate()
+
+
+@pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
+def test_non_finite_energy_price_rejected(price):
+    inst = _with_first(charger_toy(), "grid_points",
+                       energy_price=((0, 3600, price),))
+    with pytest.raises(InstanceError,
+                       match=r"grid_points\[G0\]\.energy_price: .* not finite"):
+        inst.validate()
+
+
+def test_negative_grid_limit_rejected():
+    inst = _with_first(charger_toy(), "grid_points",
+                       max_power_kw=((0, 3600, -5.0),))
+    with pytest.raises(InstanceError,
+                       match=r"grid_points\[G0\]\.max_power_kw: negative"):
+        inst.validate()
+
+
 def test_depot_capacity_must_be_null(tmp_path):
     doc = charger_toy().to_dict()
     assert doc["depots"] == [{"id": "D0"}]
@@ -97,8 +130,8 @@ def test_depot_capacity_must_be_null(tmp_path):
 def test_grid_point_piecewise_lookup():
     gp = GridPoint("g", ((0, 100, 50.0), (100, 200, 0.0)),
                    ((0, 200, 0.3),))
-    assert gp.power_at(10) == 50.0
-    assert gp.power_at(150) == 0.0
+    assert gp.min_power_over(10, 11) == 50.0
+    assert gp.min_power_over(150, 151) == 0.0
     assert gp.min_power_over(50, 150) == 0.0
     assert gp.min_power_over(0, 100) == 50.0
     assert gp.min_power_over(190, 250) == 0.0  # partially uncovered
@@ -175,9 +208,9 @@ def test_worst_case_structure():
     assert len(inst.grid_points) == 2
     # grid power is zero outside the designed windows
     for gp, (ws, we) in zip(inst.grid_points, inst.meta["windows"]):
-        assert gp.power_at(ws) > 0
-        assert gp.power_at(ws - 1) == 0.0
-        assert gp.power_at(we + 1) == 0.0
+        assert gp.min_power_over(ws, ws + 1) > 0
+        assert gp.min_power_over(ws - 1, ws) == 0.0
+        assert gp.min_power_over(we + 1, we + 2) == 0.0
 
 
 def test_worst_case_roundtrips_bit_identically(tmp_path):

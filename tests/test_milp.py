@@ -53,7 +53,9 @@ def test_grid_rows_h_when_enabled_zero_when_disabled():
     inst = charger_toy(horizon_s=3600, theta=300)
     _, graph, _, model = toy_setup(inst)
     assert model.rows_by_tag()["grid"] == graph.horizon_steps
-    _, _, _, off = toy_setup(inst, options=ModelOptions(grid_caps=False))
+    uncapped = {gp.id: math.inf for gp in inst.grid_points}
+    _, _, _, off = toy_setup(
+        inst, options=ModelOptions(grid_limit_override=uncapped))
     assert "grid" not in off.rows_by_tag()
 
 
@@ -616,7 +618,8 @@ def test_preconditioning_forces_first_step_idle(tmp_path):
     raw = solve_model(model, tmp_path, time_limit=120)
     assert raw.has_incumbent
     sched = decode_solution(model, raw)
-    charged = [w for c in sched.courses for w in c.windows if w.total_phi > 1e-9]
+    charged = [w for c in sched.courses for w in c.windows
+               if sum(w.phis) > 1e-9]
     assert charged
     for win in charged:
         assert win.phis[0] <= 1e-7
@@ -654,7 +657,7 @@ def test_decode_recharge_window_matches_soc_jump(tmp_path):
     assert raw.has_incumbent, raw.status
     sched = decode_solution(model, raw)
     course = next(c for c in sched.courses if c.windows)
-    win = next(w for w in course.windows if w.total_phi > 1e-9)
+    win = next(w for w in course.windows if sum(w.phis) > 1e-9)
     # soc jump across the window in the y variables equals the summed phi
     first_arc = None
     last_arc = None
@@ -664,13 +667,16 @@ def test_decode_recharge_window_matches_soc_jump(tmp_path):
             if first_arc is None:
                 first_arc = a
             last_arc = a
-    y_in = sched.y_values[first_arc.index]
+    def y(arc):
+        return raw.value(model.names[model.y_index[arc.index]])
+
+    y_in = y(first_arc)
     out_arc = next(graph.arcs[i] for i in course.arc_indices
                    if graph.arcs[i].kind != "recharge"
                    and graph.nodes[graph.arcs[i].tail].slot == last_arc.slot
                    and graph.nodes[graph.arcs[i].tail].event == last_arc.step)
-    y_out = sched.y_values[out_arc.index]
-    assert y_out - y_in == pytest.approx(win.total_phi, abs=1e-6)
+    y_out = y(out_arc)
+    assert y_out - y_in == pytest.approx(sum(win.phis), abs=1e-6)
 
 
 def test_decode_vehicle_type_id_with_a_dot(tmp_path):

@@ -178,11 +178,3 @@ def test_energy_bounds_match_bruteforce_enumeration():
                 assert eb.arrival_ceiling(nid, pid) == pytest.approx(
                     1.0 - min(entries), abs=1e-9)
 
-
-def test_stats_csv(tmp_path):
-    inst = charger_toy()
-    g = build_graph(inst, 300.0)
-    path = tmp_path / "stats.csv"
-    g.write_stats_csv(path)
-    text = path.read_text()
-    assert "recharge" in text and "node" in text

@@ -11,11 +11,9 @@ from ebusopt.milp import (ChargeWindow, Course, ModelOptions, Schedule,
 from ebusopt.netgraph import GraphOptions, build_graph
 from ebusopt.validate import (ValidationError, build_domains,
                               discretization_sweep, exact_curves,
-                              geometric_mean_gap, grid_load_profile,
-                              peak_shave_report, validate_schedule,
-                              write_grid_load_csv, write_peak_shave_csv,
-                              write_sweep_csv, _reference_feasible_at,
-                              _sup_gap)
+                              grid_load_profile, validate_schedule,
+                              write_grid_load_csv, write_sweep_csv,
+                              _reference_feasible_at, _sup_gap)
 from _toys import (charger_toy, charging_required_instance,
                    idle_draw_instance, pass_through_instance,
                    two_trip_instance)
@@ -199,9 +197,9 @@ def test_grid_additivity_two_overlapping_courses():
     # two synthetic courses charging on the same grid point add elementwise
     inst = charging_required_instance()
     win_a = ChargeWindow(slot="C0#0", charger="C0", grid_point="G0",
-                         start_step=3, steps=[3, 4], phis=[0.05, 0.04])
+                         steps=[3, 4], phis=[0.05, 0.04])
     win_b = ChargeWindow(slot="C0#0", charger="C0", grid_point="G0",
-                         start_step=4, steps=[4, 5], phis=[0.03, 0.02])
+                         steps=[4, 5], phis=[0.03, 0.02])
     def course(win):
         return Course(plan="e0.D0", vehicle_type="e0", depot="D0",
                       arc_indices=[], trips=[], windows=[win], cost=0.0)
@@ -225,45 +223,6 @@ def test_grid_load_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "grid_point,step,load"
     assert len(lines) == 1 + len(load["G0"])
-
-
-# ---------------------------------------------------------------------------
-# peak shaving report
-# ---------------------------------------------------------------------------
-
-def _fake_schedule(objective, phis_by_step, theta=300.0):
-    win = ChargeWindow(slot="C0#0", charger="C0", grid_point="G0",
-                       start_step=min(phis_by_step), steps=sorted(phis_by_step),
-                       phis=[phis_by_step[s] for s in sorted(phis_by_step)])
-    course = Course(plan="e0.D0", vehicle_type="e0", depot="D0",
-                    arc_indices=[], trips=["t1"], windows=[win],
-                    cost=objective)
-    return Schedule([course], theta, objective, objective, objective,
-                    "optimal")
-
-
-def test_peak_shave_requires_reference():
-    inst = charging_required_instance()
-    with pytest.raises(ValidationError):
-        peak_shave_report(inst, {0.5: _fake_schedule(10.0, {3: 0.1})})
-
-
-def test_peak_shave_rows(tmp_path):
-    inst = charging_required_instance()
-    schedules = {
-        1.0: _fake_schedule(100.0, {3: 0.2}),
-        0.5: _fake_schedule(104.0, {3: 0.1, 4: 0.1}),
-        0.25: _fake_schedule(120.0, {3: 0.05, 4: 0.05, 5: 0.05, 6: 0.05}),
-    }
-    rows = peak_shave_report(inst, schedules)
-    assert [r.cap_fraction for r in rows] == [1.0, 0.5, 0.25]
-    assert rows[0].normalized_objective == pytest.approx(1.0)
-    assert rows[1].normalized_objective == pytest.approx(1.04)
-    assert rows[1].peak_kw == pytest.approx(0.5 * rows[0].peak_kw)
-    assert all(r.monotone for r in rows)
-    write_peak_shave_csv(rows, tmp_path / "peaks.csv")
-    header = (tmp_path / "peaks.csv").read_text().splitlines()[0]
-    assert header.startswith("cap_fraction,objective")
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +253,6 @@ def test_sweep_row_grid(tmp_path):
     write_sweep_csv(rows, tmp_path / "sweep.csv")
     text = (tmp_path / "sweep.csv").read_text()
     assert text.splitlines()[0].startswith("m,theta,fs")
-    gm = geometric_mean_gap(rows)
-    assert gm is None or gm >= 0.0
 
 
 @pytest.mark.parametrize("strengthen", [None, False])
@@ -338,7 +295,7 @@ def reference_along(graph, nodes, steps):
     occupies ``steps`` (its phis do not matter to the re-charge)."""
     ends = {(a.tail, a.head): a.index for a in graph.arcs}
     win = ChargeWindow(slot="C0#0", charger="C0", grid_point="G0",
-                       start_step=steps[0], steps=list(steps),
+                       steps=list(steps),
                        phis=[0.0] * len(steps))
     course = Course(plan="e0.D0", vehicle_type="e0", depot="D0",
                     arc_indices=[ends[u, v] for u, v in zip(nodes, nodes[1:])],
