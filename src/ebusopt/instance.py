@@ -182,6 +182,15 @@ class Instance:
                 if x.id in seen:
                     raise InstanceError(f"{kind}: duplicate id {x.id!r}")
                 seen.add(x.id)
+        for v in self.vehicle_types:
+            if v.electric and not (math.isfinite(v.battery_kwh)
+                                   and v.battery_kwh > 0):
+                raise InstanceError(
+                    f"vehicle_types[{v.id}].battery_kwh: {v.battery_kwh} is "
+                    f"not finite and > 0")
+            if not math.isfinite(v.fixed_cost):
+                raise InstanceError(f"vehicle_types[{v.id}].fixed_cost: "
+                                    f"{v.fixed_cost} is not finite")
         ids = {v.id for v in self.vehicle_types}
         etypes = {v.id for v in self.vehicle_types if v.electric}
         locs = self.locations()
@@ -206,6 +215,11 @@ class Instance:
                 if not 0.0 <= c <= 1.0:
                     raise InstanceError(
                         f"deadheads[{d.origin}->{d.destination}]: consumption {c}")
+            for k, c in d.cost.items():
+                if not math.isfinite(c):
+                    raise InstanceError(
+                        f"deadheads[{d.origin}->{d.destination}].cost[{k}]: "
+                        f"{c} is not finite")
         gids = {g.id for g in self.grid_points}
         for c in self.chargers:
             if c.grid_point not in gids:

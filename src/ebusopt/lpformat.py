@@ -2,19 +2,29 @@
 
 ``ModelArrays`` is the one array form of a model: column arrays plus rows in
 CSR layout.  ``milp.MilpModel.arrays()`` produces it, and both writers and
-the in-process solve (``refsolver.emitted_arrays``) read it.  Writers emit
-byte-deterministic files (canonical variable and row order, no timestamps,
-fixed float formatting, each distinct number formatted once) so identical
-models produce identical bytes.  Readers cover the dialect the writers emit
-plus the common core of both formats; they back the bundled reference solver
-and the tests that cross-check the two encodings against each other.
+``refsolver.emitted_arrays`` read it.  Writers emit byte-deterministic files (canonical variable and row
+order, no timestamps, fixed float formatting) so identical models produce
+identical bytes; they format and write a block of rows (LP) or columns
+(MPS) at a time, each distinct number of a block formatted once, so no
+list of every term, entry or line of a file exists at once.
 
-The LP reader splits each section on whitespace and lexes each distinct
-chunk once with ``_TOKEN_RE``, the one definition of the token grammar; a
-memo that lives for one read hands out the same token tuples for every
-repeat of a chunk.  The MPS reader runs one loop per section.  Both pause
-the cyclic garbage collector while they build the parsed model, and report
-a malformed file as ``LpFormatError`` naming the offending line.
+``ProblemArrays`` is the form HiGHS takes: columns, CSR row matrix and row
+bounds.  The readers return it, and so does ``refsolver.emitted_arrays``
+for a model that is never written.  Readers cover the dialect the writers
+emit plus the common core of both formats; they back the bundled reference
+solver and the tests that cross-check the two encodings against each
+other.  Both read the file as a stream of lines and keep, besides the
+column names, only numeric arrays: the entries of the rows in file order,
+which become CSR at the end, with a column named twice in one row summed
+in file order and explicit zeros kept.
+
+The LP reader splits each line on whitespace.  A chunk that is an
+operator, one of a bounded set of numbers it read before, or one whole
+match of ``_TOKEN_RE`` (the one definition of the token grammar) is one
+token; any other chunk is lexed with ``_TOKEN_RE``.  The MPS reader
+runs one loop per section.  Both pause the cyclic garbage collector while
+they read, and report a malformed file as ``LpFormatError`` naming the
+offending line.
 """
 
 from __future__ import annotations
@@ -22,8 +32,10 @@ from __future__ import annotations
 import gc
 import math
 import re
+from array import array
+from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Optional
@@ -56,29 +68,27 @@ def _gc_paused():
             gc.enable()
 
 
-# ---------------------------------------------------------------------------
-# Parsed model container (shared by both readers)
-# ---------------------------------------------------------------------------
+class _Records(Sequence):
+    """Read-only sequence that builds each record when it is accessed;
+    ``milp.MilpModel`` uses it too."""
 
-@dataclass
-class ParsedModel:
-    minimize: bool = True
-    objective: dict = field(default_factory=dict)    # var -> coefficient
-    rows: list = field(default_factory=list)         # (name, coeffs, sense, rhs)
-    lower: dict = field(default_factory=dict)        # var -> lb (default 0)
-    upper: dict = field(default_factory=dict)        # var -> ub (default +inf)
-    integers: set = field(default_factory=set)
-    variables: list = field(default_factory=list)    # first-seen order
+    def __init__(self, length: int, record):
+        self._length = length
+        self._record = record
 
-    def touch(self, name: str):
-        if name not in self.lower:
-            self.lower[name] = 0.0
-            self.upper[name] = math.inf
-            self.variables.append(name)
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i: int):
+        if i < 0:
+            i += self._length
+        if not 0 <= i < self._length:
+            raise IndexError("record index out of range")
+        return self._record(i)
 
 
 # ---------------------------------------------------------------------------
-# The model in array form (what both writers and the in-process solve read)
+# The model in array form (what both writers and emitted_arrays read)
 # ---------------------------------------------------------------------------
 
 SENSES = ("<=", ">=", "=")      # sense code -> row sense
@@ -109,12 +119,84 @@ class ModelArrays:
     tag: np.ndarray             # codes into tags
     tags: list
 
-    def row_names(self) -> list:
-        return [f"{self.tags[t]}{r:07d}" for r, t in enumerate(self.tag.tolist())]
+    def row_names(self, rows: np.ndarray) -> list:
+        """The file names of the rows ``rows``."""
+        tags = self.tags
+        return [f"{tags[t]}{r:07d}"
+                for r, t in zip(rows.tolist(), self.tag[rows].tolist())]
 
     def row_of_entry(self) -> np.ndarray:
         """Row index of each entry of ``cols``/``vals``."""
         return np.repeat(np.arange(len(self.sense)), np.diff(self.start))
+
+
+# ---------------------------------------------------------------------------
+# The problem in the form HiGHS takes (what both readers return)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ProblemArrays:
+    """A MILP in the array form ``scipy.optimize.milp`` takes.
+
+    Columns follow ``names``; row ``r`` holds the columns
+    ``indices[indptr[r]:indptr[r + 1]]``, ascending, with coefficients
+    ``data`` at the same positions (the CSR row matrix, which
+    ``refsolver.solve_arrays`` wraps for HiGHS), and row bounds
+    ``row_lb``/``row_ub``; ``c`` is already negated for a maximisation.
+    ``variables``, ``rows`` and ``objective`` are read-only views in the
+    terms of the file: ``rows`` builds one ``(index, {column name:
+    coefficient}, sense, rhs)`` record per access, ``objective`` one
+    ``{column name: coefficient}`` dict of the nonzero coefficients.
+    """
+
+    names: list
+    c: np.ndarray
+    indptr: np.ndarray       # int64, one entry more than there are rows
+    indices: np.ndarray      # int64
+    data: np.ndarray
+    row_lb: np.ndarray
+    row_ub: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    integrality: np.ndarray
+    minimize: bool = True
+
+    @property
+    def variables(self) -> list:
+        return self.names
+
+    @property
+    def rows(self) -> _Records:
+        return _Records(len(self.row_lb), self._row)
+
+    @property
+    def objective(self) -> dict:
+        c = self.c if self.minimize else -self.c
+        nonzero = np.flatnonzero(c)
+        return dict(zip([self.names[j] for j in nonzero.tolist()],
+                        c[nonzero].tolist()))
+
+    def _row(self, r: int) -> tuple:
+        s, e = self.indptr[r], self.indptr[r + 1]
+        coeffs = dict(zip([self.names[j] for j in self.indices[s:e].tolist()],
+                          self.data[s:e].tolist()))
+        lo, hi = float(self.row_lb[r]), float(self.row_ub[r])
+        if lo == -math.inf:
+            return r, coeffs, "<=", hi
+        return r, coeffs, ">=" if hi == math.inf else "=", lo
+
+
+# ---------------------------------------------------------------------------
+# Writing in blocks
+# ---------------------------------------------------------------------------
+
+_BLOCK = 1024       # rows (LP) or columns (MPS) formatted per write; a
+                    # multiple of the four binaries of an LP line
+
+
+def _blocks(n: int):
+    """``(lo, hi)`` of each block of ``range(n)``."""
+    return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
 
 def _num_strings(values: np.ndarray) -> list:
@@ -137,16 +219,15 @@ def _lines_by_column(groups) -> list:
 # LP writing
 # ---------------------------------------------------------------------------
 
-def _lp_terms(cols, vals, start, names) -> list:
-    """`` {sign} {magnitude} {name}`` of every entry, with a line break after
-    each sixth term of a row that goes on."""
-    lengths = np.diff(start)
-    pos = np.arange(len(cols)) - np.repeat(start[:-1], lengths)
-    breaks = ((pos + 1) % 6 == 0) & (pos + 1 < np.repeat(lengths, lengths))
+def _lp_terms(cols, vals, pos, length, names) -> list:
+    """`` {sign} {magnitude} {name}`` of each entry, given its position in
+    its row and the length of its row, with a line break after each sixth
+    term of a row that goes on."""
     terms = [f" {'-' if neg else '+'} {mag} {names[j]}"
              for neg, mag, j in zip((vals < 0).tolist(),
                                     _num_strings(np.abs(vals)), cols.tolist())]
-    for k in np.flatnonzero(breaks).tolist():
+    for k in np.flatnonzero(((pos + 1) % 6 == 0)
+                            & (pos + 1 < length)).tolist():
         terms[k] += "\n  "
     return terms
 
@@ -156,129 +237,243 @@ def write_lp(m: ModelArrays, path, relax: bool = False) -> None:
     continuous in [0, 1])."""
     names = m.names
     in_obj = np.flatnonzero(m.obj != 0.0)
-    obj = _lp_terms(in_obj, m.obj[in_obj], np.array([0, len(in_obj)]), names)
-    terms = _lp_terms(m.cols, m.vals, m.start, names)
-    starts = m.start.tolist()
-    cont = ~m.binary
-    ranged = np.flatnonzero(cont & (m.ub != math.inf))
-    floored = np.flatnonzero(cont & (m.ub == math.inf) & (m.lb != 0.0))
-    relaxed = np.flatnonzero(m.binary & relax)
-    bounds = _lines_by_column((
-        (relaxed, [f" 0 <= {names[j]} <= 1\n" for j in relaxed.tolist()]),
-        (floored, [f" {names[j]} >= {lo}\n" for j, lo in
-                   zip(floored.tolist(), _num_strings(m.lb[floored]))]),
-        (ranged, [f" {lo} <= {names[j]} <= {hi}\n" for j, lo, hi in
-                  zip(ranged.tolist(), _num_strings(m.lb[ranged]),
-                      _num_strings(m.ub[ranged]))])))
-    binaries = [names[j]
-                for j in np.flatnonzero(m.binary & (not relax)).tolist()]
+    binaries = np.flatnonzero(m.binary & (not relax))
     with open(path, "w") as fh:
         fh.write("\\ ebusopt model\nMinimize\n obj:")
-        fh.write("".join(obj) or " 0 __zero__")
+        if not len(in_obj):
+            fh.write(" 0 __zero__")
+        for lo, hi in _blocks(len(in_obj)):
+            cols = in_obj[lo:hi]
+            fh.writelines(_lp_terms(cols, m.obj[cols], np.arange(lo, hi),
+                                    len(in_obj), names))
         fh.write("\nSubject To\n")
-        for r, (name, sense, rhs) in enumerate(zip(
-                m.row_names(), m.sense.tolist(), _num_strings(m.rhs))):
-            row = "".join(terms[starts[r]:starts[r + 1]]) or " 0 __zero__"
-            fh.write(f" {name}:{row} {SENSES[sense]} {rhs}\n")
+        for lo, hi in _blocks(len(m.rhs)):
+            start = m.start[lo:hi + 1]
+            s, e = int(start[0]), int(start[-1])
+            lengths = np.diff(start)
+            terms = _lp_terms(m.cols[s:e], m.vals[s:e],
+                              np.arange(s, e) - np.repeat(start[:-1], lengths),
+                              np.repeat(lengths, lengths), names)
+            at = (start - s).tolist()
+            fh.writelines(
+                f" {name}:{''.join(terms[at[i]:at[i + 1]]) or ' 0 __zero__'}"
+                f" {SENSES[sense]} {rhs}\n"
+                for i, (name, sense, rhs) in enumerate(zip(
+                    m.row_names(np.arange(lo, hi)), m.sense[lo:hi].tolist(),
+                    _num_strings(m.rhs[lo:hi]))))
         fh.write("Bounds\n")
-        fh.writelines(bounds)
-        if binaries:
+        for lo, hi in _blocks(len(names)):
+            cont = ~m.binary[lo:hi]
+            lb, ub = m.lb[lo:hi], m.ub[lo:hi]
+            ranged = lo + np.flatnonzero(cont & (ub != math.inf))
+            floored = lo + np.flatnonzero(cont & (ub == math.inf) & (lb != 0.0))
+            relaxed = lo + np.flatnonzero(m.binary[lo:hi] & relax)
+            fh.writelines(_lines_by_column((
+                (relaxed, [f" 0 <= {names[j]} <= 1\n"
+                           for j in relaxed.tolist()]),
+                (floored, [f" {names[j]} >= {low}\n" for j, low in
+                           zip(floored.tolist(), _num_strings(m.lb[floored]))]),
+                (ranged, [f" {low} <= {names[j]} <= {high}\n"
+                          for j, low, high in zip(
+                              ranged.tolist(), _num_strings(m.lb[ranged]),
+                              _num_strings(m.ub[ranged]))]))))
+        if len(binaries):
             fh.write("Binaries\n")
-            for i in range(0, len(binaries), 4):
-                fh.write(" " + " ".join(binaries[i:i + 4]) + "\n")
+        for lo, hi in _blocks(len(binaries)):
+            block = [names[j] for j in binaries[lo:hi].tolist()]
+            fh.writelines(" " + " ".join(block[i:i + 4]) + "\n"
+                          for i in range(0, len(block), 4))
         fh.write("End\n")
+
+
+# ---------------------------------------------------------------------------
+# Reading: what a reader has read so far
+# ---------------------------------------------------------------------------
+
+class _Rows:
+    """Rows as a reader reads them: their entries as (row, column, value)
+    in file order, and per row its sense code and right-hand side."""
+
+    def __init__(self):
+        self.row = array("q")
+        self.col = array("q")
+        self.val = array("d")
+        self.sense = bytearray()
+        self.rhs = array("d")
+
+    def csr(self, n_rows: int, n_cols: int) -> tuple:
+        """``(indptr, indices, data)``: the columns of each row ascending,
+        each with 0.0 plus its values in file order."""
+        key = np.array(self.row, np.int64)
+        key *= n_cols
+        key += np.array(self.col, np.int64)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        val = np.array(self.val)[order]
+        del order
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        data = val[first] + 0.0
+        if len(first) < len(key):
+            # a column named twice in one row: sum its values in file order
+            ends = np.append(first[1:], len(key))
+            for k in np.flatnonzero(ends - first > 1).tolist():
+                total = 0.0
+                for v in val[first[k]:ends[k]].tolist():
+                    total += v
+                data[k] = total
+        key = key[first]
+        indptr = np.searchsorted(key, np.arange(n_rows + 1) * n_cols)
+        return indptr, key % max(n_cols, 1), data
+
+
+class _Reading:
+    """A model file as a reader reads it: the columns in first-seen order
+    with their bounds and integrality, the rows and the objective (one row
+    whose sense and rhs are ignored)."""
+
+    def __init__(self):
+        self.index: dict = {}            # column name -> column
+        self.tokens = dict(_OPS)         # LP chunk -> its one token
+        self.lower = array("d")
+        self.upper = array("d")
+        self.integer = bytearray()
+        self.rows = _Rows()
+        self.objective = _Rows()
+        self.minimize = True
+
+    def column(self, name: str) -> int:
+        """The column ``name``, added if new."""
+        j = self.index.get(name)
+        if j is None:
+            j = self.index[name] = len(self.lower)
+            self.lower.append(0.0)
+            self.upper.append(math.inf)
+            self.integer.append(0)
+        return j
+
+    def problem(self) -> ProblemArrays:
+        """What was read, as the arrays HiGHS takes."""
+        n, m = len(self.lower), len(self.rows.sense)
+        indptr, indices, data = self.rows.csr(m, n)
+        _, obj_cols, obj_vals = self.objective.csr(1, n)
+        c = np.zeros(n)
+        c[obj_cols] = obj_vals
+        if not self.minimize:
+            c = -c
+        sense = np.array(self.rows.sense, np.int8)
+        rhs = np.array(self.rows.rhs)
+        return ProblemArrays(
+            names=list(self.index), c=c,
+            indptr=indptr, indices=indices, data=data,
+            row_lb=np.where(sense == SENSES.index("<="), -np.inf, rhs),
+            row_ub=np.where(sense == SENSES.index(">="), np.inf, rhs),
+            lb=np.array(self.lower), ub=np.array(self.upper),
+            integrality=np.array(self.integer, float),
+            minimize=self.minimize)
 
 
 # ---------------------------------------------------------------------------
 # LP reading
 # ---------------------------------------------------------------------------
 
-_COMMENT_RE = re.compile(r"\\.*")
-# a section header is a line holding only its keyword; the text searched has
-# a newline added before and after it, so every line has one on each side
-# (the lookahead keeps a failed line from retrying with fewer leading blanks)
+# a section header is a line holding only its keyword; the group that
+# matched names the kind of section
 _SECTION_RE = re.compile(
-    r"\n[^\S\n]*(?![^\S\n])(minimize|minimise|min|maximize|maximise|max"
-    r"|subject[^\S\n]+to|such[^\S\n]+that|s\.t\.|st|bounds?|binar(?:y|ies)|bin"
-    r"|generals?|gen|integers?|int|end)[^\S\n]*(?=\n)",
+    r"\s*(?:(?P<minimize>minimize|minimise|min)"
+    r"|(?P<maximize>maximize|maximise|max)"
+    r"|(?P<constraints>subject\s+to|such\s+that|s\.t\.|st)"
+    r"|(?P<bounds>bounds?)|(?P<binaries>binar(?:y|ies)|bin)"
+    r"|(?P<generals>generals?|gen|integers?|int)|(?P<end>end))\s*",
     re.IGNORECASE)
-_SECTION_KINDS = {
-    **dict.fromkeys(("minimize", "minimise", "min"), "objective-min"),
-    **dict.fromkeys(("maximize", "maximise", "max"), "objective-max"),
-    **dict.fromkeys(("subject to", "such that", "s.t.", "st"), "constraints"),
-    **dict.fromkeys(("bound", "bounds"), "bounds"),
-    **dict.fromkeys(("binary", "binaries", "bin"), "binaries"),
-    **dict.fromkeys(("general", "generals", "gen", "integer", "integers",
-                     "int"), "generals"),
-    "end": "end"}
+_BEFORE_SECTIONS = (0, None)
 
 _TOKEN_RE = re.compile(
     r"(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?![\w.\[\]@#]))"
     r"|(?P<name>[A-Za-z_!\"#$%&(),;?@'`{}|~.][A-Za-z0-9_!\"#$%&(),;?@'`{}|~.\[\]]*)"
     r"|(?P<op><=|>=|=<|=>|=|\+|-|:)")
 
-_OP_ALIASES = {"=<": "<=", "=>": ">="}
+# the chunks that are one operator token, and that token
+_OPS = {op: ("op", {"=<": "<=", "=>": ">="}.get(op, op))
+        for op in ("<=", ">=", "=<", "=>", "=", "+", "-", ":")}
 _COLON = ("op", ":")
 _SIGNS = {("op", "+"): 1.0, ("op", "-"): -1.0}
 _OBJECTIVE_END = (("op", "="), ("num", "0"))
+# the most numbers a reading keeps lexed; it starts over when it has as many
+_NUMBERS_KEPT = 1 << 14
+_SENSE_CODES = {sense: code for code, sense in enumerate(SENSES)}
 
 
-class _ChunkTokens(dict):
-    """Whitespace-free chunk -> its tokens, lexed with ``_TOKEN_RE`` on the
-    first lookup of the chunk."""
-
-    def __missing__(self, chunk: str) -> tuple:
-        tokens = []
-        pos = 0
-        while pos < len(chunk):
-            m = _TOKEN_RE.match(chunk, pos)
-            if m is None:
-                raise LpFormatError(
-                    f"cannot tokenize LP text near {chunk[pos:pos + 30]!r}")
-            pos = m.end()
-            val = m.group()
-            tokens.append((m.lastgroup, _OP_ALIASES.get(val, val)))
-        self[chunk] = tokens = tuple(tokens)
-        return tokens
+def _lex(chunk: str) -> list:
+    """The tokens of a whitespace-free chunk, lexed with ``_TOKEN_RE``."""
+    tokens = []
+    pos = 0
+    while pos < len(chunk):
+        m = _TOKEN_RE.match(chunk, pos)
+        if m is None:
+            raise LpFormatError(
+                f"cannot tokenize LP text near {chunk[pos:pos + 30]!r}")
+        pos = m.end()
+        val = m.group()
+        tokens.append(_OPS[val] if m.lastgroup == "op" else (m.lastgroup, val))
+    return tokens
 
 
-def _tokenize_lp(text: str, memo: Optional[_ChunkTokens] = None):
-    """Iterator over the ``(kind, text)`` tokens of ``text``.
+def _lp_tokens(lines, reading: _Reading):
+    """Iterator over the ``(kind, text)`` tokens of ``lines``.
 
     No token spans whitespace, and the one lookahead (after a number) passes
-    both before whitespace and at the end of a chunk, so the tokens of the
-    text are those of its ``split()`` chunks in turn; the text is split line
-    by line, so that only one line's chunks exist at a time.  ``memo`` lexes
-    each distinct chunk once and hands out the same token tuples after that;
-    one read shares it across its sections and drops it when it returns.
+    both before whitespace and at the end of a chunk, so the tokens of a
+    line are those of its ``split()`` chunks in turn.  A chunk in
+    ``reading.tokens`` (an operator, or one of at most ``_NUMBERS_KEPT``
+    numbers read before) is that token; a chunk ``_TOKEN_RE`` matches whole
+    is one token; every other chunk is lexed.
     """
-    if memo is None:
-        memo = _ChunkTokens()
-    chunks = chain.from_iterable(map(str.split, text.split("\n")))
-    return chain.from_iterable(map(memo.__getitem__, chunks))
+    known, match = reading.tokens, _TOKEN_RE.match
+    for line in lines:
+        for chunk in line.split():
+            token = known.get(chunk)
+            if token is None:
+                m = match(chunk)
+                if m is None or m.end() != len(chunk):
+                    yield from _lex(chunk)
+                    continue
+                token = m.lastgroup, chunk
+                if token[0] == "num":
+                    if len(known) >= len(_OPS) + _NUMBERS_KEPT:
+                        known.clear()
+                        known.update(_OPS)
+                    known[chunk] = token
+            yield token
 
 
-def _lp_sections(path) -> list:
-    """``(kind, text)`` of each section of an LP file, comments removed."""
+def _lp_lines(fh):
+    """``((number, kind), line)`` of each line of an LP file, comments
+    removed, with the number and kind of the section it is in; a section
+    header counts as an empty line of its section."""
+    section = _BEFORE_SECTIONS
     try:
-        with open(path) as fh:
-            text = _COMMENT_RE.sub("", "\n" + fh.read() + "\n")
+        for line in fh:
+            if "\\" in line:
+                line = line[:line.index("\\")]
+            head = _SECTION_RE.fullmatch(line)
+            if head:
+                section = (section[0] + 1, head.lastgroup)
+                line = ""
+            yield section, line
     except UnicodeDecodeError as exc:
-        raise LpFormatError(f"{path} is not a text file: {exc}") from None
-    heads = list(_SECTION_RE.finditer(text))
-    ends = [h.start() for h in heads[1:]] + [len(text)]
-    return [(_SECTION_KINDS[" ".join(h.group(1).lower().split())],
-             text[h.end():e]) for h, e in zip(heads, ends)]
+        raise LpFormatError(f"{fh.name} is not a text file: {exc}") from None
 
 
-def _lp_rows(tokens, model: ParsedModel, rows: list) -> None:
-    """Append the rows ``[name:] expression sense [+|-] rhs`` read from the
-    token iterator ``tokens`` to ``rows``, touching their variables.
+def _lp_rows(tokens, reading: _Reading, rows: _Rows) -> None:
+    """Read the rows ``[name:] expression sense [+|-] rhs`` from the token
+    iterator ``tokens`` into ``rows``, adding their columns to ``reading``.
 
     An expression is a run of ``[+|-]... [coefficient] variable`` terms; a
-    variable named twice sums its coefficients and ``__zero__`` is dropped.
+    variable named twice in a row sums its coefficients and ``__zero__`` is
+    dropped.
     """
-    lower, touch = model.lower, model.touch
+    column, index = reading.column, reading.index
+    add_row, add_col, add_val = rows.row.append, rows.col.append, rows.val.append
     for head in tokens:
         name, body = None, tokens
         if head[0] == "name":
@@ -290,18 +485,20 @@ def _lp_rows(tokens, model: ParsedModel, rows: list) -> None:
                              tokens)
         else:
             body = chain((head,), tokens)
-        label = name or f"r{len(rows)}"
-        coeffs: dict = {}
+        r = len(rows.sense)
         sign, coef, sense = 1.0, None, None
         for kind, val in body:
             if kind == "name":
-                coeffs[val] = coeffs.get(val, 0.0) + (
-                    sign if coef is None else sign * coef)
+                if val != "__zero__":
+                    j = index.get(val)
+                    add_row(r)
+                    add_col(column(val) if j is None else j)
+                    add_val(sign if coef is None else sign * coef)
                 sign, coef = 1.0, None
             elif kind == "num":
                 if coef is not None:
                     raise LpFormatError(
-                        f"row {label}: two consecutive numbers")
+                        f"row {name or f'r{r}'}: two consecutive numbers")
                 coef = float(val)
             elif val == "-":
                 sign = -sign
@@ -309,9 +506,11 @@ def _lp_rows(tokens, model: ParsedModel, rows: list) -> None:
                 sense = val
                 break
         if coef is not None:
-            raise LpFormatError(f"row {label} ends with a dangling number")
-        if sense not in SENSES:
-            raise LpFormatError(f"row {label}: missing sense")
+            raise LpFormatError(f"row {name or f'r{r}'} ends with a dangling "
+                                "number")
+        code = _SENSE_CODES.get(sense)
+        if code is None:
+            raise LpFormatError(f"row {name or f'r{r}'}: missing sense")
         rhs = next(tokens, None)
         sign = _SIGNS.get(rhs)
         if sign is None:
@@ -319,49 +518,48 @@ def _lp_rows(tokens, model: ParsedModel, rows: list) -> None:
         else:
             rhs = next(tokens, None)
         if rhs is None or rhs[0] != "num":
-            raise LpFormatError(f"row {label}: missing rhs")
-        coeffs.pop("__zero__", None)
-        for var in coeffs:
-            if var not in lower:
-                touch(var)
-        rows.append((label, coeffs, sense, sign * float(rhs[1])))
+            raise LpFormatError(f"row {name or f'r{r}'}: missing rhs")
+        rows.sense.append(code)
+        rows.rhs.append(sign * float(rhs[1]))
 
 
 @_gc_paused()
-def read_lp(path) -> ParsedModel:
-    """Parse an LP file.  Its sections share one token memo, so each distinct
-    chunk is lexed once per read."""
-    model = ParsedModel()
-    memo = _ChunkTokens()
-    for kind, text in _lp_sections(path):
-        if kind in ("objective-min", "objective-max"):
-            # the objective reads as the one row "[name:] expression = 0"
-            model.minimize = kind == "objective-min"
-            rows: list = []
-            _lp_rows(chain(_tokenize_lp(text, memo), _OBJECTIVE_END), model,
-                     rows)
-            if len(rows) != 1:
-                raise LpFormatError("trailing tokens in objective")
-            model.objective = rows[0][1]
-        elif kind == "constraints":
-            _lp_rows(_tokenize_lp(text, memo), model, model.rows)
-        elif kind == "bounds":
-            for line in text.split("\n"):
-                tokens = list(_tokenize_lp(line, memo))
-                if tokens:
-                    try:
-                        _parse_bound(tokens, model)
-                    except (IndexError, LpFormatError) as exc:
-                        raise LpFormatError(
-                            f"bad bound line {line.strip()!r}: {exc}") from exc
-        elif kind in ("binaries", "generals"):
-            for var in text.split():
-                model.touch(var)
-                model.integers.add(var)
-                if kind == "binaries":
-                    model.lower[var] = 0.0
-                    model.upper[var] = min(model.upper[var], 1.0)
-    return model
+def read_lp(path) -> ProblemArrays:
+    """Read an LP file, one section at a time, as a stream of lines."""
+    reading = _Reading()
+    with open(path) as fh:
+        for (_, kind), group in groupby(_lp_lines(fh), key=itemgetter(0)):
+            lines = map(itemgetter(1), group)
+            if kind in ("minimize", "maximize"):
+                # the objective reads as the one row "[name:] expression = 0"
+                reading.minimize = kind == "minimize"
+                objective = _Rows()
+                _lp_rows(chain(_lp_tokens(lines, reading), _OBJECTIVE_END),
+                         reading, objective)
+                if len(objective.sense) != 1:
+                    raise LpFormatError("trailing tokens in objective")
+                reading.objective = objective
+            elif kind == "constraints":
+                _lp_rows(_lp_tokens(lines, reading), reading, reading.rows)
+            elif kind == "bounds":
+                for line in lines:
+                    tokens = list(_lp_tokens((line,), reading))
+                    if tokens:
+                        try:
+                            _parse_bound(tokens, reading)
+                        except (IndexError, LpFormatError) as exc:
+                            raise LpFormatError(
+                                f"bad bound line {line.strip()!r}: {exc}"
+                            ) from exc
+            elif kind in ("binaries", "generals"):
+                for line in lines:
+                    for var in line.split():
+                        j = reading.column(var)
+                        reading.integer[j] = 1
+                        if kind == "binaries":
+                            reading.lower[j] = 0.0
+                            reading.upper[j] = min(reading.upper[j], 1.0)
+    return reading.problem()
 
 
 def _bound_value(tokens: list, i: int):
@@ -380,36 +578,34 @@ def _bound_value(tokens: list, i: int):
     raise LpFormatError(f"bad bound value {val!r}")
 
 
-def _parse_bound(tokens: list, model: ParsedModel) -> None:
+def _parse_bound(tokens: list, reading: _Reading) -> None:
     """Apply the tokens of one bound line: ``v free``, ``v sense b``,
     ``b <= v`` or ``b <= v <= b``."""
+    lower, upper = reading.lower, reading.upper
     if len(tokens) == 2 and tokens[1][1].lower() == "free":
-        var = tokens[0][1]
-        model.touch(var)
-        model.lower[var] = -math.inf
+        lower[reading.column(tokens[0][1])] = -math.inf
         return
     if tokens[0][0] == "name" and tokens[0][1].lower() not in ("inf", "infinity"):
-        var = tokens[0][1]
-        model.touch(var)
+        j = reading.column(tokens[0][1])
         sense = tokens[1][1]
         value, _ = _bound_value(tokens, 2)
         if sense == "<=":
-            model.upper[var] = value
+            upper[j] = value
         elif sense == ">=":
-            model.lower[var] = value
+            lower[j] = value
         else:
-            model.lower[var] = model.upper[var] = value
+            lower[j] = upper[j] = value
         return
     lo, i = _bound_value(tokens, 0)
     if tokens[i][1] != "<=":
         raise LpFormatError(f"expected '<=' after {lo}")
     var = tokens[i + 1][1]
-    model.touch(var)
-    model.lower[var] = lo
+    j = reading.column(var)
+    lower[j] = lo
     if i + 2 < len(tokens):
         if tokens[i + 2][1] != "<=":
             raise LpFormatError(f"expected '<=' after {var}")
-        model.upper[var], _ = _bound_value(tokens, i + 3)
+        upper[j], _ = _bound_value(tokens, i + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +620,6 @@ _MARKERS = ("    MARKER M2 'MARKER' 'INTEND'\n",     # before a continuous run
 def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
     names = m.names
     n = len(names)
-    row_names = m.row_names()
     # column-major entries: the objective first, then the rows in order; a
     # column with no entry gets "obj 0"
     in_obj = np.flatnonzero(m.obj != 0.0)
@@ -438,53 +633,73 @@ def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
     val = np.concatenate([m.obj[in_obj], np.zeros(len(unused)), m.vals])
     order = np.argsort(col, kind="stable")
     col, row, val = col[order], row[order], val[order]
+    del order
     first = np.searchsorted(col, np.arange(n + 1))
-    entries = [f"{'obj' if r < 0 else row_names[r]} {v}"
-               for r, v in zip(row.tolist(), _num_strings(val))]
-    # two entries a line: each even entry of a column opens one, and takes
-    # the next entry along if that is in the same column
-    starts = np.flatnonzero((np.arange(len(col)) - first[col]) % 2 == 0)
-    paired = starts + 1 < first[col[starts] + 1]
-    lines = [f"    {names[j]} {entries[k]} {entries[k + 1]}\n" if pair
-             else f"    {names[j]} {entries[k]}\n"
-             for k, j, pair in zip(starts.tolist(), col[starts].tolist(),
-                                   paired.tolist())]
-    # each run of integer columns sits between an INTORG and an INTEND line
     want_int = m.binary & (not relax)
-    runs = np.flatnonzero(want_int != np.append(False, want_int[:-1]))
-    for k, integer in zip(np.searchsorted(starts, first[runs]).tolist(),
-                          want_int[runs].tolist()):
-        lines[k] = _MARKERS[integer] + lines[k]
-    if n and want_int[-1]:
-        lines.append("    MARKER M3 'MARKER' 'INTEND'\n")
+    # the entries of a column name rows anywhere in the model
+    row_names = m.row_names(np.arange(len(m.rhs)))
     with open(path, "w") as fh:
         fh.write("NAME ebusopt\n")
         fh.write("ROWS\n N obj\n")
         fh.writelines(f" {_MPS_TYPES[s]} {name}\n"
                       for s, name in zip(m.sense.tolist(), row_names))
         fh.write("COLUMNS\n")
-        fh.writelines(lines)
+        for lo, hi in _blocks(n):
+            fh.writelines(_mps_column_lines(names, row_names, col, row, val,
+                                            first, want_int, lo, hi))
+        if n and want_int[-1]:
+            fh.write("    MARKER M3 'MARKER' 'INTEND'\n")
         fh.write("RHS\n")
         nonzero = np.flatnonzero(m.rhs != 0.0)
-        fh.writelines(f"    RHS {row_names[r]} {rhs}\n" for r, rhs in
-                      zip(nonzero.tolist(), _num_strings(m.rhs[nonzero])))
+        for lo, hi in _blocks(len(nonzero)):
+            rows = nonzero[lo:hi]
+            fh.writelines(f"    RHS {row_names[r]} {rhs}\n" for r, rhs in
+                          zip(rows.tolist(), _num_strings(m.rhs[rows])))
         fh.write("BOUNDS\n")
-        cont = ~m.binary
-        binaries = np.flatnonzero(m.binary)
-        lower = np.flatnonzero(cont & (m.lb != 0.0))
-        upper = np.flatnonzero(cont & (m.ub != math.inf))
-        fh.writelines(_lines_by_column((
-            (binaries, [f" UP BND {names[j]} 1\n" if relax
-                        else f" BV BND {names[j]}\n"
-                        for j in binaries.tolist()]),
-            (lower, [f" LO BND {names[j]} {lo}\n" for j, lo in
-                     zip(lower.tolist(), _num_strings(m.lb[lower]))]),
-            (upper, [f" UP BND {names[j]} {hi}\n" for j, hi in
-                     zip(upper.tolist(), _num_strings(m.ub[upper]))]))))
+        for lo, hi in _blocks(n):
+            cont = ~m.binary[lo:hi]
+            binaries = lo + np.flatnonzero(m.binary[lo:hi])
+            lower = lo + np.flatnonzero(cont & (m.lb[lo:hi] != 0.0))
+            upper = lo + np.flatnonzero(cont & (m.ub[lo:hi] != math.inf))
+            fh.writelines(_lines_by_column((
+                (binaries, [f" UP BND {names[j]} 1\n" if relax
+                            else f" BV BND {names[j]}\n"
+                            for j in binaries.tolist()]),
+                (lower, [f" LO BND {names[j]} {low}\n" for j, low in
+                         zip(lower.tolist(), _num_strings(m.lb[lower]))]),
+                (upper, [f" UP BND {names[j]} {high}\n" for j, high in
+                         zip(upper.tolist(), _num_strings(m.ub[upper]))]))))
         fh.write("ENDATA\n")
 
 
-_MPS_SENSES = dict(zip(_MPS_TYPES, SENSES))
+def _mps_column_lines(names, row_names, col, row, val, first, want_int,
+                      lo: int, hi: int) -> list:
+    """The COLUMNS lines of the columns ``lo`` to ``hi``, from the
+    column-major entries ``col``, ``row`` (-1 for the objective) and
+    ``val``, whose column ``j`` starts at ``first[j]``."""
+    k0, k1 = int(first[lo]), int(first[hi])
+    col = col[k0:k1]
+    entries = [f"{'obj' if r < 0 else row_names[r]} {v}"
+               for r, v in zip(row[k0:k1].tolist(), _num_strings(val[k0:k1]))]
+    # two entries a line: each even entry of a column opens one, and takes
+    # the next entry along if that is in the same column
+    starts = np.flatnonzero((np.arange(k0, k1) - first[col]) % 2 == 0)
+    paired = k0 + starts + 1 < first[col[starts] + 1]
+    lines = [f"    {names[j]} {entries[k]} {entries[k + 1]}\n" if pair
+             else f"    {names[j]} {entries[k]}\n"
+             for k, j, pair in zip(starts.tolist(), col[starts].tolist(),
+                                   paired.tolist())]
+    # each run of integer columns sits between an INTORG and an INTEND line
+    block = want_int[lo:hi]
+    before = np.append(lo > 0 and want_int[lo - 1], block[:-1])
+    runs = lo + np.flatnonzero(block != before)
+    for k, integer in zip(np.searchsorted(k0 + starts, first[runs]).tolist(),
+                          want_int[runs].tolist()):
+        lines[k] = _MARKERS[integer] + lines[k]
+    return lines
+
+
+_MPS_SENSES = {t: code for code, t in enumerate(_MPS_TYPES)}
 
 
 def _mps_lines(fh):
@@ -508,16 +723,13 @@ def _mps_lines(fh):
 
 
 @_gc_paused()
-def read_mps(path) -> ParsedModel:
-    """Parse a free-format MPS file, one loop per section."""
-    model = ParsedModel()
-    lower, upper, touch = model.lower, model.upper, model.touch
-    integers, objective = model.integers, model.objective
+def read_mps(path) -> ProblemArrays:
+    """Read a free-format MPS file, one loop per section."""
+    reading = _Reading()
+    column, rows, objective = reading.column, reading.rows, reading.objective
+    lower, upper, integer = reading.lower, reading.upper, reading.integer
     obj_row = None
-    rows_order: list = []
-    row_sense: dict = {}
-    row_coeffs: dict = {}
-    row_rhs: dict = {}
+    row_index: dict = {}             # row name -> row
     integer_mode = False
     with open(path) as fh:
         for section, group in groupby(_mps_lines(fh), key=itemgetter(0)):
@@ -529,10 +741,12 @@ def read_mps(path) -> ParsedModel:
                         if code == "N":
                             if obj_row is None:
                                 obj_row = name
-                        else:
-                            row_sense[name] = _MPS_SENSES[code]
-                            row_coeffs[name] = {}
-                            rows_order.append(name)
+                            continue
+                        if name in row_index:
+                            raise ValueError(f"row {name!r} named twice")
+                        rows.sense.append(_MPS_SENSES[code])
+                        rows.rhs.append(0.0)
+                        row_index[name] = len(row_index)
                 elif section == "COLUMNS":
                     for parts in lines:
                         if len(parts) >= 3 and parts[1].startswith("'MARKER'"):
@@ -541,49 +755,52 @@ def read_mps(path) -> ParsedModel:
                         if "'MARKER'" in parts:
                             integer_mode = "'INTORG'" in parts
                             continue
-                        var = parts[0]
-                        if var not in lower:
-                            touch(var)
+                        j = column(parts[0])
                         if integer_mode:
-                            integers.add(var)
-                        for j in range(1, len(parts) - 1, 2):
-                            row, val = parts[j], float(parts[j + 1])
-                            if row == obj_row:
-                                objective[var] = objective.get(var, 0.0) + val
+                            integer[j] = 1
+                        for k in range(1, len(parts) - 1, 2):
+                            name, val = parts[k], float(parts[k + 1])
+                            if name == obj_row:
+                                objective.row.append(0)
+                                objective.col.append(j)
+                                objective.val.append(val)
                                 continue
-                            coeffs = row_coeffs.get(row)
-                            if coeffs is None:
-                                raise ValueError(f"unknown row {row!r}")
-                            coeffs[var] = coeffs.get(var, 0.0) + val
+                            r = row_index.get(name)
+                            if r is None:
+                                raise ValueError(f"unknown row {name!r}")
+                            rows.row.append(r)
+                            rows.col.append(j)
+                            rows.val.append(val)
                 elif section == "RHS":
                     for parts in lines:
-                        for j in range(1, len(parts) - 1, 2):
-                            row_rhs[parts[j]] = float(parts[j + 1])
+                        for k in range(1, len(parts) - 1, 2):
+                            value = float(parts[k + 1])
+                            r = row_index.get(parts[k])
+                            if r is not None:
+                                rows.rhs[r] = value
                 elif section == "RANGES":
                     for parts in lines:
                         raise ValueError("RANGES is not supported")
                 elif section == "BOUNDS":
                     for parts in lines:
-                        btype, var = parts[0].upper(), parts[2]
-                        if var not in lower:
-                            touch(var)
+                        btype, j = parts[0].upper(), column(parts[2])
                         if btype == "UP":
-                            upper[var] = float(parts[3])
+                            upper[j] = float(parts[3])
                         elif btype == "LO":
-                            lower[var] = float(parts[3])
+                            lower[j] = float(parts[3])
                         elif btype == "FX":
-                            lower[var] = upper[var] = float(parts[3])
+                            lower[j] = upper[j] = float(parts[3])
                         elif btype == "BV":
-                            integers.add(var)
-                            lower[var] = 0.0
-                            upper[var] = 1.0
+                            integer[j] = 1
+                            lower[j] = 0.0
+                            upper[j] = 1.0
                         elif btype == "MI":
-                            lower[var] = -math.inf
+                            lower[j] = -math.inf
                         elif btype == "PL":
-                            upper[var] = math.inf
+                            upper[j] = math.inf
                         elif btype == "UI":
-                            integers.add(var)
-                            upper[var] = float(parts[3])
+                            integer[j] = 1
+                            upper[j] = float(parts[3])
                         else:
                             raise ValueError(
                                 f"unsupported bound type {btype!r}")
@@ -592,13 +809,13 @@ def read_mps(path) -> ParsedModel:
             except (IndexError, KeyError, ValueError) as exc:
                 raise LpFormatError(f"bad {section} line "
                                     f"{' '.join(parts)!r}: {exc}") from exc
-    model.rows.extend((name, row_coeffs[name], row_sense[name],
-                       row_rhs.get(name, 0.0)) for name in rows_order)
+    del row_index
     # integer variables with no explicit bounds default to [0, 1] in MPS
-    for var in integers:
-        if upper[var] == math.inf:
-            upper[var] = 1.0
-    return model
+    for j in np.flatnonzero(np.array(integer, bool)
+                            & (np.array(upper) == math.inf)).tolist():
+        upper[j] = 1.0
+    return reading.problem()
+
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .chargemodel import IncrementDomainPWL
-from .lpformat import SENSES, ModelArrays, RawSolution, write_lp, write_mps
+from .lpformat import (SENSES, ModelArrays, RawSolution, _Records, write_lp,
+                       write_mps)
 from .netgraph import SchedulingGraph
 from .refsolver import emitted_arrays, solve_arrays
 from .solverbridge import SolverError, external_command, solve_external
@@ -230,24 +230,6 @@ class MilpModel:
     @property
     def minimize(self) -> bool:
         return True
-
-
-class _Records(Sequence):
-    """Read-only sequence that builds each record when it is accessed."""
-
-    def __init__(self, length: int, record):
-        self._length = length
-        self._record = record
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, i: int):
-        if i < 0:
-            i += self._length
-        if not 0 <= i < self._length:
-            raise IndexError("record index out of range")
-        return self._record(i)
 
 
 def _domain_for(domains: dict, charger: str, vtype: str) -> IncrementDomainPWL:

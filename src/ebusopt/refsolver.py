@@ -11,24 +11,24 @@ by `name value` lines.  Exit code 0 covers every properly diagnosed outcome
 (missing, not text, or a malformed line, which the message names); 3 means
 the solver itself failed.
 
-``solve_arrays`` is the one HiGHS call site: this CLI reaches it through
-``parsed_arrays`` of the file it reads, ``milp.solve_model`` through
-``emitted_arrays`` of the model's own arrays, which are the same arrays
-with no model file written and no solution file written back; only this
-CLI writes a solution file.  scipy is imported on first use, so importing
-this module stays cheap.
+``solve_arrays`` is the one HiGHS call site: this CLI reaches it with the
+``lpformat.ProblemArrays`` that the reader of the file returns,
+``milp.solve_model`` with ``emitted_arrays`` of the model's own arrays,
+which are the same arrays with no model file written and no solution file
+written back; only this CLI writes a solution file.  scipy is imported on
+first use, so importing this module stays cheap.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lpformat import (SENSES, LpFormatError, ModelArrays, ParsedModel,
+from .lpformat import (SENSES, LpFormatError, ModelArrays, ProblemArrays,
                        read_lp, read_mps, write_solution_text)
 
 _STATUS = {
@@ -40,7 +40,7 @@ _STATUS = {
 }
 
 
-def load_model(path: str) -> ParsedModel:
+def load_model(path: str) -> ProblemArrays:
     if path.endswith(".mps"):
         return read_mps(path)
     if path.endswith(".lp"):
@@ -54,65 +54,10 @@ def load_model(path: str) -> ParsedModel:
     return read_lp(path)
 
 
-@dataclass
-class ProblemArrays:
-    """A MILP in the array form ``scipy.optimize.milp`` takes.
-
-    Columns follow ``names``; ``a`` is the CSR row matrix with row bounds
-    ``row_lb``/``row_ub``; ``c`` is already negated for a maximisation.
-    """
-
-    names: list
-    c: np.ndarray
-    a: object                # scipy.sparse.csr_matrix, len(rows) x len(names)
-    row_lb: np.ndarray
-    row_ub: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    integrality: np.ndarray
-    minimize: bool = True
-
-
-def parsed_arrays(model: ParsedModel, relax: bool = False) -> ProblemArrays:
-    """Arrays of a parsed model; ``relax`` drops integrality."""
-    from scipy import sparse
-
-    names = model.variables
-    index = {n: i for i, n in enumerate(names)}
-    n = len(names)
-    c = np.zeros(n)
-    for var, coef in model.objective.items():
-        c[index[var]] = coef
-    if not model.minimize:
-        c = -c
-
-    rows_lb, rows_ub, data, ri, ci = [], [], [], [], []
-    for r, (_, coeffs, sense, rhs) in enumerate(model.rows):
-        for var, coef in coeffs.items():
-            ri.append(r)
-            ci.append(index[var])
-            data.append(coef)
-        rows_lb.append(-np.inf if sense == "<=" else rhs)
-        rows_ub.append(np.inf if sense == ">=" else rhs)
-
-    integrality = np.zeros(n)
-    if not relax:
-        for var in model.integers:
-            integrality[index[var]] = 1
-    return ProblemArrays(
-        names=names, c=c,
-        a=sparse.csr_matrix((data, (ri, ci)), shape=(len(model.rows), n)),
-        row_lb=np.array(rows_lb, dtype=float),
-        row_ub=np.array(rows_ub, dtype=float),
-        lb=np.array([model.lower[v] for v in names], dtype=float),
-        ub=np.array([model.upper[v] for v in names], dtype=float),
-        integrality=integrality, minimize=model.minimize)
-
-
 def emitted_arrays(m: ModelArrays, fmt: str = "lp",
                    relax: bool = False) -> ProblemArrays:
-    """What ``parsed_arrays`` returns for the file ``write_lp`` (or
-    ``write_mps``) emits from ``m``, built without the file.
+    """What ``read_lp`` (or ``read_mps``) returns for the file ``write_lp``
+    (or ``write_mps``) emits from ``m``, built without the file.
 
     The writers print every number so that it reads back bit for bit, except
     that -0.0 reads back as 0.0; adding 0.0 does the same here.  Columns
@@ -120,8 +65,6 @@ def emitted_arrays(m: ModelArrays, fmt: str = "lp",
     row terms, bound lines and binaries, with columns that appear in none of
     them left out; for MPS every column in model order.
     """
-    from scipy import sparse
-
     n = len(m.names)
     binary = m.binary
     if fmt == "mps":
@@ -139,10 +82,13 @@ def emitted_arrays(m: ModelArrays, fmt: str = "lp",
     pos = np.full(n, -1)
     pos[order] = np.arange(len(order))
     rhs = m.rhs + 0.0
+    # the rows keep their entries; each row's columns become ascending in
+    # the new order
+    indices = pos[m.cols]
+    by_row = np.lexsort((indices, m.row_of_entry()))
     return ProblemArrays(
         names=[m.names[j] for j in order.tolist()], c=m.obj[order] + 0.0,
-        a=sparse.csr_matrix((m.vals + 0.0, (m.row_of_entry(), pos[m.cols])),
-                            shape=(len(rhs), len(order))),
+        indptr=m.start, indices=indices[by_row], data=m.vals[by_row] + 0.0,
         row_lb=np.where(m.sense == SENSES.index("<="), -np.inf, rhs),
         row_ub=np.where(m.sense == SENSES.index(">="), np.inf, rhs),
         lb=np.where(binary, 0.0, m.lb + 0.0)[order],
@@ -159,6 +105,7 @@ def solve_arrays(p: ProblemArrays, time_limit: float | None = None,
     "error".
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_matrix
 
     options = {"mip_rel_gap": mip_gap}
     if time_limit is not None:
@@ -167,8 +114,10 @@ def solve_arrays(p: ProblemArrays, time_limit: float | None = None,
         options["time_limit"] = float(time_limit)
 
     constraints = []
-    if p.a.shape[0]:
-        constraints = [LinearConstraint(p.a, p.row_lb, p.row_ub)]
+    if len(p.row_lb):
+        a = csr_matrix((p.data, p.indices, p.indptr),
+                       shape=(len(p.row_lb), len(p.names)))
+        constraints = [LinearConstraint(a, p.row_lb, p.row_ub)]
     res = milp(c=p.c, constraints=constraints, integrality=p.integrality,
                bounds=Bounds(p.lb, p.ub), options=options)
 
@@ -194,10 +143,14 @@ def solve_arrays(p: ProblemArrays, time_limit: float | None = None,
     return status, values, objective, bound
 
 
-def solve_parsed(model: ParsedModel, time_limit: float | None = None,
+def solve_parsed(model: ProblemArrays, time_limit: float | None = None,
                  relax: bool = False, mip_gap: float = 1e-9):
-    """Returns (status, values, objective, bound)."""
-    return solve_arrays(parsed_arrays(model, relax), time_limit, mip_gap)
+    """Returns (status, values, objective, bound); ``relax`` drops
+    integrality."""
+    if relax:
+        model = dataclasses.replace(
+            model, integrality=np.zeros_like(model.integrality))
+    return solve_arrays(model, time_limit, mip_gap)
 
 
 def main(argv=None) -> int:

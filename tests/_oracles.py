@@ -10,8 +10,10 @@ assembly.  The unpruned ``build_graph`` gives every charger arc every
 plan its charger serves; it is the reference for the package's graph,
 which drops the plans that cannot reach a slot.  The readers at the bottom
 (``_tokenize_lp``, ``read_lp`` and ``read_mps``) lex an LP file one regex
-match per position and read an MPS file line by line; they are the
-reference for the package's readers.
+match per position and read an MPS file line by line into a ``ParsedModel``
+of name-keyed dicts, one per row; with ``parsed_arrays`` they are the
+reference for the package's readers, which build the solver's arrays
+directly.
 
 The closed-form charge curves evaluate the max-power charge curve
 analytically, bypassing the numerical integrator entirely:
@@ -26,10 +28,11 @@ with t_cv = y_v / c, w = 1 - y_v, k = c / w.
 import math
 import re
 from collections import defaultdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ebusopt.lpformat import LpFormatError, ParsedModel
+from ebusopt.lpformat import LpFormatError, ProblemArrays
 from ebusopt.milp import (MilpModel, ModelError, ModelOptions, _domain_for,
                           _grid_limit)
 from ebusopt.netgraph import (Arc, GraphError, GraphOptions, Node,
@@ -108,6 +111,65 @@ def quadratic_cv_curve(c=0.5, y_v=0.6, soc_cap=0.999):
         return np.where(y < y_v, y / c, cv)
 
     return ClosedFormCurve(soc, time, soc_cap, t_cv)
+
+
+# ---------------------------------------------------------------------------
+# A model file as name-keyed dicts, and its solver arrays
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ParsedModel:
+    minimize: bool = True
+    objective: dict = field(default_factory=dict)    # var -> coefficient
+    rows: list = field(default_factory=list)         # (name, coeffs, sense, rhs)
+    lower: dict = field(default_factory=dict)        # var -> lb (default 0)
+    upper: dict = field(default_factory=dict)        # var -> ub (default +inf)
+    integers: set = field(default_factory=set)
+    variables: list = field(default_factory=list)    # first-seen order
+
+    def touch(self, name: str):
+        if name not in self.lower:
+            self.lower[name] = 0.0
+            self.upper[name] = math.inf
+            self.variables.append(name)
+
+
+def parsed_arrays(model: ParsedModel, relax: bool = False) -> ProblemArrays:
+    """Arrays of a parsed model; ``relax`` drops integrality."""
+    from scipy import sparse
+
+    names = model.variables
+    index = {n: i for i, n in enumerate(names)}
+    n = len(names)
+    c = np.zeros(n)
+    for var, coef in model.objective.items():
+        c[index[var]] = coef
+    if not model.minimize:
+        c = -c
+
+    rows_lb, rows_ub, data, ri, ci = [], [], [], [], []
+    for r, (_, coeffs, sense, rhs) in enumerate(model.rows):
+        for var, coef in coeffs.items():
+            ri.append(r)
+            ci.append(index[var])
+            data.append(coef)
+        rows_lb.append(-np.inf if sense == "<=" else rhs)
+        rows_ub.append(np.inf if sense == ">=" else rhs)
+
+    a = sparse.csr_matrix((data, (ri, ci)), shape=(len(model.rows), n))
+    integrality = np.zeros(n)
+    if not relax:
+        for var in model.integers:
+            integrality[index[var]] = 1
+    return ProblemArrays(
+        names=names, c=c,
+        indptr=a.indptr.astype(np.int64), indices=a.indices.astype(np.int64),
+        data=a.data,
+        row_lb=np.array(rows_lb, dtype=float),
+        row_ub=np.array(rows_ub, dtype=float),
+        lb=np.array([model.lower[v] for v in names], dtype=float),
+        ub=np.array([model.upper[v] for v in names], dtype=float),
+        integrality=integrality, minimize=model.minimize)
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +821,8 @@ def build_graph(instance, theta, options=GraphOptions()):
 
 
 # ---------------------------------------------------------------------------
-# Per-position regex LP reader and line-by-line MPS reader (reference for
-# the chunk-memo readers)
+# Per-position regex LP reader and line-by-line MPS reader (with
+# ``parsed_arrays``, the reference for the array readers)
 # ---------------------------------------------------------------------------
 
 _SECTION_RE = re.compile(

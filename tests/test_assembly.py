@@ -8,6 +8,7 @@
 import dataclasses
 import hashlib
 import math
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -19,12 +20,15 @@ from ebusopt import netgraph
 from ebusopt.generators import (GenerationError, SyntheticParams,
                                 generate_synthetic, generate_worst_case)
 from ebusopt.instance import GridPoint, MixConstraint
+from ebusopt.lpformat import read_lp, read_mps, write_lp, write_mps
 from ebusopt.milp import (ModelError, ModelOptions, build_model,
                           decode_solution, emit_model, solve_model)
 from ebusopt.netgraph import GraphError, GraphOptions, build_graph
+from ebusopt.refsolver import emitted_arrays
 from ebusopt.validate import (build_domains, discretization_sweep,
                               exact_curves, validate_schedule)
 from _toys import charger_toy
+from test_milp import _assert_same_arrays
 
 THETA = 300.0
 
@@ -156,6 +160,28 @@ def test_assembly_matches_dict_row_reference(case):
     _assert_same_model(got, want)
 
 
+def _assert_read_back_as_emitted(arrays, directory):
+    """Each file, plain and relaxed, reads back as ``emitted_arrays``."""
+    for fmt, write, read in (("lp", write_lp, read_lp),
+                             ("mps", write_mps, read_mps)):
+        for relax in (False, True):
+            path = f"{directory}/model.{fmt}"
+            write(arrays, path, relax=relax)
+            _assert_same_arrays(read(path), emitted_arrays(arrays, fmt, relax))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=assembly_cases())
+def test_assembly_models_read_back_as_emitted_arrays(case):
+    graph, domains, options = case
+    try:
+        model = build_model(graph, domains, options)
+    except ModelError:
+        reject()
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_read_back_as_emitted(model.arrays(), tmp)
+
+
 # ---------------------------------------------------------------------------
 # golden model files
 # ---------------------------------------------------------------------------
@@ -225,6 +251,11 @@ def test_golden_model_files_are_unchanged(tmp_path, name):
             emit_model(model, fmt, path, relax=relax)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == want, \
                 (fmt, relax)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_golden_models_read_back_as_emitted_arrays(tmp_path, name):
+    _assert_read_back_as_emitted(_golden_model(name).arrays(), tmp_path)
 
 
 # ---------------------------------------------------------------------------

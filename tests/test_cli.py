@@ -269,14 +269,24 @@ def test_sweep_in_process_writes_no_cell_files(runner, tmp_path):
     assert sorted(os.listdir(out)) == ["config.json", "sweep.csv"]
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
     import ebusopt
     src = os.path.dirname(os.path.dirname(os.path.abspath(ebusopt.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, ebusopt.cli, ebusopt.validate, ebusopt.milp; "
-            "print('scipy.optimize' in sys.modules)")
+    lp, mps = tmp_path / "m.lp", tmp_path / "m.mps"
+    lp.write_text("Minimize\n obj: x\nSubject To\n c: x >= 1\nEnd\n")
+    mps.write_text("NAME m\nROWS\n N obj\n G c\nCOLUMNS\n x obj 1 c 1\n"
+                   "RHS\n RHS c 1\nENDATA\n")
+    # the package loads scipy only inside the calls that solve, so neither
+    # an import nor a read of a model file loads any scipy module
+    code = ("import sys, ebusopt.cli, ebusopt.validate, ebusopt.milp, "
+            "ebusopt.lpformat, ebusopt.refsolver; "
+            f"ebusopt.lpformat.read_lp({str(lp)!r}); "
+            f"ebusopt.lpformat.read_mps({str(mps)!r}); "
+            "print(any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -289,6 +299,24 @@ def test_solve_bad_instance_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["solve", str(bad),
                                "--out", str(tmp_path / "run")])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("vehicle_types", "battery_kwh", -50.0),
+    ("vehicle_types", "fixed_cost", float("nan")),
+    ("deadheads", "cost", {"e0": float("inf")})],
+    ids=["battery_kwh", "fixed_cost", "deadhead_cost"])
+def test_solve_invalid_costs_and_battery_exit_2(runner, tmp_path, kind, field,
+                                                value):
+    doc = charger_toy().to_dict()
+    doc[kind][0][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["solve", str(path),
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert f"{field}" in json.loads(res.output.strip().splitlines()[-1])[
+        "message"]
 
 
 def test_sweep_command(runner, tmp_path):

@@ -106,6 +106,32 @@ def test_non_finite_energy_price_rejected(price):
         inst.validate()
 
 
+@pytest.mark.parametrize("kwh", [-50.0, 0.0, math.nan, math.inf])
+def test_electric_battery_must_be_finite_and_positive(kwh):
+    inst = _with_first(charger_toy(), "vehicle_types", battery_kwh=kwh)
+    with pytest.raises(InstanceError, match=r"vehicle_types\[e0\]\.battery_kwh: "
+                                            r".* not finite and > 0"):
+        inst.validate()
+    # a non-electric type carries no battery
+    charger_toy(mixed_fleet=True).validate()
+
+
+@pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+def test_non_finite_fixed_cost_rejected(cost):
+    inst = _with_first(charger_toy(), "vehicle_types", fixed_cost=cost)
+    with pytest.raises(InstanceError, match=r"vehicle_types\[e0\]\.fixed_cost: "
+                                            r".* not finite"):
+        inst.validate()
+
+
+@pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+def test_non_finite_deadhead_cost_rejected(cost):
+    inst = _with_first(charger_toy(), "deadheads", cost={"e0": cost})
+    with pytest.raises(InstanceError, match=r"deadheads\[D0->A\]\.cost\[e0\]: "
+                                            r".* not finite"):
+        inst.validate()
+
+
 def test_negative_grid_limit_rejected():
     inst = _with_first(charger_toy(), "grid_points",
                        max_power_kw=((0, 3600, -5.0),))

@@ -1,9 +1,11 @@
 """The model-file readers against the per-position reference readers in
-``_oracles``: token lists, parsed models and the failure of malformed files."""
+``_oracles``: token lists, the solver arrays of parsed models, the failure
+of malformed files, and the memory the readers and writers take."""
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 import _oracles
 from ebusopt import lpformat
 from ebusopt.generators import SyntheticParams, generate_synthetic
-from ebusopt.lpformat import LpFormatError, read_lp, read_mps
+from ebusopt.lpformat import (LpFormatError, read_lp, read_mps, write_lp,
+                              write_mps)
 from ebusopt.milp import ModelOptions, emit_model
 from ebusopt.refsolver import load_model
-from test_milp import _reference_models, toy_setup
+from test_milp import _assert_same_arrays, _reference_models, toy_setup
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -46,10 +49,15 @@ def _kept_dict_sizes():
     """Sizes of the dicts the reader keeps beyond a call: its module globals
     and the default arguments of its functions."""
     kept = [v for v in vars(lpformat).values() if isinstance(v, dict)]
-    for f in (lpformat._tokenize_lp, lpformat._lp_rows,
-              lpformat.read_lp.__wrapped__):
+    for f in (lpformat._lex, lpformat._lp_tokens, lpformat._lp_lines,
+              lpformat._lp_rows, lpformat._parse_bound,
+              lpformat._Reading.column, lpformat.read_lp.__wrapped__):
         kept += [d for d in f.__defaults__ or () if isinstance(d, dict)]
     return [len(d) for d in kept]
+
+
+def _lp_tokens(text, reading=None):
+    return lpformat._lp_tokens([text], reading or lpformat._Reading())
 
 
 @pytest.fixture(scope="module")
@@ -61,16 +69,14 @@ def lp_file(tmp_path_factory):
 @given(text=LP_TEXT, other=LP_TEXT)
 def test_tokenizer_matches_per_position_reference(text, other, lp_file):
     want = _tokens_or_error(_oracles._tokenize_lp, text)
-    assert _tokens_or_error(lpformat._tokenize_lp, text) == want
-    # a memo shared with another text hands out the same tokens
-    memo = lpformat._ChunkTokens()
-    _tokens_or_error(lambda t: lpformat._tokenize_lp(t, memo), other)
-    assert _tokens_or_error(lambda t: lpformat._tokenize_lp(t, memo),
-                            text) == want
-    if want is not LpFormatError:
-        assert all(memo[c] == tuple(_oracles._tokenize_lp(c))
-                   for c in text.split())
-    # the memo lives for one read: nothing the module keeps grows
+    assert _tokens_or_error(_lp_tokens, text) == want
+    # a reading that kept the numbers of another text hands out the same
+    # tokens
+    reading = lpformat._Reading()
+    _tokens_or_error(lambda t: _lp_tokens(t, reading), other)
+    assert _tokens_or_error(lambda t: _lp_tokens(t, reading), text) == want
+    # what a reading keeps lives for one read: nothing the module keeps
+    # grows
     kept = _kept_dict_sizes()
     with open(lp_file, "w") as fh:
         fh.write(f"Subject To\n{other}\n{text}\nEnd\n")
@@ -78,8 +84,16 @@ def test_tokenizer_matches_per_position_reference(text, other, lp_file):
         read_lp(lp_file)
     except LpFormatError:
         pass
-    _tokens_or_error(lpformat._tokenize_lp, other + text)
+    _tokens_or_error(_lp_tokens, other + text)
     assert _kept_dict_sizes() == kept
+
+
+def test_reading_keeps_a_bounded_number_of_numbers(monkeypatch):
+    monkeypatch.setattr(lpformat, "_NUMBERS_KEPT", 3)
+    text = " ".join(f"{k} 1{k} -{k}.5 x{k}" for k in range(20))
+    reading = lpformat._Reading()
+    assert list(_lp_tokens(text, reading)) == _oracles._tokenize_lp(text)
+    assert len(reading.tokens) <= len(lpformat._OPS) + 3
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +161,13 @@ def _read_or_error(read, path):
 
 
 def _assert_same_parse(ours, ref):
-    """Equal, in the same first-seen orders and with the same float bits."""
-    assert ours == ref
-    if ref is LpFormatError:
+    """Both readers fail, or our arrays equal those of the reference's
+    parsed model, in the same first-seen column order and with the same
+    float bits."""
+    if LpFormatError in (ours, ref):
+        assert ours is ref
         return
-    for name in ("objective", "rows", "lower", "upper", "variables"):
-        assert repr(getattr(ours, name)) == repr(getattr(ref, name)), name
+    _assert_same_arrays(ours, _oracles.parsed_arrays(ref))
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,23 +185,33 @@ def test_bound_line_breaks_only_at_newline(lp_file):
         fh.write("Minimize\n obj: 1 x\nSubject To\n c1: 1 x >=\x0b1\n"
                  "Bounds\n x <=\x0b5\nEnd\n")
     model = read_lp(lp_file)
-    assert model.rows == [("c1", {"x": 1.0}, ">=", 1.0)]
-    assert (model.lower["x"], model.upper["x"]) == (0.0, 5.0)
+    assert list(model.rows) == [(0, {"x": 1.0}, ">=", 1.0)]
+    assert (model.lb.tolist(), model.ub.tolist()) == ([0.0], [5.0])
+
+
+def test_section_header_matched_ignoring_case_names_its_section(lp_file):
+    # "\u017ft" matches "st" ignoring case, and so opens the constraints
+    with open(lp_file, "w") as fh:
+        fh.write("MAXIMIZE\n obj: 2 x\n\u017ft\n c1: 1 x <= 3\nEnd\n")
+    model = read_lp(lp_file)
+    assert not model.minimize and model.objective == {"x": 2.0}
+    assert list(model.rows) == [(0, {"x": 1.0}, "<=", 3.0)]
 
 
 # ---------------------------------------------------------------------------
 # both readers on the golden models
 # ---------------------------------------------------------------------------
 
-def _golden_models():
-    models = _reference_models()
+def _synth20_model():
     synth20 = generate_synthetic(
         SyntheticParams(trips=20, chargers=1, slots_per_charger=2,
                         horizon_start_s=6 * 3600, horizon_end_s=17 * 3600),
         seed=1)
-    models.append(("synth20", toy_setup(
-        synth20, options=ModelOptions(use_strengthening=True))[3]))
-    return models
+    return toy_setup(synth20, options=ModelOptions(use_strengthening=True))[3]
+
+
+def _golden_models():
+    return _reference_models() + [("synth20", _synth20_model())]
 
 
 @pytest.mark.parametrize("relax", [False, True])
@@ -243,3 +268,31 @@ def test_malformed_model_file_exits_2(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "cannot read model" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+# Peak of the memory tracemalloc sees during one write or read of the synth20
+# model, as a multiple of the file's size.  Writers that format a whole file
+# at once and readers that keep one dict per row take 4.2x to 9x.
+PEAK_OVER_FILE_SIZE = 3.5
+
+
+def test_readers_and_writers_run_in_bounded_memory(tmp_path):
+    arrays = _synth20_model().arrays()
+    for fmt, write, read in (("lp", write_lp, read_lp),
+                             ("mps", write_mps, read_mps)):
+        path = str(tmp_path / f"synth20.{fmt}")
+        write(arrays, path)
+        read(path)                      # imports outside the measurement
+        size = os.path.getsize(path)
+        for step in (lambda: write(arrays, path), lambda: read(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= PEAK_OVER_FILE_SIZE * size, (fmt, step, peak / size)

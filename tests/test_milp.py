@@ -23,8 +23,8 @@ from ebusopt.milp import (DecodeError, MilpModel, ModelError, ModelOptions,
                           build_model, decode_solution, emit_model,
                           solve_model)
 from ebusopt.netgraph import GraphOptions, build_graph
-from ebusopt.refsolver import (emitted_arrays, load_model, parsed_arrays,
-                               solve_arrays, solve_parsed)
+from ebusopt.refsolver import (emitted_arrays, load_model, solve_arrays,
+                               solve_parsed)
 from ebusopt.solverbridge import (DEFAULT_SOLVER_CMD, SOLVER_ENV_VAR,
                                   SolverError, solve_external)
 from ebusopt.validate import build_domains, exact_curves
@@ -123,14 +123,12 @@ def test_lp_mps_roundtrip_same_polyhedron(tmp_path):
     emit_model(model, "mps", mps_path)
     a, b = read_lp(str(lp_path)), read_mps(str(mps_path))
     assert set(a.variables) == set(b.variables)
-    assert a.integers == b.integers
+    integers = {n for n, i in zip(a.names, a.integrality) if i}
+    assert integers == {n for n, i in zip(b.names, b.integrality) if i}
     assert len(a.rows) == len(b.rows)
-    obj_a = {k: v for k, v in a.objective.items()}
-    assert obj_a == b.objective
-    rows_b = {name: (coeffs, sense, rhs) for name, coeffs, sense, rhs in b.rows}
-    for name, coeffs, sense, rhs in a.rows:
-        cb, sb, rb = rows_b[name]
-        assert sense == sb and rhs == pytest.approx(rb, abs=1e-12)
+    assert a.objective == b.objective
+    for (r, coeffs, sense, rhs), (_, cb, sb, rb) in zip(a.rows, b.rows):
+        assert sense == sb and rhs == pytest.approx(rb, abs=1e-12), r
         assert coeffs == pytest.approx(cb)
 
 
@@ -159,8 +157,8 @@ def test_variable_count_in_lp(tmp_path):
     write_lp(tiny.arrays(), path)
     parsed = read_lp(str(path))
     assert sorted(parsed.variables) == ["a", "b", "c"]
-    assert parsed.integers == {"a"}
-    assert parsed.upper["c"] == 5.0
+    assert parsed.integrality.tolist() == [1.0, 0.0, 0.0]
+    assert parsed.ub[parsed.names.index("c")] == 5.0
 
 
 def test_relaxed_emission_drops_integrality(tmp_path):
@@ -169,9 +167,9 @@ def test_relaxed_emission_drops_integrality(tmp_path):
     path = tmp_path / "relax.lp"
     emit_model(model, "lp", path, relax=True)
     parsed = read_lp(str(path))
-    assert not parsed.integers
-    x_vars = [v for v in parsed.variables if v.startswith("x[")]
-    assert all(parsed.upper[v] == 1.0 for v in x_vars)
+    assert not parsed.integrality.any()
+    x_vars = [j for j, v in enumerate(parsed.variables) if v.startswith("x[")]
+    assert x_vars and all(parsed.ub[x_vars] == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +187,17 @@ def test_refsolver_solves_hand_lp(tmp_path):
     assert status == "optimal"
     assert obj == pytest.approx(1.0)
     assert values["a"] == pytest.approx(1.0)
+
+
+def test_refsolver_relax_drops_integrality(tmp_path):
+    path = tmp_path / "half.lp"
+    path.write_text("Minimize\n obj: 1 a + 1 b\n"
+                    "Subject To\n c1: 2 a + 2 b >= 1\n"
+                    "Binaries\n a b\nEnd\n")
+    model = load_model(str(path))
+    assert solve_parsed(model)[2] == pytest.approx(1.0)
+    assert solve_parsed(model, relax=True)[2] == pytest.approx(0.5)
+    assert model.integrality.tolist() == [1.0, 1.0]      # left as read
 
 
 def test_refsolver_cli_roundtrip(tmp_path):
@@ -262,11 +271,10 @@ def _identity_models():
 
 def _assert_same_arrays(a, b):
     assert a.names == b.names
-    for field in ("c", "row_lb", "row_ub", "lb", "ub", "integrality"):
+    assert a.minimize == b.minimize
+    for field in ("c", "row_lb", "row_ub", "lb", "ub", "integrality",
+                  "data", "indices", "indptr"):
         assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
-    for field in ("data", "indices", "indptr"):
-        assert (getattr(a.a, field).tobytes()
-                == getattr(b.a, field).tobytes()), field
 
 
 @pytest.mark.parametrize("relax", [False, True])
@@ -275,9 +283,10 @@ def test_in_process_arrays_equal_lp_file_arrays(tmp_path, relax):
         path = tmp_path / f"m{k}.lp"
         emit_model(model, "lp", path, relax=relax)
         from_file = read_lp(str(path))
-        assert _oracles.parsed_model(model, "lp", relax) == from_file
+        _assert_same_arrays(_oracles.parsed_arrays(
+            _oracles.parsed_model(model, "lp", relax)), from_file)
         in_memory = emitted_arrays(model.arrays(), "lp", relax)
-        _assert_same_arrays(in_memory, parsed_arrays(from_file))
+        _assert_same_arrays(in_memory, from_file)
         assert bool(in_memory.integrality.any()) == (not relax)
 
 
@@ -287,7 +296,7 @@ def test_in_process_arrays_equal_mps_file_arrays(tmp_path):
         path = tmp_path / "m.mps"
         emit_model(model, "mps", path, relax=relax)
         _assert_same_arrays(emitted_arrays(model.arrays(), "mps", relax),
-                            parsed_arrays(read_mps(str(path))))
+                            read_mps(str(path)))
 
 
 def test_in_process_model_leaves_out_unused_variables(tmp_path):
@@ -299,10 +308,10 @@ def test_in_process_model_leaves_out_unused_variables(tmp_path):
     path = tmp_path / "tiny.lp"
     emit_model(tiny, "lp", path)
     parsed = _oracles.parsed_model(tiny, "lp")
-    assert parsed == read_lp(str(path))
     assert parsed.variables == ["a", "c", "d"]
     arrays = emitted_arrays(tiny.arrays(), "lp")
-    _assert_same_arrays(arrays, parsed_arrays(parsed))
+    _assert_same_arrays(arrays, _oracles.parsed_arrays(parsed))
+    _assert_same_arrays(arrays, read_lp(str(path)))
     assert arrays.names == ["a", "c", "d"]
 
 
@@ -328,7 +337,8 @@ def test_writers_match_dict_row_reference(tmp_path, relax):
             assert got.read_bytes() == want.read_bytes(), (label, fmt)
             _assert_same_arrays(
                 emitted_arrays(model.arrays(), fmt, relax),
-                parsed_arrays(_oracles.parsed_model(model, fmt, relax)))
+                _oracles.parsed_arrays(_oracles.parsed_model(model, fmt,
+                                                             relax)))
 
 
 def test_record_views_match_storage():
@@ -390,7 +400,7 @@ def test_writer_reader_round_trip_is_exact(model):
                 path = os.path.join(tmp, f"m.{fmt}")
                 write(arrays, path, relax=relax)
                 _assert_same_arrays(emitted_arrays(arrays, fmt, relax),
-                                    parsed_arrays(read(path)))
+                                    read(path))
 
 
 @pytest.mark.parametrize("relax", [False, True])
@@ -502,7 +512,7 @@ def test_nan_grid_limit_is_rejected(tmp_path):
 def _hand_arrays(tmp_path, text):
     path = tmp_path / "hand.lp"
     path.write_text(text)
-    return parsed_arrays(read_lp(str(path)))
+    return read_lp(str(path))
 
 
 HAND_LP = ("Minimize\n obj: 1 a + 2 b\n"
