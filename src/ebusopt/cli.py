@@ -174,7 +174,7 @@ def _solve_into(model, workdir, solver_cmd, fmt, time_limit, threads):
               help="PWL segments of the increment domain")
 @click.option("--estimator", type=click.Choice(["under", "over", "linear"]),
               default="under", show_default=True)
-@click.option("--grid-cap", type=float, default=None,
+@click.option("--grid-cap", type=click.FloatRange(min=0.0), default=None,
               help="re-solve with grid limits at this fraction of the "
                    "unconstrained solution's peak")
 @click.option("--solver-cmd", default=None,

@@ -136,12 +136,12 @@ class ModelArrays:
 
 @dataclass
 class ProblemArrays:
-    """A MILP in the array form ``scipy.optimize.milp`` takes.
+    """A MILP in the array form HiGHS takes.
 
     Columns follow ``names``; row ``r`` holds the columns
     ``indices[indptr[r]:indptr[r + 1]]``, ascending, with coefficients
     ``data`` at the same positions (the CSR row matrix, which
-    ``refsolver.solve_arrays`` wraps for HiGHS), and row bounds
+    ``refsolver.solve_arrays`` hands to HiGHS as it is), and row bounds
     ``row_lb``/``row_ub``; ``c`` is already negated for a maximisation.
     ``variables``, ``rows`` and ``objective`` are read-only views in the
     terms of the file: ``rows`` builds one ``(index, {column name:

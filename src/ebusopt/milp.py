@@ -11,7 +11,10 @@ Strengthened soc bounds replace the plain coupling rows with per-arc bounds
 derived from the cheapest paths to and from depots or chargers; they tighten
 the LP relaxation and keep every integer point (the energy-flow equalities
 already force soc to cover any remaining path).  A grid point without a
-limit (+inf kW) gets no grid rows; a NaN limit override is a ``ModelError``.
+limit (+inf kW) gets no grid rows; a NaN or negative limit override is a
+``ModelError``.  Charger time with no power (outside the windows, or a
+limit of exactly 0 kW) gets no columns where that is exact; see
+``build_model``.
 
 ``MilpModel`` keeps the program in one array form (columns plus CSR rows);
 the LP/MPS writers, the in-process HiGHS solve and the decoder all read
@@ -242,26 +245,120 @@ def _domain_for(domains: dict, charger: str, vtype: str) -> IncrementDomainPWL:
 
 _NODE_KIND = {"depot-source": 0, "depot-sink": 1, "trip": 2, "charge": 3}
 _SINK, _CHARGE = 1, 3                   # depot nodes have the codes 0, 1
-_ARC_KIND = {"pullout": 1, "recharge": 2}     # any other kind is 0
-_PULLOUT, _RECHARGE = 1, 2
+_ARC_KIND = {"pullout": 1, "recharge": 2, "egress": 3}
+_PULLOUT, _RECHARGE, _EGRESS = 1, 2, 3      # any other kind is 0
+
+
+def _grid_limits(graph: SchedulingGraph, slot_code: dict, override):
+    """Per (grid point rank, step 0..H) the kW limit, and per slot the rank
+    of its grid point.
+
+    Only points with slots are read (step 0 and other points stay +inf),
+    so a NaN or negative override fails for any point with slots.
+    """
+    inst, steps = graph.instance, graph.horizon_steps
+    gp_rank = {gp.id: r for r, gp in enumerate(inst.grid_points)}
+    slot_gp = np.full(len(slot_code), -1)
+    for sid, cid in graph.slot_charger.items():
+        slot_gp[slot_code[sid]] = gp_rank[inst.charger(cid).grid_point]
+    limit = np.full((len(inst.grid_points), steps + 1), math.inf)
+    for r, gp in enumerate(inst.grid_points):
+        if (slot_gp == r).any():
+            limit[r, 1:] = [_grid_limit(gp, graph, i, override)
+                            for i in range(1, steps + 1)]
+    return limit, slot_gp
+
+
+def _mix_payoff_plans(inst) -> set:
+    """Plans one more bus of which can help a vehicle-mix row: a positive
+    net coefficient in a row with a lower bound, or a negative one in a row
+    with an upper bound."""
+    out = set()
+    for m in inst.mix_constraints:
+        net: dict = {}
+        for (vt, dep), kappa in zip(m.plan_types, m.coeffs):
+            net[f"{vt}.{dep}"] = net.get(f"{vt}.{dep}", 0.0) + kappa
+        out |= {pid for pid, k in net.items()
+                if (m.lower > 0 and k > 0) or (m.upper < math.inf and k < 0)}
+    return out
+
+
+def _dropped_events(graph: SchedulingGraph, slot: str, dead: np.ndarray,
+                    mix_payoff: set):
+    """Events of ``slot`` whose egress and pull-out arcs get no columns.
+
+    ``dead[i]`` flags step i (1..H).  An event strictly inside a dead run
+    (steps i and i + 1 both dead) is dropped unless it lies within
+    ``stack`` events after an anchor; see ``build_model``.  Returns a bool
+    array over the events 0..H, or None when nothing is dropped.
+    """
+    steps = graph.horizon_steps
+    d = np.concatenate([[False], dead, [False]])    # steps 0..H + 1
+    inside = d[:-1] & d[1:]
+    if not inside.any():
+        return None
+    anchors = list(np.flatnonzero(d[1:] & ~d[:-1]))  # each run's first event
+    pullout: dict = {}      # depot -> [first event, arc]
+    sink: dict = {}         # depot -> arc
+    egress_lo: dict = {}    # head -> lowest event
+    trips = set()
+    for a in graph.arcs:
+        if a.slot != slot:
+            continue
+        if a.kind == "access":
+            anchors.append(graph.nodes[a.head].event)
+        elif a.kind == "pullout":
+            dep = graph.nodes[a.tail].depot
+            event = graph.nodes[a.head].event
+            if dep not in pullout or event < pullout[dep][0]:
+                pullout[dep] = [event, a]
+        elif a.kind == "egress":
+            event = graph.nodes[a.tail].event
+            egress_lo[a.head] = min(egress_lo.get(a.head, event), event)
+            head = graph.nodes[a.head]
+            if head.kind == "trip":
+                trips.add(head.id)
+            else:
+                sink[head.depot] = a
+    anchors += [first for first, _ in pullout.values()]
+    anchors += list(egress_lo.values())
+    for dep, (_, a) in pullout.items():
+        out = sink.get(dep)
+        for pid in a.plans:
+            if out is not None and pid in out.plans and (
+                    pid in mix_payoff or a.cost[pid] + out.cost[pid] < 0):
+                return None     # parked buses may pay: no bound on stacking
+    stack = len(trips) + 1
+    kept = np.zeros(steps + stack + 2, int)
+    np.add.at(kept, np.asarray(anchors, int), 1)
+    np.add.at(kept, np.asarray(anchors, int) + stack + 1, -1)
+    drop = inside & (np.cumsum(kept)[:steps + 1] == 0)
+    return drop if drop.any() else None
 
 
 class _GraphArrays:
     """A scheduling graph read once into the arrays the row families use.
 
     Nodes and plans are coded by their rank in sorted id order, slots by
-    their position in ``graph.slots``.  Pairs are the (arc, plan) entries of
-    ``arc.plans`` in arc order; the phi pairs are the pairs of recharge
-    arcs with an electric plan, in the same order.  Columns are x per pair,
-    then y per arc (``y_col``), then phi per phi pair (``phi_col``).
-    Raises ``ModelError`` for the first phi pair, in that order, whose
-    (charger, vehicle type) has no increment domain.
+    their position in ``graph.slots``.  The model's arcs are the graph's
+    arcs that get columns, with each chain of dead recharge arcs folded
+    into its first arc, which takes the chain's last head (see
+    ``build_model``); ``arc_ids`` holds their graph indices.  Pairs are
+    the (arc, plan) entries of ``arc.plans`` over the model's arcs, in arc
+    order; the phi pairs are the pairs of live recharge arcs.  Columns are
+    x per pair, then y per model arc (``y_col``), then phi per phi pair
+    (``phi_col``).  ``x_index`` and ``y_index`` map every graph arc with
+    columns, folded ones included, in arc order.  Raises ``ModelError`` for
+    the first recharge (arc, plan) pair in graph order whose (charger,
+    vehicle type) has no increment domain.
     """
 
-    def __init__(self, graph: SchedulingGraph, domains: dict):
+    def __init__(self, graph: SchedulingGraph, domains: dict,
+                 options: ModelOptions):
         inst = graph.instance
         node_ids = sorted(graph.nodes)
-        self.node_code = {nid: i for i, nid in enumerate(node_ids)}
+        node_code = {nid: i for i, nid in enumerate(node_ids)}
+        self.node_code = node_code
         self.node_kind = np.array(
             [_NODE_KIND[graph.nodes[nid].kind] for nid in node_ids], np.int8)
         plans = {p.id: p for p in graph.plan_types}
@@ -273,66 +370,120 @@ class _GraphArrays:
         battery = {v.id: v.battery_kwh for v in inst.vehicle_types}
         self.battery = np.array([battery[vt] for vt in vtypes], float)
         self.slot_code = {sid: i for i, sid in enumerate(graph.slots)}
+        self.limit, self.slot_gp = _grid_limits(
+            graph, self.slot_code, options.grid_limit_override)
         charger_ids = [c.id for c in inst.chargers]
         charger_code = {cid: i for i, cid in enumerate(charger_ids)}
 
+        # every graph arc and (arc, plan) pair
         tail, head, kind, recharge = [], [], [], []
-        self.arc_ids, self.x_names, self.x_index = [], [], {}
-        pair_arc, pair_plan, cost, cons = [], [], [], []
+        pair_arc, pair_plan, x_names, cost, cons = [], [], [], [], []
         for i, a in enumerate(graph.arcs):
-            self.arc_ids.append(a.index)
-            tail.append(self.node_code[a.tail])
-            head.append(self.node_code[a.head])
+            tail.append(node_code[a.tail])
+            head.append(node_code[a.head])
             kind.append(_ARC_KIND.get(a.kind, 0))
             if a.kind == "recharge":
                 recharge.append((i, charger_code[a.charger],
                                  self.slot_code[a.slot], a.step, a.available))
             for pid in a.plans:
-                self.x_index[(a.index, pid)] = len(pair_arc)
-                self.x_names.append(f"x[{a.index:06d}][{pid}]")
+                x_names.append(f"x[{a.index:06d}][{pid}]")
                 pair_arc.append(i)
                 pair_plan.append(plan_code[pid])
                 cost.append(a.cost.get(pid, 0.0))
                 cons.append(a.consumption(pid))
-        self.tail = np.array(tail, np.int64)
-        self.head = np.array(head, np.int64)
-        self.kind = np.array(kind, np.int8)
-        self.pair_arc = np.array(pair_arc, np.int64)
-        self.pair_plan = np.array(pair_plan, np.int64)
-        self.cost = np.array(cost, float)
-        self.cons = np.array(cons, float)
+        n = len(graph.arcs)
+        tail, head = np.array(tail, np.int64), np.array(head, np.int64)
+        kind = np.array(kind, np.int8)
+        pair_arc = np.array(pair_arc, np.int64)
+        pair_plan = np.array(pair_plan, np.int64)
 
         # recharge arcs: charger, slot, step (1..H) and availability
-        n = len(self.arc_ids)
-        self.charger = np.full(n, -1, np.int64)
-        self.slot = np.full(n, -1, np.int64)
-        self.step = np.zeros(n, np.int64)
-        self.available = np.zeros(n, bool)
+        charger = np.full(n, -1, np.int64)
+        slot = np.full(n, -1, np.int64)
+        step = np.zeros(n, np.int64)
+        available = np.zeros(n, bool)
         if recharge:
             at, ch, sl, st, av = zip(*recharge)
             at = list(at)
-            self.charger[at], self.slot[at] = ch, sl
-            self.step[at], self.available[at] = st, av
+            charger[at], slot[at], step[at], available[at] = ch, sl, st, av
 
-        self.phi_pair = np.flatnonzero(
-            (self.kind[self.pair_arc] == _RECHARGE)
-            & self.electric[self.pair_plan])
-        self.phi_arc = self.pair_arc[self.phi_pair]
-        self.phi_plan = self.pair_plan[self.phi_pair]
-        self.y_col = len(pair_arc) + np.arange(n)
-        self.phi_col = len(pair_arc) + n + np.arange(len(self.phi_pair))
-
-        # increment domain per phi pair, checked in order of first use
+        # increment domain per recharge pair, checked in order of first use
+        rc_pair = np.flatnonzero((kind[pair_arc] == _RECHARGE)
+                                 & self.electric[pair_plan])
         vt_ids = sorted(set(vtypes))
         vt_code = np.array([vt_ids.index(vt) for vt in vtypes], np.int64)
-        dom_key = (self.charger[self.phi_arc] * len(vt_ids)
-                   + vt_code[self.phi_plan])
-        keys, first, self.phi_dom = np.unique(dom_key, return_index=True,
-                                              return_inverse=True)
+        dom_key = (charger[pair_arc[rc_pair]] * len(vt_ids)
+                   + vt_code[pair_plan[rc_pair]])
+        keys, first, rc_dom = np.unique(dom_key, return_index=True,
+                                        return_inverse=True)
         doms = [None] * len(keys)
         for u in np.argsort(first):
             c, v = divmod(int(keys[u]), len(vt_ids))
             doms[u] = _domain_for(domains, charger_ids[c], vt_ids[v])
+
+        # dead steps: no idle draw and no power (outside the windows or a
+        # grid limit of exactly 0)
+        idle = np.array([c.step_consumption != 0 for c in inst.chargers],
+                        bool)
+        dead = np.zeros(n, bool)
+        rc = kind == _RECHARGE
+        dead[rc] = ~idle[charger[rc]] & (
+            ~available[rc] | (self.limit[self.slot_gp[slot[rc]], step[rc]]
+                              == 0))
+        rep = np.arange(n)          # the arc whose columns an arc uses
+        if dead.any():
+            rep = _column_arcs(graph, tail, head, kind, slot, step, dead,
+                               options.precondition_lead)
+        own = rep == np.arange(n)   # the model's arcs
+        kept = rep >= 0
+        last = np.arange(n)         # per model arc, its chain's last arc
+        folded = np.flatnonzero(kept & ~own)
+        np.maximum.at(last, rep[folded], folded)
+        model_arc = np.full(n, -1)
+        model_arc[own] = np.arange(own.sum())
+
+        arc_index = np.array([a.index for a in graph.arcs], np.int64)
+        self.arc_ids = arc_index[own].tolist()
+        self.tail, self.head = tail[own], head[last[own]]
+        self.kind = kind[own]
+        self.charger, self.slot = charger[own], slot[own]
+        self.step, self.available = step[own], available[own]
+        mine = own[pair_arc]
+        self.x_names = (x_names if mine.all()
+                        else [name for name, m in zip(x_names, mine) if m])
+        self.pair_arc = model_arc[pair_arc[mine]]
+        self.pair_plan = pair_plan[mine]
+        self.cost = np.array(cost, float)[mine]
+        self.cons = np.array(cons, float)[mine]
+        n_pairs, n_model = len(self.pair_arc), len(self.arc_ids)
+        # a folded arc's pairs follow its first arc's, plan for plan
+        pair_col = np.full(len(pair_arc), -1)
+        pair_col[mine] = np.arange(n_pairs)
+        first_pair = np.searchsorted(pair_arc, np.arange(n))
+        with_cols = kept[pair_arc]
+        pair_col[with_cols] = pair_col[first_pair[rep[pair_arc[with_cols]]]] \
+            + (np.arange(len(pair_arc)) - first_pair[pair_arc])[with_cols]
+        plan_ids = self.plan_ids
+        self.x_index = {
+            (i, plan_ids[p]): c for i, p, c in zip(
+                arc_index[pair_arc[with_cols]].tolist(),
+                pair_plan[with_cols].tolist(), pair_col[with_cols].tolist())}
+        self.y_col = n_pairs + np.arange(n_model)
+        self.y_index = dict(zip(arc_index[kept].tolist(),
+                                (n_pairs + model_arc[rep[kept]]).tolist()))
+
+        # x column per recharge pair, for the preconditioning rows
+        self.rc_slot = slot[pair_arc[rc_pair]]
+        self.rc_step = step[pair_arc[rc_pair]]
+        self.rc_plan, self.rc_col = pair_plan[rc_pair], pair_col[rc_pair]
+
+        live = ~dead[pair_arc[rc_pair]]
+        self.phi_pair = pair_col[rc_pair[live]]
+        self.phi_arc = self.pair_arc[self.phi_pair]
+        self.phi_plan = self.pair_plan[self.phi_pair]
+        self.phi_dom = rc_dom[live]
+        self.phi_col = n_pairs + n_model + np.arange(len(self.phi_pair))
+
         self.segments = np.array([d.segment_count for d in doms], np.int64)
         self.dom_base = np.cumsum(self.segments) - self.segments
         self.offsets = np.concatenate(
@@ -340,6 +491,17 @@ class _GraphArrays:
         self.slopes = np.concatenate(
             [np.asarray(d.slopes, float) for d in doms] + [np.zeros(0)])
         self.phi_offset0 = self.offsets[self.dom_base[self.phi_dom]]
+
+        # y bound of a dead model arc: the soc at which the increment bound
+        # of any of its plans turns negative (see build_model)
+        zero = np.array([min([d.offsets[j] / -d.slopes[j]
+                              for j in range(1, d.segment_count)],
+                             default=math.inf) for d in doms])
+        cap = np.full(n_model, math.inf)
+        held = ~live & own[pair_arc[rc_pair]]
+        np.minimum.at(cap, model_arc[pair_arc[rc_pair[held]]],
+                      zero[rc_dom[held]])
+        self.y_ub = np.where(cap < 1.0, cap, 1.0)
 
         # energy price per (charger, step), looked up once per (grid point,
         # step), not per variable
@@ -352,6 +514,49 @@ class _GraphArrays:
                 by_point[gid] = [gp.price_at(graph.event_time(i - 1))
                                  for i in range(1, graph.horizon_steps + 1)]
             self.price[c, 1:] = by_point[gid]
+
+
+def _column_arcs(graph, tail, head, kind, slot, step, dead, lead):
+    """Per graph arc, the arc whose columns it uses, or -1 for none.
+
+    Drops the egress and timeline pull-out arcs of the events
+    ``_dropped_events`` names, when there is no preconditioning, then
+    folds each chain of dead recharge arcs through nodes left with one
+    arc in and one arc out into the chain's first arc.
+    """
+    n = len(graph.arcs)
+    rep = np.arange(n)
+    drops = {}
+    if lead == 0:
+        mix_payoff = _mix_payoff_plans(graph.instance)
+        for s, sid in enumerate(graph.slots):
+            on = (slot == s) & (kind == _RECHARGE)
+            if not (dead & on).any():
+                continue
+            slot_dead = np.zeros(graph.horizon_steps, bool)
+            slot_dead[step[on] - 1] = dead[on]
+            drop = _dropped_events(graph, sid, slot_dead, mix_payoff)
+            if drop is not None:
+                drops[sid] = drop
+    if drops:
+        for i in np.flatnonzero((kind == _EGRESS)
+                                | (kind == _PULLOUT)).tolist():
+            a = graph.arcs[i]
+            node = graph.nodes[a.tail if kind[i] == _EGRESS else a.head]
+            if node.slot in drops and drops[node.slot][node.event]:
+                rep[i] = -1
+    kept = rep >= 0
+    n_nodes = len(graph.nodes)
+    n_in = np.bincount(head[kept], minlength=n_nodes)
+    n_out = np.bincount(tail[kept], minlength=n_nodes)
+    into = np.full(n_nodes, -1)
+    into[head[kind == _RECHARGE]] = np.flatnonzero(kind == _RECHARGE)
+    prev = into[tail]
+    fold = dead & (prev >= 0) & (n_in[tail] == 1) & (n_out[tail] == 1)
+    fold[fold] = dead[prev[fold]]
+    for i in np.flatnonzero(fold).tolist():
+        rep[i] = rep[prev[i]]
+    return rep
 
 
 def _ranked(key: np.ndarray):
@@ -372,10 +577,79 @@ def build_model(graph: SchedulingGraph, domains: dict,
     the soc coupling rows of one arc side by side, energy rows by node, the
     increment rows of one (arc, plan) side by side, grid rows by (access
     point, step).
+
+    Dead charging time gets no columns.  A recharge step of a slot is
+    *dead* when its charger has no idle draw and the step lies outside the
+    charger's windows or its grid point's effective limit (override
+    included) is exactly 0 kW; every other step is *live*.
+
+    (a) A dead step has no phi column, no increment rows and no grid entry.
+        Its phi is 0 in every solution of the full model (an upper bound
+        of 0, or a grid row ``sum omega * phi <= 0`` over phi >= 0).  With
+        phi = 0 its increment rows still say ``slope_j * y >= -offset_j``
+        for each segment j >= 1 of each plan on the arc, that is, y at most
+        the soc where the increment bound turns negative.  That is kept as
+        the upper bound of the arc's y column, so the projection is exact.
+        Every recharge arc of a slot carries the same plans, so this bound
+        holds on each of them, live ones included.
+
+    (b) Without preconditioning, an event strictly inside a dead run (steps
+        e and e + 1 both dead) gets no egress or timeline pull-out column
+        unless it is ``anchor + k`` with ``0 <= k <= stack``.  Anchors are
+        each run's first event, the access snaps, each pull-out leg's first
+        event and each egress leg's lowest event (below the latest one by
+        the lookahead, when there is one).  A stay on a slot is an interval
+        [entry, exit] of events, and two stays share no event (the capacity
+        rows).  Take an optimal solution of the full model and repeat,
+        while one applies:
+
+        - an exit inside a run moves down to max(entry, the run's first
+          event, the leg's lowest event).  The bus keeps its soc, cost and
+          grid load, since a dead step adds no phi and no idle draw;
+        - a pull-out stay that sits on at least one recharge arc moves its
+          entry down to max(the leg's first event, previous exit + 1, the
+          run's first event).  Its soc is below the bound of (a), because
+          it already sat on one of the slot's recharge arcs;
+        - a pass-through pull-out stay (entry = exit: a bus routed through
+          the charger to a trip, or parked there and sent to a depot sink)
+          moves whole, to max(the pull-out's first event, the egress leg's
+          lowest event, previous exit + 1, the run's first event); it sits
+          on no recharge arc, so its soc does not matter;
+        - a parked pass-through stay is deleted.  That removes a bus whose
+          fixed, pull-out and egress costs sum to at least 0 and whose plan
+          no mix row needs more of.  On a slot where such a bus could pay
+          off (a negative sum, or a plan with a positive net coefficient in
+          a mix row with a lower bound or a negative one in a row with an
+          upper bound) nothing is dropped.
+
+        Each step lowers an event or the fleet, so this ends, at a solution
+        of the same cost.  There, an egress or pull-out used strictly inside
+        a run is at an anchor, or is the entry right after the previous
+        exit.  Going down that chain gives pass-through pull-out stays at
+        anchor + 1, anchor + 2, ..., each a distinct bus that leaves for a
+        distinct trip this slot's egress reaches, and at most one more bus
+        on top of them.  So ``stack`` = (those trips) + 1 covers every
+        ``k``.  The mix rows sum only the pull-out columns that exist.
+
+    (c) A chain of dead recharge arcs through nodes that (b) left with one
+        arc in and one arc out shares one x column per plan and one y
+        column, named after its first arc.  Flow and energy conservation
+        at those nodes say exactly that (no phi, no idle draw), the nodes
+        get no rows, and the chain's coupling rows are its first arc's;
+        its capacity rows are implied by the row of the chain's first
+        node.  ``x_index`` and ``y_index`` map every arc of the chain to
+        the shared columns, so the graph and ``decode_solution`` see every
+        arc.
+
+    Idle draw is excluded because a bus sitting on a charger that draws
+    idle power loses soc, so (b)'s moves and (c)'s equal y columns fail.
+    Preconditioning is excluded from (b) because moving an entry or exit
+    changes which increments its rows support; (a) and (c) keep every x
+    column those rows name.
     """
     inst = graph.instance
     model = MilpModel(graph=graph, domains=domains, options=options)
-    g = _GraphArrays(graph, domains)
+    g = _GraphArrays(graph, domains, options)
     n_pairs, n_arcs, n_phi = len(g.pair_arc), len(g.arc_ids), len(g.phi_pair)
     x, y, phi = np.arange(n_pairs), g.y_col, g.phi_col
     pa, pp = g.pair_arc, g.pair_plan
@@ -384,8 +658,8 @@ def build_model(graph: SchedulingGraph, domains: dict,
     # --- variables, canonical order: x per arc/plan, y per arc, phi ---------
     model.add_vars(g.x_names, obj=g.cost, binary=True)
     model.x_index = g.x_index
-    model.add_vars([f"y[{i:06d}]" for i in g.arc_ids], ub=1.0)
-    model.y_index = dict(zip(g.arc_ids, y.tolist()))
+    model.add_vars([f"y[{i:06d}]" for i in g.arc_ids], ub=g.y_ub)
+    model.y_index = g.y_index
     phi_keys = [(g.arc_ids[a], g.plan_ids[p])
                 for a, p in zip(g.phi_arc.tolist(), g.phi_plan.tolist())]
     price = g.price[g.charger[g.phi_arc], g.step[g.phi_arc]] \
@@ -430,8 +704,8 @@ def build_model(graph: SchedulingGraph, domains: dict,
         for (vt, dep), kappa in zip(m.plan_types, m.coeffs):
             pid = plan_id.get((vt, dep))
             for a in graph.out_arcs.get(f"src:{dep}", []):
-                if pid in a.plans:
-                    idx = model.x_index[(a.index, pid)]
+                idx = model.x_index.get((a.index, pid))
+                if idx is not None:
                     coeffs[idx] = coeffs.get(idx, 0.0) + kappa
         if not coeffs:
             continue
@@ -537,38 +811,25 @@ def build_model(graph: SchedulingGraph, domains: dict,
 def _add_grid_rows(model: MilpModel, g: _GraphArrays) -> None:
     """One row per (access point, step) over the increments of its slots.
 
-    A point with a +inf limit at a step gets no row there; its limit is
-    still read, so a NaN override fails for any point with slots.
+    A point with a +inf limit at a step gets no row there, and neither
+    does a step with no increment column.
     """
-    graph, options = model.graph, model.options
-    inst, steps = graph.instance, graph.horizon_steps
-    gp_rank = {gp.id: r for r, gp in enumerate(inst.grid_points)}
-    slot_gp = np.full(len(g.slot_code), -1)
-    for c in inst.chargers:
-        for sid, cid in graph.slot_charger.items():
-            if cid == c.id:
-                slot_gp[g.slot_code[sid]] = gp_rank.get(c.grid_point, -1)
-    limit = np.full((len(inst.grid_points), steps + 1), math.inf)
-    for r, gp in enumerate(inst.grid_points):
-        if (slot_gp == r).any():
-            limit[r, 1:] = [_grid_limit(gp, graph, i,
-                                        options.grid_limit_override)
-                            for i in range(1, steps + 1)]
-    omega = g.battery * 3600.0 / graph.theta
-    point = slot_gp[g.slot[g.phi_arc]]
+    steps = model.graph.horizon_steps
+    omega = g.battery * 3600.0 / model.graph.theta
+    point = g.slot_gp[g.slot[g.phi_arc]]
     key = point * (steps + 1) + g.step[g.phi_arc]
-    keep = (point >= 0) & (limit.ravel()[np.where(point >= 0, key, 0)]
-                           != math.inf)
+    keep = g.limit.ravel()[key] != math.inf
     row, keys = _ranked(key[keep])
     model.add_rows(row, g.phi_col[keep], omega[g.phi_plan][keep], "<=",
-                   limit.ravel()[keys], "grid")
+                   g.limit.ravel()[keys], "grid")
 
 
 def _grid_limit(gp, graph, step: int, override) -> float:
     if override is not None and gp.id in override:
         val = float(override[gp.id])
-        if math.isnan(val):
-            raise ModelError(f"grid limit override of {gp.id!r} is NaN")
+        if not val >= 0.0:
+            raise ModelError(f"grid limit override of {gp.id!r} is {val}: "
+                             f"NaN or negative")
         return val
     lo = graph.event_time(step - 1)
     hi = graph.event_time(step)
@@ -585,11 +846,11 @@ def _add_precondition_rows(model: MilpModel, g: _GraphArrays,
     """
     if lead_steps < 1:
         raise ModelError("lead_steps must be >= 1")
-    slot, step, plan = g.slot[g.phi_arc], g.step[g.phi_arc], g.phi_plan
-    # x column of the phi pair at (slot, step, plan), -1 where there is none
+    # x column of the recharge pair at (slot, step, plan), -1 where none
     x_at = np.full((len(g.slot_code), model.graph.horizon_steps + 1,
                     len(g.plan_ids)), -1)
-    x_at[slot, step, plan] = g.phi_pair
+    x_at[g.rc_slot, g.rc_step, g.rc_plan] = g.rc_col
+    slot, step, plan = g.slot[g.phi_arc], g.step[g.phi_arc], g.phi_plan
     earlier = step - lead_steps
     x_prev = np.where(earlier >= 1,
                       x_at[slot, np.maximum(earlier, 0), plan], -1)

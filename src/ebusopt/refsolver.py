@@ -3,7 +3,9 @@
 Runs as a standalone executable (`ebusopt-solve model.lp out.sol`) so the
 package's solver bridge can treat it exactly like any other external solver:
 model file in, solution file out, status carried in the file header.  The
-actual branch-and-bound is HiGHS, reached through scipy.optimize.milp.
+actual branch-and-bound is HiGHS: the ``_Highs`` object that scipy bundles
+(``scipy.optimize._highspy._core``), given the CSR rows as a row-wise
+``HighsLp``.
 
 Solution files are plain text: `# status/objective/bound` headers followed
 by `name value` lines.  Exit code 0 covers every properly diagnosed outcome
@@ -16,7 +18,9 @@ the solver itself failed.
 ``milp.solve_model`` with ``emitted_arrays`` of the model's own arrays,
 which are the same arrays with no model file written and no solution file
 written back; only this CLI writes a solution file.  scipy is imported on
-first use, so importing this module stays cheap.
+first use, so importing this module stays cheap.  The HiGHS module is
+private to scipy; ``tests/test_milp.py`` pins the names used here, so a
+scipy release that moves them fails there.
 """
 
 from __future__ import annotations
@@ -31,12 +35,16 @@ import numpy as np
 from .lpformat import (SENSES, LpFormatError, ModelArrays, ProblemArrays,
                        read_lp, read_mps, write_solution_text)
 
+MIP_REL_GAP = 1e-9
+
+# HiGHS model status name -> status; any other status is "error"
 _STATUS = {
-    0: "optimal",
-    1: "iteration-limit",
-    2: "infeasible",
-    3: "unbounded",
-    4: "error",
+    "kOptimal": "optimal",
+    "kTimeLimit": "time-limit",
+    "kIterationLimit": "time-limit",
+    "kInfeasible": "infeasible",
+    "kModelError": "infeasible",
+    "kUnbounded": "unbounded",
 }
 
 
@@ -96,61 +104,75 @@ def emitted_arrays(m: ModelArrays, fmt: str = "lp",
         integrality=(binary & (not relax))[order].astype(float))
 
 
-def solve_arrays(p: ProblemArrays, time_limit: float | None = None,
-                 mip_gap: float = 1e-9):
+def solve_arrays(p: ProblemArrays, time_limit: float | None = None):
     """Solve with HiGHS; returns (status, values, objective, bound).
 
     Status is "optimal", "feasible" (a limit hit with an incumbent),
     "time-limit" (a limit hit without one), "infeasible", "unbounded" or
-    "error".
+    "error".  A MIP hands back its incumbent after a limit; a pure LP
+    hands back values only when optimal.  The bound is HiGHS's dual bound
+    when it has an incumbent, and otherwise the optimal LP objective.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csr_matrix
+    from scipy.optimize._highspy import _core
 
-    options = {"mip_rel_gap": mip_gap}
+    if time_limit is not None and time_limit <= 0:
+        return "time-limit", {}, None, None
+    n, m = len(p.names), len(p.row_lb)
+    lp = _core.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = p.c, p.lb, p.ub
+    lp.row_lower_, lp.row_upper_ = p.row_lb, p.row_ub
+    a = lp.a_matrix_
+    a.format_ = _core.MatrixFormat.kRowwise
+    a.num_col_, a.num_row_ = n, m
+    a.start_, a.index_, a.value_ = p.indptr, p.indices, p.data
+    lp.a_matrix_ = a
+
+    highs = _core._Highs()
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("mip_rel_gap", MIP_REL_GAP)
     if time_limit is not None:
-        if time_limit <= 0:
-            return "time-limit", {}, None, None
-        options["time_limit"] = float(time_limit)
+        highs.setOptionValue("time_limit", float(time_limit))
+    integer = np.flatnonzero(p.integrality)
+    if highs.passModel(lp) == _core.HighsStatus.kError:
+        model_status = "kModelError"
+    else:
+        if len(integer):
+            highs.changeColsIntegrality(
+                len(integer), integer.astype(np.int32),
+                np.full(len(integer), _core.HighsVarType.kInteger))
+        highs.run()
+        model_status = highs.getModelStatus().name
+    status = _STATUS.get(model_status, "error")
+    info = highs.getInfo()
+    has_x = status == "optimal" or (
+        len(integer) > 0 and status == "time-limit"
+        and info.objective_function_value != math.inf)
 
-    constraints = []
-    if len(p.row_lb):
-        a = csr_matrix((p.data, p.indices, p.indptr),
-                       shape=(len(p.row_lb), len(p.names)))
-        constraints = [LinearConstraint(a, p.row_lb, p.row_ub)]
-    res = milp(c=p.c, constraints=constraints, integrality=p.integrality,
-               bounds=Bounds(p.lb, p.ub), options=options)
-
-    status = _STATUS.get(res.status, "error")
-    if status == "iteration-limit":
-        status = "time-limit"
     sign = 1.0 if p.minimize else -1.0
-    values = {}
-    objective = None
-    bound = None
-    if res.x is not None:
-        values = {name: float(v) for name, v in zip(p.names, res.x)}
-        objective = sign * float(res.fun)
+    values, objective, bound = {}, None, None
+    if has_x:
+        values = dict(zip(p.names, highs.getSolution().col_value))
+        objective = sign * float(info.objective_function_value)
         if status == "time-limit":
             status = "feasible"
-    dual = getattr(res, "mip_dual_bound", None)
-    if dual is not None and math.isfinite(dual):
-        bound = sign * float(dual)
-    elif objective is not None and status == "optimal":
-        bound = objective
-    if res.x is None and status not in ("infeasible", "unbounded"):
-        status = "time-limit" if time_limit is not None else status
+        if len(integer) and math.isfinite(info.mip_dual_bound):
+            bound = sign * float(info.mip_dual_bound)
+        elif status == "optimal":
+            bound = objective
+    elif status not in ("infeasible", "unbounded") and time_limit is not None:
+        status = "time-limit"
     return status, values, objective, bound
 
 
 def solve_parsed(model: ProblemArrays, time_limit: float | None = None,
-                 relax: bool = False, mip_gap: float = 1e-9):
+                 relax: bool = False):
     """Returns (status, values, objective, bound); ``relax`` drops
     integrality."""
     if relax:
         model = dataclasses.replace(
             model, integrality=np.zeros_like(model.integrality))
-    return solve_arrays(model, time_limit, mip_gap)
+    return solve_arrays(model, time_limit)
 
 
 def main(argv=None) -> int:
@@ -165,7 +187,6 @@ def main(argv=None) -> int:
                         help="accepted for command-template compatibility")
     parser.add_argument("--relax", action="store_true",
                         help="solve the LP relaxation of the integrality")
-    parser.add_argument("--mip-gap", type=float, default=1e-9)
     args = parser.parse_args(argv)
 
     try:
@@ -175,8 +196,7 @@ def main(argv=None) -> int:
         return 2
     try:
         status, values, objective, bound = solve_parsed(
-            model, time_limit=args.time_limit, relax=args.relax,
-            mip_gap=args.mip_gap)
+            model, time_limit=args.time_limit, relax=args.relax)
     except Exception as exc:  # solver-internal failure
         print(f"ebusopt-solve: solver failure: {exc}", file=sys.stderr)
         return 3

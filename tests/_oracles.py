@@ -337,24 +337,154 @@ def write_mps(model, path, relax: bool = False) -> None:
 # Dict-row model assembly (reference for the array-native ``build_model``)
 # ---------------------------------------------------------------------------
 
-def build_model(graph, domains, options=ModelOptions()):
-    """The dict-row assembly: one dict per row, appended with ``add_row``."""
+def _mix_payoff_plans(inst):
+    """Plans one more bus of which can help a mix row."""
+    out = set()
+    for m in inst.mix_constraints:
+        net = defaultdict(float)
+        for (vt, dep), kappa in zip(m.plan_types, m.coeffs):
+            net[f"{vt}.{dep}"] += kappa
+        for pid, k in net.items():
+            if (m.lower > 0 and k > 0) or (m.upper < math.inf and k < 0):
+                out.add(pid)
+    return out
+
+
+def _dropped_events(graph, sid, dead_steps, payoff):
+    """The events of slot ``sid`` whose egress and pull-out arcs get no
+    columns: inside a dead run and more than ``stack`` events after every
+    anchor."""
+    steps = graph.horizon_steps
+    inside = [e for e in range(steps + 1)
+              if e in dead_steps and e + 1 in dead_steps]
+    if not inside:
+        return set()
+    anchors = [e for e in range(steps + 1)
+               if e + 1 in dead_steps and e not in dead_steps]
+    first_pullout, lowest_egress, sink, trips = {}, {}, {}, set()
+    for a in graph.arcs:
+        if a.slot != sid:
+            continue
+        if a.kind == "access":
+            anchors.append(graph.nodes[a.head].event)
+        elif a.kind == "pullout":
+            e = graph.nodes[a.head].event
+            if a.tail not in first_pullout or e < first_pullout[a.tail][0]:
+                first_pullout[a.tail] = (e, a)
+        elif a.kind == "egress":
+            e = graph.nodes[a.tail].event
+            lowest_egress[a.head] = min(lowest_egress.get(a.head, e), e)
+            if graph.nodes[a.head].kind == "trip":
+                trips.add(a.head)
+            else:
+                sink[graph.nodes[a.head].depot] = a
+    for tail, (e, a) in first_pullout.items():
+        anchors.append(e)
+        out = sink.get(graph.nodes[tail].depot)
+        for pid in a.plans:
+            if out is not None and pid in out.plans and (
+                    pid in payoff or a.cost[pid] + out.cost[pid] < 0):
+                return set()
+    anchors += list(lowest_egress.values())
+    stack = len(trips) + 1
+    return {e for e in inside
+            if not any(a <= e <= a + stack for a in anchors)}
+
+
+def column_arcs(graph, dead, lead):
+    """Per graph arc index, the index of the arc whose columns it uses, or
+    None: egress and pull-out arcs at dropped events have none, and each
+    arc of a chain of dead recharge arcs uses its chain's first arc."""
+    rep = {a.index: a.index for a in graph.arcs}
+    if lead == 0:
+        payoff = _mix_payoff_plans(graph.instance)
+        for sid in graph.slots:
+            dead_steps = {a.step for a in graph.arcs
+                          if a.slot == sid and a.index in dead}
+            drop = _dropped_events(graph, sid, dead_steps, payoff)
+            for a in graph.arcs:
+                at = graph.nodes[a.tail if a.kind == "egress" else a.head]
+                if (a.kind in ("egress", "pullout") and at.slot == sid
+                        and at.event in drop):
+                    rep[a.index] = None
+    n_in, n_out = defaultdict(int), defaultdict(int)
+    for a in graph.arcs:
+        if rep[a.index] is not None:
+            n_in[a.head] += 1
+            n_out[a.tail] += 1
+    recharge_into = {a.head: a for a in graph.arcs if a.kind == "recharge"}
+    for a in graph.arcs:
+        prev = recharge_into.get(a.tail)
+        if (a.index in dead and prev is not None and prev.index in dead
+                and n_in[a.tail] == 1 and n_out[a.tail] == 1):
+            rep[a.index] = rep[prev.index]
+    return rep
+
+
+def build_model(graph, domains, options=ModelOptions(), compress=True):
+    """The dict-row assembly: one dict per row, appended with ``add_row``.
+
+    With ``compress`` (the package's model) dead recharge steps get no phi,
+    and egress, pull-out and recharge arcs get the columns ``column_arcs``
+    gives them; without, every arc keeps its own columns (the reference for
+    the exactness of that selection).
+    """
     inst = graph.instance
     model = MilpModel(graph=graph, domains=domains, options=options)
     vtype_of = {p.id: p.vehicle_type for p in graph.plan_types}
     electric = {p.id for p in graph.plan_types if p.electric}
     battery = {v.id: v.battery_kwh for v in inst.vehicle_types}
 
+    limits = {}
+    for g in inst.grid_points:
+        if any(inst.charger(cid).grid_point == g.id
+               for cid in graph.slot_charger.values()):
+            for i in range(1, graph.horizon_steps + 1):
+                limits[g.id, i] = _grid_limit(g, graph, i,
+                                              options.grid_limit_override)
+    for a in graph.arcs:
+        if a.kind == "recharge":
+            for pid in a.plans:
+                if pid in electric:
+                    _domain_for(domains, a.charger, vtype_of[pid])
+    dead = set()
+    if compress:
+        for a in graph.arcs:
+            c = inst.charger(a.charger) if a.kind == "recharge" else None
+            if c is not None and c.step_consumption == 0 and (
+                    not a.available or limits[c.grid_point, a.step] == 0):
+                dead.add(a.index)
+    rep = column_arcs(graph, dead, options.precondition_lead)
+    own = {i for i, r in rep.items() if r == i}
+    kept_arcs = [a for a in graph.arcs if rep[a.index] is not None]
+    interior = {a.tail for a in kept_arcs if a.index not in own}
+
     # --- variables, canonical order: x per arc/plan, y per arc, phi ---------
-    for a in graph.arcs:
+    for a in kept_arcs:
         for pid in a.plans:
-            idx = model.add_var(f"x[{a.index:06d}][{pid}]", binary=True,
-                                obj=a.cost.get(pid, 0.0))
+            if a.index in own:
+                idx = model.add_var(f"x[{a.index:06d}][{pid}]", binary=True,
+                                    obj=a.cost.get(pid, 0.0))
+            else:
+                idx = model.x_index[(rep[a.index], pid)]
             model.x_index[(a.index, pid)] = idx
+    for a in kept_arcs:
+        if a.index not in own:
+            model.y_index[a.index] = model.y_index[rep[a.index]]
+            continue
+        ub = 1.0
+        if a.index in dead:
+            # the soc where the increment bound of a plan turns negative
+            zero = math.inf
+            for pid in a.plans:
+                dom = _domain_for(domains, a.charger, vtype_of[pid])
+                for j in range(1, dom.segment_count):
+                    zero = min(zero, float(dom.offsets[j])
+                               / -float(dom.slopes[j]))
+            ub = min(1.0, zero)
+        model.y_index[a.index] = model.add_var(f"y[{a.index:06d}]", 0.0, ub)
     for a in graph.arcs:
-        model.y_index[a.index] = model.add_var(f"y[{a.index:06d}]", 0.0, 1.0)
-    for a in graph.arcs:
-        if a.kind != "recharge":
+        if a.kind != "recharge" or a.index in dead:
             continue
         gp = inst.grid_point(inst.charger(a.charger).grid_point)
         step_start = graph.event_time(a.step - 1)
@@ -369,19 +499,26 @@ def build_model(graph, domains, options=ModelOptions()):
             model.phi_index[(a.index, pid)] = idx
             model.phi_cost[(a.index, pid)] = price
 
+    in_arcs = defaultdict(list)
+    out_arcs = defaultdict(list)
+    for a in kept_arcs:
+        in_arcs[a.head].append(a)
+        out_arcs[a.tail].append(a)
+    nodes = [nid for nid in sorted(graph.nodes) if nid not in interior]
+
     # --- flow conservation per (non-depot node, plan) ------------------------
-    for nid in sorted(graph.nodes):
+    for nid in nodes:
         node = graph.nodes[nid]
         if node.kind in ("depot-source", "depot-sink"):
             continue
-        plans_here = sorted({p for a in graph.in_arcs[nid] for p in a.plans}
-                            | {p for a in graph.out_arcs[nid] for p in a.plans})
+        plans_here = sorted({p for a in in_arcs[nid] for p in a.plans}
+                            | {p for a in out_arcs[nid] for p in a.plans})
         for pid in plans_here:
             coeffs: dict = {}
-            for a in graph.in_arcs[nid]:
+            for a in in_arcs[nid]:
                 if pid in a.plans:
                     coeffs[model.x_index[(a.index, pid)]] = 1.0
-            for a in graph.out_arcs[nid]:
+            for a in out_arcs[nid]:
                 if pid in a.plans:
                     coeffs[model.x_index[(a.index, pid)]] = \
                         coeffs.get(model.x_index[(a.index, pid)], 0.0) - 1.0
@@ -392,25 +529,25 @@ def build_model(graph, domains, options=ModelOptions()):
     for t in inst.trips:
         nid = f"trip:{t.id}"
         coeffs = {model.x_index[(a.index, pid)]: 1.0
-                  for a in graph.out_arcs[nid] for pid in a.plans}
+                  for a in out_arcs[nid] for pid in a.plans}
         if not coeffs:
             raise ModelError(f"trip {t.id} has no outgoing arcs")
         model.add_row(coeffs, "=", 1.0, "cover")
 
     # --- out-capacity of charge nodes -----------------------------------------
-    for nid in sorted(graph.nodes):
+    for nid in nodes:
         if graph.nodes[nid].kind == "charge":
             coeffs = {model.x_index[(a.index, pid)]: 1.0
-                      for a in graph.out_arcs[nid] for pid in a.plans}
+                      for a in out_arcs[nid] for pid in a.plans}
             if coeffs:
                 model.add_row(coeffs, "<=", 1.0, "capacity")
 
-    # --- vehicle-mix constraints ----------------------------------------------
+    # --- vehicle-mix constraints over the pull-outs with columns ---------------
     for m in inst.mix_constraints:
         coeffs: dict = {}
         for (vt, dep), kappa in zip(m.plan_types, m.coeffs):
             pid = f"{vt}.{dep}"
-            for a in graph.out_arcs.get(f"src:{dep}", []):
+            for a in out_arcs[f"src:{dep}"]:
                 if pid in a.plans:
                     idx = model.x_index[(a.index, pid)]
                     coeffs[idx] = coeffs.get(idx, 0.0) + kappa
@@ -421,11 +558,13 @@ def build_model(graph, domains, options=ModelOptions()):
         if m.lower > 0:
             model.add_row(dict(coeffs), ">=", m.lower, "mix")
 
-    # --- soc coupling ----------------------------------------------------------
+    # --- soc coupling, once per arc with its own columns -----------------------
     bounds = None
     if options.use_strengthening:
         bounds = compute_energy_bounds(graph)
-    for a in graph.arcs:
+    for a in kept_arcs:
+        if a.index not in own:
+            continue
         y = model.y_index[a.index]
         e_plans = [p for p in a.plans if p in electric]
         if a.kind == "pullout":
@@ -470,12 +609,12 @@ def build_model(graph, domains, options=ModelOptions()):
     for a in graph.arcs:
         if a.kind == "recharge":
             recharge_into[a.head] = a
-    for nid in sorted(graph.nodes):
+    for nid in nodes:
         node = graph.nodes[nid]
         if node.kind in ("depot-source", "depot-sink"):
             continue
         coeffs: dict = {}
-        for a in graph.in_arcs[nid]:
+        for a in in_arcs[nid]:
             for pid in a.plans:
                 if pid in electric:
                     cons = a.consumption(pid)
@@ -484,7 +623,7 @@ def build_model(graph, domains, options=ModelOptions()):
                         coeffs[idx] = coeffs.get(idx, 0.0) + cons
             y = model.y_index[a.index]
             coeffs[y] = coeffs.get(y, 0.0) - 1.0
-        for a in graph.out_arcs[nid]:
+        for a in out_arcs[nid]:
             y = model.y_index[a.index]
             coeffs[y] = coeffs.get(y, 0.0) + 1.0
         ra = recharge_into.get(nid)
@@ -525,7 +664,7 @@ def build_model(graph, domains, options=ModelOptions()):
         if not slot_ids:
             continue
         for i in range(1, graph.horizon_steps + 1):
-            limit = _grid_limit(g, graph, i, options.grid_limit_override)
+            limit = limits[g.id, i]
             coeffs = {}
             for s in slot_ids:
                 a = recharge_by_slot_step.get((s, i))

@@ -62,7 +62,10 @@ LIMITS = st.sampled_from([0.0, 37.5, 1e3, math.inf])
 
 
 @st.composite
-def assembly_cases(draw):
+def assembly_cases(draw, dead_time=False):
+    """A small generated graph, its domains and model options.  With
+    ``dead_time`` there is a charger, every charger has windows, every grid
+    point a gap, and no increment domain is missing."""
     start = 6 * 3600
     end = start + 3600 * draw(st.integers(4, 5))
     theta = draw(st.sampled_from([600.0, 900.0, 1200.0]))
@@ -71,7 +74,8 @@ def assembly_cases(draw):
         electric_types=draw(st.integers(1, 2)),
         non_electric_types=draw(st.integers(0, 1)),
         depots=draw(st.integers(1, 2)),
-        chargers=draw(st.sampled_from([0, 1, 1, 2, 2])),
+        chargers=draw(st.sampled_from([1, 2] if dead_time
+                                      else [0, 1, 1, 2, 2])),
         slots_per_charger=draw(st.integers(1, 2)),
         grid_points=draw(st.integers(1, 2)),
         horizon_start_s=start, horizon_end_s=end)
@@ -89,7 +93,7 @@ def assembly_cases(draw):
         served = draw(st.lists(st.sampled_from(sorted(c.profiles)),
                                min_size=1, unique=True))
         windows = None
-        if draw(st.booleans()):
+        if dead_time or draw(st.booleans()):
             windows = tuple(
                 (event(min(i, j)), event(max(i, j)) + 300)
                 for i, j in draw(st.lists(st.tuples(
@@ -104,10 +108,10 @@ def assembly_cases(draw):
     for g in inst.grid_points:
         mid = event(draw(st.integers(1, steps - 1)))
         kw = g.max_power_kw[0][2]
-        power = draw(st.sampled_from([
+        gap = ((start, mid, kw), (mid + 450, end, kw))    # a gap: 0 kW
+        power = gap if dead_time else draw(st.sampled_from([
             g.max_power_kw, ((start, end, math.inf),),
-            ((start, mid, kw), (mid, end, kw / 3)),
-            ((start, mid, kw), (mid + 450, end, kw))]))    # a gap: 0 kW
+            ((start, mid, kw), (mid, end, kw / 3)), gap]))
         price = ((start, mid, draw(st.sampled_from([0, 1, 0.25]))),
                  (mid, end, draw(st.sampled_from([0.35, 2]))))
         grid_points.append(GridPoint(g.id, power, price))
@@ -134,7 +138,7 @@ def assembly_cases(draw):
     domains = build_domains(inst, exact_curves(inst), theta,
                             draw(st.integers(2, 4)),
                             draw(st.sampled_from(["under", "over"])))
-    if domains and draw(st.integers(0, 9)) == 0:
+    if domains and not dead_time and draw(st.integers(0, 9)) == 0:
         del domains[draw(st.sampled_from(sorted(domains)))]
     override = None
     if draw(st.booleans()):
@@ -220,15 +224,15 @@ GOLDEN_SHA256 = {
         "mps": ("96c2b7aa3ad476f540a071c3d9628adf0183a97fa8966158caf53883ebecacba",
                 "cf9a51c5accee11c50303be1608956cb962b20df71ef6f55f7c21e0e86d9b193")},
     "n3-under": {
-        "lp": ("746c8573153e5347de43e99047018e9846f94539040d7fc3af0f3d08591bffe6",
-               "54e05e0e4e538694a075100b5c47c917bd5d028a9f59a29e46b5b845b2b54290"),
-        "mps": ("8099a72440a769d8cb8c1f3627d974bc250cc96422a7d9944ba592977de86166",
-                "7e919e3746c63a4bd3eca78df61848e4bd57ef6d0cdebd1bd50ea2ccfac4e24b")},
+        "lp": ("59f204f6342fd8ceb4593b9e9384c85e44da6f7c8b8ebe696b3b6a03301cde66",
+               "f8ac1de35cef11ce87dc8c9d5e73ea73cb94987df3b2a9a559d98a6254a916e8"),
+        "mps": ("1295aab7642b8b3a68942b577dd4c55568edc352c27baf76c409121cd23f2248",
+                "3bed6fc317b41bfc44f2f58d6b5474dc7e129d5f35f838d0edce51a5b356a113")},
     "n3-over": {
-        "lp": ("d2e2b8fcefe7a60d118cf906a6cdaf6be3196826e86a88169ac8054653a09726",
-               "84c7b89b1f2b9dc00e861c7114866cde4dcd8a542b7be9af1da28777960f74fd"),
-        "mps": ("c9b18dd4318ab295fc57067d4f094650160871a3d4b990072b1f342e1f7f6caf",
-                "035122ea5c681d2604f25eaa2c9584693d9b1e03e20ddabe4cda12a5052e36d3")},
+        "lp": ("ac976963afbf4a4467b765099530b932997e90b6f46e09c9991dff7cca3ba9b7",
+               "bd1457418357107ab1d636bf6d4084aafb465ec5121409d43cae1b452cc92302"),
+        "mps": ("56a6929f999d13c963623184129ecb22add4c5e2cb2befb148dc98a53d4ce171",
+                "bfd52f93afe08f21c6c3b710c4e2382e66296b8c9694ad34bc167829253fe188")},
     "synth20": {
         "lp": ("981f75b6afc65d2fd5e417aaa5abf193e581b111dfce5b0e5182fbcc0b717d1c",
                "89c0caf67183d0a30f3d7e157086124197f5c31f4e3b8d66c0c2ac2c27a42617"),

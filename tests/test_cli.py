@@ -151,11 +151,11 @@ def test_solve_missing_solver_exits_3(runner, tmp_path):
 
 def test_solve_in_process_solver_failure_exits_3(runner, tmp_path,
                                                 monkeypatch):
-    import scipy.optimize
+    from scipy.optimize._highspy import _core
 
     def boom(*args, **kwargs):
         raise RuntimeError("HiGHS crashed")
-    monkeypatch.setattr(scipy.optimize, "milp", boom)
+    monkeypatch.setattr(_core, "_Highs", boom)
     inst_path = tmp_path / "toy.json"
     save_instance(charger_toy(), inst_path)
     res = runner.invoke(main, ["solve", str(inst_path), "--time-limit", "30",
@@ -165,7 +165,8 @@ def test_solve_in_process_solver_failure_exits_3(runner, tmp_path,
 
 
 # sha256 of the model and solution files `ebusopt solve` writes for
-# charger_toy (time limit 60 s, other options at their defaults)
+# charger_toy (time limit 60 s, other options at their defaults); the
+# capped model has a 0 kW limit, so its dead steps get no columns
 TOY_FILES_SHA256 = {
     ("lp", "model/model.lp"):
         "715fe232b864556958062a2c5af487e8b225995cc85dcebb6167443af260dfa7",
@@ -176,9 +177,9 @@ TOY_FILES_SHA256 = {
     ("lp", "reference/model.sol"):
         "9bcd3985e6feacc2732f1f31bcc10b36b5ea2e2b448dbdf62fab9e11a5071399",
     ("lp", "capped/model.lp"):
-        "a8520413ef0ab280f5b39016cb3ce25856249f4c1fd743ba9e9030da1f9afd81",
+        "3101829e73d35b94d068ba8c59ccdfab24e5877f772605d3c34d1729026ca5ef",
     ("lp", "capped/model.sol"):
-        "b1160f1be696c7c9bcdd02c0a5bdf322a97b8c9cfead296b10232a222543680c",
+        "08df757fc960590863c0fcd4c5f746a33ff97a97ff2ef6b1a78f6cd5d6b29161",
     ("mps", "model/model.mps"):
         "2720dd38e7a67ee95315e39108ca64f88e4d4dc771b11abc1eb5c371e2a52652",
     ("mps", "model/model.sol"):
@@ -188,9 +189,9 @@ TOY_FILES_SHA256 = {
     ("mps", "reference/model.sol"):
         "a2f7fbca011fe29c618ae9bc718ee11a307878a62cf7957b34735b09fdb4af1d",
     ("mps", "capped/model.mps"):
-        "f0579c9d2ac9f8359abb141e5120a47d03ca08a645d7c5a9e58401af413f54f6",
+        "ad064a42ca2e7f7d527072bd5c4029e9567d15668e413697eb274a95bc657154",
     ("mps", "capped/model.sol"):
-        "4f48f203cbb82e1ddac0e58c94dbbccca521bbc6af9555eada95da4214e5cc8e",
+        "cfe08e673189854b8e6ff9445d267e574f9a6eb2d3094ac9357381f3573b104d",
 }
 
 
@@ -299,6 +300,16 @@ def test_solve_bad_instance_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["solve", str(bad),
                                "--out", str(tmp_path / "run")])
     assert res.exit_code == 2
+
+
+def test_solve_negative_grid_cap_exits_2(runner, tmp_path):
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(), inst_path)
+    res = runner.invoke(main, ["solve", str(inst_path), "--grid-cap", "-0.5",
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert "grid-cap" in res.output
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("kind, field, value", [

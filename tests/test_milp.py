@@ -5,7 +5,6 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,8 @@ import _oracles
 from ebusopt import solverbridge
 from ebusopt.generators import generate_worst_case
 from ebusopt.instance import InstanceError
-from ebusopt.lpformat import (SENSES, LpFormatError, RawSolution,
+from ebusopt.lpformat import (SENSES, LpFormatError, ProblemArrays,
+                              RawSolution,
                               parse_solution_file, parse_solution_text,
                               read_lp, read_mps, write_lp, write_mps,
                               write_solution_text)
@@ -444,11 +444,9 @@ def test_in_process_solve_writes_no_files(tmp_path):
                          ids=["in-process", "bridge"])
 def test_unknown_format_is_model_error_before_any_solve(tmp_path, monkeypatch,
                                                         command_template):
-    import scipy.optimize
-
     def boom(*args, **kwargs):
         raise AssertionError("solved a model in an unknown format")
-    monkeypatch.setattr(scipy.optimize, "milp", boom)
+    monkeypatch.setattr(_highs_core(), "_Highs", boom)
     _, _, _, model = toy_setup(charger_toy())
     with pytest.raises(ModelError, match="unknown model format"):
         solve_model(model, tmp_path / "work", fmt="xml",
@@ -457,11 +455,9 @@ def test_unknown_format_is_model_error_before_any_solve(tmp_path, monkeypatch,
 
 
 def test_in_process_solver_failure_is_solver_error(tmp_path, monkeypatch):
-    import scipy.optimize
-
     def boom(*args, **kwargs):
         raise RuntimeError("HiGHS crashed")
-    monkeypatch.setattr(scipy.optimize, "milp", boom)
+    monkeypatch.setattr(_highs_core(), "_Highs", boom)
     _, _, _, model = toy_setup(charger_toy())
     with pytest.raises(SolverError, match="HiGHS crashed"):
         solve_model(model, tmp_path, time_limit=30)
@@ -505,6 +501,13 @@ def test_nan_grid_limit_is_rejected(tmp_path):
             grid_limit_override={"G0": math.nan}))
 
 
+@pytest.mark.parametrize("limit", [-1.0, -1e-9])
+def test_negative_grid_limit_override_is_rejected(limit):
+    with pytest.raises(ModelError, match="negative"):
+        toy_setup(charger_toy(), options=ModelOptions(
+            grid_limit_override={"G0": limit}))
+
+
 # ---------------------------------------------------------------------------
 # status mapping
 # ---------------------------------------------------------------------------
@@ -532,19 +535,97 @@ def test_status_time_limit_zero(tmp_path):
     assert solve_arrays(arrays, 0) == ("time-limit", {}, None, None)
 
 
-def test_status_iteration_limit(tmp_path, monkeypatch):
-    import scipy.optimize
-    arrays = _hand_arrays(tmp_path, HAND_LP)
-    result = {}
-    monkeypatch.setattr(scipy.optimize, "milp", lambda **kw: result["res"])
+def _highs_core():
+    """The private scipy module that ``refsolver.solve_arrays`` calls."""
+    from scipy.optimize._highspy import _core
+    return _core
 
-    result["res"] = SimpleNamespace(status=1, x=np.array([1.0, 0.0]), fun=1.0,
-                                    mip_dual_bound=0.5)
-    assert solve_arrays(arrays, 30) == ("feasible", {"a": 1.0, "b": 0.0},
-                                        1.0, 0.5)
-    result["res"] = SimpleNamespace(status=1, x=None, fun=None,
-                                    mip_dual_bound=0.5)
-    assert solve_arrays(arrays, 30) == ("time-limit", {}, None, 0.5)
+
+def test_private_highs_entry_point_is_pinned():
+    # every name solve_arrays takes from scipy's private HiGHS module; a
+    # scipy release that moves or renames one fails here first
+    core = _highs_core()
+    highs, lp = core._Highs(), core.HighsLp()
+    for name in ("passModel", "changeColsIntegrality", "setOptionValue",
+                 "run", "getModelStatus", "getInfo", "getSolution"):
+        assert callable(getattr(highs, name)), name
+    for name in ("num_col_", "num_row_", "col_cost_", "col_lower_",
+                 "col_upper_", "row_lower_", "row_upper_"):
+        assert hasattr(lp, name), name
+    for name in ("format_", "num_col_", "num_row_", "start_", "index_",
+                 "value_"):
+        assert hasattr(lp.a_matrix_, name), name
+    assert core.MatrixFormat.kRowwise is not None
+    assert core.HighsVarType.kInteger is not None
+    for name in ("kOptimal", "kTimeLimit", "kIterationLimit", "kInfeasible",
+                 "kModelError", "kUnbounded"):
+        assert hasattr(core.HighsModelStatus, name), name
+    info = highs.getInfo()
+    for name in ("objective_function_value", "mip_dual_bound"):
+        assert hasattr(info, name), name
+    for option, value in (("log_to_console", False), ("mip_rel_gap", 1e-9),
+                          ("time_limit", 5.0)):
+        assert highs.setOptionValue(option, value) == core.HighsStatus.kOk
+
+    # a row-wise model with integrality set after passModel is solved as a
+    # MIP: the LP optimum 0.5 would show if the integrality were lost
+    arrays = ProblemArrays(
+        names=["a", "b"], c=np.array([1.0, 1.0]),
+        indptr=np.array([0, 2]), indices=np.array([0, 1]),
+        data=np.array([2.0, 2.0]), row_lb=np.array([1.0]),
+        row_ub=np.array([np.inf]), lb=np.zeros(2), ub=np.ones(2),
+        integrality=np.array([1.0, 1.0]))
+    assert solve_arrays(arrays)[::2] == ("optimal", 1.0)
+    relaxed = solve_parsed(arrays, relax=True)
+    assert relaxed[0] == "optimal"
+    assert relaxed[2] == pytest.approx(0.5)
+
+
+def _market_split(rows, cols, slack, seed=0):
+    """A market-split MIP (Cornuejols & Dawande): sum_j a_ij x_j = d_i over
+    binaries, hard for branch and bound.  With ``slack`` every row gets a
+    pair of costed slacks, so x = 0 is an incumbent found at once and only
+    the proof takes long; without, there is no easy incumbent."""
+    a = np.random.default_rng(seed).integers(0, 100, (rows, cols))
+    d = (a.sum(axis=1) // 2).astype(float)
+    n = cols + (2 * rows if slack else 0)
+    indptr, indices, data = [0], [], []
+    for i in range(rows):
+        indices += list(range(cols))
+        data += a[i].astype(float).tolist()
+        if slack:
+            indices += [cols + 2 * i, cols + 2 * i + 1]
+            data += [1.0, -1.0]
+        indptr.append(len(indices))
+    return ProblemArrays(
+        names=[f"v{j}" for j in range(n)],
+        c=np.array([0.0] * cols + [1.0] * (n - cols)),
+        indptr=np.array(indptr), indices=np.array(indices),
+        data=np.array(data), row_lb=d, row_ub=d.copy(), lb=np.zeros(n),
+        ub=np.array([1.0] * cols + [np.inf] * (n - cols)),
+        integrality=np.array([1.0] * cols + [0.0] * (n - cols)))
+
+
+def test_status_time_limit_with_and_without_incumbent():
+    status, values, objective, bound = solve_arrays(
+        _market_split(5, 40, slack=True), 0.5)
+    assert status == "feasible"
+    assert len(values) == 50 and objective > 0
+    assert objective == pytest.approx(sum(values[f"v{j}"]
+                                          for j in range(40, 50)))
+    assert bound is not None and bound < objective
+    assert solve_arrays(_market_split(6, 50, slack=False), 0.2) == \
+        ("time-limit", {}, None, None)
+
+
+def test_status_unbounded_and_optimal_in_process(tmp_path):
+    arrays = _hand_arrays(tmp_path, "Minimize\n obj: - 1 a\n"
+                          "Subject To\n c1: 1 a + 1 b >= 1\nEnd\n")
+    assert solve_arrays(arrays)[0] == "unbounded"
+    status, values, objective, bound = solve_arrays(
+        _hand_arrays(tmp_path, HAND_LP))
+    assert (status, values, objective, bound) == \
+        ("optimal", {"a": 1.0, "b": 0.0}, 1.0, 1.0)
 
 
 def test_two_trip_single_bus_objective(tmp_path):
