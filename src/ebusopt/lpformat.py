@@ -1,22 +1,25 @@
 """LP and MPS model files, and solver solution-file parsers.
 
-``ModelArrays`` is the one array form of a model: column arrays plus rows in
-CSR layout.  ``milp.MilpModel.arrays()`` produces it, and both writers and
-``refsolver.emitted_arrays`` read it.  Writers emit byte-deterministic files (canonical variable and row
-order, no timestamps, fixed float formatting) so identical models produce
-identical bytes; they format and write a block of rows (LP) or columns
-(MPS) at a time, each distinct number of a block formatted once, so no
-list of every term, entry or line of a file exists at once.
+``ModelArrays`` is the one array form of a model: column arrays (integer
+columns keep their bounds, [0, 1] for a binary) plus rows in CSR layout
+with a sense code and a right-hand side each.  ``milp.MilpModel.arrays()``
+produces it, both writers read it, both readers return it, and
+``refsolver.solve_arrays`` hands it to HiGHS.  Writers emit
+byte-deterministic files (canonical variable and row order, no
+timestamps, fixed float formatting) so identical models produce identical
+bytes; they format and write a block of rows (LP) or columns (MPS) at a
+time, each distinct number of a block formatted once, so no list of every
+term, entry or line of a file exists at once.
 
-``ProblemArrays`` is the form HiGHS takes: columns, CSR row matrix and row
-bounds.  The readers return it, and so does ``refsolver.emitted_arrays``
-for a model that is never written.  Readers cover the dialect the writers
-emit plus the common core of both formats; they back the bundled reference
-solver and the tests that cross-check the two encodings against each
-other.  Both read the file as a stream of lines and keep, besides the
-column names, only numeric arrays: the entries of the rows in file order,
-which become CSR at the end, with a column named twice in one row summed
-in file order and explicit zeros kept.
+Readers cover the dialect the writers emit plus the common core of both
+formats; they back the bundled reference solver and the tests that
+cross-check the two encodings against each other.  Both read the file as
+a stream of lines and keep, besides the column names, only numeric
+arrays: the entries of the rows in file order, which become CSR at the
+end, with a column named twice in one row summed in file order and
+explicit zeros kept.  Columns come in first-seen order, and
+``emitted_arrays`` builds what a reader returns for a written file
+without the file, so this module owns that order.
 
 The LP reader splits each line on whitespace.  A chunk that is an
 operator, one of a bounded set of numbers it read before, or one whole
@@ -24,7 +27,8 @@ match of ``_TOKEN_RE`` (the one definition of the token grammar) is one
 token; any other chunk is lexed with ``_TOKEN_RE``.  The MPS reader
 runs one loop per section.  Both pause the cyclic garbage collector while
 they read, and report a malformed file as ``LpFormatError`` naming the
-offending line.
+offending line, or the row and column of a number the format has no use
+for (NaN anywhere, an infinite coefficient or right-hand side).
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ class _Records(Sequence):
 
 
 # ---------------------------------------------------------------------------
-# The model in array form (what both writers and emitted_arrays read)
+# The model in array form
 # ---------------------------------------------------------------------------
 
 SENSES = ("<=", ">=", "=")      # sense code -> row sense
@@ -99,18 +103,23 @@ class ModelArrays:
     """A minimisation MILP in one array form.
 
     Columns are ``names`` with the parallel ``obj``, ``lb``, ``ub`` and
-    ``binary`` (the bounds of a binary column are ignored).  Row ``r`` holds
-    the columns ``cols[start[r]:start[r + 1]]``, ascending, with
-    coefficients ``vals`` at the same positions; its sense is
-    ``SENSES[sense[r]]``, its right-hand side ``rhs[r]`` and its tag
-    ``tags[tag[r]]``.  Row names ``{tag}{r:07d}`` exist only in the files.
+    ``integer``.  Row ``r`` holds the columns ``cols[start[r]:start[r + 1]]``,
+    ascending, with coefficients ``vals`` at the same positions; its sense
+    is ``SENSES[sense[r]]``, its right-hand side ``rhs[r]`` and its tag
+    ``tags[tag[r]]`` (the one tag ``"r"`` for arrays read from a file).
+    Row names ``{tag}{r:07d}`` exist only in the files.  ``minimize`` is
+    False for a file that maximises, whose objective ``obj`` holds negated.
+    ``variables``, ``rows`` and ``objective`` are read-only views in the
+    terms of the file: ``rows`` builds one ``(index, {column name:
+    coefficient}, sense, rhs)`` record per access, ``objective`` one
+    ``{column name: coefficient}`` dict of the nonzero coefficients.
     """
 
     names: list
     obj: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    binary: np.ndarray          # bool
+    integer: np.ndarray         # bool
     start: np.ndarray           # int64, one entry more than there are rows
     cols: np.ndarray            # int64
     vals: np.ndarray
@@ -118,6 +127,7 @@ class ModelArrays:
     rhs: np.ndarray
     tag: np.ndarray             # codes into tags
     tags: list
+    minimize: bool = True
 
     def row_names(self, rows: np.ndarray) -> list:
         """The file names of the rows ``rows``."""
@@ -129,61 +139,26 @@ class ModelArrays:
         """Row index of each entry of ``cols``/``vals``."""
         return np.repeat(np.arange(len(self.sense)), np.diff(self.start))
 
-
-# ---------------------------------------------------------------------------
-# The problem in the form HiGHS takes (what both readers return)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ProblemArrays:
-    """A MILP in the array form HiGHS takes.
-
-    Columns follow ``names``; row ``r`` holds the columns
-    ``indices[indptr[r]:indptr[r + 1]]``, ascending, with coefficients
-    ``data`` at the same positions (the CSR row matrix, which
-    ``refsolver.solve_arrays`` hands to HiGHS as it is), and row bounds
-    ``row_lb``/``row_ub``; ``c`` is already negated for a maximisation.
-    ``variables``, ``rows`` and ``objective`` are read-only views in the
-    terms of the file: ``rows`` builds one ``(index, {column name:
-    coefficient}, sense, rhs)`` record per access, ``objective`` one
-    ``{column name: coefficient}`` dict of the nonzero coefficients.
-    """
-
-    names: list
-    c: np.ndarray
-    indptr: np.ndarray       # int64, one entry more than there are rows
-    indices: np.ndarray      # int64
-    data: np.ndarray
-    row_lb: np.ndarray
-    row_ub: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    integrality: np.ndarray
-    minimize: bool = True
-
     @property
     def variables(self) -> list:
         return self.names
 
     @property
     def rows(self) -> _Records:
-        return _Records(len(self.row_lb), self._row)
+        return _Records(len(self.rhs), self._row)
 
     @property
     def objective(self) -> dict:
-        c = self.c if self.minimize else -self.c
-        nonzero = np.flatnonzero(c)
+        obj = self.obj if self.minimize else -self.obj
+        nonzero = np.flatnonzero(obj)
         return dict(zip([self.names[j] for j in nonzero.tolist()],
-                        c[nonzero].tolist()))
+                        obj[nonzero].tolist()))
 
     def _row(self, r: int) -> tuple:
-        s, e = self.indptr[r], self.indptr[r + 1]
-        coeffs = dict(zip([self.names[j] for j in self.indices[s:e].tolist()],
-                          self.data[s:e].tolist()))
-        lo, hi = float(self.row_lb[r]), float(self.row_ub[r])
-        if lo == -math.inf:
-            return r, coeffs, "<=", hi
-        return r, coeffs, ">=" if hi == math.inf else "=", lo
+        s, e = self.start[r], self.start[r + 1]
+        return (r, dict(zip([self.names[j] for j in self.cols[s:e].tolist()],
+                            self.vals[s:e].tolist())),
+                SENSES[self.sense[r]], float(self.rhs[r]))
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +208,12 @@ def _lp_terms(cols, vals, pos, length, names) -> list:
 
 
 def write_lp(m: ModelArrays, path, relax: bool = False) -> None:
-    """CPLEX-style LP file; ``relax`` drops integrality (binaries become
-    continuous in [0, 1])."""
+    """CPLEX-style LP file; ``relax`` makes the integer columns continuous.
+    Every integer column is written as a binary."""
     names = m.names
     in_obj = np.flatnonzero(m.obj != 0.0)
-    binaries = np.flatnonzero(m.binary & (not relax))
+    want_int = m.integer & (not relax)
+    binaries = np.flatnonzero(want_int)
     with open(path, "w") as fh:
         fh.write("\\ ebusopt model\nMinimize\n obj:")
         if not len(in_obj):
@@ -263,14 +239,11 @@ def write_lp(m: ModelArrays, path, relax: bool = False) -> None:
                     _num_strings(m.rhs[lo:hi]))))
         fh.write("Bounds\n")
         for lo, hi in _blocks(len(names)):
-            cont = ~m.binary[lo:hi]
+            cont = ~want_int[lo:hi]
             lb, ub = m.lb[lo:hi], m.ub[lo:hi]
             ranged = lo + np.flatnonzero(cont & (ub != math.inf))
             floored = lo + np.flatnonzero(cont & (ub == math.inf) & (lb != 0.0))
-            relaxed = lo + np.flatnonzero(m.binary[lo:hi] & relax)
             fh.writelines(_lines_by_column((
-                (relaxed, [f" 0 <= {names[j]} <= 1\n"
-                           for j in relaxed.tolist()]),
                 (floored, [f" {names[j]} >= {low}\n" for j, low in
                            zip(floored.tolist(), _num_strings(m.lb[floored]))]),
                 (ranged, [f" {low} <= {names[j]} <= {high}\n"
@@ -351,25 +324,42 @@ class _Reading:
             self.integer.append(0)
         return j
 
-    def problem(self) -> ProblemArrays:
-        """What was read, as the arrays HiGHS takes."""
+    def arrays(self) -> ModelArrays:
+        """What was read, once the numbers the format has no use for are
+        ruled out: NaN anywhere, and an infinite coefficient or rhs."""
         n, m = len(self.lower), len(self.rows.sense)
-        indptr, indices, data = self.rows.csr(m, n)
+        start, cols, vals = self.rows.csr(m, n)
         _, obj_cols, obj_vals = self.objective.csr(1, n)
-        c = np.zeros(n)
-        c[obj_cols] = obj_vals
+        obj = np.zeros(n)
+        obj[obj_cols] = obj_vals
         if not self.minimize:
-            c = -c
-        sense = np.array(self.rows.sense, np.int8)
-        rhs = np.array(self.rows.rhs)
-        return ProblemArrays(
-            names=list(self.index), c=c,
-            indptr=indptr, indices=indices, data=data,
-            row_lb=np.where(sense == SENSES.index("<="), -np.inf, rhs),
-            row_ub=np.where(sense == SENSES.index(">="), np.inf, rhs),
-            lb=np.array(self.lower), ub=np.array(self.upper),
-            integrality=np.array(self.integer, float),
-            minimize=self.minimize)
+            obj = -obj
+        a = ModelArrays(
+            names=list(self.index), obj=obj, lb=np.array(self.lower),
+            ub=np.array(self.upper), integer=np.array(self.integer, bool),
+            start=start, cols=cols, vals=vals,
+            sense=np.array(self.rows.sense, np.int8),
+            rhs=np.array(self.rows.rhs), tag=np.zeros(m, np.int64),
+            tags=["r"], minimize=self.minimize)
+        bad = np.flatnonzero(~np.isfinite(a.vals))
+        if len(bad):
+            k = bad[0]
+            raise LpFormatError(
+                f"row at position {a.row_of_entry()[k]}, column "
+                f"{a.names[a.cols[k]]!r}: coefficient {a.vals[k]} is not finite")
+        bad = np.flatnonzero(~np.isfinite(obj_vals))
+        if len(bad):
+            raise LpFormatError(
+                f"objective, column {a.names[obj_cols[bad[0]]]!r}: "
+                f"coefficient {obj_vals[bad[0]]} is not finite")
+        bad = np.flatnonzero(~np.isfinite(a.rhs))
+        if len(bad):
+            raise LpFormatError(f"row at position {bad[0]}: right-hand side "
+                                f"{a.rhs[bad[0]]} is not finite")
+        bad = np.flatnonzero(np.isnan(a.lb) | np.isnan(a.ub))
+        if len(bad):
+            raise LpFormatError(f"column {a.names[bad[0]]!r}: bound is NaN")
+        return a
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +514,7 @@ def _lp_rows(tokens, reading: _Reading, rows: _Rows) -> None:
 
 
 @_gc_paused()
-def read_lp(path) -> ProblemArrays:
+def read_lp(path) -> ModelArrays:
     """Read an LP file, one section at a time, as a stream of lines."""
     reading = _Reading()
     with open(path) as fh:
@@ -559,7 +549,7 @@ def read_lp(path) -> ProblemArrays:
                         if kind == "binaries":
                             reading.lower[j] = 0.0
                             reading.upper[j] = min(reading.upper[j], 1.0)
-    return reading.problem()
+    return reading.arrays()
 
 
 def _bound_value(tokens: list, i: int):
@@ -618,6 +608,8 @@ _MARKERS = ("    MARKER M2 'MARKER' 'INTEND'\n",     # before a continuous run
 
 
 def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
+    """Free-format MPS file; ``relax`` makes the integer columns continuous.
+    Every integer column is written as a binary."""
     names = m.names
     n = len(names)
     # column-major entries: the objective first, then the rows in order; a
@@ -635,7 +627,7 @@ def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
     col, row, val = col[order], row[order], val[order]
     del order
     first = np.searchsorted(col, np.arange(n + 1))
-    want_int = m.binary & (not relax)
+    want_int = m.integer & (not relax)
     # the entries of a column name rows anywhere in the model
     row_names = m.row_names(np.arange(len(m.rhs)))
     with open(path, "w") as fh:
@@ -657,13 +649,12 @@ def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
                           zip(rows.tolist(), _num_strings(m.rhs[rows])))
         fh.write("BOUNDS\n")
         for lo, hi in _blocks(n):
-            cont = ~m.binary[lo:hi]
-            binaries = lo + np.flatnonzero(m.binary[lo:hi])
+            cont = ~want_int[lo:hi]
+            binaries = lo + np.flatnonzero(want_int[lo:hi])
             lower = lo + np.flatnonzero(cont & (m.lb[lo:hi] != 0.0))
             upper = lo + np.flatnonzero(cont & (m.ub[lo:hi] != math.inf))
             fh.writelines(_lines_by_column((
-                (binaries, [f" UP BND {names[j]} 1\n" if relax
-                            else f" BV BND {names[j]}\n"
+                (binaries, [f" BV BND {names[j]}\n"
                             for j in binaries.tolist()]),
                 (lower, [f" LO BND {names[j]} {low}\n" for j, low in
                          zip(lower.tolist(), _num_strings(m.lb[lower]))]),
@@ -723,7 +714,7 @@ def _mps_lines(fh):
 
 
 @_gc_paused()
-def read_mps(path) -> ProblemArrays:
+def read_mps(path) -> ModelArrays:
     """Read a free-format MPS file, one loop per section."""
     reading = _Reading()
     column, rows, objective = reading.column, reading.rows, reading.objective
@@ -814,8 +805,45 @@ def read_mps(path) -> ProblemArrays:
     for j in np.flatnonzero(np.array(integer, bool)
                             & (np.array(upper) == math.inf)).tolist():
         upper[j] = 1.0
-    return reading.problem()
+    return reading.arrays()
 
+
+def emitted_arrays(m: ModelArrays, fmt: str = "lp",
+                   relax: bool = False) -> ModelArrays:
+    """What ``read_lp`` (or ``read_mps``) returns for the file ``write_lp``
+    (or ``write_mps``) emits from ``m``, built without the file.
+
+    The writers print every number so that it reads back bit for bit, except
+    that -0.0 reads back as 0.0; adding 0.0 does the same here.  Columns
+    follow the reader's first-seen order: for LP the objective terms, then
+    row terms, bound lines and binaries, with columns that appear in none of
+    them left out; for MPS every column in model order.
+    """
+    n = len(m.names)
+    integer = m.integer & (not relax)
+    if fmt == "mps":
+        order = np.arange(n)
+    elif fmt == "lp":
+        bounded = ~integer & ((m.lb != 0.0) | (m.ub != math.inf))
+        seen = np.concatenate([np.flatnonzero(m.obj != 0.0), m.cols,
+                               np.flatnonzero(bounded),
+                               np.flatnonzero(integer)])
+        cols, first = np.unique(seen, return_index=True)
+        order = cols[np.argsort(first)]
+    else:
+        raise LpFormatError(f"unknown model format {fmt!r}")
+    pos = np.full(n, -1)
+    pos[order] = np.arange(len(order))
+    # the rows keep their entries; each row's columns become ascending in
+    # the new order
+    indices = pos[m.cols]
+    by_row = np.lexsort((indices, m.row_of_entry()))
+    return ModelArrays(
+        names=[m.names[j] for j in order.tolist()], obj=m.obj[order] + 0.0,
+        lb=m.lb[order] + 0.0, ub=m.ub[order] + 0.0, integer=integer[order],
+        start=m.start, cols=indices[by_row], vals=m.vals[by_row] + 0.0,
+        sense=m.sense, rhs=m.rhs + 0.0, tag=np.zeros(len(m.rhs), np.int64),
+        tags=["r"])
 
 
 # ---------------------------------------------------------------------------

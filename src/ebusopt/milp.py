@@ -16,10 +16,11 @@ limit (+inf kW) gets no grid rows; a NaN or negative limit override is a
 limit of exactly 0 kW) gets no columns where that is exact; see
 ``build_model``.
 
-``MilpModel`` keeps the program in one array form (columns plus CSR rows);
-the LP/MPS writers, the in-process HiGHS solve and the decoder all read
-that form, never per-row records; the in-process solve hands those arrays
-to HiGHS with no model or solution file.  ``build_model`` reads the graph
+``MilpModel`` keeps the program in ``lpformat.ModelArrays``, the one array
+form (columns with their bounds, [0, 1] for a binary, plus CSR rows); the
+LP/MPS writers, the readers, the in-process HiGHS solve and the decoder all
+use that form, never per-row records; the in-process solve hands those
+arrays to HiGHS with no model or solution file.  ``build_model`` reads the graph
 once into arrays and builds each constraint family as COO entries in one
 numpy pass, appended in one ``add_rows`` call; only the few vehicle-mix rows
 are built one dict at a time.
@@ -35,10 +36,10 @@ from typing import Optional
 import numpy as np
 
 from .chargemodel import IncrementDomainPWL
-from .lpformat import (SENSES, ModelArrays, RawSolution, _Records, write_lp,
-                       write_mps)
+from .lpformat import (SENSES, ModelArrays, RawSolution, _Records,
+                       emitted_arrays, write_lp, write_mps)
 from .netgraph import SchedulingGraph
-from .refsolver import emitted_arrays, solve_arrays
+from .refsolver import solve_arrays
 from .solverbridge import SolverError, external_command, solve_external
 
 INTEGRALITY_TOL = 1e-5
@@ -155,8 +156,10 @@ class MilpModel:
         """Append one column per name and return the first one's index.
 
         ``obj``, ``lb``, ``ub`` and ``binary`` are one value for every new
-        column or one per column.
+        column or one per column; a binary column's bounds are [0, 1].
         """
+        lb = np.where(binary, 0.0, lb)
+        ub = np.where(binary, 1.0, ub)
         first, n = len(self.names), len(names)
         self.names += names
         self._columns.append(tuple(
@@ -886,7 +889,7 @@ def solve_model(model: MilpModel, workdir, command_template=None,
     ``relax``) and goes through the subprocess bridge
     (``solverbridge.solve_external``), whose solver writes the ``.sol`` next
     to it.  Otherwise HiGHS solves in this process on
-    ``refsolver.emitted_arrays`` of the model's arrays, which equal the
+    ``lpformat.emitted_arrays`` of the model's arrays, which equal the
     arrays the bundled ``refsolver`` would read back from that file, so both
     paths give the same values; this path writes no file and does not
     create ``workdir``.  An unknown ``fmt`` is a ``ModelError`` on either
@@ -987,8 +990,7 @@ class Schedule:
                         w.writerow([ci, win.slot, step, f"{phi:.9g}"])
 
 
-def decode_solution(model: MilpModel, raw: RawSolution,
-                    graph: Optional[SchedulingGraph] = None) -> Schedule:
+def decode_solution(model: MilpModel, raw: RawSolution) -> Schedule:
     """Flow-decompose a raw solution into depot-to-depot vehicle courses.
 
     Per plan type the active arcs form node-disjoint paths on the DAG (trip
@@ -996,7 +998,7 @@ def decode_solution(model: MilpModel, raw: RawSolution,
     from each active pull-out arc is unambiguous.  Fractional binaries beyond
     the integrality tolerance and unbalanced flows are decode errors.
     """
-    graph = graph or model.graph
+    graph = model.graph
     if not raw.has_incumbent:
         raise DecodeError(f"no incumbent to decode (status {raw.status})")
     active: dict = {}

@@ -13,14 +13,16 @@ by `name value` lines.  Exit code 0 covers every properly diagnosed outcome
 (missing, not text, or a malformed line, which the message names); 3 means
 the solver itself failed.
 
-``solve_arrays`` is the one HiGHS call site: this CLI reaches it with the
-``lpformat.ProblemArrays`` that the reader of the file returns,
-``milp.solve_model`` with ``emitted_arrays`` of the model's own arrays,
-which are the same arrays with no model file written and no solution file
-written back; only this CLI writes a solution file.  scipy is imported on
-first use, so importing this module stays cheap.  The HiGHS module is
-private to scipy; ``tests/test_milp.py`` pins the names used here, so a
-scipy release that moves them fails there.
+``solve_arrays`` is the one HiGHS call site, and the one place where the
+rows' senses and right-hand sides become HiGHS's row bounds: this CLI
+reaches it with the ``lpformat.ModelArrays`` that the reader of the file
+returns, ``milp.solve_model`` with ``lpformat.emitted_arrays`` of the
+model's own arrays, which are the same arrays with no model file written
+and no solution file written back; only this CLI writes a solution file.
+A model HiGHS refuses raises, so it is never reported as a status.  scipy
+is imported on first use, so importing this module stays cheap.  The
+HiGHS module is private to scipy; ``tests/test_milp.py`` pins the names
+used here, so a scipy release that moves them fails there.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import sys
 
 import numpy as np
 
-from .lpformat import (SENSES, LpFormatError, ModelArrays, ProblemArrays,
-                       read_lp, read_mps, write_solution_text)
+from .lpformat import (SENSES, LpFormatError, ModelArrays, read_lp, read_mps,
+                       write_solution_text)
 
 MIP_REL_GAP = 1e-9
 
@@ -43,12 +45,11 @@ _STATUS = {
     "kTimeLimit": "time-limit",
     "kIterationLimit": "time-limit",
     "kInfeasible": "infeasible",
-    "kModelError": "infeasible",
     "kUnbounded": "unbounded",
 }
 
 
-def load_model(path: str) -> ProblemArrays:
+def load_model(path: str) -> ModelArrays:
     if path.endswith(".mps"):
         return read_mps(path)
     if path.endswith(".lp"):
@@ -62,70 +63,32 @@ def load_model(path: str) -> ProblemArrays:
     return read_lp(path)
 
 
-def emitted_arrays(m: ModelArrays, fmt: str = "lp",
-                   relax: bool = False) -> ProblemArrays:
-    """What ``read_lp`` (or ``read_mps``) returns for the file ``write_lp``
-    (or ``write_mps``) emits from ``m``, built without the file.
-
-    The writers print every number so that it reads back bit for bit, except
-    that -0.0 reads back as 0.0; adding 0.0 does the same here.  Columns
-    follow the reader's first-seen order: for LP the objective terms, then
-    row terms, bound lines and binaries, with columns that appear in none of
-    them left out; for MPS every column in model order.
-    """
-    n = len(m.names)
-    binary = m.binary
-    if fmt == "mps":
-        order = np.arange(n)
-    elif fmt == "lp":
-        bounded = (binary & relax) | (~binary & ((m.lb != 0.0)
-                                                 | (m.ub != math.inf)))
-        seen = np.concatenate([np.flatnonzero(m.obj != 0.0), m.cols,
-                               np.flatnonzero(bounded),
-                               np.flatnonzero(binary & (not relax))])
-        cols, first = np.unique(seen, return_index=True)
-        order = cols[np.argsort(first)]
-    else:
-        raise LpFormatError(f"unknown model format {fmt!r}")
-    pos = np.full(n, -1)
-    pos[order] = np.arange(len(order))
-    rhs = m.rhs + 0.0
-    # the rows keep their entries; each row's columns become ascending in
-    # the new order
-    indices = pos[m.cols]
-    by_row = np.lexsort((indices, m.row_of_entry()))
-    return ProblemArrays(
-        names=[m.names[j] for j in order.tolist()], c=m.obj[order] + 0.0,
-        indptr=m.start, indices=indices[by_row], data=m.vals[by_row] + 0.0,
-        row_lb=np.where(m.sense == SENSES.index("<="), -np.inf, rhs),
-        row_ub=np.where(m.sense == SENSES.index(">="), np.inf, rhs),
-        lb=np.where(binary, 0.0, m.lb + 0.0)[order],
-        ub=np.where(binary, 1.0, m.ub + 0.0)[order],
-        integrality=(binary & (not relax))[order].astype(float))
-
-
-def solve_arrays(p: ProblemArrays, time_limit: float | None = None):
+def solve_arrays(p: ModelArrays, time_limit: float | None = None):
     """Solve with HiGHS; returns (status, values, objective, bound).
 
     Status is "optimal", "feasible" (a limit hit with an incumbent),
     "time-limit" (a limit hit without one), "infeasible", "unbounded" or
     "error".  A MIP hands back its incumbent after a limit; a pure LP
     hands back values only when optimal.  The bound is HiGHS's dual bound
-    when it has an incumbent, and otherwise the optimal LP objective.
+    when it has an incumbent, and otherwise the optimal LP objective.  A
+    model HiGHS refuses (a NaN or infinite rhs, an infinite coefficient)
+    raises ``RuntimeError``.
     """
     from scipy.optimize._highspy import _core
 
     if time_limit is not None and time_limit <= 0:
         return "time-limit", {}, None, None
-    n, m = len(p.names), len(p.row_lb)
+    n, m = len(p.names), len(p.rhs)
+    row_lb = np.where(p.sense == SENSES.index("<="), -np.inf, p.rhs)
+    row_ub = np.where(p.sense == SENSES.index(">="), np.inf, p.rhs)
     lp = _core.HighsLp()
     lp.num_col_, lp.num_row_ = n, m
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = p.c, p.lb, p.ub
-    lp.row_lower_, lp.row_upper_ = p.row_lb, p.row_ub
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = p.obj, p.lb, p.ub
+    lp.row_lower_, lp.row_upper_ = row_lb, row_ub
     a = lp.a_matrix_
     a.format_ = _core.MatrixFormat.kRowwise
     a.num_col_, a.num_row_ = n, m
-    a.start_, a.index_, a.value_ = p.indptr, p.indices, p.data
+    a.start_, a.index_, a.value_ = p.start, p.cols, p.vals
     lp.a_matrix_ = a
 
     highs = _core._Highs()
@@ -133,17 +96,15 @@ def solve_arrays(p: ProblemArrays, time_limit: float | None = None):
     highs.setOptionValue("mip_rel_gap", MIP_REL_GAP)
     if time_limit is not None:
         highs.setOptionValue("time_limit", float(time_limit))
-    integer = np.flatnonzero(p.integrality)
     if highs.passModel(lp) == _core.HighsStatus.kError:
-        model_status = "kModelError"
-    else:
-        if len(integer):
-            highs.changeColsIntegrality(
-                len(integer), integer.astype(np.int32),
-                np.full(len(integer), _core.HighsVarType.kInteger))
-        highs.run()
-        model_status = highs.getModelStatus().name
-    status = _STATUS.get(model_status, "error")
+        raise RuntimeError("HiGHS refused the model")
+    integer = np.flatnonzero(p.integer)
+    if len(integer):
+        highs.changeColsIntegrality(
+            len(integer), integer.astype(np.int32),
+            np.full(len(integer), _core.HighsVarType.kInteger))
+    highs.run()
+    status = _STATUS.get(highs.getModelStatus().name, "error")
     info = highs.getInfo()
     has_x = status == "optimal" or (
         len(integer) > 0 and status == "time-limit"
@@ -165,13 +126,13 @@ def solve_arrays(p: ProblemArrays, time_limit: float | None = None):
     return status, values, objective, bound
 
 
-def solve_parsed(model: ProblemArrays, time_limit: float | None = None,
+def solve_parsed(model: ModelArrays, time_limit: float | None = None,
                  relax: bool = False):
-    """Returns (status, values, objective, bound); ``relax`` drops
-    integrality."""
+    """Returns (status, values, objective, bound); ``relax`` makes the
+    integer columns continuous."""
     if relax:
         model = dataclasses.replace(
-            model, integrality=np.zeros_like(model.integrality))
+            model, integer=np.zeros_like(model.integer))
     return solve_arrays(model, time_limit)
 
 

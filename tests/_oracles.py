@@ -2,7 +2,7 @@
 
 The dict-row model-file writers (``write_lp``, ``write_mps`` and
 ``parsed_model``) are the reference for the array-form writers and for
-``refsolver.emitted_arrays``: they read a model only through its
+``lpformat.emitted_arrays``: they read a model only through its
 ``variables`` and ``rows`` record views.  The dict-row ``build_model`` and
 ``add_preconditioning`` build each row as a dict and append it with
 ``MilpModel.add_row``; they are the reference for the array-native
@@ -12,7 +12,7 @@ which drops the plans that cannot reach a slot.  The readers at the bottom
 (``_tokenize_lp``, ``read_lp`` and ``read_mps``) lex an LP file one regex
 match per position and read an MPS file line by line into a ``ParsedModel``
 of name-keyed dicts, one per row; with ``parsed_arrays`` they are the
-reference for the package's readers, which build the solver's arrays
+reference for the package's readers, which build ``ModelArrays``
 directly.
 
 The closed-form charge curves evaluate the max-power charge curve
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ebusopt.lpformat import LpFormatError, ProblemArrays
+from ebusopt.lpformat import SENSES, LpFormatError, ModelArrays
 from ebusopt.milp import (MilpModel, ModelError, ModelOptions, _domain_for,
                           _grid_limit)
 from ebusopt.netgraph import (Arc, GraphError, GraphOptions, Node,
@@ -134,42 +134,42 @@ class ParsedModel:
             self.variables.append(name)
 
 
-def parsed_arrays(model: ParsedModel, relax: bool = False) -> ProblemArrays:
-    """Arrays of a parsed model; ``relax`` drops integrality."""
+def parsed_arrays(model: ParsedModel, relax: bool = False) -> ModelArrays:
+    """Arrays of a parsed model; ``relax`` makes its integer columns
+    continuous."""
     from scipy import sparse
 
     names = model.variables
     index = {n: i for i, n in enumerate(names)}
     n = len(names)
-    c = np.zeros(n)
+    obj = np.zeros(n)
     for var, coef in model.objective.items():
-        c[index[var]] = coef
+        obj[index[var]] = coef
     if not model.minimize:
-        c = -c
+        obj = -obj
 
-    rows_lb, rows_ub, data, ri, ci = [], [], [], [], []
-    for r, (_, coeffs, sense, rhs) in enumerate(model.rows):
+    data, ri, ci = [], [], []
+    for r, (_, coeffs, _, _) in enumerate(model.rows):
         for var, coef in coeffs.items():
             ri.append(r)
             ci.append(index[var])
             data.append(coef)
-        rows_lb.append(-np.inf if sense == "<=" else rhs)
-        rows_ub.append(np.inf if sense == ">=" else rhs)
 
-    a = sparse.csr_matrix((data, (ri, ci)), shape=(len(model.rows), n))
-    integrality = np.zeros(n)
+    m = len(model.rows)
+    a = sparse.csr_matrix((data, (ri, ci)), shape=(m, n))
+    integer = np.zeros(n, bool)
     if not relax:
         for var in model.integers:
-            integrality[index[var]] = 1
-    return ProblemArrays(
-        names=names, c=c,
-        indptr=a.indptr.astype(np.int64), indices=a.indices.astype(np.int64),
-        data=a.data,
-        row_lb=np.array(rows_lb, dtype=float),
-        row_ub=np.array(rows_ub, dtype=float),
+            integer[index[var]] = True
+    return ModelArrays(
+        names=names, obj=obj,
         lb=np.array([model.lower[v] for v in names], dtype=float),
         ub=np.array([model.upper[v] for v in names], dtype=float),
-        integrality=integrality, minimize=model.minimize)
+        integer=integer, start=a.indptr.astype(np.int64),
+        cols=a.indices.astype(np.int64), vals=a.data,
+        sense=np.array([SENSES.index(row[2]) for row in model.rows], np.int8),
+        rhs=np.array([row[3] for row in model.rows], dtype=float),
+        tag=np.zeros(m, np.int64), tags=["r"], minimize=model.minimize)
 
 
 # ---------------------------------------------------------------------------
@@ -1116,6 +1116,18 @@ def read_lp(path) -> ParsedModel:
             for var in text.split():
                 model.touch(var)
                 model.integers.add(var)
+    return _finite(model)
+
+
+def _finite(model: ParsedModel) -> ParsedModel:
+    """The model, unless it holds a number the formats have no use for: NaN
+    anywhere, or an infinite coefficient or rhs."""
+    numbers = list(model.objective.values())
+    for _, coeffs, _, rhs in model.rows:
+        numbers += [*coeffs.values(), rhs]
+    bounds = [*model.lower.values(), *model.upper.values()]
+    if not all(map(math.isfinite, numbers)) or any(map(math.isnan, bounds)):
+        raise LpFormatError("a NaN, or an infinite coefficient or rhs")
     return model
 
 
@@ -1254,4 +1266,4 @@ def read_mps(path) -> ParsedModel:
     for var in model.integers:
         if model.upper.get(var) == math.inf:
             model.upper[var] = 1.0
-    return model
+    return _finite(model)

@@ -11,7 +11,6 @@ import math
 import tempfile
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
@@ -20,11 +19,11 @@ from ebusopt import netgraph
 from ebusopt.generators import (GenerationError, SyntheticParams,
                                 generate_synthetic, generate_worst_case)
 from ebusopt.instance import GridPoint, MixConstraint
-from ebusopt.lpformat import read_lp, read_mps, write_lp, write_mps
+from ebusopt.lpformat import (emitted_arrays, read_lp, read_mps, write_lp,
+                              write_mps)
 from ebusopt.milp import (ModelError, ModelOptions, build_model,
                           decode_solution, emit_model, solve_model)
 from ebusopt.netgraph import GraphError, GraphOptions, build_graph
-from ebusopt.refsolver import emitted_arrays
 from ebusopt.validate import (build_domains, discretization_sweep,
                               exact_curves, validate_schedule)
 from _toys import charger_toy
@@ -34,14 +33,7 @@ THETA = 300.0
 
 
 def _assert_same_model(got, want):
-    a, b = got.arrays(), want.arrays()
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(y, np.ndarray):
-            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
-            assert x.tobytes() == y.tobytes(), f.name
-        else:
-            assert x == y, f.name
+    _assert_same_arrays(got.arrays(), want.arrays())
     for index in ("x_index", "y_index", "phi_index", "phi_cost"):
         assert list(getattr(got, index).items()) == \
             list(getattr(want, index).items()), index
@@ -138,7 +130,10 @@ def assembly_cases(draw, dead_time=False):
     domains = build_domains(inst, exact_curves(inst), theta,
                             draw(st.integers(2, 4)),
                             draw(st.sampled_from(["under", "over"])))
-    if domains and not dead_time and draw(st.integers(0, 9)) == 0:
+    # one draw in ten deletes a domain; hypothesis favours the first entry,
+    # which keeps them all
+    if domains and not dead_time and draw(st.sampled_from(
+            [False] * 9 + [True])):
         del domains[draw(st.sampled_from(sorted(domains)))]
     override = None
     if draw(st.booleans()):

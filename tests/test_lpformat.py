@@ -3,6 +3,7 @@
 of malformed files, and the memory the readers and writers take."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -244,6 +245,16 @@ MALFORMED = {
                            + MPS_TAIL.replace(" UP BND a 4", " UP BND a")),
     "lp-not-text": ("lp", b"Minimize\n obj: \xff\xfe a\nEnd\n"),
     "sniffed-not-text": ("model", b"\xff\xfe"),
+    # numbers the formats have no use for
+    "mps-nan-coefficient": ("mps", MPS_HEAD + "COLUMNS\n    x obj 1 c1 nan\n"
+                            + MPS_TAIL.replace(" a ", " x ")),
+    "mps-nan-bound": ("mps", MPS_HEAD + MPS_COLUMNS
+                      + MPS_TAIL.replace(" UP BND a 4", " UP BND a nan")),
+    "lp-infinite-coefficient": ("lp", "Minimize\n obj: 1 x\nSubject To\n"
+                                " c1: 1e999 x + 1 y >= 1\nEnd\n"),
+    "lp-infinite-objective": ("lp", "Minimize\n obj: 1e999 x\nEnd\n"),
+    "lp-infinite-rhs": ("lp", "Minimize\n obj: 1 x\nSubject To\n"
+                        " c1: 1 x + 1 y = 1e999\nEnd\n"),
 }
 
 
@@ -268,6 +279,20 @@ def test_malformed_model_file_exits_2(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "cannot read model" in proc.stderr
+
+
+@pytest.mark.parametrize("case, where", [
+    ("mps-nan-coefficient", "row at position 0, column 'x'"),
+    ("lp-infinite-coefficient", "row at position 0, column 'x'"),
+    ("lp-infinite-objective", "objective, column 'x'"),
+    ("lp-infinite-rhs", "row at position 0: right-hand side"),
+    ("mps-nan-bound", "column 'a': bound is NaN")])
+def test_non_finite_number_is_named(tmp_path, case, where):
+    fmt, content = MALFORMED[case]
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(content)
+    with pytest.raises(LpFormatError, match=re.escape(where)):
+        load_model(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -14,8 +15,8 @@ import _oracles
 from ebusopt import solverbridge
 from ebusopt.generators import generate_worst_case
 from ebusopt.instance import InstanceError
-from ebusopt.lpformat import (SENSES, LpFormatError, ProblemArrays,
-                              RawSolution,
+from ebusopt.lpformat import (SENSES, LpFormatError, ModelArrays,
+                              RawSolution, emitted_arrays,
                               parse_solution_file, parse_solution_text,
                               read_lp, read_mps, write_lp, write_mps,
                               write_solution_text)
@@ -23,8 +24,7 @@ from ebusopt.milp import (DecodeError, MilpModel, ModelError, ModelOptions,
                           build_model, decode_solution, emit_model,
                           solve_model)
 from ebusopt.netgraph import GraphOptions, build_graph
-from ebusopt.refsolver import (emitted_arrays, load_model, solve_arrays,
-                               solve_parsed)
+from ebusopt.refsolver import load_model, solve_arrays, solve_parsed
 from ebusopt.solverbridge import (DEFAULT_SOLVER_CMD, SOLVER_ENV_VAR,
                                   SolverError, solve_external)
 from ebusopt.validate import build_domains, exact_curves
@@ -123,8 +123,8 @@ def test_lp_mps_roundtrip_same_polyhedron(tmp_path):
     emit_model(model, "mps", mps_path)
     a, b = read_lp(str(lp_path)), read_mps(str(mps_path))
     assert set(a.variables) == set(b.variables)
-    integers = {n for n, i in zip(a.names, a.integrality) if i}
-    assert integers == {n for n, i in zip(b.names, b.integrality) if i}
+    integers = {n for n, i in zip(a.names, a.integer) if i}
+    assert integers == {n for n, i in zip(b.names, b.integer) if i}
     assert len(a.rows) == len(b.rows)
     assert a.objective == b.objective
     for (r, coeffs, sense, rhs), (_, cb, sb, rb) in zip(a.rows, b.rows):
@@ -157,7 +157,7 @@ def test_variable_count_in_lp(tmp_path):
     write_lp(tiny.arrays(), path)
     parsed = read_lp(str(path))
     assert sorted(parsed.variables) == ["a", "b", "c"]
-    assert parsed.integrality.tolist() == [1.0, 0.0, 0.0]
+    assert parsed.integer.tolist() == [True, False, False]
     assert parsed.ub[parsed.names.index("c")] == 5.0
 
 
@@ -167,7 +167,7 @@ def test_relaxed_emission_drops_integrality(tmp_path):
     path = tmp_path / "relax.lp"
     emit_model(model, "lp", path, relax=True)
     parsed = read_lp(str(path))
-    assert not parsed.integrality.any()
+    assert not parsed.integer.any()
     x_vars = [j for j, v in enumerate(parsed.variables) if v.startswith("x[")]
     assert x_vars and all(parsed.ub[x_vars] == 1.0)
 
@@ -197,7 +197,7 @@ def test_refsolver_relax_drops_integrality(tmp_path):
     model = load_model(str(path))
     assert solve_parsed(model)[2] == pytest.approx(1.0)
     assert solve_parsed(model, relax=True)[2] == pytest.approx(0.5)
-    assert model.integrality.tolist() == [1.0, 1.0]      # left as read
+    assert model.integer.tolist() == [True, True]      # left as read
 
 
 def test_refsolver_cli_roundtrip(tmp_path):
@@ -270,11 +270,15 @@ def _identity_models():
 
 
 def _assert_same_arrays(a, b):
-    assert a.names == b.names
-    assert a.minimize == b.minimize
-    for field in ("c", "row_lb", "row_ub", "lb", "ub", "integrality",
-                  "data", "indices", "indptr"):
-        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    """Every field of two ``ModelArrays`` is the same, array dtypes and
+    float bits included."""
+    for f in dataclasses.fields(ModelArrays):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(y, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
 
 
 @pytest.mark.parametrize("relax", [False, True])
@@ -287,7 +291,7 @@ def test_in_process_arrays_equal_lp_file_arrays(tmp_path, relax):
             _oracles.parsed_model(model, "lp", relax)), from_file)
         in_memory = emitted_arrays(model.arrays(), "lp", relax)
         _assert_same_arrays(in_memory, from_file)
-        assert bool(in_memory.integrality.any()) == (not relax)
+        assert bool(in_memory.integer.any()) == (not relax)
 
 
 def test_in_process_arrays_equal_mps_file_arrays(tmp_path):
@@ -535,6 +539,28 @@ def test_status_time_limit_zero(tmp_path):
     assert solve_arrays(arrays, 0) == ("time-limit", {}, None, None)
 
 
+def _one_row(rhs, vals):
+    """min a + b over binaries a, b with the one row vals . (a, b) >= rhs."""
+    return ModelArrays(
+        names=["a", "b"], obj=np.ones(2), lb=np.zeros(2), ub=np.ones(2),
+        integer=np.ones(2, bool), start=np.array([0, 2]),
+        cols=np.array([0, 1]), vals=np.array(vals),
+        sense=np.array([SENSES.index(">=")], np.int8), rhs=np.array([rhs]),
+        tag=np.zeros(1, np.int64), tags=["r"])
+
+
+@pytest.mark.parametrize("rhs, vals", [(math.nan, [1.0, 1.0]),
+                                       (1.0, [math.inf, 1.0])])
+def test_model_highs_refuses_is_an_error_not_a_status(tmp_path, rhs, vals):
+    with pytest.raises(RuntimeError, match="HiGHS refused the model"):
+        solve_arrays(_one_row(rhs, vals))
+    model = _bare_model()
+    model.add_vars(["a", "b"], obj=1.0, binary=True)
+    model.add_row(dict(enumerate(vals)), ">=", rhs, "r")
+    with pytest.raises(SolverError, match="HiGHS refused the model"):
+        solve_model(model, tmp_path)
+
+
 def _highs_core():
     """The private scipy module that ``refsolver.solve_arrays`` calls."""
     from scipy.optimize._highspy import _core
@@ -558,7 +584,7 @@ def test_private_highs_entry_point_is_pinned():
     assert core.MatrixFormat.kRowwise is not None
     assert core.HighsVarType.kInteger is not None
     for name in ("kOptimal", "kTimeLimit", "kIterationLimit", "kInfeasible",
-                 "kModelError", "kUnbounded"):
+                 "kUnbounded"):
         assert hasattr(core.HighsModelStatus, name), name
     info = highs.getInfo()
     for name in ("objective_function_value", "mip_dual_bound"):
@@ -569,12 +595,7 @@ def test_private_highs_entry_point_is_pinned():
 
     # a row-wise model with integrality set after passModel is solved as a
     # MIP: the LP optimum 0.5 would show if the integrality were lost
-    arrays = ProblemArrays(
-        names=["a", "b"], c=np.array([1.0, 1.0]),
-        indptr=np.array([0, 2]), indices=np.array([0, 1]),
-        data=np.array([2.0, 2.0]), row_lb=np.array([1.0]),
-        row_ub=np.array([np.inf]), lb=np.zeros(2), ub=np.ones(2),
-        integrality=np.array([1.0, 1.0]))
+    arrays = _one_row(rhs=1.0, vals=[2.0, 2.0])
     assert solve_arrays(arrays)[::2] == ("optimal", 1.0)
     relaxed = solve_parsed(arrays, relax=True)
     assert relaxed[0] == "optimal"
@@ -597,13 +618,14 @@ def _market_split(rows, cols, slack, seed=0):
             indices += [cols + 2 * i, cols + 2 * i + 1]
             data += [1.0, -1.0]
         indptr.append(len(indices))
-    return ProblemArrays(
+    return ModelArrays(
         names=[f"v{j}" for j in range(n)],
-        c=np.array([0.0] * cols + [1.0] * (n - cols)),
-        indptr=np.array(indptr), indices=np.array(indices),
-        data=np.array(data), row_lb=d, row_ub=d.copy(), lb=np.zeros(n),
+        obj=np.array([0.0] * cols + [1.0] * (n - cols)), lb=np.zeros(n),
         ub=np.array([1.0] * cols + [np.inf] * (n - cols)),
-        integrality=np.array([1.0] * cols + [0.0] * (n - cols)))
+        integer=np.array([True] * cols + [False] * (n - cols)),
+        start=np.array(indptr), cols=np.array(indices), vals=np.array(data),
+        sense=np.full(rows, SENSES.index("=")), rhs=d,
+        tag=np.zeros(rows, np.int64), tags=["r"])
 
 
 def test_status_time_limit_with_and_without_incumbent():
