@@ -133,21 +133,18 @@ def _load(instance_path: str) -> Instance:
         _fail(EXIT_INPUT, f"cannot load instance: {exc}")
 
 
-def _pipeline_solve(inst, theta, segments, estimator, out_dir, solver_cmd,
+def _pipeline_solve(curves, graph, segments, estimator, out_dir, solver_cmd,
                     time_limit, threads, strengthen, precondition_lead,
-                    grid_limit_override=None, fmt="lp",
-                    tag="model", egress_lookahead=None):
-    curves = exact_curves(inst)
-    graph = build_graph(inst, theta,
-                        GraphOptions(egress_lookahead_steps=egress_lookahead))
-    domains = build_domains(inst, curves, theta, segments, estimator)
+                    grid_limit_override=None, fmt="lp", tag="model"):
+    domains = build_domains(graph.instance, curves, graph.theta, segments,
+                            estimator)
     options = ModelOptions(use_strengthening=strengthen,
                            precondition_lead=precondition_lead,
                            grid_limit_override=grid_limit_override)
     model = build_model(graph, domains, options)
     raw = _solve_into(model, os.path.join(out_dir, tag), solver_cmd, fmt,
                       time_limit, threads)
-    return curves, graph, domains, model, raw
+    return domains, model, raw
 
 
 def _solve_into(model, workdir, solver_cmd, fmt, time_limit, threads):
@@ -204,19 +201,18 @@ def cmd_solve(instance_path, theta, segments, estimator, grid_cap, solver_cmd,
               "egress_lookahead": egress_lookahead, "format": fmt}
     digest = _emit_config(out, config)
     try:
-        if grid_cap is None:
-            curves, graph, domains, model, raw = _pipeline_solve(
-                inst, theta, segments, estimator, out, solver_cmd, time_limit,
-                threads, strengthen, precondition_lead, fmt=fmt,
-                egress_lookahead=egress_lookahead)
-        else:
-            # reference solve without caps fixes the peak to scale against
-            uncapped = {gp.id: math.inf for gp in inst.grid_points}
-            curves, graph, domains, model, raw = _pipeline_solve(
-                inst, theta, segments, estimator, out, solver_cmd, time_limit,
-                threads, strengthen, precondition_lead,
-                grid_limit_override=uncapped, fmt=fmt, tag="reference",
-                egress_lookahead=egress_lookahead)
+        curves = exact_curves(inst)
+        graph = build_graph(inst, theta, GraphOptions(
+            egress_lookahead_steps=egress_lookahead))
+        # with a grid cap, a solve without caps first fixes the peak
+        capped = grid_cap is not None
+        domains, model, raw = _pipeline_solve(
+            curves, graph, segments, estimator, out, solver_cmd, time_limit,
+            threads, strengthen, precondition_lead,
+            grid_limit_override=({gp.id: math.inf for gp in inst.grid_points}
+                                 if capped else None),
+            fmt=fmt, tag="reference" if capped else "model")
+        if capped:
             if not raw.has_incumbent:
                 _fail(EXIT_UNSOLVED,
                       f"reference solve found no schedule ({raw.status})")
@@ -349,9 +345,12 @@ def cmd_compare_estimators(instance_path, theta, segments, time_limit,
     digest = _emit_config(out, config)
     results = {}
     try:
+        # neither the curves nor the graph depend on the estimator
+        curves = exact_curves(inst)
+        graph = build_graph(inst, theta)
         for est in ("under", "over"):
-            curves, graph, domains, model, raw = _pipeline_solve(
-                inst, theta, segments, est, out, solver_cmd, time_limit,
+            _, _, raw = _pipeline_solve(
+                curves, graph, segments, est, out, solver_cmd, time_limit,
                 threads, strengthen=True, precondition_lead=0, tag=est)
             if not raw.has_incumbent:
                 _fail(EXIT_UNSOLVED, f"{est} solve failed: {raw.status}")

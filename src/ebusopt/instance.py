@@ -255,6 +255,22 @@ class Instance:
                     raise InstanceError(
                         f"grid_points[{g.id}].energy_price: {price} on "
                         f"[{t0}, {t1}) is not finite")
+        pairs = {(p.vehicle_type, p.depot) for p in self.plan_types()}
+        for r, m in enumerate(self.mix_constraints):
+            row = f"mix_constraints[{r}]"
+            if len(m.coeffs) != len(m.plan_types):
+                raise InstanceError(f"{row}: {len(m.coeffs)} coeffs for "
+                                    f"{len(m.plan_types)} plan types")
+            for pt, kappa in zip(m.plan_types, m.coeffs):
+                if tuple(pt) not in pairs:
+                    raise InstanceError(f"{row}.plan_types: {list(pt)} is not "
+                                        f"a (vehicle type, depot) pair")
+                if not (isinstance(kappa, (int, float))
+                        and math.isfinite(kappa)):
+                    raise InstanceError(f"{row}.coeffs: {kappa!r} for "
+                                        f"{list(pt)} is not finite")
+            if math.isnan(m.lower) or math.isnan(m.upper):
+                raise InstanceError(f"{row}: NaN in [{m.lower}, {m.upper}]")
         self._check_triangle_inequality()
 
     def _check_triangle_inequality(self) -> None:

@@ -20,10 +20,10 @@ limit of exactly 0 kW) gets no columns where that is exact; see
 form (columns with their bounds, [0, 1] for a binary, plus CSR rows); the
 LP/MPS writers, the readers, the in-process HiGHS solve and the decoder all
 use that form, never per-row records; the in-process solve hands those
-arrays to HiGHS with no model or solution file.  ``build_model`` reads the graph
-once into arrays and builds each constraint family as COO entries in one
-numpy pass, appended in one ``add_rows`` call; only the few vehicle-mix rows
-are built one dict at a time.
+arrays to HiGHS with no model or solution file.  ``build_model`` reads the
+graph's columns, never an ``Arc`` record, and builds each constraint family
+as COO entries in one numpy pass, appended in one ``add_rows`` call; only
+the few vehicle-mix rows are built one dict at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import numpy as np
 from .chargemodel import IncrementDomainPWL
 from .lpformat import (SENSES, ModelArrays, RawSolution, _Records,
                        emitted_arrays, write_lp, write_mps)
-from .netgraph import SchedulingGraph
+from .netgraph import (ACCESS, CHARGE, EGRESS, PULLOUT, RECHARGE, SINK,
+                       SOURCE, SchedulingGraph)
 from .refsolver import solve_arrays
 from .solverbridge import SolverError, external_command, solve_external
 
@@ -246,13 +247,7 @@ def _domain_for(domains: dict, charger: str, vtype: str) -> IncrementDomainPWL:
     return dom
 
 
-_NODE_KIND = {"depot-source": 0, "depot-sink": 1, "trip": 2, "charge": 3}
-_SINK, _CHARGE = 1, 3                   # depot nodes have the codes 0, 1
-_ARC_KIND = {"pullout": 1, "recharge": 2, "egress": 3}
-_PULLOUT, _RECHARGE, _EGRESS = 1, 2, 3      # any other kind is 0
-
-
-def _grid_limits(graph: SchedulingGraph, slot_code: dict, override):
+def _grid_limits(graph: SchedulingGraph, override):
     """Per (grid point rank, step 0..H) the kW limit, and per slot the rank
     of its grid point.
 
@@ -261,9 +256,8 @@ def _grid_limits(graph: SchedulingGraph, slot_code: dict, override):
     """
     inst, steps = graph.instance, graph.horizon_steps
     gp_rank = {gp.id: r for r, gp in enumerate(inst.grid_points)}
-    slot_gp = np.full(len(slot_code), -1)
-    for sid, cid in graph.slot_charger.items():
-        slot_gp[slot_code[sid]] = gp_rank[inst.charger(cid).grid_point]
+    slot_gp = np.array([gp_rank[inst.charger(graph.slot_charger[sid])
+                                .grid_point] for sid in graph.slots], int)
     limit = np.full((len(inst.grid_points), steps + 1), math.inf)
     for r, gp in enumerate(inst.grid_points):
         if (slot_gp == r).any():
@@ -272,146 +266,105 @@ def _grid_limits(graph: SchedulingGraph, slot_code: dict, override):
     return limit, slot_gp
 
 
-def _mix_payoff_plans(inst) -> set:
-    """Plans one more bus of which can help a vehicle-mix row: a positive
-    net coefficient in a row with a lower bound, or a negative one in a row
-    with an upper bound."""
-    out = set()
-    for m in inst.mix_constraints:
-        net: dict = {}
+def _mix_payoff_plans(graph: SchedulingGraph) -> np.ndarray:
+    """Per plan code, whether one more bus of the plan can help a
+    vehicle-mix row: a positive net coefficient in a row with a lower
+    bound, or a negative one in a row with an upper bound."""
+    code = graph.plan_code
+    out = np.zeros(len(code), bool)
+    for m in graph.instance.mix_constraints:
+        net = np.zeros(len(out))
         for (vt, dep), kappa in zip(m.plan_types, m.coeffs):
-            net[f"{vt}.{dep}"] = net.get(f"{vt}.{dep}", 0.0) + kappa
-        out |= {pid for pid, k in net.items()
-                if (m.lower > 0 and k > 0) or (m.upper < math.inf and k < 0)}
+            if f"{vt}.{dep}" in code:
+                net[code[f"{vt}.{dep}"]] += kappa
+        out |= (m.lower > 0) & (net > 0) | (m.upper < math.inf) & (net < 0)
     return out
 
 
-def _dropped_events(graph: SchedulingGraph, slot: str, dead: np.ndarray,
-                    mix_payoff: set):
-    """Events of ``slot`` whose egress and pull-out arcs get no columns.
+def _dropped_events(graph: SchedulingGraph, on: np.ndarray, event: np.ndarray,
+                    dead: np.ndarray, mix_payoff: np.ndarray):
+    """Events of one slot whose egress and pull-out arcs get no columns.
 
-    ``dead[i]`` flags step i (1..H).  An event strictly inside a dead run
-    (steps i and i + 1 both dead) is dropped unless it lies within
-    ``stack`` events after an anchor; see ``build_model``.  Returns a bool
-    array over the events 0..H, or None when nothing is dropped.
+    ``on`` flags the slot's arcs, ``event`` holds each node's timeline
+    event and ``dead[i]`` flags step i (1..H).  An event strictly inside a
+    dead run (steps i and i + 1 both dead) is dropped unless it lies
+    within ``stack`` events after an anchor; see ``build_model``.  Returns
+    a bool array over the events 0..H, or None when nothing is dropped.
     """
     steps = graph.horizon_steps
     d = np.concatenate([[False], dead, [False]])    # steps 0..H + 1
     inside = d[:-1] & d[1:]
     if not inside.any():
         return None
-    anchors = list(np.flatnonzero(d[1:] & ~d[:-1]))  # each run's first event
-    pullout: dict = {}      # depot -> [first event, arc]
-    sink: dict = {}         # depot -> arc
-    egress_lo: dict = {}    # head -> lowest event
-    trips = set()
-    for a in graph.arcs:
-        if a.slot != slot:
-            continue
-        if a.kind == "access":
-            anchors.append(graph.nodes[a.head].event)
-        elif a.kind == "pullout":
-            dep = graph.nodes[a.tail].depot
-            event = graph.nodes[a.head].event
-            if dep not in pullout or event < pullout[dep][0]:
-                pullout[dep] = [event, a]
-        elif a.kind == "egress":
-            event = graph.nodes[a.tail].event
-            egress_lo[a.head] = min(egress_lo.get(a.head, event), event)
-            head = graph.nodes[a.head]
-            if head.kind == "trip":
-                trips.add(head.id)
-            else:
-                sink[head.depot] = a
-    anchors += [first for first, _ in pullout.values()]
-    anchors += list(egress_lo.values())
-    for dep, (_, a) in pullout.items():
-        out = sink.get(dep)
-        for pid in a.plans:
-            if out is not None and pid in out.plans and (
-                    pid in mix_payoff or a.cost[pid] + out.cost[pid] < 0):
-                return None     # parked buses may pay: no bound on stacking
-    stack = len(trips) + 1
+    kind, tail, head = graph.kind, graph.tail, graph.head
+    pullout = np.flatnonzero(on & (kind == PULLOUT))
+    egress = np.flatnonzero(on & (kind == EGRESS))
+    to_sink = graph.node_kind[head[egress]] == SINK
+    # the lowest event of each pull-out leg (per depot source) and of each
+    # egress leg (per trip or depot sink)
+    lowest = np.full(len(graph.node_ids), steps + 1)
+    np.minimum.at(lowest, tail[pullout], event[head[pullout]])
+    np.minimum.at(lowest, head[egress], event[tail[egress]])
+    anchors = np.concatenate([
+        np.flatnonzero(d[1:] & ~d[:-1]),            # each run's first event
+        event[head[on & (kind == ACCESS)]], lowest[lowest <= steps]])
+    # parked buses may pay: no bound on stacking.  Per plan, its cheapest
+    # pull-out plus its cheapest egress to a sink (inf where one is missing)
+    low = np.full((2, len(mix_payoff)), math.inf)
+    for side, arcs in enumerate((pullout, egress[to_sink])):
+        pair = np.isin(graph.pair_arc, arcs)
+        np.minimum.at(low[side], graph.pair_plan[pair], graph.pair_cost[pair])
+    parked = low[0] + low[1]
+    if (np.isfinite(parked) & (mix_payoff | (parked < 0))).any():
+        return None
+    stack = len(np.unique(head[egress[~to_sink]])) + 1
     kept = np.zeros(steps + stack + 2, int)
-    np.add.at(kept, np.asarray(anchors, int), 1)
-    np.add.at(kept, np.asarray(anchors, int) + stack + 1, -1)
+    np.add.at(kept, anchors, 1)
+    np.add.at(kept, anchors + stack + 1, -1)
     drop = inside & (np.cumsum(kept)[:steps + 1] == 0)
     return drop if drop.any() else None
 
 
 class _GraphArrays:
-    """A scheduling graph read once into the arrays the row families use.
+    """The graph's columns narrowed to the arcs that get columns, plus the
+    domain, price and limit tables the row families use.
 
-    Nodes and plans are coded by their rank in sorted id order, slots by
-    their position in ``graph.slots``.  The model's arcs are the graph's
-    arcs that get columns, with each chain of dead recharge arcs folded
-    into its first arc, which takes the chain's last head (see
-    ``build_model``); ``arc_ids`` holds their graph indices.  Pairs are
-    the (arc, plan) entries of ``arc.plans`` over the model's arcs, in arc
-    order; the phi pairs are the pairs of live recharge arcs.  Columns are
-    x per pair, then y per model arc (``y_col``), then phi per phi pair
-    (``phi_col``).  ``x_index`` and ``y_index`` map every graph arc with
-    columns, folded ones included, in arc order.  Raises ``ModelError`` for
-    the first recharge (arc, plan) pair in graph order whose (charger,
-    vehicle type) has no increment domain.
+    Nodes and plans keep the graph's codes (their rank in sorted id
+    order), slots their position in ``graph.slots``.  The model's arcs are
+    the graph's arcs that get columns, with each chain of dead recharge
+    arcs folded into its first arc, which takes the chain's last head (see
+    ``build_model``); ``arc_ids`` holds their graph indices.  Pairs are the
+    graph's pairs of the model's arcs, in arc order; the phi pairs are the
+    pairs of live recharge arcs.  Columns are x per pair, then y per model
+    arc (``y_col``), then phi per phi pair (``phi_col``).  ``x_index`` and
+    ``y_index`` map every graph arc with columns, folded ones included, in
+    arc order.  Raises ``ModelError`` for the first recharge (arc, plan)
+    pair in graph order whose (charger, vehicle type) has no increment
+    domain.
     """
 
     def __init__(self, graph: SchedulingGraph, domains: dict,
                  options: ModelOptions):
         inst = graph.instance
-        node_ids = sorted(graph.nodes)
-        node_code = {nid: i for i, nid in enumerate(node_ids)}
-        self.node_code = node_code
-        self.node_kind = np.array(
-            [_NODE_KIND[graph.nodes[nid].kind] for nid in node_ids], np.int8)
-        plans = {p.id: p for p in graph.plan_types}
-        self.plan_ids = sorted(plans)
-        plan_code = {pid: i for i, pid in enumerate(self.plan_ids)}
-        vtypes = [plans[pid].vehicle_type for pid in self.plan_ids]
-        self.electric = np.array([plans[pid].electric
-                                  for pid in self.plan_ids], bool)
-        battery = {v.id: v.battery_kwh for v in inst.vehicle_types}
-        self.battery = np.array([battery[vt] for vt in vtypes], float)
-        self.slot_code = {sid: i for i, sid in enumerate(graph.slots)}
+        plans = [graph.plan(pid) for pid in graph.plan_ids]
+        vtypes = [p.vehicle_type for p in plans]
+        self.electric = np.array([p.electric for p in plans], bool)
+        self.battery = np.array([inst.vehicle_type(vt).battery_kwh
+                                 for vt in vtypes], float)
         self.limit, self.slot_gp = _grid_limits(
-            graph, self.slot_code, options.grid_limit_override)
+            graph, options.grid_limit_override)
         charger_ids = [c.id for c in inst.chargers]
-        charger_code = {cid: i for i, cid in enumerate(charger_ids)}
 
-        # every graph arc and (arc, plan) pair
-        tail, head, kind, recharge = [], [], [], []
-        pair_arc, pair_plan, x_names, cost, cons = [], [], [], [], []
-        for i, a in enumerate(graph.arcs):
-            tail.append(node_code[a.tail])
-            head.append(node_code[a.head])
-            kind.append(_ARC_KIND.get(a.kind, 0))
-            if a.kind == "recharge":
-                recharge.append((i, charger_code[a.charger],
-                                 self.slot_code[a.slot], a.step, a.available))
-            for pid in a.plans:
-                x_names.append(f"x[{a.index:06d}][{pid}]")
-                pair_arc.append(i)
-                pair_plan.append(plan_code[pid])
-                cost.append(a.cost.get(pid, 0.0))
-                cons.append(a.consumption(pid))
-        n = len(graph.arcs)
-        tail, head = np.array(tail, np.int64), np.array(head, np.int64)
-        kind = np.array(kind, np.int8)
-        pair_arc = np.array(pair_arc, np.int64)
-        pair_plan = np.array(pair_plan, np.int64)
-
-        # recharge arcs: charger, slot, step (1..H) and availability
-        charger = np.full(n, -1, np.int64)
-        slot = np.full(n, -1, np.int64)
-        step = np.zeros(n, np.int64)
-        available = np.zeros(n, bool)
-        if recharge:
-            at, ch, sl, st, av = zip(*recharge)
-            at = list(at)
-            charger[at], slot[at], step[at], available[at] = ch, sl, st, av
+        tail, head, kind = graph.tail, graph.head, graph.kind
+        slot, step, available = graph.slot, graph.step, graph.available
+        pair_arc, pair_plan = graph.pair_arc, graph.pair_plan
+        n = len(tail)
+        # the charger of each slot, and -1 at position -1 (no slot)
+        charger = np.array([charger_ids.index(graph.slot_charger[sid])
+                            for sid in graph.slots] + [-1], np.int64)[slot]
 
         # increment domain per recharge pair, checked in order of first use
-        rc_pair = np.flatnonzero((kind[pair_arc] == _RECHARGE)
+        rc_pair = np.flatnonzero((kind[pair_arc] == RECHARGE)
                                  & self.electric[pair_plan])
         vt_ids = sorted(set(vtypes))
         vt_code = np.array([vt_ids.index(vt) for vt in vtypes], np.int64)
@@ -429,14 +382,13 @@ class _GraphArrays:
         idle = np.array([c.step_consumption != 0 for c in inst.chargers],
                         bool)
         dead = np.zeros(n, bool)
-        rc = kind == _RECHARGE
+        rc = kind == RECHARGE
         dead[rc] = ~idle[charger[rc]] & (
             ~available[rc] | (self.limit[self.slot_gp[slot[rc]], step[rc]]
                               == 0))
         rep = np.arange(n)          # the arc whose columns an arc uses
         if dead.any():
-            rep = _column_arcs(graph, tail, head, kind, slot, step, dead,
-                               options.precondition_lead)
+            rep = _column_arcs(graph, dead, options.precondition_lead)
         own = rep == np.arange(n)   # the model's arcs
         kept = rep >= 0
         last = np.arange(n)         # per model arc, its chain's last arc
@@ -445,19 +397,16 @@ class _GraphArrays:
         model_arc = np.full(n, -1)
         model_arc[own] = np.arange(own.sum())
 
-        arc_index = np.array([a.index for a in graph.arcs], np.int64)
-        self.arc_ids = arc_index[own].tolist()
+        self.arc_ids = np.flatnonzero(own)
         self.tail, self.head = tail[own], head[last[own]]
         self.kind = kind[own]
         self.charger, self.slot = charger[own], slot[own]
         self.step, self.available = step[own], available[own]
         mine = own[pair_arc]
-        self.x_names = (x_names if mine.all()
-                        else [name for name, m in zip(x_names, mine) if m])
         self.pair_arc = model_arc[pair_arc[mine]]
         self.pair_plan = pair_plan[mine]
-        self.cost = np.array(cost, float)[mine]
-        self.cons = np.array(cons, float)[mine]
+        self.cost = graph.pair_cost[mine]
+        self.cons = graph.pair_cons[mine]
         n_pairs, n_model = len(self.pair_arc), len(self.arc_ids)
         # a folded arc's pairs follow its first arc's, plan for plan
         pair_col = np.full(len(pair_arc), -1)
@@ -466,13 +415,12 @@ class _GraphArrays:
         with_cols = kept[pair_arc]
         pair_col[with_cols] = pair_col[first_pair[rep[pair_arc[with_cols]]]] \
             + (np.arange(len(pair_arc)) - first_pair[pair_arc])[with_cols]
-        plan_ids = self.plan_ids
-        self.x_index = {
-            (i, plan_ids[p]): c for i, p, c in zip(
-                arc_index[pair_arc[with_cols]].tolist(),
-                pair_plan[with_cols].tolist(), pair_col[with_cols].tolist())}
+        self.x_index = dict(zip(
+            zip(pair_arc[with_cols].tolist(),
+                np.array(graph.plan_ids)[pair_plan[with_cols]].tolist()),
+            pair_col[with_cols].tolist()))
         self.y_col = n_pairs + np.arange(n_model)
-        self.y_index = dict(zip(arc_index[kept].tolist(),
+        self.y_index = dict(zip(np.flatnonzero(kept).tolist(),
                                 (n_pairs + model_arc[rep[kept]]).tolist()))
 
         # x column per recharge pair, for the preconditioning rows
@@ -506,20 +454,17 @@ class _GraphArrays:
                       zero[rc_dom[held]])
         self.y_ub = np.where(cap < 1.0, cap, 1.0)
 
-        # energy price per (charger, step), looked up once per (grid point,
+        # energy price per (charger, step), looked up once per (charger,
         # step), not per variable
         self.price = np.zeros((len(charger_ids), graph.horizon_steps + 1))
-        by_point: dict = {}
         for c in np.unique(self.charger[self.phi_arc]):
-            gid = inst.charger(charger_ids[c]).grid_point
-            if gid not in by_point:
-                gp = inst.grid_point(gid)
-                by_point[gid] = [gp.price_at(graph.event_time(i - 1))
+            gp = inst.grid_point(inst.charger(charger_ids[c]).grid_point)
+            self.price[c, 1:] = [gp.price_at(graph.event_time(i - 1))
                                  for i in range(1, graph.horizon_steps + 1)]
-            self.price[c, 1:] = by_point[gid]
 
 
-def _column_arcs(graph, tail, head, kind, slot, step, dead, lead):
+def _column_arcs(graph: SchedulingGraph, dead: np.ndarray,
+                 lead: int) -> np.ndarray:
     """Per graph arc, the arc whose columns it uses, or -1 for none.
 
     Drops the egress and timeline pull-out arcs of the events
@@ -527,38 +472,36 @@ def _column_arcs(graph, tail, head, kind, slot, step, dead, lead):
     folds each chain of dead recharge arcs through nodes left with one
     arc in and one arc out into the chain's first arc.
     """
-    n = len(graph.arcs)
+    kind, tail, head, slot = graph.kind, graph.tail, graph.head, graph.slot
+    n, n_nodes = len(tail), len(graph.node_ids)
     rep = np.arange(n)
-    drops = {}
+    rc = kind == RECHARGE
     if lead == 0:
-        mix_payoff = _mix_payoff_plans(graph.instance)
-        for s, sid in enumerate(graph.slots):
-            on = (slot == s) & (kind == _RECHARGE)
-            if not (dead & on).any():
-                continue
-            slot_dead = np.zeros(graph.horizon_steps, bool)
-            slot_dead[step[on] - 1] = dead[on]
-            drop = _dropped_events(graph, sid, slot_dead, mix_payoff)
+        mix_payoff = _mix_payoff_plans(graph)
+        event = np.zeros(n_nodes, np.int64)     # a charge node's event
+        event[head[rc]] = graph.step[rc]        # event 0 has no arc in
+        at = np.where(kind == EGRESS, tail, head)   # the timeline end
+        for s in np.unique(slot[dead]).tolist():
+            on = slot == s      # a timeline keeps all H recharge arcs or none
+            drop = _dropped_events(graph, on, event, dead[on & rc],
+                                   mix_payoff)
             if drop is not None:
-                drops[sid] = drop
-    if drops:
-        for i in np.flatnonzero((kind == _EGRESS)
-                                | (kind == _PULLOUT)).tolist():
-            a = graph.arcs[i]
-            node = graph.nodes[a.tail if kind[i] == _EGRESS else a.head]
-            if node.slot in drops and drops[node.slot][node.event]:
-                rep[i] = -1
+                rep[on & ((kind == EGRESS) | (kind == PULLOUT))
+                    & drop[event[at]]] = -1
     kept = rep >= 0
-    n_nodes = len(graph.nodes)
     n_in = np.bincount(head[kept], minlength=n_nodes)
     n_out = np.bincount(tail[kept], minlength=n_nodes)
     into = np.full(n_nodes, -1)
-    into[head[kind == _RECHARGE]] = np.flatnonzero(kind == _RECHARGE)
+    into[head[rc]] = np.flatnonzero(rc)
     prev = into[tail]
     fold = dead & (prev >= 0) & (n_in[tail] == 1) & (n_out[tail] == 1)
     fold[fold] = dead[prev[fold]]
-    for i in np.flatnonzero(fold).tolist():
-        rep[i] = rep[prev[i]]
+    # each folded arc takes its chain's first arc: follow prev until an
+    # arc that is not folded, doubling the jump each round
+    first = np.where(fold, prev, np.arange(n))
+    while fold[first].any():
+        first = first[first]
+    rep[fold] = first[fold]
     return rep
 
 
@@ -572,7 +515,7 @@ def build_model(graph: SchedulingGraph, domains: dict,
                 options: ModelOptions = ModelOptions()) -> MilpModel:
     """Assemble the full MIP for a scheduling graph and its PWL domains.
 
-    The graph is read once (``_GraphArrays``).  Each constraint family is
+    The graph's columns are narrowed once (``_GraphArrays``).  Each family is
     then one set of COO entries (row key, column, coefficient), appended by
     one ``MilpModel.add_rows`` call with its rows in ascending key order.
     The keys reproduce the row order of a node-by-node, arc-by-arc loop:
@@ -656,14 +599,17 @@ def build_model(graph: SchedulingGraph, domains: dict,
     n_pairs, n_arcs, n_phi = len(g.pair_arc), len(g.arc_ids), len(g.phi_pair)
     x, y, phi = np.arange(n_pairs), g.y_col, g.phi_col
     pa, pp = g.pair_arc, g.pair_plan
-    inner = g.node_kind > _SINK                     # not a depot node
+    inner = graph.node_kind > SINK                  # not a depot node
 
     # --- variables, canonical order: x per arc/plan, y per arc, phi ---------
-    model.add_vars(g.x_names, obj=g.cost, binary=True)
+    arc_ids = g.arc_ids.tolist()
+    model.add_vars([f"x[{arc_ids[a]:06d}][{graph.plan_ids[p]}]"
+                    for a, p in zip(pa.tolist(), pp.tolist())],
+                   obj=g.cost, binary=True)
     model.x_index = g.x_index
-    model.add_vars([f"y[{i:06d}]" for i in g.arc_ids], ub=g.y_ub)
+    model.add_vars([f"y[{i:06d}]" for i in arc_ids], ub=g.y_ub)
     model.y_index = g.y_index
-    phi_keys = [(g.arc_ids[a], g.plan_ids[p])
+    phi_keys = [(arc_ids[a], graph.plan_ids[p])
                 for a, p in zip(g.phi_arc.tolist(), g.phi_plan.tolist())]
     price = g.price[g.charger[g.phi_arc], g.step[g.phi_arc]] \
         * g.battery[g.phi_plan]
@@ -675,14 +621,14 @@ def build_model(graph: SchedulingGraph, domains: dict,
     # --- flow conservation per (non-depot node, plan) ------------------------
     node = np.concatenate([g.head[pa], g.tail[pa]])
     keep = inner[node]
-    row, keys = _ranked((node * len(g.plan_ids) + np.tile(pp, 2))[keep])
+    row, keys = _ranked((node * len(graph.plan_ids) + np.tile(pp, 2))[keep])
     model.add_rows(row, np.tile(x, 2)[keep],
                    np.repeat([1.0, -1.0], n_pairs)[keep], "=",
                    np.zeros(len(keys)), "flow")
 
     # --- every trip serviced exactly once ------------------------------------
-    trip_row = np.full(len(g.node_kind), -1)
-    trip_row[[g.node_code[f"trip:{t.id}"] for t in inst.trips]] = \
+    trip_row = np.full(len(graph.node_kind), -1)
+    trip_row[[graph.node_code[f"trip:{t.id}"] for t in inst.trips]] = \
         np.arange(len(inst.trips))
     row = trip_row[g.tail[pa]]
     keep = row >= 0
@@ -695,27 +641,25 @@ def build_model(graph: SchedulingGraph, domains: dict,
                    np.ones(len(inst.trips)), "cover")
 
     # --- out-capacity of charge nodes -----------------------------------------
-    keep = g.node_kind[g.tail[pa]] == _CHARGE
+    keep = graph.node_kind[g.tail[pa]] == CHARGE
     row, keys = _ranked(g.tail[pa][keep])
     model.add_rows(row, x[keep], np.ones(keep.sum()), "<=",
                    np.ones(len(keys)), "capacity")
 
-    # --- vehicle-mix constraints ----------------------------------------------
-    plan_id = {(p.vehicle_type, p.depot): p.id for p in graph.plan_types}
+    # --- vehicle-mix constraints over the pull-outs with columns ---------------
+    # a plan of depot d leaves a depot source only on a pull-out from src:d
+    pullout = graph.node_kind[g.tail[pa]] == SOURCE
     for m in inst.mix_constraints:
-        coeffs: dict = {}
+        coeff, hit = np.zeros(n_pairs), np.zeros(n_pairs, bool)
         for (vt, dep), kappa in zip(m.plan_types, m.coeffs):
-            pid = plan_id.get((vt, dep))
-            for a in graph.out_arcs.get(f"src:{dep}", []):
-                idx = model.x_index.get((a.index, pid))
-                if idx is not None:
-                    coeffs[idx] = coeffs.get(idx, 0.0) + kappa
-        if not coeffs:
-            continue
-        if m.upper < math.inf:
-            model.add_row(dict(coeffs), "<=", m.upper, "mix")
-        if m.lower > 0:
-            model.add_row(dict(coeffs), ">=", m.lower, "mix")
+            at = pullout & (pp == graph.plan_code.get(f"{vt}.{dep}", -1))
+            coeff[at] += kappa
+            hit |= at
+        coeffs = dict(zip(np.flatnonzero(hit).tolist(), coeff[hit].tolist()))
+        if coeffs and m.upper < math.inf:
+            model.add_row(coeffs, "<=", m.upper, "mix")
+        if coeffs and m.lower > 0:
+            model.add_row(coeffs, ">=", m.lower, "mix")
 
     # --- soc coupling: rows 2a and 2a + 1 of arc a ------------------------------
     # row 2a: "pullout" (x = y over the electric plans) on a pull-out arc;
@@ -724,16 +668,10 @@ def build_model(graph: SchedulingGraph, domains: dict,
     # last leg into a depot sink) or, strengthened, "strengthhi" (y at most
     # the soc that can arrive at the tail)
     electric = g.electric[pp]
-    pull = g.kind == _PULLOUT
+    pull = g.kind == PULLOUT
     if options.use_strengthening:
         bounds = graph.energy_bounds()
-        exit_floor = np.full((len(g.node_kind), len(g.plan_ids)), math.inf)
-        ceiling = np.full(exit_floor.shape, -math.inf)
-        plan_code = {pid: i for i, pid in enumerate(g.plan_ids)}
-        for table, out in ((bounds.min_exit, exit_floor),
-                           (bounds.max_arrival, ceiling)):
-            for (nid, pid), v in table.items():
-                out[g.node_code[nid], plan_code[pid]] = v
+        exit_floor, ceiling = bounds.min_exit, bounds.max_arrival
         pull_x = electric & pull[pa]
         inner_x = electric & ~pull[pa]
         inner_arcs = np.flatnonzero(~pull)
@@ -758,7 +696,7 @@ def build_model(graph: SchedulingGraph, domains: dict,
         tags = ("strengthlo", "strengthhi")
     else:
         floor_x = (electric & ~pull[pa] & (g.cons != 0)
-                   & (g.node_kind[g.head[pa]] == _SINK))
+                   & (graph.node_kind[g.head[pa]] == SINK))
         floor_arcs = np.unique(pa[floor_x])
         key = np.concatenate([2 * pa[electric], 2 * np.arange(n_arcs),
                               2 * pa[floor_x] + 1, 2 * floor_arcs + 1])
@@ -850,8 +788,9 @@ def _add_precondition_rows(model: MilpModel, g: _GraphArrays,
     if lead_steps < 1:
         raise ModelError("lead_steps must be >= 1")
     # x column of the recharge pair at (slot, step, plan), -1 where none
-    x_at = np.full((len(g.slot_code), model.graph.horizon_steps + 1,
-                    len(g.plan_ids)), -1)
+    graph = model.graph
+    x_at = np.full((len(graph.slots), graph.horizon_steps + 1,
+                    len(graph.plan_ids)), -1)
     x_at[g.rc_slot, g.rc_step, g.rc_plan] = g.rc_col
     slot, step, plan = g.slot[g.phi_arc], g.step[g.phi_arc], g.phi_plan
     earlier = step - lead_steps

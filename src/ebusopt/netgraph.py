@@ -1,9 +1,15 @@
-"""Time-expanded scheduling digraph with charger-slot timelines.
+"""Time-expanded scheduling digraph with charger-slot timelines, as columns.
 
 Nodes: one source and one sink per depot, one node per trip, and a timeline
 node per (charger slot, time event i = 0..H).  Consecutive timeline nodes
 are linked by recharge arcs a(s, i) that carry the charge increment
 variables.  Splitting each depot into source/sink makes the graph a DAG.
+
+The graph is arrays: per arc its tail, head, kind, slot, step, availability
+and leg, and per (arc, plan) pair its arc, plan, cost and consumption, with
+nodes and plans coded by their rank in sorted id order.  ``Arc`` is a
+record built on access (``graph.arcs[i]``, ``out_arcs[n]``, ``in_arcs[n]``);
+building the graph, its energy bounds and the model create none.
 
 The arcs of a slot carry only the plans that are live on it: those with a
 path of arcs admitting them from their depot source through the slot to
@@ -17,16 +23,28 @@ reproduces course energy arithmetic exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from collections import defaultdict, deque
+import weakref
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
+
+import numpy as np
 
 from .instance import Deadhead, Instance, PlanType
+from .lpformat import _Records
 
 
 class GraphError(ValueError):
     """Instance cannot be expanded into a valid scheduling graph."""
+
+
+NODE_KINDS = ("depot-source", "depot-sink", "trip", "charge")
+SOURCE, SINK, TRIP, CHARGE = range(4)
+ARC_KINDS = ("pullout", "pullin", "connection", "access", "egress",
+             "recharge")
+PULLOUT, PULLIN, CONNECTION, ACCESS, EGRESS, RECHARGE = range(6)
 
 
 @dataclass(frozen=True)
@@ -65,22 +83,66 @@ class GraphOptions:
     egress_lookahead_steps: Optional[int] = None  # None = egress from every event
 
 
-@dataclass
+@dataclass(eq=False)
 class SchedulingGraph:
     instance: Instance
     theta: float
     horizon_steps: int
     nodes: dict                     # id -> Node
-    arcs: list                      # list[Arc]
     plan_types: list                # list[PlanType]
     slots: list                     # slot ids in canonical order
     slot_charger: dict              # slot id -> charger id
-    in_arcs: dict = field(default_factory=dict)
-    out_arcs: dict = field(default_factory=dict)
-    _order: Optional[list] = field(default=None, init=False, repr=False,
-                                   compare=False)
+    # per arc, in index order
+    tail: np.ndarray                # node code
+    head: np.ndarray                # node code
+    kind: np.ndarray                # position in ARC_KINDS
+    slot: np.ndarray                # position in slots, -1 off the timelines
+    step: np.ndarray                # recharge arcs: head event 1..H, else 0
+    available: np.ndarray           # recharge arcs: inside a window, else True
+    leg: np.ndarray                 # position in legs
+    legs: list                      # per leg (duration_s, move, service, cost)
+    # per (arc, plan) pair, arc by arc, in each arc's plan order
+    pair_arc: np.ndarray
+    pair_plan: np.ndarray           # plan code
+    pair_cost: np.ndarray
+    pair_cons: np.ndarray           # move + service consumption, in that order
+    node_ids: list = field(init=False)      # node id per node code
+    node_code: dict = field(init=False)     # node id -> code
+    node_kind: np.ndarray = field(init=False)   # position in NODE_KINDS
+    plan_ids: list = field(init=False)      # plan id per plan code
+    plan_code: dict = field(init=False)     # plan id -> code
+    in_arcs: "_Adjacent" = field(init=False, repr=False)
+    out_arcs: "_Adjacent" = field(init=False, repr=False)
+    _order: Optional[list] = field(default=None, init=False, repr=False)
     _bounds: Optional["EnergyBounds"] = field(default=None, init=False,
-                                              repr=False, compare=False)
+                                              repr=False)
+
+    def __post_init__(self):
+        self.node_ids = sorted(self.nodes)
+        self.node_code = {nid: i for i, nid in enumerate(self.node_ids)}
+        self.node_kind = np.array([NODE_KINDS.index(self.nodes[nid].kind)
+                                   for nid in self.node_ids], np.int8)
+        self.plan_ids = sorted(p.id for p in self.plan_types)
+        self.plan_code = {pid: k for k, pid in enumerate(self.plan_ids)}
+        # through a proxy, so that no reference cycle keeps a dropped graph
+        self.in_arcs = _Adjacent(weakref.proxy(self), self.head)
+        self.out_arcs = _Adjacent(weakref.proxy(self), self.tail)
+
+    @property
+    def arcs(self) -> _Records:
+        return _Records(len(self.tail), self._arc)
+
+    def _arc(self, i: int) -> Arc:
+        lo, hi = np.searchsorted(self.pair_arc, [i, i + 1])
+        plans = tuple(self.plan_ids[p] for p in self.pair_plan[lo:hi])
+        duration, *tables = self.legs[self.leg[i]]
+        move, service, cost = ({p: t[p] for p in plans if p in t}
+                               for t in tables)
+        sid = self.slots[self.slot[i]] if self.slot[i] >= 0 else None
+        return Arc(i, self.node_ids[self.tail[i]], self.node_ids[self.head[i]],
+                   ARC_KINDS[self.kind[i]], plans, move, service, cost,
+                   duration, self.slot_charger.get(sid), sid,
+                   int(self.step[i]) or None, bool(self.available[i]))
 
     def plan(self, pid: str) -> PlanType:
         for p in self.plan_types:
@@ -111,31 +173,43 @@ class SchedulingGraph:
         return self._bounds
 
     def stats(self) -> dict:
-        node_counts = defaultdict(int)
-        for n in self.nodes.values():
-            node_counts[n.kind] += 1
-        arc_counts = defaultdict(int)
-        for a in self.arcs:
-            arc_counts[a.kind] += 1
-        return {"nodes": dict(node_counts), "arcs": dict(arc_counts)}
+        arcs = np.bincount(self.kind, minlength=len(ARC_KINDS))
+        return {"nodes": dict(Counter(n.kind for n in self.nodes.values())),
+                "arcs": {k: int(c) for k, c in zip(ARC_KINDS, arcs) if c}}
+
+
+class _Adjacent:
+    """Node id -> the ``Arc`` records of the arcs out of (or into) it."""
+
+    def __init__(self, graph: SchedulingGraph, end: np.ndarray):
+        self.graph, self.end = graph, end
+
+    def __getitem__(self, nid: str) -> list:
+        at = np.flatnonzero(self.end == self.graph.node_code[nid])
+        return [self.graph.arcs[i] for i in at.tolist()]
+
+
+def _by_node(end: np.ndarray, n_nodes: int):
+    """``at[start[c]:start[c + 1]]``: the positions whose ``end`` is c."""
+    at = np.argsort(end, kind="stable")
+    return at, np.searchsorted(end[at], np.arange(n_nodes + 1)).tolist()
 
 
 def _topological_order(graph: SchedulingGraph) -> list:
-    indeg = {nid: 0 for nid in graph.nodes}
-    for a in graph.arcs:
-        indeg[a.head] += 1
-    queue = deque(sorted(nid for nid, d in indeg.items() if d == 0))
-    order = []
-    while queue:
-        nid = queue.popleft()
-        order.append(nid)
-        for a in graph.out_arcs[nid]:
-            indeg[a.head] -= 1
-            if indeg[a.head] == 0:
-                queue.append(a.head)
-    if len(order) != len(graph.nodes):
+    """Kahn's: the sources in id order, then heads in arc order."""
+    n = len(graph.node_ids)
+    indeg = np.bincount(graph.head, minlength=n).tolist()
+    at, start = _by_node(graph.tail, n)
+    heads = graph.head[at].tolist()
+    order = [c for c in range(n) if indeg[c] == 0]
+    for c in order:                 # a queue: the loop reaches appended nodes
+        for h in heads[start[c]:start[c + 1]]:
+            indeg[h] -= 1
+            if indeg[h] == 0:
+                order.append(h)
+    if len(order) != n:
         raise GraphError("scheduling graph contains a cycle")
-    return order
+    return [graph.node_ids[c] for c in order]
 
 
 def _snap_windows_to_steps(windows, start: int, theta: float,
@@ -149,56 +223,54 @@ def _snap_windows_to_steps(windows, start: int, theta: float,
     return usable
 
 
-class _Draft(NamedTuple):
-    """An arc as laid out, before the dead plans of its slot are dropped."""
-    tail: str
-    head: str
-    mask: int       # the leg's electric plans, bit k for the k-th one
-    leg: int        # position of the ``Arc`` fields it shares in ``legs``
-    extra: dict     # its own ``Arc`` fields
+def _drop_dead_pairs(graph: SchedulingGraph, order: list) -> SchedulingGraph:
+    """The graph without the pairs whose plan is not live on their slot,
+    and without the timeline arcs this leaves with no pair.
 
-
-class _Layout(NamedTuple):
-    """The laid-out graph, as ``_topological_order`` reads it."""
-    nodes: dict
-    arcs: list      # list[_Draft]
-    out_arcs: dict  # node id -> list[_Draft]
-
-
-def _live_slot_plans(order: list, out_arcs: dict, electric: list,
-                     slot_events: dict) -> dict:
-    """Per slot, the bit mask of the electric plans that can use it.
-
-    Bit k stands for ``electric[k]``.  One forward pass in topological
-    order marks the plans that reach each node from their depot source,
-    one backward pass those that reach their depot sink from it, each only
-    over the arcs that admit the plan.  A slot is live for a plan when its
-    earliest source-reachable event is no later than its latest event that
-    reaches the sink: the recharge arcs between them close the path.
+    Plans are bit masks, bit k for plan code k.  A forward pass in
+    topological order marks the plans that reach each node from their
+    depot source, a backward pass those that reach their depot sink from
+    it, each over the arcs that admit the plan.  A slot is live for a plan
+    when its earliest source-reachable event is no later than its latest
+    event that reaches the sink: the recharge arcs between close the path.
     """
-    reach = dict.fromkeys(order, 0)
-    leave = dict.fromkeys(order, 0)
-    for k, p in enumerate(electric):
-        reach[f"src:{p.depot}"] |= 1 << k
-        leave[f"snk:{p.depot}"] |= 1 << k
-    for nid in order:
-        m = reach[nid]
-        if m:
-            for a in out_arcs[nid]:
-                reach[a.head] |= m & a.mask
-    for nid in reversed(order):
-        m = leave[nid]
-        for a in out_arcs[nid]:
-            m |= leave[a.head] & a.mask
-        leave[nid] = m
-    live = {}
-    for sid, events in slot_events.items():
+    n, code = len(graph.node_ids), graph.node_code
+    bit = {pid: 1 << k for pid, k in graph.plan_code.items()}
+    reach, leave = [0] * n, [0] * n
+    for p in graph.plan_types:
+        reach[code[f"src:{p.depot}"]] |= bit[p.id]
+        leave[code[f"snk:{p.depot}"]] |= bit[p.id]
+    at, start = _by_node(graph.tail, n)
+    heads = graph.head[at].tolist()
+    # a leg's plans are the keys of its cost table
+    leg_mask = [sum(map(bit.get, leg[3])) for leg in graph.legs]
+    masks = [leg_mask[k] for k in graph.leg[at].tolist()]
+    order = [code[nid] for nid in order]
+    for c in order:
+        m = reach[c]
+        for j in range(start[c], start[c + 1]):
+            reach[heads[j]] |= m & masks[j]
+    for c in reversed(order):
+        m = leave[c]
+        for j in range(start[c], start[c + 1]):
+            m |= leave[heads[j]] & masks[j]
+        leave[c] = m
+    live = np.ones((len(graph.slots) + 1, len(bit)), bool)  # row -1: True
+    for s, sid in enumerate(graph.slots):
         seen = m = 0
-        for nid in events:
-            seen |= reach[nid]
-            m |= seen & leave[nid]
-        live[sid] = m
-    return live
+        for c in (code[f"{sid}@{i}"] for i in range(graph.horizon_steps + 1)):
+            seen |= reach[c]
+            m |= seen & leave[c]
+        live[s] = [m >> k & 1 for k in range(len(bit))]
+    keep = live[graph.slot[graph.pair_arc], graph.pair_plan]
+    arc = graph.pair_arc[keep]
+    kept = (graph.slot < 0) | (np.bincount(arc, minlength=len(graph.tail))
+                               > 0)
+    return dataclasses.replace(
+        graph, **{f: getattr(graph, f)[kept] for f in (
+            "tail", "head", "kind", "slot", "step", "available", "leg")},
+        pair_arc=(np.cumsum(kept) - 1)[arc], pair_plan=graph.pair_plan[keep],
+        pair_cost=graph.pair_cost[keep], pair_cons=graph.pair_cons[keep])
 
 
 def build_graph(instance: Instance, theta: float,
@@ -231,18 +303,19 @@ def build_graph(instance: Instance, theta: float,
     a trip's arrival is never before the start and access never snaps to
     an event before 0.
 
-    Each charger arc (recharge, access, pull-out onto and egress from a
-    timeline) carries only the plans that are live on its slot, and an arc
-    left with no plan is dropped; the other arcs keep their order, with
+    Each arc gets its leg's (plan, cost, consumption) entries as its
+    pairs.  A charger arc (recharge, access, pull-out onto and egress from
+    a timeline) keeps only the pairs of plans live on its slot, and one
+    left with none is dropped; the other arcs keep their order, with
     ``index`` equal to the position.  A plan is live on a slot when some
     path of arcs admitting it runs from its depot source through the slot
-    to its depot sink (``_live_slot_plans``).  This is exact: only depot
+    to its depot sink (``_drop_dead_pairs``).  This is exact: only depot
     d's pull-out, pull-in and egress-to-sink arcs admit a plan of depot d,
-    so the plan's flow leaves only ``src:d`` and enters only ``snk:d``, and
-    in a DAG that flow splits into such paths.  An (arc, plan) pair on no
-    such path is 0 in every feasible solution, so dropping it keeps every
-    schedule, and the energy bounds of the narrower graph, which can only
-    tighten, stay valid.
+    so the plan's flow leaves only ``src:d`` and enters only ``snk:d``,
+    and in a DAG that flow splits into such paths.  An (arc, plan) pair on
+    no such path is 0 in every feasible solution, so dropping it keeps
+    every schedule, and the energy bounds of the narrower graph, which can
+    only tighten, stay valid.
     """
     start, end = instance.horizon
     span = end - start
@@ -255,95 +328,79 @@ def build_graph(instance: Instance, theta: float,
 
     plans = instance.plan_types()
     vtype_of = {p.id: p.vehicle_type for p in plans}
-    electric = [p for p in plans if p.electric]
-    plan_bit = {p.id: 1 << k for k, p in enumerate(electric)}
+    electric = {p.id for p in plans if p.electric}
     all_pids = tuple(p.id for p in plans)
     depot_pids = {d.id: tuple(p.id for p in plans if p.depot == d.id)
                   for d in instance.depots}
 
     nodes: dict = {}
-
-    def add_node(n: Node):
-        nodes[n.id] = n
-
     for d in instance.depots:
-        add_node(Node(f"src:{d.id}", "depot-source", depot=d.id))
-        add_node(Node(f"snk:{d.id}", "depot-sink", depot=d.id))
+        nodes[f"src:{d.id}"] = Node(f"src:{d.id}", "depot-source", depot=d.id)
+        nodes[f"snk:{d.id}"] = Node(f"snk:{d.id}", "depot-sink", depot=d.id)
     for t in instance.trips:
-        add_node(Node(f"trip:{t.id}", "trip", trip=t.id))
-
+        nodes[f"trip:{t.id}"] = Node(f"trip:{t.id}", "trip", trip=t.id)
     slots, slot_charger = [], {}
-    slot_available: dict = {}
-    slot_events: dict = {}          # slot id -> its node ids, event 0..H
+    usable = []                     # per slot, per step 0..H: in a window
     for c in instance.chargers:
+        steps = (_snap_windows_to_steps(c.windows, start, theta,
+                                        horizon_steps) if c.windows
+                 else range(1, horizon_steps + 1))
         for j in range(c.slots):
             sid = f"{c.id}#{j}"
             slots.append(sid)
             slot_charger[sid] = c.id
-            if c.windows:
-                slot_available[sid] = _snap_windows_to_steps(
-                    c.windows, start, theta, horizon_steps)
-            else:
-                slot_available[sid] = set(range(1, horizon_steps + 1))
-            slot_events[sid] = [f"{sid}@{i}" for i in range(horizon_steps + 1)]
-            for i, nid in enumerate(slot_events[sid]):
-                add_node(Node(nid, "charge", slot=sid, event=i))
+            usable.append([i in steps for i in range(horizon_steps + 1)])
+            for i in range(horizon_steps + 1):
+                nodes[f"{sid}@{i}"] = Node(f"{sid}@{i}", "charge", slot=sid,
+                                           event=i)
+    code = {nid: k for k, nid in enumerate(sorted(nodes))}
+    trip_code = [code[f"trip:{t.id}"] for t in instance.trips]
 
-    # Arcs are laid out as drafts first.  The arcs of one leg (one deadhead
-    # or timeline, over all its events) share one dict of Arc fields, so
-    # dropping dead plans costs one copy per leg, not one per arc.
-    legs: list = []
-    leg_mask: list = []
-    plan_mask: dict = {}
-    drafts: list = []
+    legs: list = []                 # (duration, move, service, cost) per leg
+    leg_at: list = []               # (kind, slot position or -1) per leg
+    tail, head, arc_leg = [], [], []            # per arc
 
-    def add_leg(**fields) -> int:
-        pids = fields["plans"]
-        if pids not in plan_mask:
-            plan_mask[pids] = sum(plan_bit.get(p, 0) for p in pids)
-        legs.append(fields)
-        leg_mask.append(plan_mask[pids])
+    def add_leg(kind: int, sid, duration: int, move: dict, service: dict,
+                cost: dict) -> int:
+        legs.append((duration, move, service, cost))
+        leg_at.append((kind, slots.index(sid) if sid else -1))
         return len(legs) - 1
 
-    def add_arc(tail: str, head: str, leg: int, **extra):
-        drafts.append(_Draft(tail, head, leg_mask[leg], leg, extra))
+    def add_arcs(tails, heads, leg: int) -> None:
+        tail.extend(tails)
+        head.extend(heads)
+        arc_leg.extend([leg] * len(tails))
 
     def electric_only(table: dict, pids: tuple) -> dict:
-        return {p: table.get(vtype_of[p], 0.0) for p in pids if p in plan_bit}
+        return {p: table.get(vtype_of[p], 0.0) for p in pids if p in electric}
 
     dh = instance.deadhead_map()
     fixed = {p.id: instance.vehicle_type(p.vehicle_type).fixed_cost
              for p in plans}
-    # per-plan tables, shared by every leg with the same key
-    tables: dict = {}       # (from, to, plans, pull-out?) -> (dur, move, cost)
-    services: dict = {}     # (trip id, plans) -> service consumption
+    leg_of: dict = {}       # (kind, from, to, plans, trip, slot) -> leg or None
 
-    def deadhead(kind: str, from_loc: str, to_loc: str, ready: int, due: int,
-                 pids: tuple, trip=None, **slot):
+    def deadhead(kind: int, from_loc: str, to_loc: str, ready: int, due: int,
+                 pids: tuple, trip=None, sid=None):
         """``(duration, leg)`` of the leg from_loc -> to_loc, or None when
         the table has no such leg or it arrives after ``due``."""
-        key = (from_loc, to_loc, pids, kind == "pullout")
-        if key not in tables:
+        key = (kind, from_loc, to_loc, pids, trip and trip.id, sid)
+        if key not in leg_of:
             row = (Deadhead(from_loc, to_loc, 0, {}, {}) if from_loc == to_loc
                    else dh.get((from_loc, to_loc)))
+            leg_of[key] = None
             if row is not None:
                 cost = {p: row.cost.get(vtype_of[p], 0.0) for p in pids}
-                if kind == "pullout":
+                if kind == PULLOUT:
                     cost = {p: c + fixed[p] for p, c in cost.items()}
-                row = row.duration_s, electric_only(row.consumption, pids), cost
-            tables[key] = row
-        entry = tables[key]
-        if entry is None or ready + entry[0] > due:
+                leg_of[key] = add_leg(
+                    kind, sid, row.duration_s,
+                    electric_only(row.consumption, pids),
+                    electric_only(trip.consumption, pids) if trip else {},
+                    cost)
+        leg = leg_of[key]
+        if leg is None or ready + legs[leg][0] > due:
             return None
-        service = {}
-        if trip is not None:
-            if (trip.id, pids) not in services:
-                services[trip.id, pids] = electric_only(trip.consumption, pids)
-            service = services[trip.id, pids]
-        dur, move, cost = entry
-        return dur, add_leg(kind=kind, plans=pids, move_consumption=move,
-                            service_consumption=service, cost=cost,
-                            duration_s=dur, **slot)
+        return legs[leg][0], leg
 
     def first_event(ready: int, dur: int) -> int:
         """The event a bus leaving at ``ready`` reaches, snapped forward."""
@@ -354,120 +411,109 @@ def build_graph(instance: Instance, theta: float,
         return min(horizon_steps, math.floor((due - dur - start) / theta))
 
     # --- depot pull-outs / pull-ins to trips --------------------------------
-    trips_with_pullout = set()
-    for t in instance.trips:
+    for k, t in enumerate(instance.trips):
         for d in instance.depots:
-            leg = deadhead("pullout", d.id, t.origin, start, t.departure_s,
+            leg = deadhead(PULLOUT, d.id, t.origin, start, t.departure_s,
                            depot_pids[d.id], trip=t)
             if leg:
-                add_arc(f"src:{d.id}", f"trip:{t.id}", leg[1])
-                trips_with_pullout.add(t.id)
+                add_arcs((code[f"src:{d.id}"],), (trip_code[k],), leg[1])
         for d in instance.depots:
-            leg = deadhead("pullin", t.destination, d.id, t.arrival_s, end,
+            leg = deadhead(PULLIN, t.destination, d.id, t.arrival_s, end,
                            depot_pids[d.id])
             if leg:
-                add_arc(f"trip:{t.id}", f"snk:{d.id}", leg[1])
-    missing = [t.id for t in instance.trips if t.id not in trips_with_pullout]
+                add_arcs((trip_code[k],), (code[f"snk:{d.id}"],), leg[1])
+    entered = set(head)                 # so far only pull-outs enter trips
+    missing = [t.id for k, t in enumerate(instance.trips)
+               if trip_code[k] not in entered]
     if missing:
         raise GraphError(f"trips unreachable from every depot: {missing}")
 
     # --- trip-to-trip connections -------------------------------------------
-    for a in instance.trips:
-        for b in instance.trips:
-            if a.id == b.id:
-                continue
-            leg = deadhead("connection", a.destination, b.origin, a.arrival_s,
-                           b.departure_s, all_pids, trip=b)
+    for k, a in enumerate(instance.trips):
+        for j, b in enumerate(instance.trips):
+            leg = j != k and deadhead(CONNECTION, a.destination, b.origin,
+                                      a.arrival_s, b.departure_s, all_pids,
+                                      trip=b)
             if leg:
-                add_arc(f"trip:{a.id}", f"trip:{b.id}", leg[1])
+                add_arcs((trip_code[k],), (trip_code[j],), leg[1])
 
     # --- charger timelines ---------------------------------------------------
     for sid in slots:
         cid = slot_charger[sid]
         charger = instance.charger(cid)
-        cpids = tuple(p.id for p in electric
-                      if p.vehicle_type in charger.profiles)
+        cpids = tuple(p.id for p in plans
+                      if p.electric and p.vehicle_type in charger.profiles)
         if not cpids:
             continue
-        events = slot_events[sid]
+        events = [code[f"{sid}@{i}"] for i in range(horizon_steps + 1)]
         idle = charger.step_consumption
-        shared = add_leg(kind="recharge", plans=cpids,
-                         move_consumption=({p: idle for p in cpids} if idle
-                                           else {}),
-                         service_consumption={}, cost={p: 0.0 for p in cpids},
-                         duration_s=int(theta), charger=cid, slot=sid)
-        for i in range(1, horizon_steps + 1):
-            add_arc(events[i - 1], events[i], shared, step=i,
-                    available=i in slot_available[sid])
+        leg = add_leg(RECHARGE, sid, int(theta),
+                      dict.fromkeys(cpids, idle) if idle else {}, {},
+                      dict.fromkeys(cpids, 0.0))
+        add_arcs(events[:-1], events[1:], leg)
 
-        for t in instance.trips:        # access from trips
-            leg = deadhead("access", t.destination, cid, t.arrival_s, end,
-                           cpids, charger=cid, slot=sid)
+        for k, t in enumerate(instance.trips):      # access from trips
+            leg = deadhead(ACCESS, t.destination, cid, t.arrival_s, end,
+                           cpids, sid=sid)
             if leg:
-                add_arc(f"trip:{t.id}", events[first_event(t.arrival_s,
-                                                           leg[0])], leg[1])
+                add_arcs((trip_code[k],),
+                         (events[first_event(t.arrival_s, leg[0])],), leg[1])
         for d in instance.depots:       # pull-out onto the timeline
             pids = tuple(p for p in cpids if p in depot_pids[d.id])
-            leg = pids and deadhead("pullout", d.id, cid, start, end, pids,
-                                    charger=cid, slot=sid)
+            leg = pids and deadhead(PULLOUT, d.id, cid, start, end, pids,
+                                    sid=sid)
             if leg:
-                for i in range(first_event(start, leg[0]), horizon_steps + 1):
-                    add_arc(f"src:{d.id}", events[i], leg[1])
-        for t in instance.trips:        # egress to trips
-            leg = deadhead("egress", cid, t.origin, start, t.departure_s,
-                           cpids, trip=t, charger=cid, slot=sid)
+                to = events[first_event(start, leg[0]):]
+                add_arcs([code[f"src:{d.id}"]] * len(to), to, leg[1])
+        for k, t in enumerate(instance.trips):      # egress to trips
+            leg = deadhead(EGRESS, cid, t.origin, start, t.departure_s,
+                           cpids, trip=t, sid=sid)
             if leg:
                 i_max = last_event(t.departure_s, leg[0])
                 i_lo = 0
                 if options.egress_lookahead_steps is not None:
                     i_lo = max(0, i_max - options.egress_lookahead_steps)
-                for i in range(i_lo, i_max + 1):
-                    add_arc(events[i], f"trip:{t.id}", leg[1])
+                fro = events[i_lo:i_max + 1]
+                add_arcs(fro, [trip_code[k]] * len(fro), leg[1])
         for d in instance.depots:       # egress to depot sinks
             pids = tuple(p for p in cpids if p in depot_pids[d.id])
-            leg = pids and deadhead("egress", cid, d.id, start, end, pids,
-                                    charger=cid, slot=sid)
+            leg = pids and deadhead(EGRESS, cid, d.id, start, end, pids,
+                                    sid=sid)
             if leg:
-                for i in range(last_event(end, leg[0]) + 1):
-                    add_arc(events[i], f"snk:{d.id}", leg[1])
+                fro = events[:last_event(end, leg[0]) + 1]
+                add_arcs(fro, [code[f"snk:{d.id}"]] * len(fro), leg[1])
 
-    # --- keep only the plans that are live on each slot ----------------------
-    layout_out = {nid: [] for nid in nodes}
-    for a in drafts:
-        layout_out[a.tail].append(a)
+    # --- the columns; each arc's pairs are its leg's entries -----------------
+    arc_leg = np.array(arc_leg, np.int64)
+    kind, slot = np.array(leg_at, np.int64).reshape(-1, 2)[arc_leg].T
+    rc = kind == RECHARGE
+    step = np.zeros(len(arc_leg), np.int64)
+    # each timeline's H recharge arcs are laid out in step order
+    step[rc] = np.arange(rc.sum()) % horizon_steps + 1
+    available = np.ones(len(arc_leg), bool)
+    available[rc] = np.array(usable, bool).reshape(-1, horizon_steps + 1)[
+        slot[rc], step[rc]]
+    plan_code = {pid: k for k, pid in enumerate(sorted(all_pids))}
+    entries = np.array(
+        [(plan_code[p], c, move.get(p, 0.0) + service.get(p, 0.0))
+         for _, move, service, cost in legs for p, c in cost.items()],
+        float).reshape(-1, 3)
+    size = np.array([len(leg[3]) for leg in legs], np.int64)
+    count = size[arc_leg]
+    at = (np.repeat((np.cumsum(size) - size)[arc_leg]
+                    - (np.cumsum(count) - count), count)
+          + np.arange(count.sum()))
+    laid = SchedulingGraph(
+        instance=instance, theta=float(theta), horizon_steps=horizon_steps,
+        nodes=nodes, plan_types=plans, slots=slots, slot_charger=slot_charger,
+        tail=np.array(tail, np.int64), head=np.array(head, np.int64),
+        kind=kind, slot=slot, step=step, available=available, leg=arc_leg,
+        legs=legs, pair_arc=np.repeat(np.arange(len(arc_leg)), count),
+        pair_plan=entries[at, 0].astype(np.int64), pair_cost=entries[at, 1],
+        pair_cons=entries[at, 2])
     # raises on cycles; the graph keeps this order (see topological_order)
-    order = _topological_order(_Layout(nodes, drafts, layout_out))
-    live = _live_slot_plans(order, layout_out, electric, slot_events)
-    for k, fields in enumerate(legs):
-        sid = fields.get("slot")
-        if sid is None or not leg_mask[k] & ~live[sid]:
-            continue
-        keep = leg_mask[k] & live[sid]
-        if not keep:
-            legs[k] = None              # its arcs are dropped
-            continue
-        legs[k] = dict(fields, plans=tuple(p for p in fields["plans"]
-                                           if plan_bit[p] & keep))
-        for f in ("move_consumption", "service_consumption", "cost"):
-            legs[k][f] = {p: v for p, v in fields[f].items()
-                          if plan_bit[p] & keep}
-
-    arcs: list = []
-    for a in drafts:
-        fields = legs[a.leg]
-        if fields is not None:
-            arcs.append(Arc(index=len(arcs), tail=a.tail, head=a.head,
-                            **fields, **a.extra))
-
-    graph = SchedulingGraph(instance=instance, theta=float(theta),
-                            horizon_steps=horizon_steps, nodes=nodes,
-                            arcs=arcs, plan_types=plans, slots=slots,
-                            slot_charger=slot_charger)
-    graph.in_arcs = {nid: [] for nid in nodes}
-    graph.out_arcs = {nid: [] for nid in nodes}
-    for a in arcs:
-        graph.in_arcs[a.head].append(a)
-        graph.out_arcs[a.tail].append(a)
+    order = _topological_order(laid)
+    graph = _drop_dead_pairs(laid, order)
     graph._order = order
     return graph
 
@@ -476,7 +522,7 @@ def build_graph(instance: Instance, theta: float,
 # Preprocessing bounds
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class EnergyBounds:
     """Per (node, plan): min soc needed to exit (E) and max soc arriving (Y).
 
@@ -486,46 +532,45 @@ class EnergyBounds:
     Y = -inf.
     """
 
-    min_exit: dict      # (node id, plan id) -> E
-    max_arrival: dict   # (node id, plan id) -> Y
+    node_code: dict         # node id -> row
+    plan_code: dict         # plan id -> column
+    min_exit: np.ndarray    # (node, plan) -> E
+    max_arrival: np.ndarray     # (node, plan) -> Y
 
     def exit_floor(self, node: str, plan: str) -> float:
-        return self.min_exit.get((node, plan), math.inf)
+        return float(self.min_exit[self.node_code[node], self.plan_code[plan]])
 
     def arrival_ceiling(self, node: str, plan: str) -> float:
-        return self.max_arrival.get((node, plan), -math.inf)
+        return float(self.max_arrival[self.node_code[node],
+                                      self.plan_code[plan]])
+
+    def __eq__(self, other) -> bool:
+        return (np.array_equal(self.min_exit, other.min_exit)
+                and np.array_equal(self.max_arrival, other.max_arrival))
 
 
 def compute_energy_bounds(graph: SchedulingGraph) -> EnergyBounds:
-    order = graph.topological_order()
-    is_anchor = {nid: n.kind in ("depot-source", "depot-sink", "charge")
-                 for nid, n in graph.nodes.items()}
-    min_exit: dict = {}
-    max_arrival: dict = {}
-    for plan in graph.plan_types:
-        pid = plan.id
-        for nid in reversed(order):
-            if graph.nodes[nid].kind in ("depot-sink", "charge"):
-                min_exit[(nid, pid)] = 0.0
-                continue
-            best = math.inf
-            for a in graph.out_arcs[nid]:
-                if pid not in a.plans:
-                    continue
-                tail_cost = a.consumption(pid) + min_exit.get((a.head, pid),
-                                                              math.inf)
-                best = min(best, tail_cost)
-            min_exit[(nid, pid)] = best
-        for nid in order:
-            if is_anchor[nid] and graph.nodes[nid].kind != "depot-sink":
-                max_arrival[(nid, pid)] = 1.0
-                continue
-            best = -math.inf
-            for a in graph.in_arcs[nid]:
-                if pid not in a.plans:
-                    continue
-                best = max(best,
-                           max_arrival.get((a.tail, pid), -math.inf)
-                           - a.consumption(pid))
-            max_arrival[(nid, pid)] = best
-    return EnergyBounds(min_exit=min_exit, max_arrival=max_arrival)
+    """E backwards over the pairs out of each depot source and trip, Y
+    forwards over the pairs into each trip and depot sink, node by node in
+    topological order; the other nodes are anchors."""
+    n, kind = len(graph.node_ids), graph.node_kind
+    plan, cons = graph.pair_plan, graph.pair_cons
+    tail, head = graph.tail[graph.pair_arc], graph.head[graph.pair_arc]
+    min_exit = np.full((n, len(graph.plan_ids)), math.inf)
+    min_exit[(kind == SINK) | (kind == CHARGE)] = 0.0
+    max_arrival = np.full(min_exit.shape, -math.inf)
+    max_arrival[(kind == SOURCE) | (kind == CHARGE)] = 1.0
+    order = np.array([graph.node_code[nid]
+                      for nid in graph.topological_order()], np.int64)
+    out, out_start = _by_node(tail, n)
+    for c in order[(kind[order] == SOURCE) | (kind[order] == TRIP)][::-1]:
+        at = out[out_start[c]:out_start[c + 1]]
+        np.minimum.at(min_exit[c], plan[at],
+                      cons[at] + min_exit[head[at], plan[at]])
+    into, into_start = _by_node(head, n)
+    for c in order[(kind[order] == SINK) | (kind[order] == TRIP)]:
+        at = into[into_start[c]:into_start[c + 1]]
+        np.maximum.at(max_arrival[c], plan[at],
+                      max_arrival[tail[at], plan[at]] - cons[at])
+    return EnergyBounds(graph.node_code, graph.plan_code, min_exit,
+                        max_arrival)

@@ -8,12 +8,13 @@ The dict-row model-file writers (``write_lp``, ``write_mps`` and
 ``MilpModel.add_row``; they are the reference for the array-native
 assembly.  The unpruned ``build_graph`` gives every charger arc every
 plan its charger serves; it is the reference for the package's graph,
-which drops the plans that cannot reach a slot.  The readers at the bottom
-(``_tokenize_lp``, ``read_lp`` and ``read_mps``) lex an LP file one regex
-match per position and read an MPS file line by line into a ``ParsedModel``
-of name-keyed dicts, one per row; with ``parsed_arrays`` they are the
-reference for the package's readers, which build ``ModelArrays``
-directly.
+which drops the plans that cannot reach a slot.  It lays the graph out as
+``Arc`` records and stores them in the package's columns, one leg per arc.
+The readers at the bottom (``_tokenize_lp``, ``read_lp`` and ``read_mps``)
+lex an LP file one regex match per position and read an MPS file line by
+line into a ``ParsedModel`` of name-keyed dicts, one per row; with
+``parsed_arrays`` they are the reference for the package's readers, which
+build ``ModelArrays`` directly.
 
 The closed-form charge curves evaluate the max-power charge curve
 analytically, bypassing the numerical integrator entirely:
@@ -35,8 +36,8 @@ import numpy as np
 from ebusopt.lpformat import SENSES, LpFormatError, ModelArrays
 from ebusopt.milp import (MilpModel, ModelError, ModelOptions, _domain_for,
                           _grid_limit)
-from ebusopt.netgraph import (Arc, GraphError, GraphOptions, Node,
-                              SchedulingGraph, _snap_windows_to_steps,
+from ebusopt.netgraph import (ARC_KINDS, Arc, GraphError, GraphOptions,
+                              Node, SchedulingGraph, _snap_windows_to_steps,
                               compute_energy_bounds)
 
 
@@ -946,15 +947,30 @@ def build_graph(instance, theta, options=GraphOptions()):
                         cost=plan_cons(cost, pids), duration_s=dur,
                         charger=cid, slot=sid)
 
-    graph = SchedulingGraph(instance=instance, theta=float(theta),
-                            horizon_steps=horizon_steps, nodes=nodes,
-                            arcs=arcs, plan_types=plans, slots=slots,
-                            slot_charger=slot_charger)
-    graph.in_arcs = {nid: [] for nid in nodes}
-    graph.out_arcs = {nid: [] for nid in nodes}
-    for a in arcs:
-        graph.in_arcs[a.head].append(a)
-        graph.out_arcs[a.tail].append(a)
+    # the arcs as the package's columns, one leg per arc
+    code = {nid: i for i, nid in enumerate(sorted(nodes))}
+    plan_code = {pid: k for k, pid in enumerate(sorted(p.id for p in plans))}
+    slot_code = {sid: s for s, sid in enumerate(slots)}
+    pairs = [(a.index, plan_code[p], a.cost[p], a.consumption(p))
+             for a in arcs for p in a.plans]
+    pair_arc, pair_plan, pair_cost, pair_cons = (
+        np.array(col, dtype) for col, dtype in zip(
+            zip(*pairs) if pairs else ([],) * 4,
+            (np.int64, np.int64, float, float)))
+    graph = SchedulingGraph(
+        instance=instance, theta=float(theta), horizon_steps=horizon_steps,
+        nodes=nodes, plan_types=plans, slots=slots, slot_charger=slot_charger,
+        tail=np.array([code[a.tail] for a in arcs], np.int64),
+        head=np.array([code[a.head] for a in arcs], np.int64),
+        kind=np.array([ARC_KINDS.index(a.kind) for a in arcs], np.int8),
+        slot=np.array([slot_code.get(a.slot, -1) for a in arcs], np.int64),
+        step=np.array([a.step or 0 for a in arcs], np.int64),
+        available=np.array([a.available for a in arcs], bool),
+        leg=np.arange(len(arcs)),
+        legs=[(a.duration_s, a.move_consumption, a.service_consumption,
+               a.cost) for a in arcs],
+        pair_arc=pair_arc, pair_plan=pair_plan, pair_cost=pair_cost,
+        pair_cons=pair_cons)
     graph.topological_order()  # raises on cycles
     return graph
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import _oracles
-from ebusopt import netgraph
+from ebusopt import milp, netgraph
 from ebusopt.generators import (GenerationError, SyntheticParams,
                                 generate_synthetic, generate_worst_case)
 from ebusopt.instance import GridPoint, MixConstraint
@@ -306,3 +306,52 @@ def test_energy_bounds_are_computed_once_per_graph_in_a_sweep(tmp_path,
     assert [r.ref_feasible is not None for r in rows] == [True, True]
     # the reference graph and one graph per cell
     assert calls == {"energy_bounds": 3, "_topological_order": 3}
+
+
+# ---------------------------------------------------------------------------
+# one array form: building and assembly read columns, not Arc records
+# ---------------------------------------------------------------------------
+
+def _record_free_case(name):
+    strengthened = ModelOptions(use_strengthening=True)
+    if name == "chains-n3":
+        inst = generate_worst_case(3, 0.005, 0.02, estimator="under",
+                                   theta=THETA, segments=2)
+        return inst, None, 2, strengthened
+    if name.startswith("synth20"):
+        lead = 2 if name.endswith("lead2") else 0
+        return (_synthetic(20), 24, 4,
+                dataclasses.replace(strengthened, precondition_lead=lead))
+    if name == "dead-step":
+        return (charger_toy(windows=[(600, 1800)]), None, 3, strengthened)
+    inst = charger_toy(mixed_fleet=True)
+    mix = MixConstraint((("e0", "D0"), ("f0", "D0")), (1.0, 2.0), 1.0, 3.0)
+    return (dataclasses.replace(inst, mix_constraints=(mix,)), None, 3,
+            ModelOptions())
+
+
+@pytest.mark.parametrize("name", ["chains-n3", "synth20", "synth20-lead2",
+                                  "dead-step", "mix-row"])
+def test_building_and_assembly_create_no_arc_record(monkeypatch, name):
+    inst, lookahead, m, options = _record_free_case(name)
+    domains = build_domains(inst, exact_curves(inst), THETA, m, "under")
+    calls = Counter()
+
+    def record(*args, _real=netgraph.Arc, **kwargs):
+        calls["Arc"] += 1
+        return _real(*args, **kwargs)
+
+    def column_arcs(*args, _real=milp._column_arcs):
+        calls["_column_arcs"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(netgraph, "Arc", record)
+    monkeypatch.setattr(milp, "_column_arcs", column_arcs)
+    graph = build_graph(inst, THETA,
+                        GraphOptions(egress_lookahead_steps=lookahead))
+    graph.energy_bounds()
+    build_model(graph, domains, options)
+    assert calls["Arc"] == 0
+    assert (calls["_column_arcs"] > 0) == (name in ("chains-n3", "dead-step"))
+    graph.arcs[0]           # the spy sees the records the view builds
+    assert calls["Arc"] == 1

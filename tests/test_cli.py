@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
+from ebusopt import cli
 from ebusopt.cli import main
 from ebusopt.instance import load_instance, save_instance
 from _toys import charger_toy, charging_required_instance
@@ -119,6 +121,21 @@ def test_solve_out_of_range_input_exits_2(runner, tmp_path, kind, key, value,
                                "--out", str(tmp_path / "run")])
     assert res.exit_code == 2, res.output
     assert named in res.output
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve",
+                                     "compare-estimators"])
+def test_nan_mix_coefficient_exits_2(runner, tmp_path, command):
+    doc = charger_toy(mixed_fleet=True).to_dict()
+    doc["mix_constraints"] = [{"plan_types": [["e0", "D0"], ["f0", "D0"]],
+                               "coeffs": [float("nan"), 1.0], "lower": 1.0,
+                               "upper": float("inf")}]
+    inst_path = tmp_path / "mix.json"
+    inst_path.write_text(json.dumps(doc))
+    res = runner.invoke(main, [command, str(inst_path),
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert "mix_constraints[0].coeffs" in res.output
 
 
 @pytest.mark.parametrize("template, named", [
@@ -371,6 +388,26 @@ def test_compare_estimators_command(runner, tmp_path):
     assert (out / "comparison.json").exists()
     for est in ("under", "over"):
         assert sorted(os.listdir(out / est)) == ["model.lp", "model.sol"]
+
+
+@pytest.mark.parametrize("args", [
+    ["compare-estimators", "--time-limit", "90"],
+    ["solve", "--grid-cap", "0.8", "--time-limit", "60"]],
+    ids=["compare-estimators", "solve-grid-cap"])
+def test_two_solves_share_the_curves_and_the_graph(runner, tmp_path,
+                                                    monkeypatch, args):
+    calls = Counter()
+    for name in ("exact_curves", "build_graph"):
+        def spy(*a, _real=getattr(cli, name), _name=name, **k):
+            calls[_name] += 1
+            return _real(*a, **k)
+        monkeypatch.setattr(cli, name, spy)
+    inst_path = tmp_path / "toy.json"
+    save_instance(charging_required_instance(), inst_path)
+    res = runner.invoke(main, [args[0], str(inst_path), *args[1:],
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    assert calls == {"exact_curves": 1, "build_graph": 1}
 
 
 def test_compare_estimators_incumbent_without_objective_exits_3(runner,

@@ -140,6 +140,40 @@ def test_negative_grid_limit_rejected():
         inst.validate()
 
 
+_MIX_ROW = {"plan_types": [["e0", "D0"], ["f0", "D0"]],
+            "coeffs": [1.0, -1.0], "lower": 1.0, "upper": math.inf}
+
+
+def _load_mix_row(tmp_path, **changes):
+    """The mixed-fleet toy with one mix row, loaded from JSON."""
+    doc = charger_toy(mixed_fleet=True).to_dict()
+    doc["mix_constraints"] = [dict(_MIX_ROW, **changes)]
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(doc))
+    return load_instance(path)
+
+
+def test_well_formed_mix_rows_load(tmp_path):
+    assert len(_load_mix_row(tmp_path).mix_constraints) == 1
+    # lower > upper is an infeasible row, not a malformed one
+    _load_mix_row(tmp_path, lower=2.0, upper=1.0)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"plan_types": [["zz", "D0"], ["f0", "D0"]], "lower": 1.0},
+     r"mix_constraints\[0\]\.plan_types: \['zz', 'D0'\] is not a"),
+    ({"coeffs": [1.0]}, r"mix_constraints\[0\]: 1 coeffs for 2 plan types"),
+    ({"coeffs": [math.nan, -1.0]},
+     r"mix_constraints\[0\]\.coeffs: nan for \['e0', 'D0'\] is not finite"),
+    ({"lower": math.nan}, r"mix_constraints\[0\]: NaN in \[nan, inf\]"),
+    ({"upper": math.nan}, r"mix_constraints\[0\]: NaN in \[1.0, nan\]")],
+    ids=["unknown-plan", "short-coeffs", "nan-coeff", "nan-lower",
+         "nan-upper"])
+def test_malformed_mix_row_rejected(tmp_path, changes, message):
+    with pytest.raises(InstanceError, match=message):
+        _load_mix_row(tmp_path, **changes)
+
+
 def test_depot_capacity_must_be_null(tmp_path):
     doc = charger_toy().to_dict()
     assert doc["depots"] == [{"id": "D0"}]
