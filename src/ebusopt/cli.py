@@ -47,6 +47,13 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _time_limit(ctx, param, value: float) -> float:
+    """A solver budget that can run: more than 0 s, or +inf for none."""
+    if not value > 0:
+        raise click.BadParameter(f"{value} s is not > 0")
+    return value
+
+
 def _emit_config(out_dir: str, config: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
     payload = json.dumps(config, sort_keys=True, indent=2)
@@ -177,7 +184,8 @@ def _solve_into(model, workdir, solver_cmd, fmt, time_limit, threads):
 @click.option("--solver-cmd", default=None,
               help="command template with {model} {solution} {timelimit} "
                    "{threads}; default: HiGHS in process")
-@click.option("--time-limit", type=float, default=600.0, show_default=True)
+@click.option("--time-limit", type=float, default=600.0, show_default=True,
+              callback=_time_limit)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--strengthen/--no-strengthen", default=True, show_default=True)
 @click.option("--precondition-lead", type=int, default=0, show_default=True)
@@ -277,7 +285,7 @@ def cmd_solve(instance_path, theta, segments, estimator, grid_cap, solver_cmd,
 @click.option("--m-grid", default="2,3,4,10", show_default=True)
 @click.option("--theta-grid", default="60,300,600", show_default=True)
 @click.option("--time-limit", type=float, default=300.0, show_default=True,
-              help="per-cell solver budget in seconds")
+              callback=_time_limit, help="per-cell solver budget in seconds")
 @click.option("--solver-cmd", default=None)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--no-reference", is_flag=True,
@@ -326,7 +334,8 @@ def cmd_sweep(instance_path, m_grid, theta_grid, time_limit, solver_cmd,
 @click.argument("instance_path", type=click.Path(exists=True))
 @click.option("--theta", type=float, default=300.0, show_default=True)
 @click.option("--segments", "-m", type=int, default=4, show_default=True)
-@click.option("--time-limit", type=float, default=600.0, show_default=True)
+@click.option("--time-limit", type=float, default=600.0, show_default=True,
+              callback=_time_limit)
 @click.option("--solver-cmd", default=None)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False),

@@ -858,7 +858,6 @@ class RawSolution:
     objective: Optional[float] = None
     bound: Optional[float] = None
     status: str = "unknown"
-    command: str = ""
     solver_output: str = ""
 
     def value(self, name: str) -> float:

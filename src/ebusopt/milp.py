@@ -23,7 +23,10 @@ use that form, never per-row records; the in-process solve hands those
 arrays to HiGHS with no model or solution file.  ``build_model`` reads the
 graph's columns, never an ``Arc`` record, and builds each constraint family
 as COO entries in one numpy pass, appended in one ``add_rows`` call; only
-the few vehicle-mix rows are built one dict at a time.
+the few vehicle-mix rows are built one dict at a time.  The model maps the
+graph's pairs and arcs to its columns with three arrays (``x_col``,
+``y_col``, ``phi_col``), and ``decode_solution`` walks the courses back
+over those and the graph's columns.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .chargemodel import IncrementDomainPWL
 from .lpformat import (SENSES, ModelArrays, RawSolution, _Records,
                        emitted_arrays, write_lp, write_mps)
 from .netgraph import (ACCESS, CHARGE, EGRESS, PULLOUT, RECHARGE, SINK,
-                       SOURCE, SchedulingGraph)
+                       SOURCE, TRIP, SchedulingGraph)
 from .refsolver import solve_arrays
 from .solverbridge import SolverError, external_command, solve_external
 
@@ -128,16 +131,18 @@ class MilpModel:
     read-only ``lpformat.ModelArrays``.  ``variables`` and ``rows`` are
     read-only views that build one ``Var``/``Row`` record per access; row
     names ``{tag}{index:07d}`` exist only in those records and in the
-    files.  The objective is always minimised.
+    files.  The objective is always minimised.  ``x_col``, ``y_col`` and
+    ``phi_col`` are the one map from the graph's pairs and arcs to columns.
     """
 
     graph: SchedulingGraph
     domains: dict                     # (charger id, vehicle type id) -> PWL domain
     options: ModelOptions
-    x_index: dict = field(default_factory=dict)    # (arc, plan) -> var
-    y_index: dict = field(default_factory=dict)    # arc -> var
-    phi_index: dict = field(default_factory=dict)  # (arc, plan) -> var
-    phi_cost: dict = field(default_factory=dict)   # (arc, plan) -> objective coeff
+    # the column of each graph (arc, plan) pair's x and phi and of each
+    # graph arc's y, -1 where there is none (see _GraphArrays)
+    x_col: Optional[np.ndarray] = field(default=None, compare=False)
+    y_col: Optional[np.ndarray] = field(default=None, compare=False)
+    phi_col: Optional[np.ndarray] = field(default=None, compare=False)
     names: list = field(default_factory=list)      # per column
     tags: dict = field(default_factory=dict)       # tag -> code, first use first
     # batches of (obj, lb, ub, binary) per column and of (ends, cols, vals,
@@ -336,9 +341,10 @@ class _GraphArrays:
     ``build_model``); ``arc_ids`` holds their graph indices.  Pairs are the
     graph's pairs of the model's arcs, in arc order; the phi pairs are the
     pairs of live recharge arcs.  Columns are x per pair, then y per model
-    arc (``y_col``), then phi per phi pair (``phi_col``).  ``x_index`` and
-    ``y_index`` map every graph arc with columns, folded ones included, in
-    arc order.  Raises ``ModelError`` for the first recharge (arc, plan)
+    arc (``y``), then phi per phi pair (``phi``).  ``x_col`` and
+    ``phi_col`` give the column of each graph pair and ``y_col`` that of
+    each graph arc, -1 where there is none; a folded arc takes its chain's
+    columns.  Raises ``ModelError`` for the first recharge (arc, plan)
     pair in graph order whose (charger, vehicle type) has no increment
     domain.
     """
@@ -409,31 +415,25 @@ class _GraphArrays:
         self.cons = graph.pair_cons[mine]
         n_pairs, n_model = len(self.pair_arc), len(self.arc_ids)
         # a folded arc's pairs follow its first arc's, plan for plan
-        pair_col = np.full(len(pair_arc), -1)
-        pair_col[mine] = np.arange(n_pairs)
+        x_col = np.full(len(pair_arc), -1)
+        x_col[mine] = np.arange(n_pairs)
         first_pair = np.searchsorted(pair_arc, np.arange(n))
         with_cols = kept[pair_arc]
-        pair_col[with_cols] = pair_col[first_pair[rep[pair_arc[with_cols]]]] \
+        x_col[with_cols] = x_col[first_pair[rep[pair_arc[with_cols]]]] \
             + (np.arange(len(pair_arc)) - first_pair[pair_arc])[with_cols]
-        self.x_index = dict(zip(
-            zip(pair_arc[with_cols].tolist(),
-                np.array(graph.plan_ids)[pair_plan[with_cols]].tolist()),
-            pair_col[with_cols].tolist()))
-        self.y_col = n_pairs + np.arange(n_model)
-        self.y_index = dict(zip(np.flatnonzero(kept).tolist(),
-                                (n_pairs + model_arc[rep[kept]]).tolist()))
-
-        # x column per recharge pair, for the preconditioning rows
-        self.rc_slot = slot[pair_arc[rc_pair]]
-        self.rc_step = step[pair_arc[rc_pair]]
-        self.rc_plan, self.rc_col = pair_plan[rc_pair], pair_col[rc_pair]
+        self.x_col = x_col
+        self.y = n_pairs + np.arange(n_model)
+        self.y_col = np.full(n, -1)
+        self.y_col[kept] = self.y[model_arc[rep[kept]]]
 
         live = ~dead[pair_arc[rc_pair]]
-        self.phi_pair = pair_col[rc_pair[live]]
+        self.phi_pair = x_col[rc_pair[live]]
         self.phi_arc = self.pair_arc[self.phi_pair]
         self.phi_plan = self.pair_plan[self.phi_pair]
         self.phi_dom = rc_dom[live]
-        self.phi_col = n_pairs + n_model + np.arange(len(self.phi_pair))
+        self.phi = n_pairs + n_model + np.arange(len(self.phi_pair))
+        self.phi_col = np.full(len(pair_arc), -1)
+        self.phi_col[rc_pair[live]] = self.phi
 
         self.segments = np.array([d.segment_count for d in doms], np.int64)
         self.dom_base = np.cumsum(self.segments) - self.segments
@@ -583,8 +583,8 @@ def build_model(graph: SchedulingGraph, domains: dict,
         at those nodes say exactly that (no phi, no idle draw), the nodes
         get no rows, and the chain's coupling rows are its first arc's;
         its capacity rows are implied by the row of the chain's first
-        node.  ``x_index`` and ``y_index`` map every arc of the chain to
-        the shared columns, so the graph and ``decode_solution`` see every
+        node.  ``MilpModel.x_col`` and ``y_col`` map every arc of the
+        chain to the shared columns, so ``decode_solution`` sees every
         arc.
 
     Idle draw is excluded because a bus sitting on a charger that draws
@@ -594,10 +594,11 @@ def build_model(graph: SchedulingGraph, domains: dict,
     column those rows name.
     """
     inst = graph.instance
-    model = MilpModel(graph=graph, domains=domains, options=options)
     g = _GraphArrays(graph, domains, options)
+    model = MilpModel(graph=graph, domains=domains, options=options,
+                      x_col=g.x_col, y_col=g.y_col, phi_col=g.phi_col)
     n_pairs, n_arcs, n_phi = len(g.pair_arc), len(g.arc_ids), len(g.phi_pair)
-    x, y, phi = np.arange(n_pairs), g.y_col, g.phi_col
+    x, y, phi = np.arange(n_pairs), g.y, g.phi
     pa, pp = g.pair_arc, g.pair_plan
     inner = graph.node_kind > SINK                  # not a depot node
 
@@ -606,17 +607,12 @@ def build_model(graph: SchedulingGraph, domains: dict,
     model.add_vars([f"x[{arc_ids[a]:06d}][{graph.plan_ids[p]}]"
                     for a, p in zip(pa.tolist(), pp.tolist())],
                    obj=g.cost, binary=True)
-    model.x_index = g.x_index
     model.add_vars([f"y[{i:06d}]" for i in arc_ids], ub=g.y_ub)
-    model.y_index = g.y_index
-    phi_keys = [(arc_ids[a], graph.plan_ids[p])
-                for a, p in zip(g.phi_arc.tolist(), g.phi_plan.tolist())]
-    price = g.price[g.charger[g.phi_arc], g.step[g.phi_arc]] \
-        * g.battery[g.phi_plan]
-    model.add_vars([f"phi[{a:06d}][{p}]" for a, p in phi_keys], obj=price,
+    model.add_vars([f"phi[{arc_ids[a]:06d}][{graph.plan_ids[p]}]"
+                    for a, p in zip(g.phi_arc.tolist(), g.phi_plan.tolist())],
+                   obj=g.price[g.charger[g.phi_arc], g.step[g.phi_arc]]
+                   * g.battery[g.phi_plan],
                    ub=np.where(g.available[g.phi_arc], g.phi_offset0, 0.0))
-    model.phi_index = dict(zip(phi_keys, phi.tolist()))
-    model.phi_cost = dict(zip(phi_keys, price.tolist()))
 
     # --- flow conservation per (non-depot node, plan) ------------------------
     node = np.concatenate([g.head[pa], g.tail[pa]])
@@ -761,7 +757,7 @@ def _add_grid_rows(model: MilpModel, g: _GraphArrays) -> None:
     key = point * (steps + 1) + g.step[g.phi_arc]
     keep = g.limit.ravel()[key] != math.inf
     row, keys = _ranked(key[keep])
-    model.add_rows(row, g.phi_col[keep], omega[g.phi_plan][keep], "<=",
+    model.add_rows(row, g.phi[keep], omega[g.phi_plan][keep], "<=",
                    g.limit.ravel()[keys], "grid")
 
 
@@ -789,9 +785,11 @@ def _add_precondition_rows(model: MilpModel, g: _GraphArrays,
         raise ModelError("lead_steps must be >= 1")
     # x column of the recharge pair at (slot, step, plan), -1 where none
     graph = model.graph
+    rc = (graph.kind[graph.pair_arc] == RECHARGE) & g.electric[graph.pair_plan]
+    arc = graph.pair_arc[rc]
     x_at = np.full((len(graph.slots), graph.horizon_steps + 1,
                     len(graph.plan_ids)), -1)
-    x_at[g.rc_slot, g.rc_step, g.rc_plan] = g.rc_col
+    x_at[graph.slot[arc], graph.step[arc], graph.pair_plan[rc]] = g.x_col[rc]
     slot, step, plan = g.slot[g.phi_arc], g.step[g.phi_arc], g.phi_plan
     earlier = step - lead_steps
     x_prev = np.where(earlier >= 1,
@@ -799,7 +797,7 @@ def _add_precondition_rows(model: MilpModel, g: _GraphArrays,
     keep = x_prev >= 0
     rows = np.arange(keep.sum())
     model.add_rows(np.tile(rows, 2),
-                   np.concatenate([x_prev[keep], g.phi_col[keep]]),
+                   np.concatenate([x_prev[keep], g.phi[keep]]),
                    np.concatenate([g.phi_offset0[keep], -np.ones(len(rows))]),
                    ">=", np.zeros(len(rows)), "precondition")
 
@@ -851,7 +849,7 @@ def solve_model(model: MilpModel, workdir, command_template=None,
         raise SolverError(f"in-process HiGHS failed: {exc}",
                           command=IN_PROCESS_COMMAND) from exc
     return RawSolution(values=values, objective=objective, bound=bound,
-                       status=status, command=IN_PROCESS_COMMAND)
+                       status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -935,45 +933,50 @@ def decode_solution(model: MilpModel, raw: RawSolution) -> Schedule:
     Per plan type the active arcs form node-disjoint paths on the DAG (trip
     nodes are covered once, charge nodes have out-capacity one), so walking
     from each active pull-out arc is unambiguous.  Fractional binaries beyond
-    the integrality tolerance and unbalanced flows are decode errors.
+    the integrality tolerance and unbalanced flows are decode errors.  The
+    solution is read once, as a vector in column order, and the walk reads
+    the graph's columns through ``model.x_col``: no ``Arc`` record.
     """
     graph = model.graph
     if not raw.has_incumbent:
         raise DecodeError(f"no incumbent to decode (status {raw.status})")
-    active: dict = {}
-    names = model.names
-    for (arc_idx, pid), vidx in model.x_index.items():
-        v = raw.value(names[vidx])
-        if INTEGRALITY_TOL < v < 1.0 - INTEGRALITY_TOL:
-            raise DecodeError(f"fractional flow {v:.6f} on {names[vidx]}")
-        if v >= 1.0 - INTEGRALITY_TOL:
-            active.setdefault(pid, []).append(graph.arcs[arc_idx])
+    value = np.array([raw.value(name) for name in model.names], float)
+    pairs = np.flatnonzero(model.x_col >= 0)
+    x = value[model.x_col[pairs]]
+    fractional = (INTEGRALITY_TOL < x) & (x < 1.0 - INTEGRALITY_TOL)
+    if fractional.any():
+        col = model.x_col[pairs[fractional.argmax()]]
+        raise DecodeError(f"fractional flow {value[col]:.6f} on "
+                          f"{model.names[col]}")
+    active = pairs[x >= 1.0 - INTEGRALITY_TOL]
 
-    inst = graph.instance
+    node_kind = graph.node_kind.tolist()
     courses = []
-    for pid in sorted(active):
-        arcs = active[pid]
+    for plan in np.unique(graph.pair_plan[active]).tolist():
+        pid = graph.plan_ids[plan]
+        mine = active[graph.pair_plan[active] == plan]  # one per arc, in order
+        arcs = graph.pair_arc[mine].tolist()
+        tails, heads = graph.tail[arcs].tolist(), graph.head[arcs].tolist()
         out_by_node: dict = {}
-        for a in arcs:
-            out_by_node.setdefault(a.tail, []).append(a)
-        starts = [a for a in arcs if graph.nodes[a.tail].kind == "depot-source"]
+        for j, tail in enumerate(tails):
+            out_by_node.setdefault(tail, []).append(j)
         used = set()
-        for start in sorted(starts, key=lambda a: a.index):
+        for start in [j for j, tail in enumerate(tails)
+                      if node_kind[tail] == SOURCE]:
             path = [start]
-            used.add(start.index)
-            node = start.head
-            while graph.nodes[node].kind != "depot-sink":
-                nexts = [a for a in out_by_node.get(node, [])
-                         if a.index not in used]
+            used.add(start)
+            while node_kind[heads[path[-1]]] != SINK:
+                node = heads[path[-1]]
+                nexts = [j for j in out_by_node.get(node, [])
+                         if j not in used]
                 if len(nexts) != 1:
                     raise DecodeError(
-                        f"flow imbalance at node {node} for plan {pid}: "
-                        f"{len(nexts)} active continuations")
+                        f"flow imbalance at node {graph.node_ids[node]} for "
+                        f"plan {pid}: {len(nexts)} active continuations")
                 path.append(nexts[0])
-                used.add(nexts[0].index)
-                node = nexts[0].head
-            courses.append(_course_from_path(model, graph, pid, path, raw))
-        leftover = [a.index for a in arcs if a.index not in used]
+                used.add(nexts[0])
+            courses.append(_course_from_path(model, pid, mine[path], value))
+        leftover = [a for j, a in enumerate(arcs) if j not in used]
         if leftover:
             raise DecodeError(
                 f"active arcs not reachable from any pull-out for plan {pid}: "
@@ -982,7 +985,7 @@ def decode_solution(model: MilpModel, raw: RawSolution) -> Schedule:
     covered = [t for c in courses for t in c.trips]
     if len(covered) != len(set(covered)):
         raise DecodeError("a trip is covered by more than one course")
-    missing = {t.id for t in inst.trips} - set(covered)
+    missing = {t.id for t in graph.instance.trips} - set(covered)
     if missing:
         raise DecodeError(f"trips not covered by any course: {sorted(missing)}")
 
@@ -992,41 +995,44 @@ def decode_solution(model: MilpModel, raw: RawSolution) -> Schedule:
                     solver_status=raw.status)
 
 
-def _course_from_path(model: MilpModel, graph: SchedulingGraph, pid: str,
-                      path: list, raw: RawSolution) -> Course:
-    inst = graph.instance
-    plan = graph.plan(pid)
-    trips = []
-    windows: list = []
+def _course_from_path(model: MilpModel, pid: str, pairs: np.ndarray,
+                      value: np.ndarray) -> Course:
+    graph = model.graph
+    plan, arcs = graph.plan(pid), graph.pair_arc[pairs]
+    col = model.phi_col[pairs]
+    # per arc its phi value and price; read at column -1 where there is none
+    phis = value[col].tolist()
+    prices = _joined(model._columns)[0][col].tolist()
+    trips, windows = [], []
     cost = 0.0
     current: Optional[ChargeWindow] = None
-    for a in path:
-        cost += a.cost.get(pid, 0.0)
-        head = graph.nodes[a.head]
-        if a.kind == "recharge":
-            phi = 0.0
-            key = (a.index, pid)
-            if key in model.phi_index:
-                phi = max(raw.value(model.names[model.phi_index[key]]), 0.0)
-                cost += model.phi_cost[key] * phi
-            if current is None:
-                current = ChargeWindow(
-                    slot=a.slot, charger=a.charger,
-                    grid_point=inst.charger(a.charger).grid_point,
-                    steps=[], phis=[])
-            current.steps.append(a.step)
-            current.phis.append(phi)
-        else:
-            if current is not None:
-                windows.append(current)
-                current = None
-            if head.kind == "trip":
-                trips.append(head.trip)
-    if current is not None:
-        windows.append(current)
+    for j, (kind, head, slot, step, arc_cost) in enumerate(zip(
+            graph.kind[arcs].tolist(), graph.head[arcs].tolist(),
+            graph.slot[arcs].tolist(), graph.step[arcs].tolist(),
+            graph.pair_cost[pairs].tolist())):
+        cost += arc_cost
+        if kind != RECHARGE:
+            current = None
+            if graph.node_kind[head] == TRIP:
+                trips.append(graph.nodes[graph.node_ids[head]].trip)
+            continue
+        phi = 0.0
+        if col[j] >= 0:
+            phi = max(phis[j], 0.0)
+            cost += prices[j] * phi
+        if current is None:
+            sid = graph.slots[slot]
+            charger = graph.slot_charger[sid]
+            current = ChargeWindow(
+                slot=sid, charger=charger,
+                grid_point=graph.instance.charger(charger).grid_point,
+                steps=[], phis=[])
+            windows.append(current)
+        current.steps.append(step)
+        current.phis.append(phi)
     return Course(plan=pid, vehicle_type=plan.vehicle_type, depot=plan.depot,
-                  arc_indices=[a.index for a in path], trips=trips,
-                  windows=windows, cost=cost)
+                  arc_indices=arcs.tolist(), trips=trips, windows=windows,
+                  cost=cost)
 
 
 def save_schedule(schedule: Schedule, path) -> None:

@@ -9,7 +9,8 @@ The graph is arrays: per arc its tail, head, kind, slot, step, availability
 and leg, and per (arc, plan) pair its arc, plan, cost and consumption, with
 nodes and plans coded by their rank in sorted id order.  ``Arc`` is a
 record built on access (``graph.arcs[i]``, ``out_arcs[n]``, ``in_arcs[n]``);
-building the graph, its energy bounds and the model create none.
+building the graph, its energy bounds and the model, decoding a solution
+and validating the schedule create none.
 
 The arcs of a slot carry only the plans that are live on it: those with a
 path of arcs admitting them from their depot source through the slot to
@@ -325,6 +326,9 @@ def build_graph(instance: Instance, theta: float,
         raise GraphError(f"theta={theta} must be whole seconds and divide "
                          f"the horizon span {span}")
     horizon_steps = int(span // int(theta))
+    lookahead = options.egress_lookahead_steps
+    if lookahead is not None and lookahead < 0:
+        raise GraphError(f"egress lookahead of {lookahead} steps is negative")
 
     plans = instance.plan_types()
     vtype_of = {p.id: p.vehicle_type for p in plans}
@@ -471,8 +475,8 @@ def build_graph(instance: Instance, theta: float,
             if leg:
                 i_max = last_event(t.departure_s, leg[0])
                 i_lo = 0
-                if options.egress_lookahead_steps is not None:
-                    i_lo = max(0, i_max - options.egress_lookahead_steps)
+                if lookahead is not None:
+                    i_lo = max(0, i_max - lookahead)
                 fro = events[i_lo:i_max + 1]
                 add_arcs(fro, [trip_code[k]] * len(fro), leg[1])
         for d in instance.depots:       # egress to depot sinks

@@ -90,12 +90,11 @@ def solve_external(model_path, command_template: Optional[str] = None,
             try:
                 sol = parse_solution_file(solution_path)
                 sol.status = "time-limit"
-                sol.command = command
                 sol.solver_output = out[-4000:]
                 return sol
             except LpFormatError:
                 pass
-        return RawSolution(values={}, status="time-limit", command=command,
+        return RawSolution(values={}, status="time-limit",
                            solver_output=out[-4000:])
 
     output = (proc.stdout or "") + (proc.stderr or "")
@@ -111,7 +110,6 @@ def solve_external(model_path, command_template: Optional[str] = None,
     except LpFormatError as exc:
         raise SolverError(f"cannot parse solution file: {exc}",
                           command=command, output=output[-4000:]) from exc
-    sol.command = command
     sol.solver_output = output[-4000:]
     return sol
 

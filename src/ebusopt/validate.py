@@ -37,7 +37,8 @@ from .chargemodel import (CourseTrace, ROLE_CHARGE_ARRIVAL,
 from .instance import Instance
 from .milp import (ModelOptions, Schedule, build_model, decode_solution,
                    solve_model)
-from .netgraph import EnergyBounds, SchedulingGraph, build_graph
+from .netgraph import (CHARGE, RECHARGE, SINK, TRIP, EnergyBounds,
+                       SchedulingGraph, build_graph)
 from .solverbridge import SolverError, external_command
 
 SOC_TOL = 1e-6
@@ -171,44 +172,46 @@ def validate_schedule(instance: Instance, schedule: Schedule,
                             grid_load=load, peak=peak, violations=violations)
 
 
-_END_ROLES = {"charge": ROLE_CHARGE_ARRIVAL, "depot-sink": ROLE_DEPOT_END}
+_END_ROLES = {CHARGE: ROLE_CHARGE_ARRIVAL, SINK: ROLE_DEPOT_END}
 
 
 def course_trace(course, graph: SchedulingGraph, theta: float,
                  bounds: EnergyBounds):
     """A decoded course as its ``CourseTrace``, floors and charge windows.
 
-    The one walk over a course's arcs.  A trip's start must keep its
-    service plus its exit floor, its end the exit floor (0 where no exit
-    is reachable); other elements keep 0.  A charger visit followed by
-    recharge arcs is a charge window (the next of ``course.windows``), a
-    pass-through visit only an arrival.  The windows come back in
-    charge-transition order.
+    The one walk over a course's arcs, read from the graph's columns and
+    its legs' tables.  A trip's start must keep its service plus its
+    exit floor, its end the exit floor (0 where no exit is reachable);
+    other elements keep 0.  A charger visit followed by recharge arcs is a
+    charge window (the next of ``course.windows``), a pass-through visit
+    only an arrival.  The windows come back in charge-transition order.
     """
-    pid = course.plan
+    pid, arcs = course.plan, course.arc_indices
     # (role, consumption and duration of the transition into it, floor)
     elements = [(ROLE_DEPOT_START, 0.0, 0.0, 0.0)]
     windows: list = []
     pending = iter(course.windows)
-    arcs = [graph.arcs[i] for i in course.arc_indices]
-    for arc, nxt in zip(arcs, arcs[1:] + [None]):
-        if arc.kind == "recharge":
+    kinds, heads = graph.kind[arcs].tolist() + [None], graph.head[arcs]
+    for j, (head, kind, leg) in enumerate(zip(
+            heads.tolist(), graph.node_kind[heads].tolist(),
+            graph.leg[arcs].tolist())):
+        if kinds[j] == RECHARGE:
             continue  # taken with the window at its charger visit
-        kind = graph.nodes[arc.head].kind
-        move = arc.move_consumption.get(pid, 0.0)
-        if kind == "trip":
-            service = arc.service_consumption.get(pid, 0.0)
-            floor = bounds.exit_floor(arc.head, pid)
+        _, moves, services, _ = graph.legs[leg]
+        move = moves.get(pid, 0.0)
+        if kind == TRIP:
+            service = services.get(pid, 0.0)
+            floor = float(bounds.min_exit[head, graph.plan_code[pid]])
             floor = floor if math.isfinite(floor) else 0.0
             elements += [(ROLE_TRIP_START, move, 0.0, service + floor),
                          (ROLE_TRIP_END, service, 0.0, floor)]
         elif kind in _END_ROLES:
             elements.append((_END_ROLES[kind], move, 0.0, 0.0))
-        if kind == "charge" and nxt is not None and nxt.kind == "recharge":
+        if kind == CHARGE and kinds[j + 1] == RECHARGE:
             win = next(pending, None)
             if win is None:
                 raise ValidationError(
-                    f"plan {pid}: access arc {arc.index} has no matching "
+                    f"plan {pid}: access arc {arcs[j]} has no matching "
                     f"charge window")
             elements.append((ROLE_CHARGE_DEPARTURE, 0.0,
                              len(win.phis) * theta, 0.0))

@@ -6,10 +6,13 @@ The dict-row model-file writers (``write_lp``, ``write_mps`` and
 ``variables`` and ``rows`` record views.  The dict-row ``build_model`` and
 ``add_preconditioning`` build each row as a dict and append it with
 ``MilpModel.add_row``; they are the reference for the array-native
-assembly.  The unpruned ``build_graph`` gives every charger arc every
-plan its charger serves; it is the reference for the package's graph,
-which drops the plans that cannot reach a slot.  It lays the graph out as
-``Arc`` records and stores them in the package's columns, one leg per arc.
+assembly.  The dict-row builder keeps its columns in (arc, plan) and arc
+keyed dicts and hands them over as the model's ``x_col``, ``y_col`` and
+``phi_col`` arrays at the end.  The unpruned ``build_graph`` gives every
+charger arc every plan its charger serves; it is the reference for the
+package's graph, which drops the plans that cannot reach a slot.  It lays
+the graph out as ``Arc`` records and stores them in the package's columns,
+one leg per arc.
 The readers at the bottom (``_tokenize_lp``, ``read_lp`` and ``read_mps``)
 lex an LP file one regex match per position and read an MPS file line by
 line into a ``ParsedModel`` of name-keyed dicts, one per row; with
@@ -432,6 +435,7 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
     """
     inst = graph.instance
     model = MilpModel(graph=graph, domains=domains, options=options)
+    x_index, y_index, phi_index = {}, {}, {}    # (arc, plan) or arc -> var
     vtype_of = {p.id: p.vehicle_type for p in graph.plan_types}
     electric = {p.id for p in graph.plan_types if p.electric}
     battery = {v.id: v.battery_kwh for v in inst.vehicle_types}
@@ -467,11 +471,11 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
                 idx = model.add_var(f"x[{a.index:06d}][{pid}]", binary=True,
                                     obj=a.cost.get(pid, 0.0))
             else:
-                idx = model.x_index[(rep[a.index], pid)]
-            model.x_index[(a.index, pid)] = idx
+                idx = x_index[(rep[a.index], pid)]
+            x_index[(a.index, pid)] = idx
     for a in kept_arcs:
         if a.index not in own:
-            model.y_index[a.index] = model.y_index[rep[a.index]]
+            y_index[a.index] = y_index[rep[a.index]]
             continue
         ub = 1.0
         if a.index in dead:
@@ -483,7 +487,7 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
                     zero = min(zero, float(dom.offsets[j])
                                / -float(dom.slopes[j]))
             ub = min(1.0, zero)
-        model.y_index[a.index] = model.add_var(f"y[{a.index:06d}]", 0.0, ub)
+        y_index[a.index] = model.add_var(f"y[{a.index:06d}]", 0.0, ub)
     for a in graph.arcs:
         if a.kind != "recharge" or a.index in dead:
             continue
@@ -497,8 +501,7 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
             ub = dom.offsets[0] if a.available else 0.0
             idx = model.add_var(f"phi[{a.index:06d}][{pid}]", 0.0, ub,
                                 obj=price)
-            model.phi_index[(a.index, pid)] = idx
-            model.phi_cost[(a.index, pid)] = price
+            phi_index[(a.index, pid)] = idx
 
     in_arcs = defaultdict(list)
     out_arcs = defaultdict(list)
@@ -518,18 +521,18 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
             coeffs: dict = {}
             for a in in_arcs[nid]:
                 if pid in a.plans:
-                    coeffs[model.x_index[(a.index, pid)]] = 1.0
+                    coeffs[x_index[(a.index, pid)]] = 1.0
             for a in out_arcs[nid]:
                 if pid in a.plans:
-                    coeffs[model.x_index[(a.index, pid)]] = \
-                        coeffs.get(model.x_index[(a.index, pid)], 0.0) - 1.0
+                    coeffs[x_index[(a.index, pid)]] = \
+                        coeffs.get(x_index[(a.index, pid)], 0.0) - 1.0
             if coeffs:
                 model.add_row(coeffs, "=", 0.0, "flow")
 
     # --- every trip serviced exactly once ------------------------------------
     for t in inst.trips:
         nid = f"trip:{t.id}"
-        coeffs = {model.x_index[(a.index, pid)]: 1.0
+        coeffs = {x_index[(a.index, pid)]: 1.0
                   for a in out_arcs[nid] for pid in a.plans}
         if not coeffs:
             raise ModelError(f"trip {t.id} has no outgoing arcs")
@@ -538,7 +541,7 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
     # --- out-capacity of charge nodes -----------------------------------------
     for nid in nodes:
         if graph.nodes[nid].kind == "charge":
-            coeffs = {model.x_index[(a.index, pid)]: 1.0
+            coeffs = {x_index[(a.index, pid)]: 1.0
                       for a in out_arcs[nid] for pid in a.plans}
             if coeffs:
                 model.add_row(coeffs, "<=", 1.0, "capacity")
@@ -550,7 +553,7 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
             pid = f"{vt}.{dep}"
             for a in out_arcs[f"src:{dep}"]:
                 if pid in a.plans:
-                    idx = model.x_index[(a.index, pid)]
+                    idx = x_index[(a.index, pid)]
                     coeffs[idx] = coeffs.get(idx, 0.0) + kappa
         if not coeffs:
             continue
@@ -566,15 +569,15 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
     for a in kept_arcs:
         if a.index not in own:
             continue
-        y = model.y_index[a.index]
+        y = y_index[a.index]
         e_plans = [p for p in a.plans if p in electric]
         if a.kind == "pullout":
-            coeffs = {model.x_index[(a.index, pid)]: 1.0 for pid in e_plans}
+            coeffs = {x_index[(a.index, pid)]: 1.0 for pid in e_plans}
             coeffs[y] = coeffs.get(y, 0.0) - 1.0
             model.add_row(coeffs, "=", 0.0, "pullout")
             continue
         if not options.use_strengthening:
-            coeffs = {model.x_index[(a.index, pid)]: 1.0 for pid in e_plans}
+            coeffs = {x_index[(a.index, pid)]: 1.0 for pid in e_plans}
             coeffs[y] = coeffs.get(y, 0.0) - 1.0
             model.add_row(coeffs, ">=", 0.0, "coupling")
             if graph.nodes[a.head].kind == "depot-sink":
@@ -584,7 +587,7 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
                 for pid in e_plans:
                     cons = a.consumption(pid)
                     if cons:
-                        coeffs[model.x_index[(a.index, pid)]] = -cons
+                        coeffs[x_index[(a.index, pid)]] = -cons
                 if len(coeffs) > 1:
                     model.add_row(coeffs, ">=", 0.0, "sinkfloor")
         else:
@@ -594,15 +597,15 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
                 coef = a.consumption(pid) + exit_floor
                 if not math.isfinite(coef):
                     coef = 2.0  # dead-end arc for this plan: forces x = 0
-                lo_coeffs[model.x_index[(a.index, pid)]] = -min(coef, 2.0)
+                lo_coeffs[x_index[(a.index, pid)]] = -min(coef, 2.0)
             model.add_row(lo_coeffs, ">=", 0.0, "strengthlo")
             hi_coeffs = {y: -1.0}
             for pid in e_plans:
                 ceiling = bounds.arrival_ceiling(a.tail, pid)
                 if not math.isfinite(ceiling):
                     ceiling = 0.0  # unreachable tail for this plan
-                hi_coeffs[model.x_index[(a.index, pid)]] = max(min(ceiling, 1.0),
-                                                               0.0)
+                hi_coeffs[x_index[(a.index, pid)]] = max(min(ceiling, 1.0),
+                                                         0.0)
             model.add_row(hi_coeffs, ">=", 0.0, "strengthhi")
 
     # --- energy flow through every non-depot node ------------------------------
@@ -620,18 +623,18 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
                 if pid in electric:
                     cons = a.consumption(pid)
                     if cons:
-                        idx = model.x_index[(a.index, pid)]
+                        idx = x_index[(a.index, pid)]
                         coeffs[idx] = coeffs.get(idx, 0.0) + cons
-            y = model.y_index[a.index]
+            y = y_index[a.index]
             coeffs[y] = coeffs.get(y, 0.0) - 1.0
         for a in out_arcs[nid]:
-            y = model.y_index[a.index]
+            y = y_index[a.index]
             coeffs[y] = coeffs.get(y, 0.0) + 1.0
         ra = recharge_into.get(nid)
         if ra is not None:
             for pid in ra.plans:
-                if (ra.index, pid) in model.phi_index:
-                    coeffs[model.phi_index[(ra.index, pid)]] = -1.0
+                if (ra.index, pid) in phi_index:
+                    coeffs[phi_index[(ra.index, pid)]] = -1.0
         if coeffs:
             model.add_row(coeffs, "=", 0.0, "energy")
 
@@ -639,13 +642,13 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
     for a in graph.arcs:
         if a.kind != "recharge":
             continue
-        y = model.y_index[a.index]
+        y = y_index[a.index]
         for pid in a.plans:
-            if (a.index, pid) not in model.phi_index:
+            if (a.index, pid) not in phi_index:
                 continue
             dom = _domain_for(domains, a.charger, vtype_of[pid])
-            phi = model.phi_index[(a.index, pid)]
-            x = model.x_index[(a.index, pid)]
+            phi = phi_index[(a.index, pid)]
+            x = x_index[(a.index, pid)]
             model.add_row({x: float(dom.offsets[0]), phi: -1.0}, ">=", 0.0,
                           "inccoupling")
             for j in range(1, dom.segment_count):
@@ -673,18 +676,25 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
                     continue
                 for pid in a.plans:
                     key = (a.index, pid)
-                    if key in model.phi_index:
+                    if key in phi_index:
                         omega = battery[vtype_of[pid]] * 3600.0 / graph.theta
-                        coeffs[model.phi_index[key]] = omega
+                        coeffs[phi_index[key]] = omega
             if coeffs and limit != math.inf:
                 model.add_row(coeffs, "<=", limit, "grid")
 
     if options.precondition_lead:
-        add_preconditioning(model, options.precondition_lead)
+        add_preconditioning(model, options.precondition_lead, x_index,
+                            phi_index)
+    pairs = list(zip(graph.pair_arc.tolist(),
+                     [graph.plan_ids[p] for p in graph.pair_plan]))
+    model.x_col = np.array([x_index.get(k, -1) for k in pairs], np.int64)
+    model.y_col = np.array([y_index.get(i, -1)
+                            for i in range(len(graph.tail))], np.int64)
+    model.phi_col = np.array([phi_index.get(k, -1) for k in pairs], np.int64)
     return model
 
 
-def add_preconditioning(model, lead_steps):
+def add_preconditioning(model, lead_steps, x_index, phi_index):
     """The dict-row preconditioning rows, one ``add_row`` per row."""
     if lead_steps < 1:
         raise ModelError("lead_steps must be >= 1")
@@ -700,12 +710,12 @@ def add_preconditioning(model, lead_steps):
             continue
         for pid in a.plans:
             key = (a.index, pid)
-            if key not in model.phi_index:
+            if key not in phi_index:
                 continue
             dom = _domain_for(model.domains, a.charger, vtype_of[pid])
-            x_prev = model.x_index[(earlier.index, pid)]
+            x_prev = x_index[(earlier.index, pid)]
             model.add_row({x_prev: float(dom.offsets[0]),
-                           model.phi_index[key]: -1.0}, ">=", 0.0,
+                           phi_index[key]: -1.0}, ">=", 0.0,
                           "precondition")
     return model
 

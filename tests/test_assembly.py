@@ -2,7 +2,8 @@
 
 ``milp.build_model`` builds each constraint family in one pass over arrays;
 ``_oracles.build_model`` builds one dict per row.  Both must give the same
-``ModelArrays`` bit for bit (every -0.0 included) and the same index dicts.
+``ModelArrays`` bit for bit (every -0.0 included) and the same column
+arrays.
 """
 
 import dataclasses
@@ -11,6 +12,7 @@ import math
 import tempfile
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
@@ -34,9 +36,8 @@ THETA = 300.0
 
 def _assert_same_model(got, want):
     _assert_same_arrays(got.arrays(), want.arrays())
-    for index in ("x_index", "y_index", "phi_index", "phi_cost"):
-        assert list(getattr(got, index).items()) == \
-            list(getattr(want, index).items()), index
+    for cols in ("x_col", "y_col", "phi_col"):
+        assert np.array_equal(getattr(got, cols), getattr(want, cols)), cols
 
 
 def _build_or_error(build, graph, domains, options):
@@ -332,7 +333,8 @@ def _record_free_case(name):
 
 @pytest.mark.parametrize("name", ["chains-n3", "synth20", "synth20-lead2",
                                   "dead-step", "mix-row"])
-def test_building_and_assembly_create_no_arc_record(monkeypatch, name):
+def test_building_and_assembly_create_no_arc_record(monkeypatch, tmp_path,
+                                                    name):
     inst, lookahead, m, options = _record_free_case(name)
     domains = build_domains(inst, exact_curves(inst), THETA, m, "under")
     calls = Counter()
@@ -350,8 +352,15 @@ def test_building_and_assembly_create_no_arc_record(monkeypatch, name):
     graph = build_graph(inst, THETA,
                         GraphOptions(egress_lookahead_steps=lookahead))
     graph.energy_bounds()
-    build_model(graph, domains, options)
+    model = build_model(graph, domains, options)
     assert calls["Arc"] == 0
     assert (calls["_column_arcs"] > 0) == (name in ("chains-n3", "dead-step"))
+    if name in ("chains-n3", "dead-step"):
+        # nor do decode and validation
+        schedule = decode_solution(model, solve_model(model, tmp_path,
+                                                      time_limit=60))
+        for mode in ("exact", "approx-under"):
+            validate_schedule(inst, schedule, graph, mode, domains=domains)
+        assert schedule.courses and calls["Arc"] == 0
     graph.arcs[0]           # the spy sees the records the view builds
     assert calls["Arc"] == 1

@@ -138,6 +138,29 @@ def test_nan_mix_coefficient_exits_2(runner, tmp_path, command):
     assert "mix_constraints[0].coeffs" in res.output
 
 
+@pytest.mark.parametrize("limit", ["-5", "0", "nan"])
+@pytest.mark.parametrize("command", ["sweep", "solve",
+                                     "compare-estimators"])
+def test_time_limit_that_cannot_run_exits_2(runner, tmp_path, command, limit):
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(), inst_path)
+    res = runner.invoke(main, [command, str(inst_path), "--time-limit", limit,
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert "is not > 0" in res.output
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_egress_lookahead_exits_2(runner, tmp_path):
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(), inst_path)
+    res = runner.invoke(main, ["solve", str(inst_path), "--time-limit", "30",
+                               "--egress-lookahead", "-1",
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert "lookahead of -1 steps is negative" in res.output
+
+
 @pytest.mark.parametrize("template, named", [
     ("echo {model} {solver}", "unknown placeholder {solver}"),
     ("echo {model} {0}", "unknown placeholder {0}"),
@@ -211,6 +234,19 @@ TOY_FILES_SHA256 = {
         "cfe08e673189854b8e6ff9445d267e574f9a6eb2d3094ac9357381f3573b104d",
 }
 
+# sha256 of the decoded and validated outputs of the same runs; the toy's
+# one bus never charges, so both formats, capped or not, write these bytes
+TOY_OUTPUTS_SHA256 = {
+    "schedule.json":
+        "d7f1d8566c71ebcb78c8369fadf56bfef5973d03cdda297366b3057dece9d73d",
+    "validation.json":
+        "311deb36135ab20076727a5b1494b1d981604c6073a07cb7eea8b4415804c6e0",
+    "charge_steps.csv":
+        "a092ad3e6b4c7d44a47880bdb9fe385b27cd60d0a055a7549016b7ab4c22d82b",
+    "grid_load.csv":
+        "abbdd63feaaf8df2c5702557113aaea8f06c30076645be549e193657520b29e7",
+}
+
 
 @pytest.mark.parametrize("fmt", ["lp", "mps"])
 def test_solve_writes_model_and_solution_files(runner, tmp_path, fmt):
@@ -230,6 +266,9 @@ def test_solve_writes_model_and_solution_files(runner, tmp_path, fmt):
                 digest = hashlib.sha256(
                     (out / sub / name).read_bytes()).hexdigest()
                 assert digest == TOY_FILES_SHA256[(fmt, f"{sub}/{name}")]
+        for name, want in TOY_OUTPUTS_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                == want, name
 
 
 def _solver_cmd(tmp_path, solution_text):

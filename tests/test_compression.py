@@ -9,6 +9,7 @@ must agree on status, fleet, exact-validation verdicts and objective.
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -68,6 +69,8 @@ def test_chain_models_shrink(n):
     model = build_model(graph, domains, options)
     assert 3 * model.num_variables < full.num_variables
     # every arc of the graph that has columns is indexed, folded or not
-    assert set(model.y_index) <= set(full.y_index)
-    assert {a for a, _ in model.x_index} == set(model.y_index)
-    assert len(model.phi_index) < len(full.phi_index)
+    with_y = model.y_col >= 0
+    assert (full.y_col[with_y] >= 0).all()
+    assert np.array_equal(np.unique(graph.pair_arc[model.x_col >= 0]),
+                          np.flatnonzero(with_y))
+    assert (model.phi_col >= 0).sum() < (full.phi_col >= 0).sum()

@@ -781,7 +781,7 @@ def test_decode_recharge_window_matches_soc_jump(tmp_path):
                 first_arc = a
             last_arc = a
     def y(arc):
-        return raw.value(model.names[model.y_index[arc.index]])
+        return raw.value(model.names[model.y_col[arc.index]])
 
     y_in = y(first_arc)
     out_arc = next(graph.arcs[i] for i in course.arc_indices

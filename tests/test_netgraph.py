@@ -115,6 +115,14 @@ def test_egress_lookahead_limits_arcs():
     assert n_look < n_all
 
 
+def test_negative_egress_lookahead_rejected():
+    # a negative window would lay out no egress arc to any trip
+    inst = charger_toy()
+    build_graph(inst, 300.0, GraphOptions(egress_lookahead_steps=0))
+    with pytest.raises(GraphError, match="lookahead of -1 steps"):
+        build_graph(inst, 300.0, GraphOptions(egress_lookahead_steps=-1))
+
+
 # ---------------------------------------------------------------------------
 # energy bounds
 # ---------------------------------------------------------------------------
