@@ -40,7 +40,7 @@ from array import array
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from typing import Optional
 from xml.etree import ElementTree
@@ -263,26 +263,74 @@ def write_lp(m: ModelArrays, path, relax: bool = False) -> None:
 # Reading: what a reader has read so far
 # ---------------------------------------------------------------------------
 
+_LINES = 512        # lines a reader parses at a time
+
+
+def _line_blocks(fh):
+    """Lists of the next ``_LINES`` lines of the text file ``fh``."""
+    try:
+        while True:
+            lines = list(islice(fh, _LINES))
+            if not lines:
+                return
+            yield lines
+    except UnicodeDecodeError as exc:
+        raise LpFormatError(f"{fh.name} is not a text file: {exc}") from None
+
+
+def _last_wins(target: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
+    """``target[at] = values`` in order: where ``at`` repeats, the last value
+    stays."""
+    _, last = np.unique(at[::-1], return_index=True)
+    last = len(at) - 1 - last
+    target[at[last]] = values[last]
+
+
+def _floats(texts) -> np.ndarray:
+    """``float`` of each of ``texts``, taken once per distinct text."""
+    texts = list(texts)
+    distinct = dict.fromkeys(texts)
+    value = dict(zip(distinct, map(float, distinct)))
+    return np.fromiter(map(value.__getitem__, texts), float, len(texts))
+
+
+def _grown(a: np.ndarray, n: int, fill) -> np.ndarray:
+    """``a`` with room for at least ``n`` entries, the new ones ``fill``."""
+    if n <= len(a):
+        return a
+    return np.concatenate([a, np.full(max(n, 2 * len(a)) - len(a), fill,
+                                      a.dtype)])
+
+
 class _Rows:
     """Rows as a reader reads them: their entries as (row, column, value)
-    in file order, and per row its sense code and right-hand side."""
+    arrays in file order, and per row its sense code and right-hand side;
+    ``rhs_set`` holds later ``(rows, values)`` assignments to the rhs."""
 
     def __init__(self):
-        self.row = array("q")
-        self.col = array("q")
-        self.val = array("d")
-        self.sense = bytearray()
-        self.rhs = array("d")
+        self.entries = []
+        self.sense = []
+        self.rhs = []
+        self.rhs_set = []
+        self.count = 0
+
+    def add(self, sense: np.ndarray, rhs: np.ndarray) -> None:
+        self.sense.append(sense)
+        self.rhs.append(rhs)
+        self.count += len(sense)
 
     def csr(self, n_rows: int, n_cols: int) -> tuple:
         """``(indptr, indices, data)``: the columns of each row ascending,
         each with 0.0 plus its values in file order."""
-        key = np.array(self.row, np.int64)
+        key = np.concatenate([np.zeros(0, np.int64)]
+                             + [row for row, _, _ in self.entries])
         key *= n_cols
-        key += np.array(self.col, np.int64)
+        key += np.concatenate([np.zeros(0, np.int64)]
+                              + [col for _, col, _ in self.entries])
         order = np.argsort(key, kind="stable")
         key = key[order]
-        val = np.array(self.val)[order]
+        val = np.concatenate([np.zeros(0)]
+                             + [val for _, _, val in self.entries])[order]
         del order
         first = np.flatnonzero(np.diff(key, prepend=-1))
         data = val[first] + 0.0
@@ -299,48 +347,61 @@ class _Rows:
         return indptr, key % max(n_cols, 1), data
 
 
+class _Columns(dict):
+    """Column name -> column, in first-seen order: a new name gets the next
+    column."""
+
+    def __missing__(self, name: str) -> int:
+        j = self[name] = len(self)
+        return j
+
+
 class _Reading:
     """A model file as a reader reads it: the columns in first-seen order
     with their bounds and integrality, the rows and the objective (one row
     whose sense and rhs are ignored)."""
 
     def __init__(self):
-        self.index: dict = {}            # column name -> column
-        self.tokens = dict(_OPS)         # LP chunk -> its one token
-        self.lower = array("d")
-        self.upper = array("d")
-        self.integer = bytearray()
+        self.index = _Columns()
+        self.lower = np.zeros(0)         # per column, with room to grow
+        self.upper = np.zeros(0)
+        self.integer = np.zeros(0, bool)
         self.rows = _Rows()
         self.objective = _Rows()
         self.minimize = True
 
-    def column(self, name: str) -> int:
-        """The column ``name``, added if new."""
-        j = self.index.get(name)
-        if j is None:
-            j = self.index[name] = len(self.lower)
-            self.lower.append(0.0)
-            self.upper.append(math.inf)
-            self.integer.append(0)
+    def columns(self, names: list) -> np.ndarray:
+        """The columns ``names``; those not seen before are added in the
+        order they first appear."""
+        j = np.fromiter(map(self.index.__getitem__, names), np.int64,
+                        len(names))
+        n = len(self.index)
+        if n > len(self.lower):
+            self.lower = _grown(self.lower, n, 0.0)
+            self.upper = _grown(self.upper, n, math.inf)
+            self.integer = _grown(self.integer, n, False)
         return j
 
     def arrays(self) -> ModelArrays:
         """What was read, once the numbers the format has no use for are
         ruled out: NaN anywhere, and an infinite coefficient or rhs."""
-        n, m = len(self.lower), len(self.rows.sense)
+        n, m = len(self.index), self.rows.count
         start, cols, vals = self.rows.csr(m, n)
         _, obj_cols, obj_vals = self.objective.csr(1, n)
         obj = np.zeros(n)
         obj[obj_cols] = obj_vals
         if not self.minimize:
             obj = -obj
+        rhs = np.concatenate([np.zeros(0)] + self.rows.rhs)
+        for rows, values in self.rows.rhs_set:
+            _last_wins(rhs, rows, values)
         a = ModelArrays(
-            names=list(self.index), obj=obj, lb=np.array(self.lower),
-            ub=np.array(self.upper), integer=np.array(self.integer, bool),
+            names=list(self.index), obj=obj, lb=self.lower[:n].copy(),
+            ub=self.upper[:n].copy(), integer=self.integer[:n].copy(),
             start=start, cols=cols, vals=vals,
-            sense=np.array(self.rows.sense, np.int8),
-            rhs=np.array(self.rows.rhs), tag=np.zeros(m, np.int64),
-            tags=["r"], minimize=self.minimize)
+            sense=np.concatenate([np.zeros(0, np.int8)] + self.rows.sense),
+            rhs=rhs, tag=np.zeros(m, np.int64), tags=["r"],
+            minimize=self.minimize)
         bad = np.flatnonzero(~np.isfinite(a.vals))
         if len(bad):
             k = bad[0]
@@ -367,34 +428,67 @@ class _Reading:
 # ---------------------------------------------------------------------------
 
 # a section header is a line holding only its keyword; the group that
-# matched names the kind of section
+# matched names the kind of section.  The pattern finds a header after the
+# newline that ends the line before it, and its lookahead (the first letters
+# of the keywords) passes over most other lines at once.
 _SECTION_RE = re.compile(
-    r"\s*(?:(?P<minimize>minimize|minimise|min)"
+    r"\n[^\S\n]*(?=[mbsgie])(?:(?P<minimize>minimize|minimise|min)"
     r"|(?P<maximize>maximize|maximise|max)"
-    r"|(?P<constraints>subject\s+to|such\s+that|s\.t\.|st)"
+    r"|(?P<constraints>subject[^\S\n]+to|such[^\S\n]+that|s\.t\.|st)"
     r"|(?P<bounds>bounds?)|(?P<binaries>binar(?:y|ies)|bin)"
-    r"|(?P<generals>generals?|gen|integers?|int)|(?P<end>end))\s*",
+    r"|(?P<generals>generals?|gen|integers?|int)|(?P<end>end))[^\S\n]*"
+    r"(?![^\n])",
     re.IGNORECASE)
-_BEFORE_SECTIONS = (0, None)
+_COMMENT_RE = re.compile(r"\\[^\n]*")
 
 _TOKEN_RE = re.compile(
     r"(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?![\w.\[\]@#]))"
     r"|(?P<name>[A-Za-z_!\"#$%&(),;?@'`{}|~.][A-Za-z0-9_!\"#$%&(),;?@'`{}|~.\[\]]*)"
     r"|(?P<op><=|>=|=<|=>|=|\+|-|:)")
 
-# the chunks that are one operator token, and that token
-_OPS = {op: ("op", {"=<": "<=", "=>": ">="}.get(op, op))
-        for op in ("<=", ">=", "=<", "=>", "=", "+", "-", ":")}
-_COLON = ("op", ":")
-_SIGNS = {("op", "+"): 1.0, ("op", "-"): -1.0}
-_OBJECTIVE_END = (("op", "="), ("num", "0"))
-# the most numbers a reading keeps lexed; it starts over when it has as many
-_NUMBERS_KEPT = 1 << 14
-_SENSE_CODES = {sense: code for code, sense in enumerate(SENSES)}
+# token kinds: a number, a name, or an operator, named by its text; a
+# sense's code in SENSES is its kind minus _LE
+_KINDS = ("num", "name", "+", "-", ":") + SENSES
+_NUM, _NAME, _PLUS, _MINUS, _COLON, _LE, _GE, _EQ = range(len(_KINDS))
+# the chunks that are one operator token, and its kind
+_OPS = {"<=": _LE, "=<": _LE, ">=": _GE, "=>": _GE, "=": _EQ, "+": _PLUS,
+        "-": _MINUS, ":": _COLON}
+
+
+_NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_!\"#$%&(),;?@'`{}|~"
+_BLANKS = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "      # where str.split() splits ASCII
+
+
+def _chunk_kinds() -> np.ndarray:
+    """The kind of a chunk of one whole token by its first two bytes (the
+    second a blank if the chunk has one byte), as a table indexed by
+    ``first << 8 | second``; -1 where the chunk must be lexed.  Digits and
+    signs start numbers, but a sign alone is an operator, as are ":" and
+    "=" alone and the two-byte senses; letters and symbols start names.
+    "." may start a number or a name, so such a chunk is lexed."""
+    table = np.full((256, 256), -1, np.int8)
+    table[list(b"0123456789+-")] = _NUM
+    table[list(_NAME_START.encode())] = _NAME
+    for op, kind in _OPS.items():
+        for blank in (_BLANKS.encode() if len(op) == 1 else [op.encode()[1]]):
+            table[ord(op[0]), blank] = kind
+    return table.reshape(-1)
+
+
+_CHUNK_KINDS = _chunk_kinds()
+# per byte, a flag: a blank, or the kinds of token that cannot hold it
+_BLANK, _NOT_NUM, _NOT_NAME = 1, 2, 4
+_BYTE_FLAGS = bytes(
+    _BLANK if c in _BLANKS
+    else 0 if c in "0123456789.eE"
+    else _NOT_NAME if c in "+-"
+    else _NOT_NUM if c in _NAME_START + "[]"
+    else _NOT_NUM | _NOT_NAME for c in map(chr, range(256)))
 
 
 def _lex(chunk: str) -> list:
-    """The tokens of a whitespace-free chunk, lexed with ``_TOKEN_RE``."""
+    """The ``(kind, text)`` tokens of a whitespace-free chunk, lexed with
+    ``_TOKEN_RE``."""
     tokens = []
     pos = 0
     while pos < len(chunk):
@@ -403,199 +497,326 @@ def _lex(chunk: str) -> list:
             raise LpFormatError(
                 f"cannot tokenize LP text near {chunk[pos:pos + 30]!r}")
         pos = m.end()
-        val = m.group()
-        tokens.append(_OPS[val] if m.lastgroup == "op" else (m.lastgroup, val))
+        text = m.group()
+        kind = m.lastgroup
+        tokens.append((_OPS[text] if kind == "op"
+                       else _NUM if kind == "num" else _NAME, text))
     return tokens
 
 
-def _lp_tokens(lines, reading: _Reading):
-    """Iterator over the ``(kind, text)`` tokens of ``lines``.
+def _lp_tokens(text: str) -> tuple:
+    """``(texts, kinds, values)`` of the tokens of ``text``: the text of
+    each token, its kind as an int8 array, and a float array holding the
+    value of each number.
 
     No token spans whitespace, and the one lookahead (after a number) passes
     both before whitespace and at the end of a chunk, so the tokens of a
-    line are those of its ``split()`` chunks in turn.  A chunk in
-    ``reading.tokens`` (an operator, or one of at most ``_NUMBERS_KEPT``
-    numbers read before) is that token; a chunk ``_TOKEN_RE`` matches whole
-    is one token; every other chunk is lexed.
+    text are those of its ``split()`` chunks in turn.  In ASCII text, the
+    bytes of each chunk tell whether it is one whole token, and of which
+    kind; a number is one if ``float`` also reads it.  If any chunk is not
+    one whole token, every chunk is lexed with ``_TOKEN_RE``.
     """
-    known, match = reading.tokens, _TOKEN_RE.match
-    for line in lines:
-        for chunk in line.split():
-            token = known.get(chunk)
-            if token is None:
-                m = match(chunk)
-                if m is None or m.end() != len(chunk):
-                    yield from _lex(chunk)
-                    continue
-                token = m.lastgroup, chunk
-                if token[0] == "num":
-                    if len(known) >= len(_OPS) + _NUMBERS_KEPT:
-                        known.clear()
-                        known.update(_OPS)
-                    known[chunk] = token
-            yield token
+    chunks = text.split()
+    n = len(chunks)
+    values = np.zeros(n)
+    if text.isascii() and n:
+        # the text between blanks, so that each chunk has a blank each side
+        text = f" {text} ".encode()
+        flags = np.frombuffer(text.translate(_BYTE_FLAGS), np.uint8)
+        text = np.frombuffer(text, np.uint8)
+        edges = np.flatnonzero(np.diff(flags == _BLANK)) + 1
+        start, length = edges[0::2], edges[1::2] - edges[0::2]
+        kind = _CHUNK_KINDS[text[start].astype(np.intp) << 8
+                            | text[start + 1]]
+        kind[(kind >= _LE) & (length > 2)] = -1
+        flags = np.bitwise_or.reduceat(flags, start)
+        kind[((kind == _NUM) & (flags & _NOT_NUM > 0))
+             | ((kind == _NAME) & (flags & _NOT_NAME > 0))] = -1
+        if not (kind < 0).any():
+            number = kind == _NUM
+            try:
+                values[number] = _floats(compress(chunks, number.tolist()))
+                return chunks, kind, values
+            except ValueError:
+                pass
+    tokens = [token for chunk in chunks for token in _lex(chunk)]
+    kind = np.fromiter(map(itemgetter(0), tokens), np.int8, len(tokens))
+    chunks = list(map(itemgetter(1), tokens))
+    values = np.zeros(len(tokens))
+    at = np.flatnonzero(kind == _NUM)
+    values[at] = _floats(map(chunks.__getitem__, at.tolist()))
+    return chunks, kind, values
 
 
-def _lp_lines(fh):
-    """``((number, kind), line)`` of each line of an LP file, comments
-    removed, with the number and kind of the section it is in; a section
-    header counts as an empty line of its section."""
-    section = _BEFORE_SECTIONS
-    try:
-        for line in fh:
-            if "\\" in line:
-                line = line[:line.index("\\")]
-            head = _SECTION_RE.fullmatch(line)
-            if head:
-                section = (section[0] + 1, head.lastgroup)
-                line = ""
-            yield section, line
-    except UnicodeDecodeError as exc:
-        raise LpFormatError(f"{fh.name} is not a text file: {exc}") from None
+_NO_TOKENS = ([], np.zeros(0, np.int8), np.zeros(0))
 
 
-def _lp_rows(tokens, reading: _Reading, rows: _Rows) -> None:
-    """Read the rows ``[name:] expression sense [+|-] rhs`` from the token
-    iterator ``tokens`` into ``rows``, adding their columns to ``reading``.
+class _RowSection:
+    """The rows ``[name:] expression sense [+|-] rhs`` of one LP section,
+    read from its text a block at a time into ``rows``.
 
     An expression is a run of ``[+|-]... [coefficient] variable`` terms; a
     variable named twice in a row sums its coefficients and ``__zero__`` is
-    dropped.
+    dropped.  Each block is read up to its last variable (a name not
+    followed by ":"), which ends a term whatever comes next; the tokens
+    after it wait for the next block, and ``open`` says that they go on a
+    row begun before them.
     """
-    column, index = reading.column, reading.index
-    add_row, add_col, add_val = rows.row.append, rows.col.append, rows.val.append
-    for head in tokens:
-        name, body = None, tokens
-        if head[0] == "name":
-            second = next(tokens, None)
-            if second == _COLON:
-                name = head[1]
-            else:
-                body = chain((head,) if second is None else (head, second),
-                             tokens)
-        else:
-            body = chain((head,), tokens)
-        r = len(rows.sense)
-        sign, coef, sense = 1.0, None, None
-        for kind, val in body:
-            if kind == "name":
-                if val != "__zero__":
-                    j = index.get(val)
-                    add_row(r)
-                    add_col(column(val) if j is None else j)
-                    add_val(sign if coef is None else sign * coef)
-                sign, coef = 1.0, None
-            elif kind == "num":
-                if coef is not None:
-                    raise LpFormatError(
-                        f"row {name or f'r{r}'}: two consecutive numbers")
-                coef = float(val)
-            elif val == "-":
-                sign = -sign
-            elif val != "+":
-                sense = val
-                break
-        if coef is not None:
-            raise LpFormatError(f"row {name or f'r{r}'} ends with a dangling "
-                                "number")
-        code = _SENSE_CODES.get(sense)
-        if code is None:
-            raise LpFormatError(f"row {name or f'r{r}'}: missing sense")
-        rhs = next(tokens, None)
-        sign = _SIGNS.get(rhs)
-        if sign is None:
-            sign = 1.0
-        else:
-            rhs = next(tokens, None)
-        if rhs is None or rhs[0] != "num":
-            raise LpFormatError(f"row {name or f'r{r}'}: missing rhs")
-        rows.sense.append(code)
-        rows.rhs.append(sign * float(rhs[1]))
+
+    def __init__(self, reading: _Reading, rows: _Rows):
+        self.reading, self.rows = reading, rows
+        self.waiting = _NO_TOKENS
+        self.open = False
+
+    def read(self, text: str) -> None:
+        tokens = _lp_tokens(text.replace(":", " : "))
+        if self.waiting[0]:
+            tokens = (self.waiting[0] + tokens[0],
+                      *(np.concatenate(pair)
+                        for pair in zip(self.waiting[1:], tokens[1:])))
+        kinds = tokens[1]
+        ends = np.flatnonzero((kinds[:-1] == _NAME) & (kinds[1:] != _COLON))
+        if not len(ends):
+            self.waiting = tokens
+            return
+        cut = int(ends[-1]) + 1
+        self._rows(*(part[:cut] for part in tokens), last=False)
+        self.waiting = tuple(part[cut:] for part in tokens)
+        self.open = True
+
+    def close(self) -> None:
+        """Read the waiting tokens, which must end the last row."""
+        self._rows(*self.waiting, last=True)
+        self.waiting = _NO_TOKENS
+
+    def _rows(self, texts, kinds, values, last: bool) -> None:
+        """Read the rows of the tokens, and the terms of the row that is
+        still open after them unless they are the ``last``."""
+        rows, size, first_row = self.rows, len(kinds), self.rows.count
+        if not size:
+            if last and self.open:
+                raise LpFormatError(f"row r{first_row}: missing sense")
+            return
+        # each sense ends its row's expression, and one [+|-] number after
+        # it ends the row
+        sense = np.flatnonzero(kinds >= _LE)
+        after = np.minimum(sense + 1, size - 1)
+        sign = ((sense + 1 < size) & ((kinds[after] == _PLUS)
+                                       | (kinds[after] == _MINUS)))
+        rhs = sense + 1 + sign
+        bad = np.flatnonzero((rhs >= size)
+                             | (kinds[np.minimum(rhs, size - 1)] != _NUM))
+        if len(bad):
+            raise LpFormatError(f"row r{first_row + bad[0]}: missing rhs")
+        ends = rhs + 1
+        tail = int(ends[-1]) if len(ends) else 0
+        if last and (tail < size or (self.open and not len(ends))):
+            raise LpFormatError(f"row r{first_row + len(ends)}: missing sense")
+        # a row begun here starts with its label "name :" if it has one
+        heads = np.concatenate([[0], ends[:-1 if tail == size else None]])
+        heads = heads[1:] if self.open else heads
+        heads = heads[heads + 1 < size]
+        label = heads[(kinds[heads] == _NAME) & (kinds[heads + 1] == _COLON)]
+        outside = np.zeros(size, bool)
+        for at in (sense, sense[sign] + 1, rhs, label, label + 1):
+            outside[at] = True
+        # the expressions: terms, each ended by its variable
+        expr = np.flatnonzero(~outside)
+        kind = kinds[expr]
+        row = np.searchsorted(ends, expr, side="right")
+        if (kind == _COLON).any():
+            raise LpFormatError(
+                f"row r{first_row + row[kind == _COLON][0]}: missing sense")
+        is_var = kind == _NAME
+        term = np.cumsum(is_var) - is_var
+        var_row = row[is_var]
+        in_term = term < len(var_row)
+        in_term[in_term] = var_row[term[in_term]] == row[in_term]
+        number = kind == _NUM
+        bad = np.flatnonzero(number & ~in_term)
+        if len(bad):
+            raise LpFormatError(f"row r{first_row + row[bad[0]]} ends with a "
+                                "dangling number")
+        coef = term[number]
+        if len(coef) and (np.diff(coef) == 0).any():
+            raise LpFormatError(f"row r{first_row + row[number][0]}: "
+                                "two consecutive numbers")
+        value = np.ones(len(var_row))
+        value[coef] = values[expr[number]]
+        flip = np.bincount(term[(kind == _MINUS) & in_term],
+                           minlength=len(var_row)) % 2 == 1
+        value[flip] = -value[flip]
+        names = list(map(texts.__getitem__, expr[is_var].tolist()))
+        if "__zero__" in names:
+            keep = np.fromiter(map("__zero__".__ne__, names), bool, len(names))
+            names = list(compress(names, keep))
+            var_row, value = var_row[keep], value[keep]
+        rows.entries.append((first_row + var_row,
+                             self.reading.columns(names), value))
+        rhs_value = values[rhs]
+        negative = sign & (kinds[after] == _MINUS)
+        rhs_value[negative] = -rhs_value[negative]
+        rows.add((kinds[sense] - _LE).astype(np.int8), rhs_value)
+
+
+def _read_bounds(text: str, reading: _Reading) -> None:
+    """Apply the bound lines of ``text`` in order.  Lines of the forms
+    ``v sense number`` and ``number <= v <= number`` are applied together;
+    a text with any other line is read a line at a time."""
+    lines = text.split("\n")
+    counts = np.fromiter(map(len, map(str.split, lines)), np.int64,
+                         len(lines))
+    texts, kinds, values = _lp_tokens(text)
+    if len(texts) == counts.sum():
+        at = (np.cumsum(counts) - counts)[counts > 0]
+        n = counts[counts > 0]
+        three, five = n == 3, n == 5
+        a = at[three]
+        b = at[five]
+        name = np.where(five, at + 2, at)
+        plain = (three.sum() + five.sum() == len(n)
+                 and ((kinds[a] == _NAME) & (kinds[a + 1] >= _LE)
+                      & (kinds[a + 2] == _NUM)).all()
+                 and ((kinds[b] == _NUM) & (kinds[b + 1] == _LE)
+                      & (kinds[b + 2] == _NAME) & (kinds[b + 3] == _LE)
+                      & (kinds[b + 4] == _NUM)).all())
+        names = list(map(texts.__getitem__, name.tolist()))
+        if plain and {"inf", "infinity"}.isdisjoint(
+                map(str.lower, compress(names, three.tolist()))):
+            j = reading.columns(names)
+            sense = kinds[at + 1]
+            low = five | (sense == _GE) | (sense == _EQ)
+            high = five | (sense == _LE) | (sense == _EQ)
+            _last_wins(reading.lower, j[low],
+                       np.where(five, values[at], values[at + 2])[low])
+            _last_wins(reading.upper, j[high],
+                       values[np.where(five, at + 4, at + 2)][high])
+            return
+    for line in lines:
+        tokens = [token for chunk in line.split() for token in _lex(chunk)]
+        if tokens:
+            try:
+                _parse_bound(tokens, reading)
+            except (IndexError, LpFormatError) as exc:
+                raise LpFormatError(
+                    f"bad bound line {line.strip()!r}: {exc}") from exc
+
+
+def _read_integers(text: str, reading: _Reading, binary: bool) -> None:
+    """Mark the columns named in ``text`` integer; a binary also gets the
+    bounds [0, min(upper, 1)]."""
+    j = reading.columns(text.split())
+    reading.integer[j] = True
+    if binary:
+        reading.lower[j] = 0.0
+        reading.upper[j] = np.minimum(reading.upper[j], 1.0)
+
+
+class _LpSection:
+    """One section of an LP file, read a block of lines at a time; lines
+    before the first header and after ``End`` are not read."""
+
+    def __init__(self, kind: Optional[str], reading: _Reading):
+        self.kind, self.reading = kind, reading
+        self.rows = None
+        if kind in ("minimize", "maximize"):
+            # the objective reads as the one row "[name:] expression = 0"
+            reading.minimize = kind == "minimize"
+            self.rows = _RowSection(reading, _Rows())
+        elif kind == "constraints":
+            self.rows = _RowSection(reading, reading.rows)
+
+    def read(self, text: str) -> None:
+        if self.rows is not None:
+            self.rows.read(text)
+        elif self.kind == "bounds":
+            _read_bounds(text, self.reading)
+        elif self.kind in ("binaries", "generals"):
+            _read_integers(text, self.reading, self.kind == "binaries")
+
+    def close(self) -> None:
+        if self.rows is None:
+            return
+        if self.kind == "constraints":
+            self.rows.close()
+            return
+        self.rows.read(" = 0")
+        self.rows.close()
+        if self.rows.rows.count != 1:
+            raise LpFormatError("trailing tokens in objective")
+        self.reading.objective = self.rows.rows
 
 
 @_gc_paused()
 def read_lp(path) -> ModelArrays:
-    """Read an LP file, one section at a time, as a stream of lines."""
+    """Read an LP file a block of lines at a time."""
     reading = _Reading()
+    section = _LpSection(None, reading)
     with open(path) as fh:
-        for (_, kind), group in groupby(_lp_lines(fh), key=itemgetter(0)):
-            lines = map(itemgetter(1), group)
-            if kind in ("minimize", "maximize"):
-                # the objective reads as the one row "[name:] expression = 0"
-                reading.minimize = kind == "minimize"
-                objective = _Rows()
-                _lp_rows(chain(_lp_tokens(lines, reading), _OBJECTIVE_END),
-                         reading, objective)
-                if len(objective.sense) != 1:
-                    raise LpFormatError("trailing tokens in objective")
-                reading.objective = objective
-            elif kind == "constraints":
-                _lp_rows(_lp_tokens(lines, reading), reading, reading.rows)
-            elif kind == "bounds":
-                for line in lines:
-                    tokens = list(_lp_tokens((line,), reading))
-                    if tokens:
-                        try:
-                            _parse_bound(tokens, reading)
-                        except (IndexError, LpFormatError) as exc:
-                            raise LpFormatError(
-                                f"bad bound line {line.strip()!r}: {exc}"
-                            ) from exc
-            elif kind in ("binaries", "generals"):
-                for line in lines:
-                    for var in line.split():
-                        j = reading.column(var)
-                        reading.integer[j] = 1
-                        if kind == "binaries":
-                            reading.lower[j] = 0.0
-                            reading.upper[j] = min(reading.upper[j], 1.0)
+        for lines in _line_blocks(fh):
+            text = "\n" + "".join(lines)
+            if "\\" in text:
+                text = _COMMENT_RE.sub("", text)
+            at = 0
+            for head in _SECTION_RE.finditer(text):
+                section.read(text[at:head.start()])
+                section.close()
+                section = _LpSection(head.lastgroup, reading)
+                at = head.end()
+            section.read(text[at:])
+    section.close()
     return reading.arrays()
 
 
 def _bound_value(tokens: list, i: int):
     """The value ``[+|-] number`` or ``[+|-] inf`` at ``tokens[i]``, and the
     index after it."""
-    sign = _SIGNS.get(tokens[i])
-    if sign is None:
-        sign = 1.0
-    else:
+    kind, text = tokens[i]
+    sign = 1.0
+    if kind in (_PLUS, _MINUS):
+        sign = -1.0 if kind == _MINUS else 1.0
+        kind, text = tokens[i + 1]
         i += 1
-    kind, val = tokens[i]
-    if kind == "num":
-        return sign * float(val), i + 1
-    if kind == "name" and val.lower() in ("inf", "infinity", "+inf"):
+    if kind == _NUM:
+        return sign * float(text), i + 1
+    if kind == _NAME and text.lower() in ("inf", "infinity", "+inf"):
         return sign * math.inf, i + 1
-    raise LpFormatError(f"bad bound value {val!r}")
+    raise LpFormatError(f"bad bound value {text!r}")
 
 
 def _parse_bound(tokens: list, reading: _Reading) -> None:
-    """Apply the tokens of one bound line: ``v free``, ``v sense b``,
-    ``b <= v`` or ``b <= v <= b``."""
-    lower, upper = reading.lower, reading.upper
+    """Apply the ``(kind, text)`` tokens of one bound line: ``v free``,
+    ``v sense b``, ``b <= v`` or ``b <= v <= b``."""
+    def column(name):
+        return int(reading.columns([name])[0])
+
     if len(tokens) == 2 and tokens[1][1].lower() == "free":
-        lower[reading.column(tokens[0][1])] = -math.inf
+        j = column(tokens[0][1])
+        reading.lower[j] = -math.inf
         return
-    if tokens[0][0] == "name" and tokens[0][1].lower() not in ("inf", "infinity"):
-        j = reading.column(tokens[0][1])
-        sense = tokens[1][1]
+    if tokens[0][0] == _NAME and tokens[0][1].lower() not in ("inf",
+                                                             "infinity"):
+        j = column(tokens[0][1])
+        lower, upper = reading.lower, reading.upper
+        sense = tokens[1][0]
         value, _ = _bound_value(tokens, 2)
-        if sense == "<=":
+        if sense == _LE:
             upper[j] = value
-        elif sense == ">=":
+        elif sense == _GE:
             lower[j] = value
         else:
             lower[j] = upper[j] = value
         return
     lo, i = _bound_value(tokens, 0)
-    if tokens[i][1] != "<=":
+    if tokens[i][0] != _LE:
         raise LpFormatError(f"expected '<=' after {lo}")
     var = tokens[i + 1][1]
-    j = reading.column(var)
-    lower[j] = lo
+    j = column(var)
+    reading.lower[j] = lo
     if i + 2 < len(tokens):
-        if tokens[i + 2][1] != "<=":
+        if tokens[i + 2][0] != _LE:
             raise LpFormatError(f"expected '<=' after {var}")
-        upper[j], _ = _bound_value(tokens, i + 3)
+        reading.upper[j], _ = _bound_value(tokens, i + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -691,120 +912,199 @@ def _mps_column_lines(names, row_names, col, row, val, first, want_int,
 
 
 _MPS_SENSES = {t: code for code, t in enumerate(_MPS_TYPES)}
+# per bound type: what it sets, as (lower, upper, integer); None leaves a
+# field as it is, and "v" takes the value on the line
+_MPS_BOUNDS = {"UP": (None, "v", False), "LO": ("v", None, False),
+               "FX": ("v", "v", False), "BV": (0.0, 1.0, True),
+               "MI": (-math.inf, None, False), "PL": (None, math.inf, False),
+               "UI": (None, "v", True)}
+_BOUND_CODES = {t: code for code, t in enumerate(_MPS_BOUNDS)}
 
 
-def _mps_lines(fh):
-    """``(section, parts)`` of each data line of an MPS file up to ENDATA.
-    A header line starts with neither whitespace nor the "*" of a comment;
-    blank lines and comments split into no parts or a "*" part."""
-    section = None
-    try:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0][0] == "*":
+def _is_marker(parts: list) -> bool:
+    return ((len(parts) >= 3 and parts[1].startswith("'MARKER'"))
+            or "'MARKER'" in parts)
+
+
+def _mps_runs(fh):
+    """``(section, lines, integer)`` of each run of data lines of an MPS file
+    up to ENDATA, a line given as its parts; ``integer`` says whether the
+    run lies between an INTORG and an INTEND marker.
+
+    A header line starts with neither whitespace nor the "*" of a comment,
+    and blank lines and comments are skipped.  A block of lines with no
+    header, comment or marker is one run; any other is read a line at a
+    time.
+    """
+    section, integer = None, False
+    for lines in _line_blocks(fh):
+        parts = list(map(str.split, lines))
+        text = "".join(lines)
+        if ("*" not in text and "'MARKER'" not in text
+                and "".join(map(itemgetter(0), lines)).isspace()):
+            del lines, text
+            yield section, list(filter(None, parts)), integer
+            del parts
+            continue
+        run = []
+        for line, p in zip(lines, parts):
+            if not p or p[0][0] == "*":
                 continue
-            if not line[0].isspace():
-                section = parts[0].upper()
-                if section == "ENDATA":
-                    return
+            if line[0].isspace() and not (section == "COLUMNS"
+                                          and _is_marker(p)):
+                run.append(p)
                 continue
-            yield section, parts
-    except UnicodeDecodeError as exc:
-        raise LpFormatError(f"{fh.name} is not a text file: {exc}") from None
+            yield section, run, integer
+            run = []
+            if line[0].isspace():
+                integer = (p[2].strip("'") == "INTORG"
+                           if len(p) >= 3 and p[1].startswith("'MARKER'")
+                           else "'INTORG'" in p)
+                continue
+            section = p[0].upper()
+            if section == "ENDATA":
+                return
+        yield section, run, integer
+
+
+def _mps_pairs(lines: list) -> tuple:
+    """``(line, names, values)`` of the ``name value`` pairs that follow
+    the first part of each line: the line of each pair, its name and its
+    value.  An odd part at the end of a line is left out."""
+    lengths = np.fromiter(map(len, lines), np.int64, len(lines))
+    pairs = (lengths - 1) // 2
+    line = np.repeat(np.arange(len(lines)), pairs)
+    at = (np.repeat(np.cumsum(lengths) - lengths - 2 * (np.cumsum(pairs)
+                                                        - pairs), pairs)
+          + 1 + 2 * np.arange(len(line)))
+    parts = list(chain.from_iterable(lines))
+    names = list(map(parts.__getitem__, at.tolist()))
+    values = _floats(map(parts.__getitem__, (at + 1).tolist()))
+    return line, names, values
+
+
+class _MpsReading:
+    """The sections of an MPS file as a reader reads them, a run of data
+    lines at a time."""
+
+    def __init__(self, reading: _Reading):
+        self.reading = reading
+        self.obj_row = None
+        self.row_index: dict = {}        # row name -> row
+
+    def rows(self, lines: list) -> None:
+        if min(map(len, lines)) < 2:
+            raise IndexError("a row needs a type and a name")
+        types = list(map(str.upper, map(itemgetter(0), lines)))
+        names = list(map(itemgetter(1), lines))
+        if "N" in types:
+            if self.obj_row is None:
+                self.obj_row = names[types.index("N")]
+            kept = [t != "N" for t in types]
+            types, names = list(compress(types, kept)), list(compress(names,
+                                                                    kept))
+        sense = np.fromiter(map(_MPS_SENSES.__getitem__, types), np.int8,
+                            len(types))
+        row_index = self.row_index
+        if len(dict.fromkeys(names)) < len(names) or any(
+                map(row_index.__contains__, names)):
+            raise ValueError("a row is named twice")
+        row_index.update(zip(names, count(len(row_index))))
+        self.reading.rows.add(sense, np.zeros(len(names)))
+
+    def _row_entries(self, names: list) -> tuple:
+        """The row of each name (-1 for the objective), and whether it names
+        the objective, which goes before a row of the same name."""
+        rows = np.fromiter(map(self.row_index.get, names, repeat(-1)),
+                           np.int64, len(names))
+        objective = np.zeros(len(names), bool)
+        if self.obj_row is not None:
+            at = (np.arange(len(names)) if self.obj_row in self.row_index
+                  else np.flatnonzero(rows < 0))
+            objective[at] = np.fromiter(
+                map(self.obj_row.__eq__, map(names.__getitem__, at.tolist())),
+                bool, len(at))
+        return rows, objective
+
+    def columns(self, lines: list, integer: bool) -> None:
+        reading = self.reading
+        j = reading.columns(list(map(itemgetter(0), lines)))
+        if integer:
+            reading.integer[j] = True
+        line, names, values = _mps_pairs(lines)
+        rows, objective = self._row_entries(names)
+        unknown = np.flatnonzero((rows < 0) & ~objective)
+        if len(unknown):
+            raise ValueError(f"unknown row {names[unknown[0]]!r}")
+        j = j[line]
+        reading.rows.entries.append((rows[~objective], j[~objective],
+                                     values[~objective]))
+        reading.objective.entries.append(
+            (np.zeros(objective.sum(), np.int64), j[objective],
+             values[objective]))
+
+    def rhs(self, lines: list) -> None:
+        _, names, values = _mps_pairs(lines)
+        rows = np.fromiter(map(self.row_index.get, names, repeat(-1)),
+                           np.int64, len(names))
+        known = rows >= 0
+        self.reading.rows.rhs_set.append((rows[known], values[known]))
+
+    def bounds(self, lines: list) -> None:
+        reading = self.reading
+        if min(map(len, lines)) < 3:
+            raise IndexError("a bound needs a type, a set name and a column")
+        types = list(map(str.upper, map(itemgetter(0), lines)))
+        j = reading.columns(list(map(itemgetter(2), lines)))
+        code = np.fromiter(map(_BOUND_CODES.get, types, repeat(-1)), np.int64,
+                           len(types))
+        if (code < 0).any():
+            raise ValueError("unsupported bound type "
+                             f"{types[np.flatnonzero(code < 0)[0]]!r}")
+        sets = [list(field) for field in zip(*_MPS_BOUNDS.values())]
+        valued = np.flatnonzero(np.isin(code, [k for k, s in enumerate(
+            _MPS_BOUNDS.values()) if "v" in s]))
+        value = np.full(len(lines), math.nan)
+        value[valued] = _floats(map(itemgetter(3), map(lines.__getitem__,
+                                                       valued.tolist())))
+        for field, target in zip(sets, (reading.lower, reading.upper)):
+            new = np.array([math.nan if s in (None, "v") else s
+                            for s in field])[code]
+            new = np.where(np.array([s == "v" for s in field])[code], value,
+                           new)
+            at = np.array([s is not None for s in field])[code]
+            _last_wins(target, j[at], new[at])
+        reading.integer[j[np.array(sets[2])[code]]] = True
 
 
 @_gc_paused()
 def read_mps(path) -> ModelArrays:
-    """Read a free-format MPS file, one loop per section."""
+    """Read a free-format MPS file a block of lines at a time."""
     reading = _Reading()
-    column, rows, objective = reading.column, reading.rows, reading.objective
-    lower, upper, integer = reading.lower, reading.upper, reading.integer
-    obj_row = None
-    row_index: dict = {}             # row name -> row
-    integer_mode = False
+    mps = _MpsReading(reading)
     with open(path) as fh:
-        for section, group in groupby(_mps_lines(fh), key=itemgetter(0)):
-            lines = map(itemgetter(1), group)
+        for section, lines, integer in _mps_runs(fh):
+            if not lines:
+                continue
             try:
                 if section == "ROWS":
-                    for parts in lines:
-                        code, name = parts[0].upper(), parts[1]
-                        if code == "N":
-                            if obj_row is None:
-                                obj_row = name
-                            continue
-                        if name in row_index:
-                            raise ValueError(f"row {name!r} named twice")
-                        rows.sense.append(_MPS_SENSES[code])
-                        rows.rhs.append(0.0)
-                        row_index[name] = len(row_index)
+                    mps.rows(lines)
                 elif section == "COLUMNS":
-                    for parts in lines:
-                        if len(parts) >= 3 and parts[1].startswith("'MARKER'"):
-                            integer_mode = parts[2].strip("'") == "INTORG"
-                            continue
-                        if "'MARKER'" in parts:
-                            integer_mode = "'INTORG'" in parts
-                            continue
-                        j = column(parts[0])
-                        if integer_mode:
-                            integer[j] = 1
-                        for k in range(1, len(parts) - 1, 2):
-                            name, val = parts[k], float(parts[k + 1])
-                            if name == obj_row:
-                                objective.row.append(0)
-                                objective.col.append(j)
-                                objective.val.append(val)
-                                continue
-                            r = row_index.get(name)
-                            if r is None:
-                                raise ValueError(f"unknown row {name!r}")
-                            rows.row.append(r)
-                            rows.col.append(j)
-                            rows.val.append(val)
+                    mps.columns(lines, integer)
                 elif section == "RHS":
-                    for parts in lines:
-                        for k in range(1, len(parts) - 1, 2):
-                            value = float(parts[k + 1])
-                            r = row_index.get(parts[k])
-                            if r is not None:
-                                rows.rhs[r] = value
+                    mps.rhs(lines)
                 elif section == "RANGES":
-                    for parts in lines:
-                        raise ValueError("RANGES is not supported")
+                    raise ValueError("RANGES is not supported")
                 elif section == "BOUNDS":
-                    for parts in lines:
-                        btype, j = parts[0].upper(), column(parts[2])
-                        if btype == "UP":
-                            upper[j] = float(parts[3])
-                        elif btype == "LO":
-                            lower[j] = float(parts[3])
-                        elif btype == "FX":
-                            lower[j] = upper[j] = float(parts[3])
-                        elif btype == "BV":
-                            integer[j] = 1
-                            lower[j] = 0.0
-                            upper[j] = 1.0
-                        elif btype == "MI":
-                            lower[j] = -math.inf
-                        elif btype == "PL":
-                            upper[j] = math.inf
-                        elif btype == "UI":
-                            integer[j] = 1
-                            upper[j] = float(parts[3])
-                        else:
-                            raise ValueError(
-                                f"unsupported bound type {btype!r}")
-            except LpFormatError:                  # not a text file
-                raise
+                    mps.bounds(lines)
             except (IndexError, KeyError, ValueError) as exc:
-                raise LpFormatError(f"bad {section} line "
-                                    f"{' '.join(parts)!r}: {exc}") from exc
-    del row_index
+                raise LpFormatError(f"bad {section} line: {exc}") from exc
+            del lines
+    del mps
     # integer variables with no explicit bounds default to [0, 1] in MPS
-    for j in np.flatnonzero(np.array(integer, bool)
-                            & (np.array(upper) == math.inf)).tolist():
-        upper[j] = 1.0
+    n = len(reading.index)
+    upper = reading.upper[:n]
+    upper[reading.integer[:n] & (upper == math.inf)] = 1.0
     return reading.arrays()
 
 

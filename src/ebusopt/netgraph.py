@@ -433,11 +433,18 @@ def build_graph(instance: Instance, theta: float,
         raise GraphError(f"trips unreachable from every depot: {missing}")
 
     # --- trip-to-trip connections -------------------------------------------
+    # Two trips connect both ways only when both take no time, at the same
+    # instant, with no deadhead time between them; such a pair keeps only
+    # the connection from the lower trip index, so the graph stays acyclic.
     for k, a in enumerate(instance.trips):
         for j, b in enumerate(instance.trips):
             leg = j != k and deadhead(CONNECTION, a.destination, b.origin,
                                       a.arrival_s, b.departure_s, all_pids,
                                       trip=b)
+            if leg and j < k and a.departure_s == a.arrival_s and deadhead(
+                    CONNECTION, b.destination, a.origin, b.arrival_s,
+                    a.departure_s, all_pids, trip=a):
+                leg = None
             if leg:
                 add_arcs((trip_code[k],), (trip_code[j],), leg[1])
 

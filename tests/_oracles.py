@@ -847,16 +847,19 @@ def build_graph(instance, theta, options=GraphOptions()):
         raise GraphError(f"trips unreachable from every depot: {missing}")
 
     # --- trip-to-trip connections -------------------------------------------
-    for a in instance.trips:
-        for b in instance.trips:
-            if a.id == b.id:
+    def connects(a, b):
+        leg = connection_leg(a.destination, b.origin)
+        return leg is not None and a.arrival_s + leg[0] <= b.departure_s
+
+    for i, a in enumerate(instance.trips):
+        for j, b in enumerate(instance.trips):
+            if i == j or not connects(a, b):
                 continue
-            leg = connection_leg(a.destination, b.origin)
-            if leg is None:
+            # of two trips that connect both ways, only the one listed first
+            # connects to the other
+            if j < i and connects(b, a):
                 continue
-            dur, cons, cost = leg
-            if a.arrival_s + dur > b.departure_s:
-                continue
+            dur, cons, cost = connection_leg(a.destination, b.origin)
             add_arc(tail=f"trip:{a.id}", head=f"trip:{b.id}", kind="connection",
                     plans=all_plan_ids,
                     move_consumption=electric_only(cons, all_plan_ids),

@@ -50,15 +50,25 @@ def _kept_dict_sizes():
     """Sizes of the dicts the reader keeps beyond a call: its module globals
     and the default arguments of its functions."""
     kept = [v for v in vars(lpformat).values() if isinstance(v, dict)]
-    for f in (lpformat._lex, lpformat._lp_tokens, lpformat._lp_lines,
-              lpformat._lp_rows, lpformat._parse_bound,
-              lpformat._Reading.column, lpformat.read_lp.__wrapped__):
+    for f in (lpformat._lex, lpformat._lp_tokens, lpformat._floats,
+              lpformat._RowSection._rows, lpformat._read_bounds,
+              lpformat._parse_bound, lpformat._Reading.columns,
+              lpformat.read_lp.__wrapped__):
         kept += [d for d in f.__defaults__ or () if isinstance(d, dict)]
     return [len(d) for d in kept]
 
 
-def _lp_tokens(text, reading=None):
-    return lpformat._lp_tokens([text], reading or lpformat._Reading())
+def _lp_tokens(text):
+    """The block tokenizer's tokens as ``(kind, text)`` pairs, operators
+    with their one spelling, after checking the value of each number."""
+    texts, kinds, values = lpformat._lp_tokens(text)
+    kinds = kinds.tolist()
+    for kind, token, value in zip(kinds, texts, values.tolist()):
+        if kind == lpformat._NUM:
+            assert value == float(token)
+    return [("op", lpformat._KINDS[kind]) if kind > lpformat._NAME
+            else (lpformat._KINDS[kind], token)
+            for kind, token in zip(kinds, texts)]
 
 
 @pytest.fixture(scope="module")
@@ -71,11 +81,9 @@ def lp_file(tmp_path_factory):
 def test_tokenizer_matches_per_position_reference(text, other, lp_file):
     want = _tokens_or_error(_oracles._tokenize_lp, text)
     assert _tokens_or_error(_lp_tokens, text) == want
-    # a reading that kept the numbers of another text hands out the same
-    # tokens
-    reading = lpformat._Reading()
-    _tokens_or_error(lambda t: _lp_tokens(t, reading), other)
-    assert _tokens_or_error(lambda t: _lp_tokens(t, reading), text) == want
+    # a text tokenized after another gives the same tokens
+    _tokens_or_error(_lp_tokens, other)
+    assert _tokens_or_error(_lp_tokens, text) == want
     # what a reading keeps lives for one read: nothing the module keeps
     # grows
     kept = _kept_dict_sizes()
@@ -89,12 +97,35 @@ def test_tokenizer_matches_per_position_reference(text, other, lp_file):
     assert _kept_dict_sizes() == kept
 
 
-def test_reading_keeps_a_bounded_number_of_numbers(monkeypatch):
-    monkeypatch.setattr(lpformat, "_NUMBERS_KEPT", 3)
+CHUNK = st.lists(st.one_of(st.sampled_from(PIECES), st.text(
+    alphabet="".join(c for c in CHARS if not c.isspace()), max_size=3)),
+    min_size=1, max_size=3).map("".join).filter(lambda c: not c.isspace())
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunks=st.lists(CHUNK, max_size=4))
+def test_tokenizer_tells_whole_tokens_like_the_reference(chunks):
+    # a chunk the bytes call one whole token must be one by the grammar,
+    # alone and among others
+    for text in chunks + [" ".join(chunks)]:
+        assert (_tokens_or_error(_lp_tokens, text)
+                == _tokens_or_error(_oracles._tokenize_lp, text))
+
+
+def test_reading_keeps_a_bounded_number_of_numbers(monkeypatch, lp_file):
+    # each number is converted within its block of lines, and no number
+    # outlives the read
+    monkeypatch.setattr(lpformat, "_LINES", 3)
     text = " ".join(f"{k} 1{k} -{k}.5 x{k}" for k in range(20))
-    reading = lpformat._Reading()
-    assert list(_lp_tokens(text, reading)) == _oracles._tokenize_lp(text)
-    assert len(reading.tokens) <= len(lpformat._OPS) + 3
+    assert _lp_tokens(text) == _oracles._tokenize_lp(text)
+    kept = _kept_dict_sizes()
+    with open(lp_file, "w") as fh:
+        fh.write("Subject To\n" + "".join(f" c{k}: {k}.25 x{k} >= -{k}.5\n"
+                                            for k in range(20)) + "End\n")
+    model = read_lp(lp_file)
+    assert model.vals.tolist() == [k + 0.25 for k in range(20)]
+    assert model.rhs.tolist() == [-k - 0.5 for k in range(20)]
+    assert _kept_dict_sizes() == kept
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +202,17 @@ def _assert_same_parse(ours, ref):
     _assert_same_arrays(ours, _oracles.parsed_arrays(ref))
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=lp_texts())
-def test_lp_reader_matches_reference_on_generated_files(text, lp_file):
+def _assert_lp_text_reads_as_reference(text, lp_file):
     with open(lp_file, "w") as fh:
         fh.write(text)
     _assert_same_parse(_read_or_error(read_lp, lp_file),
                        _read_or_error(_oracles.read_lp, lp_file))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=lp_texts())
+def test_lp_reader_matches_reference_on_generated_files(text, lp_file):
+    _assert_lp_text_reads_as_reference(text, lp_file)
 
 
 def test_bound_line_breaks_only_at_newline(lp_file):
@@ -215,15 +250,128 @@ def _golden_models():
     return _reference_models() + [("synth20", _synth20_model())]
 
 
-@pytest.mark.parametrize("relax", [False, True])
-def test_readers_match_reference_on_golden_models(tmp_path, relax):
+# ---------------------------------------------------------------------------
+# MPS reader over generated files
+# ---------------------------------------------------------------------------
+
+MPS_NUMBERS = st.sampled_from(["0", "1", "-2.5", "1e3", "-0", ".5",
+                               "0.10000000000000001"])
+MPS_COLUMNS_NAMES = st.sampled_from(["x", "y", "z1", "x[0][e0.D0]"])
+MARKERS = (("    M1 'MARKER' 'INTORG'", "    M2 'MARKER' 'INTEND'"),
+           ("    'MARKER' 'INTORG'", "    'MARKER' 'INTEND'"))
+NOISE = st.sampled_from(["abc", "nan", "1e999", "'MARKER'", "*", "RANGES",
+                         " RHS", "ENDATA", "  Q", "Z BND x 1"])
+
+
+@st.composite
+def mps_texts(draw):
+    """An MPS file of the sections the writer emits and more: extra N rows,
+    MARKER lines in both spellings, every bound type, RHS lines on the
+    objective and on unknown rows, comments and blank lines, and now and
+    then a noise token or line."""
+    rows = [f"c{k}" for k in range(draw(st.integers(0, 3)))]
+    objective = draw(st.sampled_from(["obj", "cost"]))
+    free = draw(st.lists(st.sampled_from(["n2", objective, "c0"]),
+                         max_size=2))
+    row_lines = [f" {draw(st.sampled_from('LGEl'))} {r}" for r in rows]
+    for name in [objective] + free:
+        row_lines.insert(draw(st.integers(0, len(row_lines))), f" N {name}")
+    known = rows + [objective] + free
+    entry = st.tuples(st.sampled_from(known + ["zz"]) if draw(
+        st.integers(0, 9)) == 0 else st.sampled_from(known), MPS_NUMBERS)
+    column_lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 3)) == 0:
+            column_lines.append(draw(st.sampled_from(MARKERS))[
+                draw(st.integers(0, 1))])
+        pairs = draw(st.lists(entry, max_size=2))
+        column_lines.append("    " + " ".join(
+            [draw(MPS_COLUMNS_NAMES)] + [f"{r} {v}" for r, v in pairs]))
+    rhs_lines = ["    RHS " + " ".join(f"{r} {v}" for r, v in draw(st.lists(
+        st.tuples(st.sampled_from(known + ["zz"]), MPS_NUMBERS),
+        min_size=1, max_size=2))) for _ in range(draw(st.integers(0, 2)))]
+    bound_lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["UP", "LO", "FX", "BV", "MI", "PL",
+                                     "UI", "up"]))
+        value = ("" if kind in ("BV", "MI", "PL") and draw(st.booleans())
+                 else " " + draw(MPS_NUMBERS))
+        bound_lines.append(f" {kind} BND {draw(MPS_COLUMNS_NAMES)}{value}")
+    lines = (["NAME t", "ROWS"] + row_lines + ["COLUMNS"] + column_lines
+             + ["RHS"] + rhs_lines + ["BOUNDS"] + bound_lines)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))),
+                     draw(st.sampled_from(["", "* note", "  * indented note",
+                                           "   "])))
+    if draw(st.integers(0, 9)) == 0:
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] += " " + draw(NOISE)
+    return "\n".join(lines + ["ENDATA", ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mps_texts())
+def test_mps_reader_matches_reference_on_generated_files(text, tmp_path_factory):
+    path = str(tmp_path_factory.getbasetemp() / "m.mps")
+    with open(path, "w") as fh:
+        fh.write(text)
+    _assert_same_parse(_read_or_error(read_mps, path),
+                       _read_or_error(_oracles.read_mps, path))
+
+
+def _assert_golden_models_read_as_reference(tmp_path, models, relax):
     readers = {"lp": (read_lp, _oracles.read_lp),
                "mps": (read_mps, _oracles.read_mps)}
-    for label, model in _golden_models():
+    for label, model in models:
         for fmt, (ours, reference) in readers.items():
             path = str(tmp_path / f"{label}.{fmt}")
             emit_model(model, fmt, path, relax=relax)
             _assert_same_parse(ours(path), reference(path))
+
+
+@pytest.mark.parametrize("relax", [False, True])
+def test_readers_match_reference_on_golden_models(tmp_path, relax):
+    _assert_golden_models_read_as_reference(tmp_path, _golden_models(), relax)
+
+
+# ---------------------------------------------------------------------------
+# a few lines at a time: rows, headers and comments at block edges
+# ---------------------------------------------------------------------------
+
+# Read 1, 2 or 3 lines at a time, this file has a section header as the
+# first line of a block (Subject To, line 6), a row split across blocks (c1
+# on lines 7-8, c2 on lines 9-13, whose rhs sign and number are on lines of
+# their own) and a comment at a block edge (line 8, and lines 0 and 19).
+BLOCK_EDGES = ("\\ edges\nMaximize\n obj: 2 x + 3\n y\n - z\n + 0 w\n"
+               "Subject To\n c1: x + y\n >= 1 \\ at the edge\n c2: - x\n\n"
+               " + z <=\n -\n 4 c3:\n 2 y =\n 5\nBounds\n x <= 3\n"
+               " 0 <= z <= 2\n\\ between\nBinaries\n y\nEnd\n")
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3])
+def test_readers_match_reference_a_few_lines_at_a_time(lines, monkeypatch,
+                                                       tmp_path, lp_file):
+    assert BLOCK_EDGES.splitlines().index("Subject To") % lines == 0
+    monkeypatch.setattr(lpformat, "_LINES", lines)
+    with open(lp_file, "w") as fh:
+        fh.write(BLOCK_EDGES)
+    model = read_lp(lp_file)
+    _assert_same_parse(model, _oracles.read_lp(lp_file))
+    assert list(model.rows) == [(0, {"x": 1.0, "y": 1.0}, ">=", 1.0),
+                                (1, {"x": -1.0, "z": 1.0}, "<=", -4.0),
+                                (2, {"y": 2.0}, "=", 5.0)]
+    # synth20 a line at a time takes seconds; the small models cover the
+    # edges of one-line blocks
+    _assert_golden_models_read_as_reference(
+        tmp_path, _golden_models() if lines == 3 else _reference_models(),
+        relax=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=lp_texts())
+    def generated(text):
+        _assert_lp_text_reads_as_reference(text, lp_file)
+
+    generated()
 
 
 # ---------------------------------------------------------------------------

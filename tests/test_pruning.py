@@ -147,7 +147,31 @@ def graph_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(case=graph_cases())
 def test_graph_drops_exactly_the_dead_slot_plans(case):
-    inst, options = case
+    _assert_graph_is_the_pruned_reference(*case)
+
+
+def test_zero_duration_trips_at_one_instant_connect_one_way():
+    # t0 and t1 take no time, at the same instant and terminal, so each
+    # reaches the other in time; only t0 -> t1 (trip order) is laid out
+    table = {"e0": 0.1}
+    inst = Instance(
+        vehicle_types=(VehicleType("e0", True, 100.0, 100.0),),
+        depots=(Depot("D0"),),
+        trips=(Trip("t0", "A", "A", 600, 600, table),
+               Trip("t1", "A", "A", 600, 600, table)),
+        deadheads=(Deadhead("D0", "A", 0, table, {"e0": 1.0}),
+                   Deadhead("A", "D0", 0, table, {"e0": 1.0})),
+        chargers=(Charger("C0", 1, "G0", {"e0": "quad"}),),
+        grid_points=(GridPoint("G0", ((0, 3600, 1000.0),),
+                               ((0, 3600, 0.2),)),),
+        profiles={"quad": PROFILE}, mix_constraints=(), horizon=(0, 3600))
+    inst.validate()
+    graph = _assert_graph_is_the_pruned_reference(inst, GraphOptions())
+    assert [(a.tail, a.head) for a in graph.arcs if a.kind == "connection"
+            ] == [("trip:t0", "trip:t1")]
+
+
+def _assert_graph_is_the_pruned_reference(inst, options):
     ref = _oracles.build_graph(inst, THETA, options)
     got = build_graph(inst, THETA, options)
     assert list(got.arcs) == _pruned_reference(ref)
@@ -158,6 +182,7 @@ def test_graph_drops_exactly_the_dead_slot_plans(case):
     pos = {nid: i for i, nid in enumerate(got.topological_order())}
     assert len(pos) == len(got.nodes)
     assert all(pos[a.tail] < pos[a.head] for a in got.arcs)
+    return got
 
 
 def _two_type_instance(legs, pullout_depot):
