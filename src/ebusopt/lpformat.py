@@ -557,10 +557,11 @@ class _RowSection:
 
     An expression is a run of ``[+|-]... [coefficient] variable`` terms; a
     variable named twice in a row sums its coefficients and ``__zero__`` is
-    dropped.  Each block is read up to its last variable (a name not
-    followed by ":"), which ends a term whatever comes next; the tokens
-    after it wait for the next block, and ``open`` says that they go on a
-    row begun before them.
+    dropped.  A block is read up to the end of its last row, or further up
+    to the last variable (a name not followed by ":") of the row still open
+    after it, which ends a term whatever comes next.  The tokens after that
+    wait for the next block, and ``open`` says that they go on a row begun
+    before them.
     """
 
     def __init__(self, reading: _Reading, rows: _Rows):
@@ -574,50 +575,48 @@ class _RowSection:
             tokens = (self.waiting[0] + tokens[0],
                       *(np.concatenate(pair)
                         for pair in zip(self.waiting[1:], tokens[1:])))
-        kinds = tokens[1]
-        ends = np.flatnonzero((kinds[:-1] == _NAME) & (kinds[1:] != _COLON))
-        if not len(ends):
-            self.waiting = tokens
-            return
-        cut = int(ends[-1]) + 1
-        self._rows(*(part[:cut] for part in tokens), last=False)
-        self.waiting = tuple(part[cut:] for part in tokens)
-        self.open = True
+        self.waiting = self._rows(*tokens, last=False)
 
     def close(self) -> None:
         """Read the waiting tokens, which must end the last row."""
         self._rows(*self.waiting, last=True)
         self.waiting = _NO_TOKENS
 
-    def _rows(self, texts, kinds, values, last: bool) -> None:
-        """Read the rows of the tokens, and the terms of the row that is
-        still open after them unless they are the ``last``."""
+    def _rows(self, texts, kinds, values, last: bool) -> tuple:
+        """Read the rows the tokens complete, and unless they are the
+        ``last`` the terms of the row still open after them; return the
+        tokens left to wait."""
         rows, size, first_row = self.rows, len(kinds), self.rows.count
-        if not size:
-            if last and self.open:
-                raise LpFormatError(f"row r{first_row}: missing sense")
-            return
         # each sense ends its row's expression, and one [+|-] number after
-        # it ends the row
+        # it ends the row; a sense at the end of a block waits for its rhs
         sense = np.flatnonzero(kinds >= _LE)
         after = np.minimum(sense + 1, size - 1)
         sign = ((sense + 1 < size) & ((kinds[after] == _PLUS)
                                        | (kinds[after] == _MINUS)))
         rhs = sense + 1 + sign
+        if not last and len(rhs) and rhs[-1] >= size:
+            sense, after, sign, rhs = sense[:-1], after[:-1], sign[:-1], rhs[:-1]
         bad = np.flatnonzero((rhs >= size)
                              | (kinds[np.minimum(rhs, size - 1)] != _NUM))
         if len(bad):
             raise LpFormatError(f"row r{first_row + bad[0]}: missing rhs")
         ends = rhs + 1
         tail = int(ends[-1]) if len(ends) else 0
-        if last and (tail < size or (self.open and not len(ends))):
-            raise LpFormatError(f"row r{first_row + len(ends)}: missing sense")
+        if last:
+            if tail < size or (self.open and not len(ends)):
+                raise LpFormatError(
+                    f"row r{first_row + len(ends)}: missing sense")
+            cut = size
+        else:
+            var = tail + np.flatnonzero((kinds[tail:-1] == _NAME)
+                                        & (kinds[tail + 1:] != _COLON))
+            cut = int(var[-1]) + 1 if len(var) else tail
         # a row begun here starts with its label "name :" if it has one
-        heads = np.concatenate([[0], ends[:-1 if tail == size else None]])
+        heads = np.concatenate([[0], ends[:-1 if tail == cut else None]])
         heads = heads[1:] if self.open else heads
-        heads = heads[heads + 1 < size]
+        heads = heads[heads + 1 < cut]
         label = heads[(kinds[heads] == _NAME) & (kinds[heads + 1] == _COLON)]
-        outside = np.zeros(size, bool)
+        outside = np.zeros(cut, bool)
         for at in (sense, sense[sign] + 1, rhs, label, label + 1):
             outside[at] = True
         # the expressions: terms, each ended by its variable
@@ -657,6 +656,8 @@ class _RowSection:
         negative = sign & (kinds[after] == _MINUS)
         rhs_value[negative] = -rhs_value[negative]
         rows.add((kinds[sense] - _LE).astype(np.int8), rhs_value)
+        self.open = cut > tail or (self.open and not len(ends))
+        return texts[cut:], kinds[cut:], values[cut:]
 
 
 def _read_bounds(text: str, reading: _Reading) -> None:
