@@ -13,22 +13,29 @@ term, entry or line of a file exists at once.
 
 Readers cover the dialect the writers emit plus the common core of both
 formats; they back the bundled reference solver and the tests that
-cross-check the two encodings against each other.  Both read the file as
-a stream of lines and keep, besides the column names, only numeric
-arrays: the entries of the rows in file order, which become CSR at the
-end, with a column named twice in one row summed in file order and
-explicit zeros kept.  Columns come in first-seen order, and
-``emitted_arrays`` builds what a reader returns for a written file
+cross-check the two encodings against each other.  Both read the file a
+block of ``_LINES`` lines at a time and keep, besides the column and row
+names, only numeric arrays: the entries of the rows in file order, which
+become CSR at the end, with a column named twice in one row summed in
+file order and explicit zeros kept.  Columns come in first-seen order,
+and ``emitted_arrays`` builds what a reader returns for a written file
 without the file, so this module owns that order.
 
-The LP reader splits each line on whitespace.  A chunk that is an
-operator, one of a bounded set of numbers it read before, or one whole
-match of ``_TOKEN_RE`` (the one definition of the token grammar) is one
-token; any other chunk is lexed with ``_TOKEN_RE``.  The MPS reader
-runs one loop per section.  Both pause the cyclic garbage collector while
-they read, and report a malformed file as ``LpFormatError`` naming the
-offending line, or the row and column of a number the format has no use
-for (NaN anywhere, an infinite coefficient or right-hand side).
+The LP reader finds the section headers of a block with one regex, splits
+each section's text on whitespace, and tells the kind of every chunk from
+its bytes with numpy: an operator, a number (which ``float`` must also
+read) or a name is one token, and a block holding any other chunk is
+lexed chunk by chunk with ``_TOKEN_RE``, the one definition of the token
+grammar.  The row grammar is then checked with numpy over the kinds of
+the tokens; a row that goes on past the end of a block waits for the next
+one.  The MPS reader splits each line and reads a run of data lines of one
+section at a time, a block with a header, comment or MARKER line a line at
+a time.  Both read each distinct number of a block with one ``float``,
+look up each column and row name in a dict, pause the cyclic garbage
+collector while they read, and report a malformed file as
+``LpFormatError``, naming where they can the row, line or column at fault,
+and a number the format has no use for (NaN anywhere, an infinite
+coefficient or right-hand side).
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from __future__ import annotations
 import gc
 import math
 import re
-from array import array
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -913,13 +919,17 @@ def _mps_column_lines(names, row_names, col, row, val, first, want_int,
 
 
 _MPS_SENSES = {t: code for code, t in enumerate(_MPS_TYPES)}
-# per bound type: what it sets, as (lower, upper, integer); None leaves a
-# field as it is, and "v" takes the value on the line
-_MPS_BOUNDS = {"UP": (None, "v", False), "LO": ("v", None, False),
-               "FX": ("v", "v", False), "BV": (0.0, 1.0, True),
-               "MI": (-math.inf, None, False), "PL": (None, math.inf, False),
-               "UI": (None, "v", True)}
-_BOUND_CODES = {t: code for code, t in enumerate(_MPS_BOUNDS)}
+_BOUND_TYPES = {t: code for code, t in enumerate(
+    ("UP", "LO", "FX", "BV", "MI", "PL", "UI"))}
+# per bound type: the lower and the upper bound it sets, NaN standing for
+# the number on the line; which of the two it sets; whether it makes the
+# column integer
+_BOUND_VALUES = np.array([[0.0, math.nan], [math.nan, 0.0],
+                          [math.nan, math.nan], [0.0, 1.0], [-math.inf, 0.0],
+                          [0.0, math.inf], [0.0, math.nan]])
+_BOUND_SETS = np.array([[0, 1], [1, 0], [1, 1], [1, 1], [1, 0], [0, 1],
+                        [0, 1]], bool)
+_BOUND_INTEGER = np.array([0, 0, 0, 1, 0, 0, 1], bool)
 
 
 def _is_marker(parts: list) -> bool:
@@ -943,6 +953,7 @@ def _mps_runs(fh):
         text = "".join(lines)
         if ("*" not in text and "'MARKER'" not in text
                 and "".join(map(itemgetter(0), lines)).isspace()):
+            # hold no block but the one being read
             del lines, text
             yield section, list(filter(None, parts)), integer
             del parts
@@ -1014,8 +1025,8 @@ class _MpsReading:
         self.reading.rows.add(sense, np.zeros(len(names)))
 
     def _row_entries(self, names: list) -> tuple:
-        """The row of each name (-1 for the objective), and whether it names
-        the objective, which goes before a row of the same name."""
+        """The row each name names (-1 for none), and whether it names the
+        objective, which goes before a row of the same name."""
         rows = np.fromiter(map(self.row_index.get, names, repeat(-1)),
                            np.int64, len(names))
         objective = np.zeros(len(names), bool)
@@ -1057,25 +1068,21 @@ class _MpsReading:
             raise IndexError("a bound needs a type, a set name and a column")
         types = list(map(str.upper, map(itemgetter(0), lines)))
         j = reading.columns(list(map(itemgetter(2), lines)))
-        code = np.fromiter(map(_BOUND_CODES.get, types, repeat(-1)), np.int64,
+        code = np.fromiter(map(_BOUND_TYPES.get, types, repeat(-1)), np.int64,
                            len(types))
         if (code < 0).any():
             raise ValueError("unsupported bound type "
                              f"{types[np.flatnonzero(code < 0)[0]]!r}")
-        sets = [list(field) for field in zip(*_MPS_BOUNDS.values())]
-        valued = np.flatnonzero(np.isin(code, [k for k, s in enumerate(
-            _MPS_BOUNDS.values()) if "v" in s]))
-        value = np.full(len(lines), math.nan)
-        value[valued] = _floats(map(itemgetter(3), map(lines.__getitem__,
-                                                       valued.tolist())))
-        for field, target in zip(sets, (reading.lower, reading.upper)):
-            new = np.array([math.nan if s in (None, "v") else s
-                            for s in field])[code]
-            new = np.where(np.array([s == "v" for s in field])[code], value,
-                           new)
-            at = np.array([s is not None for s in field])[code]
-            _last_wins(target, j[at], new[at])
-        reading.integer[j[np.array(sets[2])[code]]] = True
+        value = _BOUND_VALUES[code]
+        valued = np.flatnonzero(np.isnan(value).any(axis=1))
+        number = np.zeros(len(lines))
+        number[valued] = _floats(map(itemgetter(3), map(lines.__getitem__,
+                                                        valued.tolist())))
+        value = np.where(np.isnan(value), number[:, None], value)
+        for field, target in enumerate((reading.lower, reading.upper)):
+            at = _BOUND_SETS[code, field]
+            _last_wins(target, j[at], value[at, field])
+        reading.integer[j[_BOUND_INTEGER[code]]] = True
 
 
 @_gc_paused()

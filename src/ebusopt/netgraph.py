@@ -287,7 +287,9 @@ def build_graph(instance: Instance, theta: float,
     cost) and ``ready + duration <= due``.  ``ready`` is
     the trip's arrival when a leg leaves a trip and the horizon start
     otherwise; ``due`` is the trip's departure when a leg enters a trip and
-    the horizon end otherwise.  Access snaps forward to the first event at
+    the horizon end otherwise.  Of two trips that take no time at the same
+    instant and so connect both ways, only the one listed first connects to
+    the other.  Access snaps forward to the first event at
     or after arrival, a pull-out onto a timeline enters at that event or
     any later one, and egress leaves from any event that still arrives in
     time (optionally only from a lookahead window before the latest one).
