@@ -532,8 +532,8 @@ def _lp_tokens(text: str) -> tuple:
         text = np.frombuffer(text, np.uint8)
         edges = np.flatnonzero(np.diff(flags == _BLANK)) + 1
         start, length = edges[0::2], edges[1::2] - edges[0::2]
-        kind = _CHUNK_KINDS[text[start].astype(np.intp) << 8
-                            | text[start + 1]]
+        kind = _CHUNK_KINDS[text[start].astype(np.uint16) << 8
+                            | text[1:][start]]
         kind[(kind >= _LE) & (length > 2)] = -1
         flags = np.bitwise_or.reduceat(flags, start)
         kind[((kind == _NUM) & (flags & _NOT_NUM > 0))
