@@ -476,8 +476,8 @@ def _chunk_kinds() -> np.ndarray:
     table[list(b"0123456789+-")] = _NUM
     table[list(_NAME_START.encode())] = _NAME
     for op, kind in _OPS.items():
-        for blank in (_BLANKS.encode() if len(op) == 1 else [op.encode()[1]]):
-            table[ord(op[0]), blank] = kind
+        for second in (_BLANKS.encode() if len(op) == 1 else op.encode()[1:]):
+            table[ord(op[0]), second] = kind
     return table.reshape(-1)
 
 
