@@ -71,24 +71,6 @@ class GridPoint:
     max_power_kw: tuple   # ((start_s, end_s, kw), ...) piecewise constant
     energy_price: tuple   # ((start_s, end_s, price_per_kwh), ...)
 
-    def min_power_over(self, start: float, end: float) -> float:
-        """Most restrictive limit over [start, end) — conservative snapping."""
-        lo = None
-        for s, e, kw in self.max_power_kw:
-            if s < end and e > start:
-                lo = kw if lo is None else min(lo, kw)
-        # any uncovered part of the interval means no power there
-        covered_from = start
-        for s, e, _ in sorted(self.max_power_kw):
-            if s > covered_from:
-                return 0.0
-            covered_from = max(covered_from, e)
-            if covered_from >= end:
-                break
-        if covered_from < end:
-            return 0.0
-        return lo if lo is not None else 0.0
-
     def price_at(self, t: float) -> float:
         for s, e, p in self.energy_price:
             if s <= t < e:

@@ -256,19 +256,53 @@ def _grid_limits(graph: SchedulingGraph, override):
     """Per (grid point rank, step 0..H) the kW limit, and per slot the rank
     of its grid point.
 
-    Only points with slots are read (step 0 and other points stay +inf),
-    so a NaN or negative override fails for any point with slots.
+    Step i's limit is the override of its point, or the least limit of the
+    point's ``max_power_kw`` table over the step's event times.  Only
+    points with slots are read (step 0 and other points stay +inf), so a
+    NaN or negative override fails for any point with slots.
     """
     inst, steps = graph.instance, graph.horizon_steps
     gp_rank = {gp.id: r for r, gp in enumerate(inst.grid_points)}
     slot_gp = np.array([gp_rank[inst.charger(graph.slot_charger[sid])
                                 .grid_point] for sid in graph.slots], int)
     limit = np.full((len(inst.grid_points), steps + 1), math.inf)
+    times = np.array([graph.event_time(i) for i in range(steps + 1)], float)
     for r, gp in enumerate(inst.grid_points):
-        if (slot_gp == r).any():
-            limit[r, 1:] = [_grid_limit(gp, graph, i, override)
-                            for i in range(1, steps + 1)]
+        if not (slot_gp == r).any():
+            continue
+        if override is not None and gp.id in override:
+            val = float(override[gp.id])
+            if not val >= 0.0:
+                raise ModelError(f"grid limit override of {gp.id!r} is "
+                                 f"{val}: NaN or negative")
+            limit[r, 1:] = val
+        else:
+            limit[r, 1:] = _min_power_steps(gp.max_power_kw, times)
     return limit, slot_gp
+
+
+def _min_power_steps(table, times: np.ndarray) -> np.ndarray:
+    """The kW limit of each step [times[i - 1], times[i]) of the increasing
+    ``times``, over a piecewise-constant (start, end, kW) ``table``.
+
+    A step gets the least kW of the entries that meet it, or 0 when the
+    union of the entries leaves part of it uncovered.  The union is a list
+    of runs; one ``searchsorted`` finds the run a step starts in, and the
+    step is covered when that run reaches its end.
+    """
+    start, end, kw = np.array(table, float).reshape(-1, 3).T
+    meets = (start < times[1:, None]) & (end > times[:-1, None])
+    least = np.where(meets, kw, np.inf).min(axis=1, initial=np.inf)
+    order = np.argsort(start)
+    start, reach = start[order], np.maximum.accumulate(end[order])
+    # a run begins at an entry that starts past the reach of those before;
+    # the sentinel run (-inf, -inf) covers nothing
+    first = np.flatnonzero(start > np.append(-np.inf, reach[:-1]))
+    run_start = np.append(-np.inf, start[first])
+    run_end = np.concatenate([[-np.inf], reach[first[1:] - 1], reach[-1:]])
+    run = np.searchsorted(run_start, times[:-1], "right") - 1
+    covered = run_end[run] >= times[1:]
+    return np.where(covered, least, 0.0)
 
 
 def _mix_payoff_plans(graph: SchedulingGraph) -> np.ndarray:
@@ -759,18 +793,6 @@ def _add_grid_rows(model: MilpModel, g: _GraphArrays) -> None:
     row, keys = _ranked(key[keep])
     model.add_rows(row, g.phi[keep], omega[g.phi_plan][keep], "<=",
                    g.limit.ravel()[keys], "grid")
-
-
-def _grid_limit(gp, graph, step: int, override) -> float:
-    if override is not None and gp.id in override:
-        val = float(override[gp.id])
-        if not val >= 0.0:
-            raise ModelError(f"grid limit override of {gp.id!r} is {val}: "
-                             f"NaN or negative")
-        return val
-    lo = graph.event_time(step - 1)
-    hi = graph.event_time(step)
-    return gp.min_power_over(lo, hi)
 
 
 def _add_precondition_rows(model: MilpModel, g: _GraphArrays,

@@ -19,10 +19,24 @@ reaches it with the ``lpformat.ModelArrays`` that the reader of the file
 returns, ``milp.solve_model`` with ``lpformat.emitted_arrays`` of the
 model's own arrays, which are the same arrays with no model file written
 and no solution file written back; only this CLI writes a solution file.
-A model HiGHS refuses raises, so it is never reported as a status.  scipy
-is imported on first use, so importing this module stays cheap.  The
-HiGHS module is private to scipy; ``tests/test_milp.py`` pins the names
-used here, so a scipy release that moves them fails there.
+A model HiGHS refuses raises, so it is never reported as a status.
+
+``solve_arrays`` sets three HiGHS options besides ``time_limit``: no
+console log; ``mip_rel_gap`` 1e-9 (``MIP_REL_GAP``), so an "optimal"
+status is optimal to the objective's last digits, not to HiGHS's default
+1e-4; and no feasibility-jump heuristic, which HiGHS 1.12 (scipy 1.17.1)
+otherwise runs before the root LP.  That pass took 7-16 ms on each
+worst-case chain's over model, and HiGHS kept none of its incumbents:
+without it the chains and the 20-trip benchmark instance take the same
+nodes and LP iterations to the same solution vector (``BENCH_22.json``).
+On the small ``charger_toy`` it finds the optimum before the root LP
+does; without it the root LP finds the same one, and only the signs of
+some zeros and the last bit of one value move.
+
+scipy is imported on first use, so importing this module stays cheap.
+The HiGHS module is private to scipy; ``tests/test_milp.py`` pins the
+names and options used here, so a scipy release that moves them fails
+there.
 """
 
 from __future__ import annotations
@@ -72,12 +86,16 @@ def solve_arrays(p: ModelArrays, time_limit: float | None = None):
     hands back values only when optimal.  The bound is HiGHS's dual bound
     when it has an incumbent, and otherwise the optimal LP objective.  A
     model HiGHS refuses (a NaN or infinite rhs, an infinite coefficient)
-    raises ``RuntimeError``.
+    raises ``RuntimeError``; so does a NaN coefficient, which HiGHS would
+    take and report a status for.
     """
     from scipy.optimize._highspy import _core
 
     if time_limit is not None and time_limit <= 0:
         return "time-limit", {}, None, None
+    if not np.isfinite(p.vals).all():
+        raise RuntimeError("HiGHS refused the model: a matrix coefficient "
+                           "is not finite")
     n, m = len(p.names), len(p.rhs)
     row_lb = np.where(p.sense == SENSES.index("<="), -np.inf, p.rhs)
     row_ub = np.where(p.sense == SENSES.index(">="), np.inf, p.rhs)
@@ -94,6 +112,7 @@ def solve_arrays(p: ModelArrays, time_limit: float | None = None):
     highs = _core._Highs()
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("mip_rel_gap", MIP_REL_GAP)
+    highs.setOptionValue("mip_heuristic_run_feasibility_jump", False)
     if time_limit is not None:
         highs.setOptionValue("time_limit", float(time_limit))
     if highs.passModel(lp) == _core.HighsStatus.kError:

@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ebusopt.lpformat import SENSES, LpFormatError, ModelArrays
-from ebusopt.milp import (MilpModel, ModelError, ModelOptions, _domain_for,
-                          _grid_limit)
+from ebusopt.milp import MilpModel, ModelError, ModelOptions, _domain_for
 from ebusopt.netgraph import (ARC_KINDS, Arc, GraphError, GraphOptions,
                               Node, SchedulingGraph, _snap_windows_to_steps,
                               compute_energy_bounds)
@@ -423,6 +422,38 @@ def column_arcs(graph, dead, lead):
                 and n_in[a.tail] == 1 and n_out[a.tail] == 1):
             rep[a.index] = rep[prev.index]
     return rep
+
+
+def min_power_over(gp, start: float, end: float) -> float:
+    """Most restrictive limit of a grid point over [start, end), one
+    interval at a time: 0 where any part of it is uncovered."""
+    lo = None
+    for s, e, kw in gp.max_power_kw:
+        if s < end and e > start:
+            lo = kw if lo is None else min(lo, kw)
+    covered_from = start
+    for s, e, _ in sorted(gp.max_power_kw):
+        if s > covered_from:
+            return 0.0
+        covered_from = max(covered_from, e)
+        if covered_from >= end:
+            break
+    if covered_from < end:
+        return 0.0
+    return lo if lo is not None else 0.0
+
+
+def _grid_limit(gp, graph, step: int, override) -> float:
+    """The kW limit of one step: the override, or ``min_power_over`` of
+    the step's event times."""
+    if override is not None and gp.id in override:
+        val = float(override[gp.id])
+        if not val >= 0.0:
+            raise ModelError(f"grid limit override of {gp.id!r} is {val}: "
+                             f"NaN or negative")
+        return val
+    return min_power_over(gp, graph.event_time(step - 1),
+                          graph.event_time(step))
 
 
 def build_model(graph, domains, options=ModelOptions(), compress=True):
@@ -1235,6 +1266,8 @@ def read_mps(path) -> ParsedModel:
                 if code == "N":
                     if obj_row is None:
                         obj_row = name
+                elif name in row_sense:
+                    raise LpFormatError(f"MPS row {name!r} is named twice")
                 else:
                     row_sense[name] = {"L": "<=", "G": ">=", "E": "="}[code]
                     rows_order.append(name)

@@ -206,32 +206,34 @@ def test_solve_in_process_solver_failure_exits_3(runner, tmp_path,
 
 # sha256 of the model and solution files `ebusopt solve` writes for
 # charger_toy (time limit 60 s, other options at their defaults); the
-# capped model has a 0 kW limit, so its dead steps get no columns
+# capped model has a 0 kW limit, so its dead steps get no columns; the
+# solution files hold HiGHS's values to the last bit and the sign of zero,
+# so a HiGHS option that changes the search path can move them
 TOY_FILES_SHA256 = {
     ("lp", "model/model.lp"):
         "715fe232b864556958062a2c5af487e8b225995cc85dcebb6167443af260dfa7",
     ("lp", "model/model.sol"):
-        "9bcd3985e6feacc2732f1f31bcc10b36b5ea2e2b448dbdf62fab9e11a5071399",
+        "9fbb9d646442aa6ac5d1ca1254ae4ffbab371bb336e40f479aca4495cdc352b8",
     ("lp", "reference/model.lp"):
         "2c7449e355938acd1a38f6f83779da88bc0be1e2a490d55c027788f857622e65",
     ("lp", "reference/model.sol"):
-        "9bcd3985e6feacc2732f1f31bcc10b36b5ea2e2b448dbdf62fab9e11a5071399",
+        "9fbb9d646442aa6ac5d1ca1254ae4ffbab371bb336e40f479aca4495cdc352b8",
     ("lp", "capped/model.lp"):
         "3101829e73d35b94d068ba8c59ccdfab24e5877f772605d3c34d1729026ca5ef",
     ("lp", "capped/model.sol"):
-        "08df757fc960590863c0fcd4c5f746a33ff97a97ff2ef6b1a78f6cd5d6b29161",
+        "30ac83c370074acfcb58e3bb9ac8bb25703497da705b8d683a934dba6923b368",
     ("mps", "model/model.mps"):
         "2720dd38e7a67ee95315e39108ca64f88e4d4dc771b11abc1eb5c371e2a52652",
     ("mps", "model/model.sol"):
-        "a2f7fbca011fe29c618ae9bc718ee11a307878a62cf7957b34735b09fdb4af1d",
+        "c4eca90f711314cbc00813811bcb470a3c1dea4bb369986bc0de5b96896a108e",
     ("mps", "reference/model.mps"):
         "1738da81518cb6648175dd26a295545b418cf1ea6f3b6f93af5dfaee3c680454",
     ("mps", "reference/model.sol"):
-        "a2f7fbca011fe29c618ae9bc718ee11a307878a62cf7957b34735b09fdb4af1d",
+        "c4eca90f711314cbc00813811bcb470a3c1dea4bb369986bc0de5b96896a108e",
     ("mps", "capped/model.mps"):
         "ad064a42ca2e7f7d527072bd5c4029e9567d15668e413697eb274a95bc657154",
     ("mps", "capped/model.sol"):
-        "cfe08e673189854b8e6ff9445d267e574f9a6eb2d3094ac9357381f3573b104d",
+        "bb291071c785ad91e9818a68ed582bde067928ebd9518b7b7091e307632466e3",
 }
 
 # sha256 of the decoded and validated outputs of the same runs; the toy's

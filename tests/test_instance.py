@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ebusopt.chargemodel import build_underestimator, solve_max_power_curve
@@ -10,7 +11,13 @@ from ebusopt.generators import (GenerationError, SyntheticParams,
 from ebusopt.instance import (Depot, GridPoint, Instance, InstanceError,
                               Trip, VehicleType, dumps_instance,
                               load_instance, save_instance)
+from ebusopt.milp import _min_power_steps
 from _toys import charger_toy, two_trip_instance
+
+
+def _step_limit(gp, start, end):
+    """The kW limit ``build_model`` gives a step [start, end) at ``gp``."""
+    return _min_power_steps(gp.max_power_kw, np.array([start, end], float))[0]
 
 
 def test_minimal_roundtrip(tmp_path):
@@ -190,11 +197,11 @@ def test_depot_capacity_must_be_null(tmp_path):
 def test_grid_point_piecewise_lookup():
     gp = GridPoint("g", ((0, 100, 50.0), (100, 200, 0.0)),
                    ((0, 200, 0.3),))
-    assert gp.min_power_over(10, 11) == 50.0
-    assert gp.min_power_over(150, 151) == 0.0
-    assert gp.min_power_over(50, 150) == 0.0
-    assert gp.min_power_over(0, 100) == 50.0
-    assert gp.min_power_over(190, 250) == 0.0  # partially uncovered
+    assert _step_limit(gp, 10, 11) == 50.0
+    assert _step_limit(gp, 150, 151) == 0.0
+    assert _step_limit(gp, 50, 150) == 0.0
+    assert _step_limit(gp, 0, 100) == 50.0
+    assert _step_limit(gp, 190, 250) == 0.0  # partially uncovered
 
 
 def test_roundtrip_many_random_instances(tmp_path):
@@ -268,9 +275,9 @@ def test_worst_case_structure():
     assert len(inst.grid_points) == 2
     # grid power is zero outside the designed windows
     for gp, (ws, we) in zip(inst.grid_points, inst.meta["windows"]):
-        assert gp.min_power_over(ws, ws + 1) > 0
-        assert gp.min_power_over(ws - 1, ws) == 0.0
-        assert gp.min_power_over(we + 1, we + 2) == 0.0
+        assert _step_limit(gp, ws, ws + 1) > 0
+        assert _step_limit(gp, ws - 1, ws) == 0.0
+        assert _step_limit(gp, we + 1, we + 2) == 0.0
 
 
 def test_worst_case_roundtrips_bit_identically(tmp_path):

@@ -268,10 +268,11 @@ def mps_texts(draw):
     """An MPS file of the sections the writer emits and more: extra N rows,
     MARKER lines in both spellings, every bound type, RHS lines on the
     objective and on unknown rows, comments and blank lines, and now and
-    then a noise token or line.  Its constraint rows have distinct names:
-    the reference reads a row named twice as two rows, where ``read_mps``
-    rejects the file."""
+    then a constraint row named twice or a noise token or line."""
     rows = [f"c{k}" for k in range(draw(st.integers(0, 3)))]
+    if rows and draw(st.integers(0, 4)) == 4:
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.sampled_from(rows)))
     objective = draw(st.sampled_from(["obj", "cost"]))
     free = draw(st.lists(st.sampled_from(["n2", objective, "c0"]),
                          max_size=2))

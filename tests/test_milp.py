@@ -14,15 +14,15 @@ from hypothesis import given, settings, strategies as st
 import _oracles
 from ebusopt import solverbridge
 from ebusopt.generators import generate_worst_case
-from ebusopt.instance import InstanceError
+from ebusopt.instance import GridPoint, InstanceError
 from ebusopt.lpformat import (SENSES, LpFormatError, ModelArrays,
                               RawSolution, emitted_arrays,
                               parse_solution_file, parse_solution_text,
                               read_lp, read_mps, write_lp, write_mps,
                               write_solution_text)
 from ebusopt.milp import (DecodeError, MilpModel, ModelError, ModelOptions,
-                          build_model, decode_solution, emit_model,
-                          solve_model)
+                          _min_power_steps, build_model, decode_solution,
+                          emit_model, solve_model)
 from ebusopt.netgraph import GraphOptions, build_graph
 from ebusopt.refsolver import load_model, solve_arrays, solve_parsed
 from ebusopt.solverbridge import (DEFAULT_SOLVER_CMD, SOLVER_ENV_VAR,
@@ -505,6 +505,24 @@ def test_nan_grid_limit_is_rejected(tmp_path):
             grid_limit_override={"G0": math.nan}))
 
 
+GRID_ENTRIES = st.tuples(st.integers(0, 40), st.integers(0, 40),
+                         st.sampled_from([0.0, 0.5, 7.0, 50.0, math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.lists(GRID_ENTRIES, max_size=5), first=st.integers(-5, 40),
+       widths=st.lists(st.integers(1, 12), min_size=1, max_size=8))
+def test_grid_limits_match_the_scalar_lookup(table, first, widths):
+    # tables with gaps, overlaps, touching and reversed entries: each
+    # step's limit is the scalar lookup over its two event times
+    gp = GridPoint("g", tuple(table), ())
+    times = first + np.cumsum([0] + widths)
+    expected = [_oracles.min_power_over(gp, int(lo), int(hi))
+                for lo, hi in zip(times[:-1], times[1:])]
+    assert _min_power_steps(gp.max_power_kw, times.astype(float)).tolist() \
+        == expected
+
+
 @pytest.mark.parametrize("limit", [-1.0, -1e-9])
 def test_negative_grid_limit_override_is_rejected(limit):
     with pytest.raises(ModelError, match="negative"):
@@ -561,6 +579,32 @@ def test_model_highs_refuses_is_an_error_not_a_status(tmp_path, rhs, vals):
         solve_model(model, tmp_path)
 
 
+def test_nan_coefficient_is_an_error_not_a_status(tmp_path):
+    # HiGHS itself takes a NaN coefficient and reports kOptimal
+    with pytest.raises(RuntimeError, match="coefficient is not finite"):
+        solve_arrays(_one_row(1.0, [math.nan, 1.0]))
+    model = _bare_model()
+    model.add_vars(["a", "b"], obj=1.0, binary=True)
+    model.add_row({0: math.nan, 1: 1.0}, ">=", 1.0, "r")
+    with pytest.raises(SolverError, match="coefficient is not finite"):
+        solve_model(model, tmp_path)
+
+
+def test_solve_runs_without_feasibility_jump(monkeypatch):
+    core = _highs_core()
+    options = []
+
+    class Recording(core._Highs):
+        def setOptionValue(self, option, value):
+            options.append((option, value))
+            return super().setOptionValue(option, value)
+
+    monkeypatch.setattr(core, "_Highs", Recording)
+    assert solve_arrays(_one_row(1.0, [2.0, 2.0]), 5.0)[::2] == \
+        ("optimal", 1.0)
+    assert dict(options)["mip_heuristic_run_feasibility_jump"] is False
+
+
 def _highs_core():
     """The private scipy module that ``refsolver.solve_arrays`` calls."""
     from scipy.optimize._highspy import _core
@@ -590,6 +634,7 @@ def test_private_highs_entry_point_is_pinned():
     for name in ("objective_function_value", "mip_dual_bound"):
         assert hasattr(info, name), name
     for option, value in (("log_to_console", False), ("mip_rel_gap", 1e-9),
+                          ("mip_heuristic_run_feasibility_jump", False),
                           ("time_limit", 5.0)):
         assert highs.setOptionValue(option, value) == core.HighsStatus.kOk
 
