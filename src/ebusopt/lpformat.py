@@ -28,14 +28,16 @@ read) or a name is one token, and a block holding any other chunk is
 lexed chunk by chunk with ``_TOKEN_RE``, the one definition of the token
 grammar.  The row grammar is then checked with numpy over the kinds of
 the tokens; a row that goes on past the end of a block waits for the next
-one.  The MPS reader splits each line and reads a run of data lines of one
-section at a time, a block with a header, comment or MARKER line a line at
-a time.  Both read each distinct number of a block with one ``float``,
-look up each column and row name in a dict, pause the cyclic garbage
-collector while they read, and report a malformed file as
-``LpFormatError``, naming where they can the row, line or column at fault,
-and a number the format has no use for (NaN anywhere, an infinite
-coefficient or right-hand side).
+one.  Bound lines are read the same way, in one pass per block: a ":"
+token ends each line, and numpy over the first tokens of every line sorts
+it into its bound form and applies the bounds in line order.  The MPS
+reader splits each line and reads a run of data lines of one section at a
+time, a block with a header, comment or MARKER line a line at a time.
+Both read each distinct number of a block with one ``float``, look up each
+column and row name in a dict, pause the cyclic garbage collector while
+they read, and report a malformed file as ``LpFormatError``, naming where
+they can the row, line or column at fault, and a number the format has no
+use for (NaN anywhere, an infinite coefficient or right-hand side).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import re
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, product, repeat
 from operator import itemgetter
 from typing import Optional
 from xml.etree import ElementTree
@@ -666,47 +668,83 @@ class _RowSection:
         return texts[cut:], kinds[cut:], values[cut:]
 
 
+# the names a bound line reads as words, in every casing: an infinite value,
+# or "free" after a variable
+_INF, _FREE = 1, 2
+_WORDS = {"".join(spelling): code
+          for word, code in (("inf", _INF), ("infinity", _INF),
+                             ("free", _FREE))
+          for spelling in product(*zip(word, word.upper()))}
+
+
 def _read_bounds(text: str, reading: _Reading) -> None:
-    """Apply the bound lines of ``text`` in order.  Lines of the forms
-    ``v sense number`` and ``number <= v <= number`` are applied together;
-    a text with any other line is read a line at a time."""
-    lines = text.split("\n")
-    counts = np.fromiter(map(len, map(str.split, lines)), np.int64,
-                         len(lines))
-    texts, kinds, values = _lp_tokens(text)
-    if len(texts) == counts.sum():
-        at = (np.cumsum(counts) - counts)[counts > 0]
-        n = counts[counts > 0]
-        three, five = n == 3, n == 5
-        a = at[three]
-        b = at[five]
-        name = np.where(five, at + 2, at)
-        plain = (three.sum() + five.sum() == len(n)
-                 and ((kinds[a] == _NAME) & (kinds[a + 1] >= _LE)
-                      & (kinds[a + 2] == _NUM)).all()
-                 and ((kinds[b] == _NUM) & (kinds[b + 1] == _LE)
-                      & (kinds[b + 2] == _NAME) & (kinds[b + 3] == _LE)
-                      & (kinds[b + 4] == _NUM)).all())
-        names = list(map(texts.__getitem__, name.tolist()))
-        if plain and {"inf", "infinity"}.isdisjoint(
-                map(str.lower, compress(names, three.tolist()))):
-            j = reading.columns(names)
-            sense = kinds[at + 1]
-            low = five | (sense == _GE) | (sense == _EQ)
-            high = five | (sense == _LE) | (sense == _EQ)
-            _last_wins(reading.lower, j[low],
-                       np.where(five, values[at], values[at + 2])[low])
-            _last_wins(reading.upper, j[high],
-                       values[np.where(five, at + 4, at + 2)][high])
-            return
-    for line in lines:
-        tokens = [token for chunk in line.split() for token in _lex(chunk)]
-        if tokens:
-            try:
-                _parse_bound(tokens, reading)
-            except (IndexError, LpFormatError) as exc:
-                raise LpFormatError(
-                    f"bad bound line {line.strip()!r}: {exc}") from exc
+    """Apply the bound lines of ``text`` in order, all together: ``v free``,
+    ``v sense b``, ``b <= v`` or ``b <= v <= b``, where ``b`` is
+    ``[+|-] number`` or ``[+|-] inf``.  A second token that is no sense
+    fixes ``v``, and tokens after a line's last value are ignored.
+
+    The text is tokenized with a ":" for each line break, so that each line's
+    tokens end with a ":" of their own; a text that holds a ":" is tokenized
+    a line at a time."""
+    if ":" in text:
+        parts = [_lp_tokens(line + " :") for line in text.split("\n")]
+        texts = list(chain.from_iterable(map(itemgetter(0), parts)))
+        kinds = np.concatenate([part[1] for part in parts])
+        values = np.concatenate([part[2] for part in parts])
+        ends = np.cumsum([len(part[1]) for part in parts]) - 1
+    else:
+        texts, kinds, values = _lp_tokens(text.replace("\n", " : ") + " :")
+        ends = np.flatnonzero(kinds == _COLON)
+    n = ends - np.concatenate([[-1], ends[:-1]]) - 1
+    line = np.flatnonzero(n)
+    n = n[line]
+    rows = np.arange(len(n))
+    # per line the kind, value and position of its first 7 tokens, the most
+    # a bound line reads, and an 8th that is never there; kind -1 past its end
+    pos = (ends[line] - n)[:, None] + np.arange(8)
+    kind = kinds[np.minimum(pos, len(kinds) - 1)]
+    kind[np.arange(8) >= np.minimum(n, 7)[:, None]] = -1
+    value = values[np.minimum(pos, len(kinds) - 1)]
+
+    def word(k):
+        """The code in ``_WORDS`` of each line's ``k``-th token, 0 if none."""
+        code = np.zeros(len(n), np.int8)
+        name = np.flatnonzero(kind[rows, k] == _NAME)
+        at = pos[rows, k][name].tolist()
+        code[name] = np.fromiter(map(_WORDS.get, map(texts.__getitem__, at),
+                                     repeat(0)), np.int8, len(name))
+        return code
+
+    def bound(k):
+        """``(b, end, ok)`` of the ``b`` at each line's ``k``-th token."""
+        sign = kind[rows, k]
+        k = k + ((sign == _PLUS) | (sign == _MINUS))
+        inf = word(k) == _INF
+        ok = (kind[rows, k] == _NUM) | inf
+        b = np.where(inf, math.inf, value[rows, k])
+        return np.where(sign == _MINUS, -b, b), k + 1, ok
+
+    free = (n == 2) & (word(1) == _FREE)
+    named = ~free & (kind[:, 0] == _NAME) & (word(0) != _INF)
+    ranged = ~free & ~named
+    # v sense b reads its b at 2, b <= v [<= b] its lower bound at 0
+    first, end, ok = bound(np.where(named, 2, 0))
+    upper = ranged & (end + 2 < n)
+    second, _, ok2 = bound(np.where(upper, end + 3, 7))
+    bad = np.flatnonzero(~free & ~ok | ranged & (
+        (kind[rows, end] != _LE) | (end + 1 >= n)
+        | upper & ((kind[rows, end + 2] != _LE) | ~ok2)))
+    if len(bad):
+        lines = text.split("\n")
+        raise LpFormatError(
+            f"bad bound line {lines[line[bad[0]]].strip()!r}")
+    sense = kind[:, 1]
+    low = ~named | (sense != _LE)
+    high = upper | named & (sense != _GE)
+    var = pos[rows, np.where(ranged, end + 1, 0)]
+    j = reading.columns(list(map(texts.__getitem__, var.tolist())))
+    _last_wins(reading.lower, j[low], np.where(free, -math.inf, first)[low])
+    _last_wins(reading.upper, j[high], np.where(upper, second, first)[high])
 
 
 def _read_integers(text: str, reading: _Reading, binary: bool) -> None:
@@ -773,57 +811,6 @@ def read_lp(path) -> ModelArrays:
             section.read(text[at:])
     section.close()
     return reading.arrays()
-
-
-def _bound_value(tokens: list, i: int):
-    """The value ``[+|-] number`` or ``[+|-] inf`` at ``tokens[i]``, and the
-    index after it."""
-    kind, text = tokens[i]
-    sign = 1.0
-    if kind in (_PLUS, _MINUS):
-        sign = -1.0 if kind == _MINUS else 1.0
-        kind, text = tokens[i + 1]
-        i += 1
-    if kind == _NUM:
-        return sign * float(text), i + 1
-    if kind == _NAME and text.lower() in ("inf", "infinity", "+inf"):
-        return sign * math.inf, i + 1
-    raise LpFormatError(f"bad bound value {text!r}")
-
-
-def _parse_bound(tokens: list, reading: _Reading) -> None:
-    """Apply the ``(kind, text)`` tokens of one bound line: ``v free``,
-    ``v sense b``, ``b <= v`` or ``b <= v <= b``."""
-    def column(name):
-        return int(reading.columns([name])[0])
-
-    if len(tokens) == 2 and tokens[1][1].lower() == "free":
-        j = column(tokens[0][1])
-        reading.lower[j] = -math.inf
-        return
-    if tokens[0][0] == _NAME and tokens[0][1].lower() not in ("inf",
-                                                             "infinity"):
-        j = column(tokens[0][1])
-        lower, upper = reading.lower, reading.upper
-        sense = tokens[1][0]
-        value, _ = _bound_value(tokens, 2)
-        if sense == _LE:
-            upper[j] = value
-        elif sense == _GE:
-            lower[j] = value
-        else:
-            lower[j] = upper[j] = value
-        return
-    lo, i = _bound_value(tokens, 0)
-    if tokens[i][0] != _LE:
-        raise LpFormatError(f"expected '<=' after {lo}")
-    var = tokens[i + 1][1]
-    j = column(var)
-    reading.lower[j] = lo
-    if i + 2 < len(tokens):
-        if tokens[i + 2][0] != _LE:
-            raise LpFormatError(f"expected '<=' after {var}")
-        reading.upper[j], _ = _bound_value(tokens, i + 3)
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,6 @@ def main(argv=None) -> int:
     parser.add_argument("--time-limit", type=float, default=None)
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for command-template compatibility")
-    parser.add_argument("--relax", action="store_true",
-                        help="solve the LP relaxation of the integrality")
     args = parser.parse_args(argv)
 
     try:
@@ -175,8 +173,8 @@ def main(argv=None) -> int:
         print(f"ebusopt-solve: cannot read model: {exc}", file=sys.stderr)
         return 2
     try:
-        status, values, objective, bound = solve_parsed(
-            model, time_limit=args.time_limit, relax=args.relax)
+        status, values, objective, bound = solve_arrays(
+            model, time_limit=args.time_limit)
     except Exception as exc:  # solver-internal failure
         print(f"ebusopt-solve: solver failure: {exc}", file=sys.stderr)
         return 3

@@ -11,7 +11,8 @@ reference solver in a fresh interpreter, which reproduces the in-process
 result through a file.
 Each solve owns one subprocess and kills it once the time limit plus a
 grace period has passed, keeping whatever incumbent made it into the
-solution file.
+solution file.  ``SolverError.output`` and ``RawSolution.solver_output``
+keep the last 4000 characters of the solver's stdout and stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ DEFAULT_SOLVER_CMD = (
 )
 
 _TIMEOUT_GRACE_S = 30.0
+_OUTPUT_TAIL = 4000     # characters of the solver's output that are kept
 
 
 class SolverError(RuntimeError):
@@ -85,32 +87,32 @@ def solve_external(model_path, command_template: Optional[str] = None,
                           command=command) from exc
     except subprocess.TimeoutExpired as exc:
         # the captured output comes as bytes here even with text=True
-        out = _decoded(exc.stdout) + _decoded(exc.stderr)
+        out = (_decoded(exc.stdout) + _decoded(exc.stderr))[-_OUTPUT_TAIL:]
         if os.path.exists(solution_path):
             try:
                 sol = parse_solution_file(solution_path)
                 sol.status = "time-limit"
-                sol.solver_output = out[-4000:]
+                sol.solver_output = out
                 return sol
             except LpFormatError:
                 pass
         return RawSolution(values={}, status="time-limit",
-                           solver_output=out[-4000:])
+                           solver_output=out)
 
-    output = (proc.stdout or "") + (proc.stderr or "")
+    output = ((proc.stdout or "") + (proc.stderr or ""))[-_OUTPUT_TAIL:]
     if proc.returncode != 0:
         raise SolverError(
             f"solver exited with code {proc.returncode}",
-            command=command, output=output[-4000:])
+            command=command, output=output)
     if not os.path.exists(solution_path):
         raise SolverError("solver wrote no solution file",
-                          command=command, output=output[-4000:])
+                          command=command, output=output)
     try:
         sol = parse_solution_file(solution_path)
     except LpFormatError as exc:
         raise SolverError(f"cannot parse solution file: {exc}",
-                          command=command, output=output[-4000:]) from exc
-    sol.solver_output = output[-4000:]
+                          command=command, output=output) from exc
+    sol.solver_output = output
     return sol
 
 

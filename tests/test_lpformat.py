@@ -52,7 +52,7 @@ def _kept_dict_sizes():
     kept = [v for v in vars(lpformat).values() if isinstance(v, dict)]
     for f in (lpformat._lex, lpformat._lp_tokens, lpformat._floats,
               lpformat._RowSection._rows, lpformat._read_bounds,
-              lpformat._parse_bound, lpformat._Reading.columns,
+              lpformat._Reading.columns,
               lpformat.read_lp.__wrapped__):
         kept += [d for d in f.__defaults__ or () if isinstance(d, dict)]
     return [len(d) for d in kept]
@@ -174,7 +174,8 @@ def lp_texts(draw):
     bounds = draw(st.lists(st.sampled_from(
         ["x <= 4", "0 <= y <= 1", "z1 free", "x >= -inf", "-inf <= z1",
          "y = 3", "- 2 <= x <= + infinity", "x", "y <=", "3 <= ", "inf <= x",
-         "1 >= x", "x <=\x0b5"]), max_size=3))
+         "1 >= x", "x <=\x0b5", "x<=4", "0<=y<=1", "-2<=x<=+inf", "y<=+3e2",
+         "x<=4 junk"]), max_size=3))
     binaries = draw(st.lists(NAMES, max_size=3))
     return (f"\\ generated\nMinimize\n {join(objective)}\nSubject To\n"
             f"{join(rows)}\nBounds\n" + "\n".join(bounds)

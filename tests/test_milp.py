@@ -808,6 +808,35 @@ def test_decode_fractional_flow_rejected():
         decode_solution(model, RawSolution(values=values, status="optimal"))
 
 
+# trip t1's pull-out and pull-in, as (tail, head)
+TRIP_T1 = [("src:D0", "trip:t1"), ("trip:t1", "snk:D0")]
+
+
+# each case sets the x of charger_toy's mixed-fleet arcs given as (plan,
+# tail, head) to 1 and every other column to 0; None gives no values at all
+@pytest.mark.parametrize("active, message", [
+    (None, "no incumbent to decode"),
+    ([("e0.D0", "src:D0", "trip:t1")], "flow imbalance"),
+    ([("e0.D0", "trip:t1", "snk:D0")],
+     "active arcs not reachable from any pull-out"),
+    ([(plan, *arc) for plan in ("e0.D0", "f0.D0") for arc in TRIP_T1],
+     "a trip is covered by more than one course"),
+])
+def test_decode_rejects_a_solution_that_is_no_schedule(active, message):
+    _, graph, _, model = toy_setup(charger_toy(mixed_fleet=True))
+    values = {}
+    if active is not None:
+        x = {(graph.plan_ids[graph.pair_plan[p]],
+              graph.node_ids[graph.tail[graph.pair_arc[p]]],
+              graph.node_ids[graph.head[graph.pair_arc[p]]]):
+             model.names[model.x_col[p]]
+             for p in np.flatnonzero(model.x_col >= 0).tolist()}
+        values = dict.fromkeys(model.names, 0.0)
+        values.update(dict.fromkeys(map(x.__getitem__, active), 1.0))
+    with pytest.raises(DecodeError, match=message):
+        decode_solution(model, RawSolution(values=values, status="time-limit"))
+
+
 def test_decode_recharge_window_matches_soc_jump(tmp_path):
     inst = charging_required_instance()
     curves, graph, domains, model = toy_setup(inst)

@@ -58,6 +58,25 @@ def test_under_mode_weak_feasibility(tmp_path):
     assert rep.strongly_feasible  # weak + under implies strong
 
 
+def test_inadmissible_claimed_step_fails_only_the_approx_verdicts(tmp_path):
+    # one phi above what its domain admits at any soc, so above the bound at
+    # the claimed soc it is taken from; admissibility is no part of the
+    # exact verdict
+    inst = charging_required_instance()
+    curves, graph, domains, model, raw, sched = solve_toy(
+        inst, tmp_path=str(tmp_path))
+    win = next(w for c in sched.courses for w in c.windows)
+    dom = domains[(win.charger, "e0")]
+    win.phis[0] = float(dom.value(np.linspace(0.0, 1.0, 101)).max()) + 0.01
+    rep = validate_schedule(inst, sched, graph, "approx-under", curves,
+                            domains)
+    # both ledgers stay above their floors: only admissibility fails
+    assert all(c.first_violation is None for c in rep.courses)
+    assert not rep.weakly_feasible
+    assert not rep.strongly_feasible
+    assert rep.energy_feasible
+
+
 def test_verdict_algebra_always_holds(tmp_path):
     inst = charger_toy()
     curves, graph, domains, model, raw, sched = solve_toy(
