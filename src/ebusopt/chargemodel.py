@@ -233,17 +233,6 @@ class SampledChargeCurve:
         end = self.soc_at(start + t)
         return np.maximum(end - np.minimum(y, self.soc_cap), 0.0)
 
-    def duration(self, y_start, y_end):
-        """Time needed to charge from y_start to y_end along the curve."""
-        ys = np.asarray(y_start, dtype=float)
-        ye = np.asarray(y_end, dtype=float)
-        if np.any(ye > self.soc_cap + 1e-9):
-            raise ChargeModelError(
-                f"target soc {y_end} above soc_cap={self.soc_cap}")
-        if np.any(ys > ye + 1e-12):
-            raise ChargeModelError("duration requires y_start <= y_end")
-        return np.maximum(self.time_at(ye) - self.time_at(ys), 0.0)
-
 
 @dataclass(frozen=True)
 class MaxPowerCurve(SampledChargeCurve):

@@ -118,12 +118,6 @@ class Instance:
                 return v
         raise InstanceError(f"unknown vehicle type {vid!r}")
 
-    def trip(self, tid: str) -> Trip:
-        for t in self.trips:
-            if t.id == tid:
-                return t
-        raise InstanceError(f"unknown trip {tid!r}")
-
     def charger(self, cid: str) -> Charger:
         for c in self.chargers:
             if c.id == cid:

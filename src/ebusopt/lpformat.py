@@ -61,7 +61,7 @@ class LpFormatError(ValueError):
 
 
 def _num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
+    if abs(v) < 1e15 and v == int(v):      # abs first: int() of inf raises
         return str(int(v))
     return format(v, ".17g")
 
@@ -1183,11 +1183,13 @@ def parse_solution_text(path) -> RawSolution:
     """Parse ``name value`` lines under ``# status/objective/bound`` headers.
 
     Comment lines (``#``, ``//``), objective lines (``=obj=`` and the like)
-    and one-word lines are skipped; a value line whose value is not a number
-    is an ``LpFormatError`` naming the line, never a variable read as 0.
+    and one-word lines are skipped; a value line whose value is not a finite
+    number is an ``LpFormatError`` naming the line, never a variable read
+    as 0.  An objective or bound header that is not a number is taken as
+    absent, one that is NaN or infinite is an ``LpFormatError`` too.
     """
     values: dict = {}
-    meta: dict = {}
+    meta: dict = {}                 # key -> (text, line number, line)
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -1196,30 +1198,37 @@ def parse_solution_text(path) -> RawSolution:
             if line.startswith("#") or line.startswith("//"):
                 parts = line.lstrip("#/ ").split()
                 if len(parts) >= 2 and parts[0].lower() in _META_KEYS:
-                    meta[parts[0].lower()] = parts[1]
+                    meta[parts[0].lower()] = (parts[1], lineno, line)
                 continue
             parts = line.split()
             if parts[0].lower() in ("=obj=", "objective", "objective_value",
                                     "objvalue"):
-                meta.setdefault("objective", parts[-1])
+                meta.setdefault("objective", (parts[-1], lineno, line))
                 continue
             if len(parts) < 2:
                 continue
             try:
-                values[parts[0]] = float(parts[1])
+                values[parts[0]] = _finite(float(parts[1]))
             except ValueError:
                 raise LpFormatError(
                     f"{path}:{lineno}: value of {parts[0]!r} is not a "
-                    f"number: {line!r}") from None
-    status = meta.get("status", "unknown")
+                    f"finite number: {line!r}") from None
+    status = meta["status"][0] if "status" in meta else "unknown"
     if not values and status == "unknown":
         raise LpFormatError(f"no variable values or status found in {path}")
 
     def _f(key):
+        if key not in meta:
+            return None
+        text, lineno, line = meta[key]
         try:
-            return float(meta[key]) if key in meta else None
+            value = float(text)
         except ValueError:
             return None
+        if not math.isfinite(value):
+            raise LpFormatError(f"{path}:{lineno}: {key} is not a finite "
+                                f"number: {line!r}")
+        return value
 
     return RawSolution(values=values, objective=_f("objective"),
                        bound=_f("bound"), status=status)
@@ -1252,10 +1261,17 @@ def parse_solution_xml(path) -> RawSolution:
 
 def _xml_number(text: str, what: str, path) -> float:
     try:
-        return float(text)
+        return _finite(float(text))
     except ValueError:
-        raise LpFormatError(f"{path}: {what} is not a number: "
+        raise LpFormatError(f"{path}: {what} is not a finite number: "
                             f"{text!r}") from None
+
+
+def _finite(value: float) -> float:
+    """``value``; NaN or inf is a ``ValueError``, as a non-number is."""
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return value
 
 
 def parse_solution_file(path) -> RawSolution:

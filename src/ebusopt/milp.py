@@ -21,9 +21,9 @@ form (columns with their bounds, [0, 1] for a binary, plus CSR rows); the
 LP/MPS writers, the readers, the in-process HiGHS solve and the decoder all
 use that form, never per-row records; the in-process solve hands those
 arrays to HiGHS with no model or solution file.  ``build_model`` reads the
-graph's columns, never an ``Arc`` record, and builds each constraint family
-as COO entries in one numpy pass, appended in one ``add_rows`` call; only
-the few vehicle-mix rows are built one dict at a time.  The model maps the
+graph's columns and builds each constraint family as COO entries in one
+numpy pass, appended in one ``add_rows`` call; only the few vehicle-mix
+rows are built one dict at a time.  The model maps the
 graph's pairs and arcs to its columns with three arrays (``x_col``,
 ``y_col``, ``phi_col``), and ``decode_solution`` walks the courses back
 over those and the graph's columns.
@@ -153,9 +153,6 @@ class MilpModel:
     _rows: list = field(default_factory=_no_rows, init=False, repr=False,
                         compare=False)
     _nnz: int = field(default=0, init=False, repr=False, compare=False)
-
-    def add_var(self, name, lb=0.0, ub=math.inf, binary=False, obj=0.0) -> int:
-        return self.add_vars([name], obj, lb, ub, binary)
 
     def add_vars(self, names: list, obj=0.0, lb=0.0, ub=math.inf,
                  binary=False) -> int:
@@ -701,11 +698,11 @@ def build_model(graph: SchedulingGraph, domains: dict,
     pull = g.kind == PULLOUT
     if options.use_strengthening:
         bounds = graph.energy_bounds()
-        exit_floor, ceiling = bounds.min_exit, bounds.max_arrival
+        floor, ceiling = bounds.min_exit, bounds.max_arrival
         pull_x = electric & pull[pa]
         inner_x = electric & ~pull[pa]
         inner_arcs = np.flatnonzero(~pull)
-        lo = g.cons[inner_x] + exit_floor[g.head[pa[inner_x]], pp[inner_x]]
+        lo = g.cons[inner_x] + floor[g.head[pa[inner_x]], pp[inner_x]]
         lo = np.where(np.isfinite(lo), lo, 2.0)  # dead end: forces x = 0
         hi = ceiling[g.tail[pa[inner_x]], pp[inner_x]]
         hi = np.where(np.isfinite(hi), hi, 0.0)  # unreachable tail
@@ -957,7 +954,7 @@ def decode_solution(model: MilpModel, raw: RawSolution) -> Schedule:
     from each active pull-out arc is unambiguous.  Fractional binaries beyond
     the integrality tolerance and unbalanced flows are decode errors.  The
     solution is read once, as a vector in column order, and the walk reads
-    the graph's columns through ``model.x_col``: no ``Arc`` record.
+    the graph's columns through ``model.x_col``.
     """
     graph = model.graph
     if not raw.has_incumbent:

@@ -7,10 +7,7 @@ variables.  Splitting each depot into source/sink makes the graph a DAG.
 
 The graph is arrays: per arc its tail, head, kind, slot, step, availability
 and leg, and per (arc, plan) pair its arc, plan, cost and consumption, with
-nodes and plans coded by their rank in sorted id order.  ``Arc`` is a
-record built on access (``graph.arcs[i]``, ``out_arcs[n]``, ``in_arcs[n]``);
-building the graph, its energy bounds and the model, decoding a solution
-and validating the schedule create none.
+nodes and plans coded by their rank in sorted id order.
 
 The arcs of a slot carry only the plans that are live on it: those with a
 path of arcs admitting them from their depot source through the slot to
@@ -26,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,7 +30,6 @@ from typing import Optional
 import numpy as np
 
 from .instance import Deadhead, Instance, PlanType
-from .lpformat import _Records
 
 
 class GraphError(ValueError):
@@ -56,27 +51,6 @@ class Node:
     trip: Optional[str] = None
     slot: Optional[str] = None
     event: Optional[int] = None     # timeline index for charge nodes
-
-
-@dataclass(frozen=True)
-class Arc:
-    index: int
-    tail: str
-    head: str
-    kind: str                       # pullout | pullin | connection | access | egress | recharge
-    plans: tuple                    # admissible plan ids
-    move_consumption: dict          # plan id -> relative soc for the deadhead leg
-    service_consumption: dict       # plan id -> relative soc for the head node's trip
-    cost: dict                      # plan id -> cost contribution of x
-    duration_s: int = 0
-    charger: Optional[str] = None
-    slot: Optional[str] = None
-    step: Optional[int] = None      # recharge arcs: head event index i in 1..H
-    available: bool = True          # recharge arcs: charger availability window
-
-    def consumption(self, plan: str) -> float:
-        return (self.move_consumption.get(plan, 0.0)
-                + self.service_consumption.get(plan, 0.0))
 
 
 @dataclass(frozen=True)
@@ -112,8 +86,6 @@ class SchedulingGraph:
     node_kind: np.ndarray = field(init=False)   # position in NODE_KINDS
     plan_ids: list = field(init=False)      # plan id per plan code
     plan_code: dict = field(init=False)     # plan id -> code
-    in_arcs: "_Adjacent" = field(init=False, repr=False)
-    out_arcs: "_Adjacent" = field(init=False, repr=False)
     _order: Optional[list] = field(default=None, init=False, repr=False)
     _bounds: Optional["EnergyBounds"] = field(default=None, init=False,
                                               repr=False)
@@ -125,25 +97,6 @@ class SchedulingGraph:
                                    for nid in self.node_ids], np.int8)
         self.plan_ids = sorted(p.id for p in self.plan_types)
         self.plan_code = {pid: k for k, pid in enumerate(self.plan_ids)}
-        # through a proxy, so that no reference cycle keeps a dropped graph
-        self.in_arcs = _Adjacent(weakref.proxy(self), self.head)
-        self.out_arcs = _Adjacent(weakref.proxy(self), self.tail)
-
-    @property
-    def arcs(self) -> _Records:
-        return _Records(len(self.tail), self._arc)
-
-    def _arc(self, i: int) -> Arc:
-        lo, hi = np.searchsorted(self.pair_arc, [i, i + 1])
-        plans = tuple(self.plan_ids[p] for p in self.pair_plan[lo:hi])
-        duration, *tables = self.legs[self.leg[i]]
-        move, service, cost = ({p: t[p] for p in plans if p in t}
-                               for t in tables)
-        sid = self.slots[self.slot[i]] if self.slot[i] >= 0 else None
-        return Arc(i, self.node_ids[self.tail[i]], self.node_ids[self.head[i]],
-                   ARC_KINDS[self.kind[i]], plans, move, service, cost,
-                   duration, self.slot_charger.get(sid), sid,
-                   int(self.step[i]) or None, bool(self.available[i]))
 
     def plan(self, pid: str) -> PlanType:
         for p in self.plan_types:
@@ -177,17 +130,6 @@ class SchedulingGraph:
         arcs = np.bincount(self.kind, minlength=len(ARC_KINDS))
         return {"nodes": dict(Counter(n.kind for n in self.nodes.values())),
                 "arcs": {k: int(c) for k, c in zip(ARC_KINDS, arcs) if c}}
-
-
-class _Adjacent:
-    """Node id -> the ``Arc`` records of the arcs out of (or into) it."""
-
-    def __init__(self, graph: SchedulingGraph, end: np.ndarray):
-        self.graph, self.end = graph, end
-
-    def __getitem__(self, nid: str) -> list:
-        at = np.flatnonzero(self.end == self.graph.node_code[nid])
-        return [self.graph.arcs[i] for i in at.tolist()]
 
 
 def _by_node(end: np.ndarray, n_nodes: int):
@@ -542,24 +484,11 @@ class EnergyBounds:
     E is the cheapest consumption path from the node to any depot sink or
     charge node; Y is 1 minus the cheapest path from any depot source or
     charge node.  Unreachable exits are +inf, unreachable nodes have
-    Y = -inf.
+    Y = -inf.  Rows are the graph's node codes, columns its plan codes.
     """
 
-    node_code: dict         # node id -> row
-    plan_code: dict         # plan id -> column
     min_exit: np.ndarray    # (node, plan) -> E
     max_arrival: np.ndarray     # (node, plan) -> Y
-
-    def exit_floor(self, node: str, plan: str) -> float:
-        return float(self.min_exit[self.node_code[node], self.plan_code[plan]])
-
-    def arrival_ceiling(self, node: str, plan: str) -> float:
-        return float(self.max_arrival[self.node_code[node],
-                                      self.plan_code[plan]])
-
-    def __eq__(self, other) -> bool:
-        return (np.array_equal(self.min_exit, other.min_exit)
-                and np.array_equal(self.max_arrival, other.max_arrival))
 
 
 def compute_energy_bounds(graph: SchedulingGraph) -> EnergyBounds:
@@ -585,5 +514,4 @@ def compute_energy_bounds(graph: SchedulingGraph) -> EnergyBounds:
         at = into[into_start[c]:into_start[c + 1]]
         np.maximum.at(max_arrival[c], plan[at],
                       max_arrival[tail[at], plan[at]] - cons[at])
-    return EnergyBounds(graph.node_code, graph.plan_code, min_exit,
-                        max_arrival)
+    return EnergyBounds(min_exit, max_arrival)

@@ -10,8 +10,9 @@ actual branch-and-bound is HiGHS: the ``_Highs`` object that scipy bundles
 Solution files are plain text: `# status/objective/bound` headers followed
 by `name value` lines.  Exit code 0 covers every properly diagnosed outcome
 (optimal, infeasible, time limit); 2 means the model file could not be read
-(missing, not text, or a malformed line, which the message names); 3 means
-the solver itself failed.
+(missing, not text, or a malformed line, which the message names) or an
+argument is invalid, such as a NaN time limit; 3 means the solver itself
+failed.
 
 ``solve_arrays`` is the one HiGHS call site, and the one place where the
 rows' senses and right-hand sides become HiGHS's row bounds: this CLI
@@ -87,8 +88,11 @@ def solve_arrays(p: ModelArrays, time_limit: float | None = None):
     when it has an incumbent, and otherwise the optimal LP objective.  A
     model HiGHS refuses (a NaN or infinite rhs, an infinite coefficient)
     raises ``RuntimeError``; so does a NaN coefficient, which HiGHS would
-    take and report a status for.
+    take and report a status for.  A NaN time limit raises ``ValueError``:
+    HiGHS would take it and run with no limit.
     """
+    if time_limit is not None and math.isnan(time_limit):
+        raise ValueError("time limit is NaN")
     from scipy.optimize._highspy import _core
 
     if time_limit is not None and time_limit <= 0:
@@ -155,6 +159,14 @@ def solve_parsed(model: ModelArrays, time_limit: float | None = None,
     return solve_arrays(model, time_limit)
 
 
+def _time_limit(text: str) -> float:
+    """A ``--time-limit`` in seconds: any number but NaN."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError("a time limit of NaN s cannot run")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ebusopt-solve",
@@ -162,7 +174,7 @@ def main(argv=None) -> int:
                     "plain-text solution file")
     parser.add_argument("model")
     parser.add_argument("solution")
-    parser.add_argument("--time-limit", type=float, default=None)
+    parser.add_argument("--time-limit", type=_time_limit, default=None)
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for command-template compatibility")
     args = parser.parse_args(argv)

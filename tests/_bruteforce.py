@@ -141,7 +141,7 @@ class FleetOracle:
         return y
 
     def course_feasible(self, trip_ids):
-        trips = sorted((self.inst.trip(t) for t in trip_ids),
+        trips = sorted((t for t in self.inst.trips if t.id in trip_ids),
                        key=lambda t: t.departure_s)
         for depot in self.inst.depots:
             if self._course_from_depot(depot.id, trips):

@@ -12,7 +12,8 @@ keyed dicts and hands them over as the model's ``x_col``, ``y_col`` and
 charger arc every plan its charger serves; it is the reference for the
 package's graph, which drops the plans that cannot reach a slot.  It lays
 the graph out as ``Arc`` records and stores them in the package's columns,
-one leg per arc.
+one leg per arc; ``arc_records`` reads any graph's columns back as such
+records, the form in which the tests and the dict-row builder read a graph.
 The readers at the bottom (``_tokenize_lp``, ``read_lp`` and ``read_mps``)
 lex an LP file one regex match per position and read an MPS file line by
 line into a ``ParsedModel`` of name-keyed dicts, one per row; with
@@ -33,13 +34,14 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from ebusopt.lpformat import SENSES, LpFormatError, ModelArrays
 from ebusopt.milp import MilpModel, ModelError, ModelOptions, _domain_for
-from ebusopt.netgraph import (ARC_KINDS, Arc, GraphError, GraphOptions,
-                              Node, SchedulingGraph, _snap_windows_to_steps,
+from ebusopt.netgraph import (ARC_KINDS, GraphError, GraphOptions, Node,
+                              SchedulingGraph, _snap_windows_to_steps,
                               compute_energy_bounds)
 
 
@@ -67,9 +69,6 @@ class ClosedFormCurve:
         y = np.minimum(np.asarray(y, dtype=float), self.soc_cap)
         out = np.maximum(self.soc_at(self.time_at(y) + np.asarray(t)) - y, 0.0)
         return float(out) if np.ndim(out) == 0 else out
-
-    def duration(self, y_start, y_end):
-        return self.time_at(y_end) - self.time_at(y_start)
 
 
 def constant_curve(c=0.5, soc_cap=0.999):
@@ -337,6 +336,61 @@ def write_mps(model, path, relax: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The graph as records
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Arc:
+    index: int
+    tail: str
+    head: str
+    kind: str                       # pullout | pullin | connection | access | egress | recharge
+    plans: tuple                    # admissible plan ids
+    move_consumption: dict          # plan id -> relative soc for the deadhead leg
+    service_consumption: dict       # plan id -> relative soc for the head node's trip
+    cost: dict                      # plan id -> cost contribution of x
+    duration_s: int = 0
+    charger: Optional[str] = None
+    slot: Optional[str] = None
+    step: Optional[int] = None      # recharge arcs: head event index i in 1..H
+    available: bool = True          # recharge arcs: charger availability window
+
+    def consumption(self, plan: str) -> float:
+        return (self.move_consumption.get(plan, 0.0)
+                + self.service_consumption.get(plan, 0.0))
+
+
+def arc_records(graph) -> list:
+    """The graph's arcs as ``Arc`` records in index order, read from its
+    columns: an arc's plans are its pairs', its tables its leg's."""
+    bounds = np.searchsorted(graph.pair_arc,
+                             np.arange(len(graph.tail) + 1)).tolist()
+    arcs = []
+    for i in range(len(graph.tail)):
+        plans = tuple(graph.plan_ids[p]
+                      for p in graph.pair_plan[bounds[i]:bounds[i + 1]])
+        duration, *tables = graph.legs[graph.leg[i]]
+        move, service, cost = ({p: t[p] for p in plans if p in t}
+                               for t in tables)
+        sid = graph.slots[graph.slot[i]] if graph.slot[i] >= 0 else None
+        arcs.append(Arc(
+            i, graph.node_ids[graph.tail[i]], graph.node_ids[graph.head[i]],
+            ARC_KINDS[graph.kind[i]], plans, move, service, cost, duration,
+            graph.slot_charger.get(sid), sid, int(graph.step[i]) or None,
+            bool(graph.available[i])))
+    return arcs
+
+
+def adjacency(arcs) -> tuple:
+    """``(in_arcs, out_arcs)``: node id -> the records into (out of) it."""
+    in_arcs, out_arcs = defaultdict(list), defaultdict(list)
+    for a in arcs:
+        in_arcs[a.head].append(a)
+        out_arcs[a.tail].append(a)
+    return in_arcs, out_arcs
+
+
+# ---------------------------------------------------------------------------
 # Dict-row model assembly (reference for the array-native ``build_model``)
 # ---------------------------------------------------------------------------
 
@@ -353,7 +407,7 @@ def _mix_payoff_plans(inst):
     return out
 
 
-def _dropped_events(graph, sid, dead_steps, payoff):
+def _dropped_events(graph, arcs, sid, dead_steps, payoff):
     """The events of slot ``sid`` whose egress and pull-out arcs get no
     columns: inside a dead run and more than ``stack`` events after every
     anchor."""
@@ -365,7 +419,7 @@ def _dropped_events(graph, sid, dead_steps, payoff):
     anchors = [e for e in range(steps + 1)
                if e + 1 in dead_steps and e not in dead_steps]
     first_pullout, lowest_egress, sink, trips = {}, {}, {}, set()
-    for a in graph.arcs:
+    for a in arcs:
         if a.slot != sid:
             continue
         if a.kind == "access":
@@ -394,29 +448,29 @@ def _dropped_events(graph, sid, dead_steps, payoff):
             if not any(a <= e <= a + stack for a in anchors)}
 
 
-def column_arcs(graph, dead, lead):
+def column_arcs(graph, arcs, dead, lead):
     """Per graph arc index, the index of the arc whose columns it uses, or
     None: egress and pull-out arcs at dropped events have none, and each
     arc of a chain of dead recharge arcs uses its chain's first arc."""
-    rep = {a.index: a.index for a in graph.arcs}
+    rep = {a.index: a.index for a in arcs}
     if lead == 0:
         payoff = _mix_payoff_plans(graph.instance)
         for sid in graph.slots:
-            dead_steps = {a.step for a in graph.arcs
+            dead_steps = {a.step for a in arcs
                           if a.slot == sid and a.index in dead}
-            drop = _dropped_events(graph, sid, dead_steps, payoff)
-            for a in graph.arcs:
+            drop = _dropped_events(graph, arcs, sid, dead_steps, payoff)
+            for a in arcs:
                 at = graph.nodes[a.tail if a.kind == "egress" else a.head]
                 if (a.kind in ("egress", "pullout") and at.slot == sid
                         and at.event in drop):
                     rep[a.index] = None
     n_in, n_out = defaultdict(int), defaultdict(int)
-    for a in graph.arcs:
+    for a in arcs:
         if rep[a.index] is not None:
             n_in[a.head] += 1
             n_out[a.tail] += 1
-    recharge_into = {a.head: a for a in graph.arcs if a.kind == "recharge"}
-    for a in graph.arcs:
+    recharge_into = {a.head: a for a in arcs if a.kind == "recharge"}
+    for a in arcs:
         prev = recharge_into.get(a.tail)
         if (a.index in dead and prev is not None and prev.index in dead
                 and n_in[a.tail] == 1 and n_out[a.tail] == 1):
@@ -478,29 +532,30 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
             for i in range(1, graph.horizon_steps + 1):
                 limits[g.id, i] = _grid_limit(g, graph, i,
                                               options.grid_limit_override)
-    for a in graph.arcs:
+    arcs = arc_records(graph)
+    for a in arcs:
         if a.kind == "recharge":
             for pid in a.plans:
                 if pid in electric:
                     _domain_for(domains, a.charger, vtype_of[pid])
     dead = set()
     if compress:
-        for a in graph.arcs:
+        for a in arcs:
             c = inst.charger(a.charger) if a.kind == "recharge" else None
             if c is not None and c.step_consumption == 0 and (
                     not a.available or limits[c.grid_point, a.step] == 0):
                 dead.add(a.index)
-    rep = column_arcs(graph, dead, options.precondition_lead)
+    rep = column_arcs(graph, arcs, dead, options.precondition_lead)
     own = {i for i, r in rep.items() if r == i}
-    kept_arcs = [a for a in graph.arcs if rep[a.index] is not None]
+    kept_arcs = [a for a in arcs if rep[a.index] is not None]
     interior = {a.tail for a in kept_arcs if a.index not in own}
 
     # --- variables, canonical order: x per arc/plan, y per arc, phi ---------
     for a in kept_arcs:
         for pid in a.plans:
             if a.index in own:
-                idx = model.add_var(f"x[{a.index:06d}][{pid}]", binary=True,
-                                    obj=a.cost.get(pid, 0.0))
+                idx = model.add_vars([f"x[{a.index:06d}][{pid}]"],
+                                     binary=True, obj=a.cost.get(pid, 0.0))
             else:
                 idx = x_index[(rep[a.index], pid)]
             x_index[(a.index, pid)] = idx
@@ -518,8 +573,8 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
                     zero = min(zero, float(dom.offsets[j])
                                / -float(dom.slopes[j]))
             ub = min(1.0, zero)
-        y_index[a.index] = model.add_var(f"y[{a.index:06d}]", 0.0, ub)
-    for a in graph.arcs:
+        y_index[a.index] = model.add_vars([f"y[{a.index:06d}]"], ub=ub)
+    for a in arcs:
         if a.kind != "recharge" or a.index in dead:
             continue
         gp = inst.grid_point(inst.charger(a.charger).grid_point)
@@ -530,15 +585,11 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
             dom = _domain_for(domains, a.charger, vtype_of[pid])
             price = gp.price_at(step_start) * battery[vtype_of[pid]]
             ub = dom.offsets[0] if a.available else 0.0
-            idx = model.add_var(f"phi[{a.index:06d}][{pid}]", 0.0, ub,
-                                obj=price)
+            idx = model.add_vars([f"phi[{a.index:06d}][{pid}]"], ub=ub,
+                                 obj=price)
             phi_index[(a.index, pid)] = idx
 
-    in_arcs = defaultdict(list)
-    out_arcs = defaultdict(list)
-    for a in kept_arcs:
-        in_arcs[a.head].append(a)
-        out_arcs[a.tail].append(a)
+    in_arcs, out_arcs = adjacency(kept_arcs)
     nodes = [nid for nid in sorted(graph.nodes) if nid not in interior]
 
     # --- flow conservation per (non-depot node, plan) ------------------------
@@ -624,15 +675,17 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
         else:
             lo_coeffs = {y: 1.0}
             for pid in e_plans:
-                exit_floor = bounds.exit_floor(a.head, pid)
-                coef = a.consumption(pid) + exit_floor
+                floor = bounds.min_exit[graph.node_code[a.head],
+                                        graph.plan_code[pid]]
+                coef = a.consumption(pid) + floor
                 if not math.isfinite(coef):
                     coef = 2.0  # dead-end arc for this plan: forces x = 0
                 lo_coeffs[x_index[(a.index, pid)]] = -min(coef, 2.0)
             model.add_row(lo_coeffs, ">=", 0.0, "strengthlo")
             hi_coeffs = {y: -1.0}
             for pid in e_plans:
-                ceiling = bounds.arrival_ceiling(a.tail, pid)
+                ceiling = bounds.max_arrival[graph.node_code[a.tail],
+                                             graph.plan_code[pid]]
                 if not math.isfinite(ceiling):
                     ceiling = 0.0  # unreachable tail for this plan
                 hi_coeffs[x_index[(a.index, pid)]] = max(min(ceiling, 1.0),
@@ -641,7 +694,7 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
 
     # --- energy flow through every non-depot node ------------------------------
     recharge_into = {}
-    for a in graph.arcs:
+    for a in arcs:
         if a.kind == "recharge":
             recharge_into[a.head] = a
     for nid in nodes:
@@ -670,7 +723,7 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
             model.add_row(coeffs, "=", 0.0, "energy")
 
     # --- increment coupling and domain segments --------------------------------
-    for a in graph.arcs:
+    for a in arcs:
         if a.kind != "recharge":
             continue
         y = y_index[a.index]
@@ -693,7 +746,7 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
             if cid == c.id:
                 slots_of_gp.setdefault(c.grid_point, []).append(s)
     recharge_by_slot_step = {(a.slot, a.step): a
-                             for a in graph.arcs if a.kind == "recharge"}
+                             for a in arcs if a.kind == "recharge"}
     for g in inst.grid_points:
         slot_ids = sorted(slots_of_gp.get(g.id, []))
         if not slot_ids:
@@ -731,9 +784,10 @@ def add_preconditioning(model, lead_steps, x_index, phi_index):
         raise ModelError("lead_steps must be >= 1")
     graph = model.graph
     vtype_of = {p.id: p.vehicle_type for p in graph.plan_types}
-    by_slot_step = {(a.slot, a.step): a for a in graph.arcs
+    arcs = arc_records(graph)
+    by_slot_step = {(a.slot, a.step): a for a in arcs
                     if a.kind == "recharge"}
-    for a in graph.arcs:
+    for a in arcs:
         if a.kind != "recharge":
             continue
         earlier = by_slot_step.get((a.slot, a.step - lead_steps))

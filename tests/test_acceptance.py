@@ -20,7 +20,8 @@ from ebusopt.netgraph import GraphOptions, build_graph, compute_energy_bounds
 from ebusopt.validate import (build_domains, exact_curves, grid_load_profile,
                               validate_schedule)
 from _bruteforce import FleetOracle
-from _oracles import constant_curve, linear_cv_curve, quadratic_cv_curve
+from _oracles import (adjacency, arc_records, constant_curve,
+                      linear_cv_curve, quadratic_cv_curve)
 from _toys import charger_toy, charging_required_instance, two_trip_instance
 
 THETA = 300.0
@@ -486,6 +487,7 @@ def test_criterion_12_energy_bounds_vs_enumeration():
     for g in graphs:
         assert len(g.nodes) <= 12, "oracle applies to graphs up to 12 nodes"
         eb = compute_energy_bounds(g)
+        in_arcs, out_arcs = adjacency(arc_records(g))
         anchors_exit = {nid for nid, n in g.nodes.items()
                         if n.kind in ("depot-sink", "charge")}
         anchors_entry = {nid for nid, n in g.nodes.items()
@@ -497,20 +499,21 @@ def test_criterion_12_energy_bounds_vs_enumeration():
                 if nid in anchors_exit:
                     return [0.0]
                 return [a.consumption(pid) + rest
-                        for a in g.out_arcs[nid] if pid in a.plans
+                        for a in out_arcs[nid] if pid in a.plans
                         for rest in exits(a.head)]
 
             def entries(nid):
                 if nid in anchors_entry:
                     return [0.0]
                 return [a.consumption(pid) + rest
-                        for a in g.in_arcs[nid] if pid in a.plans
+                        for a in in_arcs[nid] if pid in a.plans
                         for rest in entries(a.tail)]
 
             for nid in g.nodes:
+                at = g.node_code[nid], g.plan_code[pid]
                 ex = exits(nid)
                 want_e = min(ex) if ex else math.inf
-                got_e = eb.exit_floor(nid, pid)
+                got_e = eb.min_exit[at]
                 if g.nodes[nid].kind in ("depot-sink", "charge"):
                     want_e = 0.0
                 assert got_e == pytest.approx(want_e, abs=1e-9) \
@@ -519,7 +522,7 @@ def test_criterion_12_energy_bounds_vs_enumeration():
                 want_y = 1.0 - min(en) if en else -math.inf
                 if g.nodes[nid].kind in ("depot-source", "charge"):
                     want_y = 1.0
-                got_y = eb.arrival_ceiling(nid, pid)
+                got_y = eb.max_arrival[at]
                 assert got_y == pytest.approx(want_y, abs=1e-9) \
                     or (math.isinf(want_y) and math.isinf(got_y)), (nid, pid)
                 checked += 1

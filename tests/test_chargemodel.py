@@ -213,27 +213,26 @@ def test_two_point_table_equals_linear_shape(cc, yv):
 
 
 # ---------------------------------------------------------------------------
-# duration / increment operators
+# duration (a difference of time_at) / increment operators
 # ---------------------------------------------------------------------------
 
 def test_duration_identity_and_linear_case():
     curve = make_constant(0.5)
-    assert float(curve.duration(0.4, 0.4)) == 0.0
-    assert float(curve.duration(0.2, 0.7)) == pytest.approx(1.0, abs=1e-12)
+    assert float(curve.time_at(0.4) - curve.time_at(0.4)) == 0.0
+    assert float(curve.time_at(0.7) - curve.time_at(0.2)) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_duration_exponential_case():
     curve = make_linear(0.5, 0.8)
-    assert float(curve.duration(0.8, 0.9)) == pytest.approx(math.log(2) / 2.5,
-                                                            abs=1e-7)
+    assert float(curve.time_at(0.9) - curve.time_at(0.8)) == pytest.approx(
+        math.log(2) / 2.5, abs=1e-7)
 
 
 def test_duration_out_of_range():
     curve = make_constant(0.5)
     with pytest.raises(cm.ChargeModelError):
-        curve.duration(0.1, curve.soc_cap + 0.01)
-    with pytest.raises(cm.ChargeModelError):
-        curve.duration(0.7, 0.2)
+        curve.time_at(curve.soc_cap + 0.01)
 
 
 def test_increment_basics():

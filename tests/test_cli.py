@@ -289,7 +289,14 @@ def _solver_cmd(tmp_path, solution_text):
     ('<?xml version="1.0"?>\n<CPLEXSolution><header objectiveValue="n/a" '
      'solutionStatusString="optimal"/><variables><variable name="a" '
      'value="1"/></variables></CPLEXSolution>\n', "objectiveValue"),
-], ids=["text-value", "xml-value", "xml-objective"])
+    ("# status optimal\na nan\n", "a nan"),
+    ("# status optimal\n# objective nan\n# bound nan\na 1\n",
+     "objective nan"),
+    ('<?xml version="1.0"?>\n<CPLEXSolution><header objectiveValue="1" '
+     'solutionStatusString="optimal"/><variables><variable name="a" '
+     'value="nan"/></variables></CPLEXSolution>\n', "'nan'"),
+], ids=["text-value", "xml-value", "xml-objective", "text-value-nan",
+        "text-objective-nan", "xml-value-nan"])
 def test_solve_non_numeric_solution_exits_3(runner, tmp_path, solution_text,
                                             message):
     inst_path = tmp_path / "toy.json"

@@ -16,6 +16,7 @@ from ebusopt.solverbridge import SOLVER_ENV_VAR, resolve_solver_command
 from ebusopt.validate import (build_domains, discretization_sweep,
                               exact_curves, save_validation_report,
                               validate_schedule)
+from _oracles import arc_records
 from _toys import charger_toy, charging_required_instance, two_trip_instance
 
 
@@ -65,7 +66,7 @@ def test_recharge_arc_idle_draw(tmp_path):
     drawing = dataclasses.replace(inst, chargers=(charger,))
     curves = exact_curves(drawing)
     graph = build_graph(drawing, 300.0, GraphOptions(egress_lookahead_steps=24))
-    for a in graph.arcs:
+    for a in arc_records(graph):
         if a.kind == "recharge":
             assert a.consumption("e0.D0") == pytest.approx(0.002)
     domains = build_domains(drawing, curves, 300.0, 4, "under")

@@ -314,6 +314,7 @@ def test_worst_case_single_course_propagates_feasibly():
         inst = generate_worst_case(n, delta, eps)
         meta = inst.meta
         dh = inst.deadhead_map()
+        trip = {t.id: t for t in inst.trips}
         vt = "ebus"
         roles = [cm.ROLE_DEPOT_START]
         cons, durs = [], []
@@ -321,7 +322,7 @@ def test_worst_case_single_course_propagates_feasibly():
         for i in range(1, n + 1):
             entry = dh[("d1", "t1S")] if i == 1 else dh[(f"s{i-1}", f"t{i}S")]
             roles += [cm.ROLE_TRIP_START, cm.ROLE_TRIP_END]
-            cons += [entry.consumption[vt], inst.trip(f"t{i}").consumption[vt]]
+            cons += [entry.consumption[vt], trip[f"t{i}"].consumption[vt]]
             durs += [0.0, 0.0]
             if i < n:
                 roles += [cm.ROLE_CHARGE_ARRIVAL, cm.ROLE_CHARGE_DEPARTURE]

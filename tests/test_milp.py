@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles
-from ebusopt import solverbridge
+from ebusopt import refsolver, solverbridge
 from ebusopt.generators import generate_worst_case
 from ebusopt.instance import GridPoint, InstanceError
 from ebusopt.lpformat import (SENSES, LpFormatError, ModelArrays,
@@ -23,7 +23,7 @@ from ebusopt.lpformat import (SENSES, LpFormatError, ModelArrays,
 from ebusopt.milp import (DecodeError, MilpModel, ModelError, ModelOptions,
                           _min_power_steps, build_model, decode_solution,
                           emit_model, solve_model)
-from ebusopt.netgraph import GraphOptions, build_graph
+from ebusopt.netgraph import RECHARGE, GraphOptions, build_graph
 from ebusopt.refsolver import load_model, solve_arrays, solve_parsed
 from ebusopt.solverbridge import (DEFAULT_SOLVER_CMD, SOLVER_ENV_VAR,
                                   SolverError, solve_external)
@@ -63,7 +63,7 @@ def test_domain_rows_per_recharge_arc():
     inst = charger_toy(horizon_s=3600, theta=300)
     _, graph, domains, model = toy_setup(inst, m=4)
     dom = domains[("C0", "e0")]
-    n_recharge = sum(1 for a in graph.arcs if a.kind == "recharge")
+    n_recharge = np.count_nonzero(graph.kind == RECHARGE)
     tags = model.rows_by_tag()
     assert tags["inccoupling"] == n_recharge
     assert tags["incdomain"] == n_recharge * (dom.segment_count - 1)
@@ -89,7 +89,7 @@ def test_constraint_counts_random_instance():
     h = graph.horizon_steps
     assert tags["grid"] == len(inst.grid_points) * h
     expected_domain = 0
-    for a in graph.arcs:
+    for a in _oracles.arc_records(graph):
         if a.kind != "recharge":
             continue
         for pid in a.plans:
@@ -150,9 +150,9 @@ def _bare_model() -> MilpModel:
 
 def test_variable_count_in_lp(tmp_path):
     tiny = _bare_model()
-    tiny.add_var("a", 0, 1, True, 1.0)
-    tiny.add_var("b", 0, math.inf, False, 2.0)
-    tiny.add_var("c", 0, 5.0, False, 0.0)
+    tiny.add_vars(["a"], obj=1.0, binary=True)
+    tiny.add_vars(["b"], obj=2.0)
+    tiny.add_vars(["c"], ub=5.0)
     path = tmp_path / "tiny.lp"
     write_lp(tiny.arrays(), path)
     parsed = read_lp(str(path))
@@ -305,10 +305,10 @@ def test_in_process_arrays_equal_mps_file_arrays(tmp_path):
 
 def test_in_process_model_leaves_out_unused_variables(tmp_path):
     tiny = _bare_model()
-    tiny.add_var("a", 0, 1, True, 1.0)
-    tiny.add_var("b", 0, math.inf)
-    tiny.add_var("c", 0, 5.0)
-    tiny.add_var("d", 2.0, math.inf)
+    tiny.add_vars(["a"], obj=1.0, binary=True)
+    tiny.add_vars(["b"])
+    tiny.add_vars(["c"], ub=5.0)
+    tiny.add_vars(["d"], lb=2.0)
     path = tmp_path / "tiny.lp"
     emit_model(tiny, "lp", path)
     parsed = _oracles.parsed_model(tiny, "lp")
@@ -377,15 +377,15 @@ def random_models(draw):
         kind = draw(st.sampled_from(["binary", "free", "floor", "bounded"]))
         obj = draw(st.one_of(SPECIAL, COEFS))
         if kind == "binary":
-            model.add_var(f"b{j}", binary=True, obj=obj)
+            model.add_vars([f"b{j}"], binary=True, obj=obj)
         elif kind == "free":
-            model.add_var(f"u{j}", obj=obj)
+            model.add_vars([f"u{j}"], obj=obj)
         elif kind == "floor":
-            model.add_var(f"f{j}", lb=draw(st.one_of(SPECIAL, COEFS)),
-                          obj=obj)
+            model.add_vars([f"f{j}"], lb=draw(st.one_of(SPECIAL, COEFS)),
+                           obj=obj)
         else:
-            model.add_var(f"c{j}", lb=draw(st.one_of(SPECIAL, COEFS)),
-                          ub=draw(COEFS), obj=obj)
+            model.add_vars([f"c{j}"], lb=draw(st.one_of(SPECIAL, COEFS)),
+                           ub=draw(COEFS), obj=obj)
     for _ in range(draw(st.integers(0, 6))):
         cols = draw(st.lists(st.integers(0, n - 1), unique=True))
         model.add_row({j: draw(COEFS) for j in cols}, draw(st.sampled_from(SENSES)),
@@ -555,6 +555,18 @@ def test_status_infeasible(tmp_path):
 def test_status_time_limit_zero(tmp_path):
     arrays = _hand_arrays(tmp_path, HAND_LP)
     assert solve_arrays(arrays, 0) == ("time-limit", {}, None, None)
+
+
+def test_nan_time_limit_is_refused(tmp_path):
+    # HiGHS takes a NaN time limit and solves with no limit
+    arrays = _hand_arrays(tmp_path, HAND_LP)
+    with pytest.raises(ValueError, match="time limit is NaN"):
+        solve_arrays(arrays, math.nan)
+    solution = tmp_path / "hand.sol"
+    with pytest.raises(SystemExit) as stop:
+        refsolver.main([str(tmp_path / "hand.lp"), str(solution),
+                        "--time-limit", "nan"])
+    assert stop.value.code == 2 and not solution.exists()
 
 
 def _one_row(rhs, vals):
@@ -754,7 +766,7 @@ def test_preconditioning_row_counts():
     _, _, _, model = toy_setup(inst, options=ModelOptions(precondition_lead=1))
     added = len(model.rows) - len(base.rows)
     # one row per (recharge arc, plan) that has a predecessor step
-    n = sum(1 for a in graph.arcs if a.kind == "recharge" and a.step > 1)
+    n = np.count_nonzero((graph.kind == RECHARGE) & (graph.step > 1))
     assert added == n
     assert model.rows_by_tag()["precondition"] == n
 
@@ -846,10 +858,11 @@ def test_decode_recharge_window_matches_soc_jump(tmp_path):
     course = next(c for c in sched.courses if c.windows)
     win = next(w for w in course.windows if sum(w.phis) > 1e-9)
     # soc jump across the window in the y variables equals the summed phi
+    arcs = _oracles.arc_records(graph)
     first_arc = None
     last_arc = None
     for a_idx in course.arc_indices:
-        a = graph.arcs[a_idx]
+        a = arcs[a_idx]
         if a.kind == "recharge" and a.step in win.steps:
             if first_arc is None:
                 first_arc = a
@@ -858,10 +871,10 @@ def test_decode_recharge_window_matches_soc_jump(tmp_path):
         return raw.value(model.names[model.y_col[arc.index]])
 
     y_in = y(first_arc)
-    out_arc = next(graph.arcs[i] for i in course.arc_indices
-                   if graph.arcs[i].kind != "recharge"
-                   and graph.nodes[graph.arcs[i].tail].slot == last_arc.slot
-                   and graph.nodes[graph.arcs[i].tail].event == last_arc.step)
+    out_arc = next(arcs[i] for i in course.arc_indices
+                   if arcs[i].kind != "recharge"
+                   and graph.nodes[arcs[i].tail].slot == last_arc.slot
+                   and graph.nodes[arcs[i].tail].event == last_arc.step)
     y_out = y(out_arc)
     assert y_out - y_in == pytest.approx(sum(win.phis), abs=1e-6)
 

@@ -2,25 +2,26 @@ import numpy as np
 import pytest
 
 from ebusopt.generators import SyntheticParams, generate_synthetic
-from ebusopt.netgraph import (GraphError, GraphOptions, build_graph,
-                              compute_energy_bounds)
+from ebusopt.netgraph import (ARC_KINDS, EGRESS, GraphError, GraphOptions,
+                              build_graph, compute_energy_bounds)
+from _oracles import adjacency, arc_records
 from _toys import charger_toy, two_trip_instance
 
 
 def test_two_trip_graph_minimal_arcs():
     inst = two_trip_instance()
     g = build_graph(inst, 300.0)
-    kinds = [a.kind for a in g.arcs]
+    kinds = [ARC_KINDS[k] for k in g.kind]
     assert kinds.count("connection") == 1
     assert kinds.count("pullout") == 2
     assert kinds.count("pullin") == 2
-    assert len(g.arcs) == 5
+    assert len(kinds) == 5
 
 
 def test_timeline_has_h_recharge_arcs():
     inst = charger_toy(horizon_s=3600, theta=300)
     g = build_graph(inst, 300.0)
-    recharge = [a for a in g.arcs if a.kind == "recharge"]
+    recharge = [a for a in arc_records(g) if a.kind == "recharge"]
     assert len(recharge) == 12
     assert g.horizon_steps == 12
     for a in recharge:
@@ -32,19 +33,20 @@ def test_timeline_has_h_recharge_arcs():
 def test_mixed_fleet_charger_arcs_electric_only():
     inst = charger_toy(mixed_fleet=True)
     g = build_graph(inst, 300.0)
-    for a in g.arcs:
+    arcs = arc_records(g)
+    for a in arcs:
         if a.kind in ("recharge", "access", "egress") or a.charger:
             for pid in a.plans:
                 assert g.plan(pid).electric
     # non-electric plans do appear elsewhere
-    assert any("f0." in pid for a in g.arcs if a.kind == "pullout"
+    assert any("f0." in pid for a in arcs if a.kind == "pullout"
                for pid in a.plans)
 
 
 def test_depot_adjacent_arcs_respect_depot():
     inst = generate_synthetic(SyntheticParams(trips=8, depots=2), seed=2)
     g = build_graph(inst, 300.0)
-    for a in g.arcs:
+    for a in arc_records(g):
         tail, head = g.nodes[a.tail], g.nodes[a.head]
         if tail.kind == "depot-source":
             assert all(pid.endswith(f".{tail.depot}") for pid in a.plans)
@@ -58,7 +60,7 @@ def test_graph_is_dag_for_generated_instances():
         g = build_graph(inst, 300.0)
         order = g.topological_order()
         pos = {nid: i for i, nid in enumerate(order)}
-        assert all(pos[a.tail] < pos[a.head] for a in g.arcs)
+        assert all(pos[a.tail] < pos[a.head] for a in arc_records(g))
 
 
 def test_theta_must_divide_horizon():
@@ -85,9 +87,8 @@ def test_unreachable_trip_reported():
 def test_access_snaps_forward_egress_backward():
     inst = charger_toy(horizon_s=3600, theta=300)
     g = build_graph(inst, 300.0)
-    t1 = inst.trip("t1")
-    t2 = inst.trip("t2")
-    for a in g.arcs:
+    t1, t2 = inst.trips
+    for a in arc_records(g):
         if a.kind == "access" and a.tail == "trip:t1":
             event = g.nodes[a.head].event
             assert g.event_time(event) >= t1.arrival_s + a.duration_s
@@ -100,7 +101,8 @@ def test_access_snaps_forward_egress_backward():
 def test_charger_windows_mask_recharge_arcs():
     inst = charger_toy(horizon_s=3600, theta=300, windows=[(600, 1800)])
     g = build_graph(inst, 300.0)
-    avail = {a.step: a.available for a in g.arcs if a.kind == "recharge"}
+    avail = {a.step: a.available for a in arc_records(g)
+             if a.kind == "recharge"}
     # steps fully inside [600, 1800] are 3..6
     assert all(avail[i] for i in (3, 4, 5, 6))
     assert not any(avail[i] for i in (1, 2, 7, 8, 9, 10, 11, 12))
@@ -110,8 +112,8 @@ def test_egress_lookahead_limits_arcs():
     inst = charger_toy(horizon_s=7200, theta=300)
     g_all = build_graph(inst, 300.0)
     g_look = build_graph(inst, 300.0, GraphOptions(egress_lookahead_steps=2))
-    n_all = sum(1 for a in g_all.arcs if a.kind == "egress")
-    n_look = sum(1 for a in g_look.arcs if a.kind == "egress")
+    n_all = np.count_nonzero(g_all.kind == EGRESS)
+    n_look = np.count_nonzero(g_look.kind == EGRESS)
     assert n_look < n_all
 
 
@@ -131,13 +133,14 @@ def test_energy_bounds_direct_values():
     inst = two_trip_instance()
     g = build_graph(inst, 300.0)
     eb = compute_energy_bounds(g)
-    pid = "e0.D0"
+    p = g.plan_code["e0.D0"]
+    t1, t2 = g.node_code["trip:t1"], g.node_code["trip:t2"]
     # E at trip t2: the pull-in deadhead is the only exit (0.05)
-    assert eb.exit_floor("trip:t2", pid) == pytest.approx(0.05)
+    assert eb.min_exit[t2, p] == pytest.approx(0.05)
     # Y at trip t1: straight off the depot: 1 - (0.05 + 0.3)
-    assert eb.arrival_ceiling("trip:t1", pid) == pytest.approx(1 - 0.35)
+    assert eb.max_arrival[t1, p] == pytest.approx(1 - 0.35)
     # E at t1: cheapest continuation: pull-in at 0.05
-    assert eb.exit_floor("trip:t1", pid) == pytest.approx(0.05)
+    assert eb.min_exit[t1, p] == pytest.approx(0.05)
 
 
 def test_energy_bounds_match_bruteforce_enumeration():
@@ -147,6 +150,7 @@ def test_energy_bounds_match_bruteforce_enumeration():
         g = build_graph(inst, 600.0, GraphOptions(egress_lookahead_steps=1))
         eb = compute_energy_bounds(g)
         pid = g.plan_types[0].id
+        in_arcs, out_arcs = adjacency(arc_records(g))
         anchors_exit = {nid for nid, n in g.nodes.items()
                         if n.kind in ("depot-sink", "charge")}
         anchors_entry = {nid for nid, n in g.nodes.items()
@@ -157,7 +161,7 @@ def test_energy_bounds_match_bruteforce_enumeration():
             if nid in anchors_exit:
                 return [0.0]
             out = []
-            for a in g.out_arcs[nid]:
+            for a in out_arcs[nid]:
                 if pid not in a.plans:
                     continue
                 for rest in all_exit_costs(a.head):
@@ -168,7 +172,7 @@ def test_energy_bounds_match_bruteforce_enumeration():
             if nid in anchors_entry:
                 return [0.0]
             out = []
-            for a in g.in_arcs[nid]:
+            for a in in_arcs[nid]:
                 if pid not in a.plans:
                     continue
                 for rest in all_entry_costs(a.tail):
@@ -177,12 +181,12 @@ def test_energy_bounds_match_bruteforce_enumeration():
 
         for t in inst.trips:
             nid = f"trip:{t.id}"
+            at = g.node_code[nid], g.plan_code[pid]
             exits = all_exit_costs(nid)
             if exits:
-                assert eb.exit_floor(nid, pid) == pytest.approx(min(exits),
-                                                                abs=1e-9)
+                assert eb.min_exit[at] == pytest.approx(min(exits), abs=1e-9)
             entries = all_entry_costs(nid)
             if entries:
-                assert eb.arrival_ceiling(nid, pid) == pytest.approx(
+                assert eb.max_arrival[at] == pytest.approx(
                     1.0 - min(entries), abs=1e-9)
 

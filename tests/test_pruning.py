@@ -41,14 +41,15 @@ def _live_pairs(graph) -> set:
                     todo.append(nid)
         return seen
 
+    in_arcs, out_arcs = _oracles.adjacency(_oracles.arc_records(graph))
     live = set()
     for p in graph.plan_types:
         if not p.electric:
             continue
         ahead = search(f"src:{p.depot}", lambda n: [
-            a.head for a in graph.out_arcs[n] if p.id in a.plans])
+            a.head for a in out_arcs[n] if p.id in a.plans])
         behind = search(f"snk:{p.depot}", lambda n: [
-            a.tail for a in graph.in_arcs[n] if p.id in a.plans])
+            a.tail for a in in_arcs[n] if p.id in a.plans])
         live |= {(graph.nodes[n].slot, p.id) for n in ahead & behind
                  if graph.nodes[n].kind == "charge"}
     return live
@@ -58,7 +59,7 @@ def _pruned_reference(ref) -> list:
     """The reference arcs without their dead (slot, plan) pairs, renumbered."""
     live = _live_pairs(ref)
     arcs = []
-    for a in ref.arcs:
+    for a in _oracles.arc_records(ref):
         if a.slot is not None:
             pids = tuple(p for p in a.plans if (a.slot, p) in live)
             if not pids:
@@ -68,10 +69,6 @@ def _pruned_reference(ref) -> list:
                 for f in ("move_consumption", "service_consumption", "cost")})
         arcs.append(dataclasses.replace(a, index=len(arcs)))
     return arcs
-
-
-def _pairs(graph) -> int:
-    return sum(len(a.plans) for a in graph.arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +164,19 @@ def test_zero_duration_trips_at_one_instant_connect_one_way():
         profiles={"quad": PROFILE}, mix_constraints=(), horizon=(0, 3600))
     inst.validate()
     graph = _assert_graph_is_the_pruned_reference(inst, GraphOptions())
-    assert [(a.tail, a.head) for a in graph.arcs if a.kind == "connection"
-            ] == [("trip:t0", "trip:t1")]
+    assert [(a.tail, a.head) for a in _oracles.arc_records(graph)
+            if a.kind == "connection"] == [("trip:t0", "trip:t1")]
 
 
 def _assert_graph_is_the_pruned_reference(inst, options):
     ref = _oracles.build_graph(inst, THETA, options)
     got = build_graph(inst, THETA, options)
-    assert list(got.arcs) == _pruned_reference(ref)
+    arcs = _oracles.arc_records(got)
+    assert arcs == _pruned_reference(ref)
     assert got.nodes == ref.nodes and got.slots == ref.slots
-    for nid in got.nodes:
-        assert got.out_arcs[nid] == [a for a in got.arcs if a.tail == nid]
-        assert got.in_arcs[nid] == [a for a in got.arcs if a.head == nid]
     pos = {nid: i for i, nid in enumerate(got.topological_order())}
     assert len(pos) == len(got.nodes)
-    assert all(pos[a.tail] < pos[a.head] for a in got.arcs)
+    assert all(pos[a.tail] < pos[a.head] for a in arcs)
     return got
 
 
@@ -215,7 +210,8 @@ def _two_type_instance(legs, pullout_depot):
 def test_a_charger_carries_no_plan_whose_path_needs_another_type(
         legs, pullout_depot):
     graph = build_graph(_two_type_instance(legs, pullout_depot), THETA)
-    on_c1 = {p for a in graph.arcs if a.charger == "C1" for p in a.plans}
+    on_c1 = {p for a in _oracles.arc_records(graph) if a.charger == "C1"
+             for p in a.plans}
     assert on_c1 == {"e0.D0"}
 
 
@@ -224,8 +220,8 @@ def test_chains_drop_foreign_depot_plans():
                                theta=THETA, segments=2)
     ref = _oracles.build_graph(inst, THETA)
     got = build_graph(inst, THETA)
-    assert (_pairs(ref), _pairs(got)) == (2597, 719)
-    assert list(got.arcs) == _pruned_reference(ref)
+    assert (len(ref.pair_arc), len(got.pair_arc)) == (2597, 719)
+    assert _oracles.arc_records(got) == _pruned_reference(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +263,10 @@ def test_a_leg_on_time_is_kept_and_one_second_late_is_not(
         leg, ready, due, arc):
     for late, kept in ((0, True), (1, False)):
         inst = _boundary_instance(leg, due - ready + late)
-        got = build_graph(inst, THETA)
-        assert list(got.arcs) == _pruned_reference(
-            _oracles.build_graph(inst, THETA))
+        arcs = _oracles.arc_records(build_graph(inst, THETA))
+        assert arcs == _pruned_reference(_oracles.build_graph(inst, THETA))
         assert any((a.tail, a.head, a.kind) == arc
-                   for a in got.arcs) is kept, late
+                   for a in arcs) is kept, late
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +330,7 @@ def test_pruned_graph_keeps_every_outcome_on_a_corpus(tmp_path):
         curves = exact_curves(inst)
         ref = _oracles.build_graph(inst, 600.0)
         got = build_graph(inst, 600.0)
-        pruned += _pairs(ref) - _pairs(got)
+        pruned += len(ref.pair_arc) - len(got.pair_arc)
         want, want_obj = _outcome(inst, ref, curves, tmp_path / f"r{seed}")
         have, have_obj = _outcome(inst, got, curves, tmp_path / f"g{seed}")
         assert have == want, seed

@@ -1,11 +1,13 @@
 """Every function, class and method of ``src/ebusopt`` has a caller.
 
 A name counts as reached when code in ``src/`` or ``perfbench/`` refers to
-it (as a name, an attribute or an import) outside its own definition.
-Matching is by name only, so a method shares its reach with every other
-attribute of that name.  Names reached only from tests or through click
-stay on ``ALLOWED`` with the reason they are kept; an entry whose name is
-gone or is now reached is stale.
+it outside its own definition: a function or class as a name, an attribute
+or an import, a method or property of a class only as an attribute
+(``obj.name``), so a local variable or a parameter of the same name does
+not reach it.  Matching is by name only, so a method shares its reach with
+every other attribute of that name.  Names reached only from tests or
+through click stay on ``ALLOWED`` with the reason they are kept; an entry
+whose name is gone or is now reached is stale.
 """
 
 import ast
@@ -28,10 +30,6 @@ ALLOWED = {
         "acceptance criterion 4 reads the oscillation witness through it",
     "chargemodel.propagate_course":
         "acceptance criterion 6 (course propagation, exact and PWL)",
-    "netgraph.EnergyBounds.arrival_ceiling":
-        "acceptance criterion 12 (energy bounds vs enumeration)",
-    "milp.MilpModel.add_var":
-        "the one-column add_vars; the dict-row reference builder uses it",
     "cli.cmd_generate_worst_case": _CLICK,
     "cli.cmd_generate_synthetic": _CLICK,
     "cli.cmd_solve": _CLICK,
@@ -41,48 +39,51 @@ ALLOWED = {
 
 
 def _definitions():
-    """(key, name, path, first line, last line) per function, class and
-    method; dunder methods are called implicitly and are left out."""
+    """(key, name, member, path, first line, last line) per function, class
+    and method, ``member`` true inside a class; dunder methods are called
+    implicitly and are left out."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
 
-        def visit(body, prefix):
+        def visit(body, prefix, member):
             for node in body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                     name = node.name
                     if not (name.startswith("__") and name.endswith("__")):
-                        out.append((f"{prefix}.{name}", name, path,
+                        out.append((f"{prefix}.{name}", name, member, path,
                                     node.lineno, node.end_lineno))
                     if isinstance(node, ast.ClassDef):
-                        visit(node.body, f"{prefix}.{name}")
+                        visit(node.body, f"{prefix}.{name}", True)
 
-        visit(ast.parse(path.read_text()).body, module)
+        visit(ast.parse(path.read_text()).body, module, False)
     return out
 
 
 def _references():
-    """name -> [(path, line)] of every use in ``src/`` and ``perfbench/``."""
-    refs = defaultdict(list)
+    """``(names, attributes)``: name -> [(path, line)] of every use in
+    ``src/`` and ``perfbench/``, and of the uses as an attribute alone."""
+    names, attributes = defaultdict(list), defaultdict(list)
     for base in ("src", "perfbench"):
         for path in sorted((ROOT / base).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
-                    refs[node.id].append((path, node.lineno))
+                    names[node.id].append((path, node.lineno))
                 elif isinstance(node, ast.Attribute):
-                    refs[node.attr].append((path, node.lineno))
+                    names[node.attr].append((path, node.lineno))
+                    attributes[node.attr].append((path, node.lineno))
                 elif isinstance(node, ast.alias):
-                    refs[node.name.rsplit(".", 1)[-1]].append(
+                    names[node.name.rsplit(".", 1)[-1]].append(
                         (path, node.lineno))
-    return refs
+    return names, attributes
 
 
 def _unreached() -> set:
-    refs = _references()
-    return {key for key, name, path, lo, hi in _definitions()
-            if all(p == path and lo <= line <= hi
-                   for p, line in refs.get(name, []))}
+    names, attributes = _references()
+    return {key for key, name, member, path, lo, hi in _definitions()
+            if all(p == path and lo <= line <= hi for p, line in
+                   (attributes if member else names).get(name, []))}
 
 
 def test_every_name_is_reached_or_allowed():

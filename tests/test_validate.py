@@ -14,6 +14,7 @@ from ebusopt.validate import (ValidationError, build_domains,
                               grid_load_profile, validate_schedule,
                               write_grid_load_csv, write_sweep_csv,
                               _reference_feasible_at, _sup_gap)
+from _oracles import arc_records
 from _toys import (charger_toy, charging_required_instance,
                    idle_draw_instance, pass_through_instance,
                    two_trip_instance)
@@ -129,8 +130,8 @@ def test_first_violation_reported(tmp_path):
     heavy = dataclasses.replace(inst, trips=(
         t1, dataclasses.replace(t2, consumption={"e0": 0.7})))
     heavy_graph = build_graph(heavy, 300.0)
-    assert ([(a.tail, a.head, a.kind) for a in heavy_graph.arcs]
-            == [(a.tail, a.head, a.kind) for a in graph.arcs])
+    assert ([(a.tail, a.head, a.kind) for a in arc_records(heavy_graph)]
+            == [(a.tail, a.head, a.kind) for a in arc_records(graph)])
     rep = validate_schedule(heavy, sched, heavy_graph, "exact", curves)
     assert not rep.energy_feasible
     bad = rep.courses[0]
@@ -206,7 +207,7 @@ def test_grid_series_equals_model_lhs(tmp_path):
         for idx in row.coeffs:
             name = model.variables[idx].name
             arc_idx = int(name.split("[")[1].split("]")[0])
-            steps.add(graph.arcs[arc_idx].step)
+            steps.add(int(graph.step[arc_idx]))
         assert len(steps) == 1
         step = steps.pop()
         assert lhs == pytest.approx(load[step - 1], abs=1e-6)
@@ -312,7 +313,7 @@ def test_sweep_survives_cell_errors(tmp_path):
 def reference_along(graph, nodes, steps):
     """A one-course reference schedule over the given node path; the window
     occupies ``steps`` (its phis do not matter to the re-charge)."""
-    ends = {(a.tail, a.head): a.index for a in graph.arcs}
+    ends = {(a.tail, a.head): a.index for a in arc_records(graph)}
     win = ChargeWindow(slot="C0#0", charger="C0", grid_point="G0",
                        steps=list(steps),
                        phis=[0.0] * len(steps))
@@ -350,8 +351,8 @@ def test_reference_check_applies_idle_draw_per_step():
     inst = idle_draw_instance(0.02)
     curves = exact_curves(inst)
     graph = build_graph(inst, 300.0)
-    floor = graph.energy_bounds().exit_floor
-    t1, t2 = floor("trip:t1", "e0.D0"), floor("trip:t2", "e0.D0")
+    floor = graph.energy_bounds().min_exit[:, graph.plan_code["e0.D0"]]
+    t1, t2 = (floor[graph.node_code[n]] for n in ("trip:t1", "trip:t2"))
     events = [f"C0#0@{i}" for i in range(9, 17)]     # charge steps 10..16
     reference = reference_along(
         graph, ["src:D0", "trip:t1"] + events + ["trip:t2", "snk:D0"],
@@ -377,8 +378,8 @@ def test_reference_check_charges_at_the_visit_that_charges():
     inst = pass_through_instance()
     curves = exact_curves(inst)
     graph = build_graph(inst, 300.0)
-    floor = graph.energy_bounds().exit_floor
-    t1, t2 = floor("trip:t1", "e0.D0"), floor("trip:t2", "e0.D0")
+    floor = graph.energy_bounds().min_exit[:, graph.plan_code["e0.D0"]]
+    t1, t2 = (floor[graph.node_code[n]] for n in ("trip:t1", "trip:t2"))
     # pulled out onto event 1 and off again at once, then charge steps 8..11
     reference = reference_along(
         graph, ["src:D0", "C0#0@1", "trip:t1"]
