@@ -9,6 +9,11 @@ charge duration and charge increment operators and build piecewise-linear
 under/overestimators of the per-time-step increment, which is what the
 scheduling MIP consumes.
 
+The chords of the increment are a lower bound only for a profile concave
+in soc: Delta''(y) = f(z)/f(y)^2 * (f'(z) - f'(y)) with z > y the step's
+end soc.  The linear and quadratic CV shapes are concave by their
+formulas; a tabulated branch is checked on its points and refused if not.
+
 Because f(1) = 0 for a CC-CV profile, the flow only reaches a full battery
 asymptotically.  All curves therefore stop at an effective full level
 soc_cap = 1 - DEFAULT_FULL_TOLERANCE and every operator clamps there.
@@ -26,23 +31,10 @@ DEFAULT_FULL_TOLERANCE = 1e-3
 DEFAULT_CURVE_TOLERANCE = 1e-8
 
 CV_SHAPES = ("linear", "quadratic", "tabulated")
-_SHAPE_CHECK_SAMPLES = 512   # soc samples of the cv-rate shape check
 
 
 class ChargeModelError(ValueError):
     """Invalid profile, curve, or operator input."""
-
-
-class IntegrationError(ChargeModelError):
-    """The charge curve cannot reach soc_cap: the rate vanishes below it.
-
-    ``last_soc`` is the soc where the rate first reaches 0; the curve
-    approaches it but never passes it.
-    """
-
-    def __init__(self, message: str, last_soc: float):
-        super().__init__(message)
-        self.last_soc = last_soc
 
 
 class DegenerateGridError(ChargeModelError):
@@ -65,6 +57,11 @@ class ChargingPowerProfile:
     - ``quadratic``:  cc_rate * (1 - s^2),  s = (y - cv_break) / (1 - cv_break)
     - ``tabulated``:  linear interpolation of ``cv_points`` [(soc, rate), ...]
 
+    A table must be finite and run from cc_rate at cv_break to 0 at soc 1
+    with slopes that start at or below 0 and never rise (non-increasing and
+    concave), up to 1e-9 of the ramp slope cc_rate / (1 - cv_break).  Its
+    rate is then positive up to soc_cap, so its flow reaches soc_cap.
+
     ``cv_break == 1.0`` is the degenerate constant-rate profile (no CV phase).
 
     ``cv_curvature_bound`` is the sup norm of the CV branch's second
@@ -78,7 +75,6 @@ class ChargingPowerProfile:
     cv_shape: str = "linear"
     cv_points: Optional[tuple[tuple[float, float], ...]] = None
     cv_second_derivative_bound: Optional[float] = None
-    concave: bool = True
     name: str = ""
     # cv_points as (socs, rates) arrays, built once in __post_init__
     _cv_table: Optional[tuple[np.ndarray, np.ndarray]] = field(
@@ -94,35 +90,31 @@ class ChargingPowerProfile:
         if self.cv_shape == "tabulated" and self.cv_break < 1.0:
             if not self.cv_points or len(self.cv_points) < 2:
                 raise ChargeModelError("tabulated profile needs >= 2 cv_points")
-            ys = [p[0] for p in self.cv_points]
-            if any(b <= a for a, b in zip(ys, ys[1:])):
+            pts = np.asarray(self.cv_points, dtype=float)
+            if not np.isfinite(pts).all():
+                raise ChargeModelError("cv_points must be finite numbers")
+            ys, rs = pts.T
+            if np.any(np.diff(ys) <= 0):
                 raise ChargeModelError("cv_points socs must be strictly increasing")
             if abs(ys[0] - self.cv_break) > 1e-9 or abs(ys[-1] - 1.0) > 1e-9:
                 raise ChargeModelError("cv_points must span [cv_break, 1]")
-            if abs(self.cv_points[0][1] - self.cc_rate) > 1e-6 * self.cc_rate:
+            if abs(rs[0] - self.cc_rate) > 1e-6 * self.cc_rate:
                 raise ChargeModelError("cv_points must start at cc_rate")
-            if abs(self.cv_points[-1][1]) > 1e-9 * self.cc_rate:
+            if abs(rs[-1]) > 1e-9 * self.cc_rate:
                 raise ChargeModelError("cv_points must end at rate 0")
+            slopes = np.diff(rs) / np.diff(ys)
+            tol = 1e-9 * self.cc_rate / (1.0 - self.cv_break)
+            if slopes[0] > tol:
+                raise ChargeModelError(
+                    "cv rate must be non-increasing on [cv_break, 1]")
+            rising = np.flatnonzero(np.diff(slopes) > tol)
+            if len(rising):
+                raise ChargeModelError(f"cv rate must be concave: its slope "
+                                       f"rises at soc {ys[rising[0] + 1]:.6g}")
             if self.cv_second_derivative_bound is None:
                 raise ChargeModelError(
                     "tabulated profile requires cv_second_derivative_bound")
-            pts = np.asarray(self.cv_points, dtype=float)
-            object.__setattr__(self, "_cv_table", (pts[:, 0], pts[:, 1]))
-        self._check_monotone_and_concave()
-
-    def _check_monotone_and_concave(self):
-        if self.cv_break >= 1.0:
-            return
-        ys = np.linspace(self.cv_break, 1.0, _SHAPE_CHECK_SAMPLES)
-        r = self.rate(ys)
-        tol = 1e-9 * max(1.0, self.cc_rate)
-        if np.any(np.diff(r) > tol):
-            raise ChargeModelError("cv rate must be non-increasing on [cv_break, 1]")
-        if self.concave:
-            # second differences of a concave function are <= 0
-            d2 = r[2:] - 2.0 * r[1:-1] + r[:-2]
-            if np.any(d2 > 1e-7 * max(1.0, self.cc_rate)):
-                raise ChargeModelError("profile declared concave but cv rate is not")
+            object.__setattr__(self, "_cv_table", (ys, rs))
 
     def rate(self, y):
         """Maximal charge rate at soc y (vectorized, clamped to [0, 1])."""
@@ -159,7 +151,6 @@ class ChargingPowerProfile:
             "cc_rate_per_s": self.cc_rate,
             "cv_break": self.cv_break,
             "cv_shape": self.cv_shape,
-            "concave": self.concave,
         }
         if self.cv_points is not None:
             d["cv_points"] = [[float(a), float(b)] for a, b in self.cv_points]
@@ -176,7 +167,6 @@ class ChargingPowerProfile:
             cv_shape=d.get("cv_shape", "linear"),
             cv_points=tuple((float(a), float(b)) for a, b in pts) if pts else None,
             cv_second_derivative_bound=d.get("cv_second_derivative_bound"),
-            concave=bool(d.get("concave", True)),
             name=name,
         )
 
@@ -265,13 +255,8 @@ def _cv_flow(profile: ChargingPowerProfile, soc_cap: float):
                 lambda tau: yv + w * np.tanh(cc * tau / w))
 
     xs, rs = profile._cv_table
-    rs = np.maximum(rs, 0.0)
+    rs = np.maximum(rs, 0.0)  # the last rate may be -1e-9 * cc
     j = int(np.searchsorted(xs, soc_cap, side="right")) - 1  # segment of soc_cap
-    stalled = np.flatnonzero(rs[1:j + 1] <= 0.0)
-    if len(stalled):
-        y_stall = float(xs[stalled[0] + 1])
-        raise IntegrationError(
-            f"charge rate vanishes at soc {y_stall:.6f} before soc_cap", y_stall)
     x0, r0 = xs[:j + 1], rs[:j + 1]
     b = np.diff(rs[:j + 2]) / np.diff(xs[:j + 2])
     flat = b == 0.0
@@ -296,8 +281,7 @@ def solve_max_power_curve(profile: ChargingPowerProfile) -> MaxPowerCurve:
     the returned tabulation: CV knots are spaced
     h = sqrt(8 * DEFAULT_CURVE_TOLERANCE / max|zeta''|) apart in time (at
     most 1/64 of the linear CV duration) and the last knot sits exactly at
-    (t_full, soc_cap).  Raises IntegrationError (carrying the soc where the
-    rate vanishes) if a tabulated rate reaches 0 at or below soc_cap.
+    (t_full, soc_cap).
     """
     soc_cap = 1.0 - DEFAULT_FULL_TOLERANCE
     cc = profile.cc_rate
@@ -344,10 +328,7 @@ def increment_slope(curve: MaxPowerCurve, y: float, theta: float) -> float:
     if z >= curve.soc_cap - 1e-12:
         return -1.0
     fz = float(curve.profile.rate(z))
-    fy = float(curve.profile.rate(y))
-    if fy <= 0.0:
-        return -1.0
-    return fz / fy - 1.0
+    return fz / float(curve.profile.rate(y)) - 1.0
 
 
 def compose_steps_check(curve: SampledChargeCurve, y0: float,

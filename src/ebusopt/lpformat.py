@@ -47,7 +47,7 @@ import math
 import re
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, compress, count, islice, product, repeat
 from operator import itemgetter
 from typing import Optional
@@ -137,6 +137,10 @@ class ModelArrays:
     tags: list
     minimize: bool = True
 
+    def relaxed(self) -> "ModelArrays":
+        """These arrays with every integer column made continuous."""
+        return replace(self, integer=np.zeros_like(self.integer))
+
     def row_names(self, rows: np.ndarray) -> list:
         """The file names of the rows ``rows``."""
         tags = self.tags
@@ -215,13 +219,11 @@ def _lp_terms(cols, vals, pos, length, names) -> list:
     return terms
 
 
-def write_lp(m: ModelArrays, path, relax: bool = False) -> None:
-    """CPLEX-style LP file; ``relax`` makes the integer columns continuous.
-    Every integer column is written as a binary."""
+def write_lp(m: ModelArrays, path) -> None:
+    """CPLEX-style LP file; every integer column is written as a binary."""
     names = m.names
     in_obj = np.flatnonzero(m.obj != 0.0)
-    want_int = m.integer & (not relax)
-    binaries = np.flatnonzero(want_int)
+    binaries = np.flatnonzero(m.integer)
     with open(path, "w") as fh:
         fh.write("\\ ebusopt model\nMinimize\n obj:")
         if not len(in_obj):
@@ -247,7 +249,7 @@ def write_lp(m: ModelArrays, path, relax: bool = False) -> None:
                     _num_strings(m.rhs[lo:hi]))))
         fh.write("Bounds\n")
         for lo, hi in _blocks(len(names)):
-            cont = ~want_int[lo:hi]
+            cont = ~m.integer[lo:hi]
             lb, ub = m.lb[lo:hi], m.ub[lo:hi]
             ranged = lo + np.flatnonzero(cont & (ub != math.inf))
             floored = lo + np.flatnonzero(cont & (ub == math.inf) & (lb != 0.0))
@@ -822,9 +824,8 @@ _MARKERS = ("    MARKER M2 'MARKER' 'INTEND'\n",     # before a continuous run
             "    MARKER M1 'MARKER' 'INTORG'\n")     # before an integer run
 
 
-def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
-    """Free-format MPS file; ``relax`` makes the integer columns continuous.
-    Every integer column is written as a binary."""
+def write_mps(m: ModelArrays, path) -> None:
+    """Free-format MPS file; every integer column is written as a binary."""
     names = m.names
     n = len(names)
     # column-major entries: the objective first, then the rows in order; a
@@ -842,7 +843,6 @@ def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
     col, row, val = col[order], row[order], val[order]
     del order
     first = np.searchsorted(col, np.arange(n + 1))
-    want_int = m.integer & (not relax)
     # the entries of a column name rows anywhere in the model
     row_names = m.row_names(np.arange(len(m.rhs)))
     with open(path, "w") as fh:
@@ -853,8 +853,8 @@ def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
         fh.write("COLUMNS\n")
         for lo, hi in _blocks(n):
             fh.writelines(_mps_column_lines(names, row_names, col, row, val,
-                                            first, want_int, lo, hi))
-        if n and want_int[-1]:
+                                            first, m.integer, lo, hi))
+        if n and m.integer[-1]:
             fh.write("    MARKER M3 'MARKER' 'INTEND'\n")
         fh.write("RHS\n")
         nonzero = np.flatnonzero(m.rhs != 0.0)
@@ -864,8 +864,8 @@ def write_mps(m: ModelArrays, path, relax: bool = False) -> None:
                           zip(rows.tolist(), _num_strings(m.rhs[rows])))
         fh.write("BOUNDS\n")
         for lo, hi in _blocks(n):
-            cont = ~want_int[lo:hi]
-            binaries = lo + np.flatnonzero(want_int[lo:hi])
+            cont = ~m.integer[lo:hi]
+            binaries = lo + np.flatnonzero(m.integer[lo:hi])
             lower = lo + np.flatnonzero(cont & (m.lb[lo:hi] != 0.0))
             upper = lo + np.flatnonzero(cont & (m.ub[lo:hi] != math.inf))
             fh.writelines(_lines_by_column((
@@ -1103,8 +1103,7 @@ def read_mps(path) -> ModelArrays:
     return reading.arrays()
 
 
-def emitted_arrays(m: ModelArrays, fmt: str = "lp",
-                   relax: bool = False) -> ModelArrays:
+def emitted_arrays(m: ModelArrays, fmt: str = "lp") -> ModelArrays:
     """What ``read_lp`` (or ``read_mps``) returns for the file ``write_lp``
     (or ``write_mps``) emits from ``m``, built without the file.
 
@@ -1115,14 +1114,13 @@ def emitted_arrays(m: ModelArrays, fmt: str = "lp",
     them left out; for MPS every column in model order.
     """
     n = len(m.names)
-    integer = m.integer & (not relax)
     if fmt == "mps":
         order = np.arange(n)
     elif fmt == "lp":
-        bounded = ~integer & ((m.lb != 0.0) | (m.ub != math.inf))
+        bounded = ~m.integer & ((m.lb != 0.0) | (m.ub != math.inf))
         seen = np.concatenate([np.flatnonzero(m.obj != 0.0), m.cols,
                                np.flatnonzero(bounded),
-                               np.flatnonzero(integer)])
+                               np.flatnonzero(m.integer)])
         cols, first = np.unique(seen, return_index=True)
         order = cols[np.argsort(first)]
     else:
@@ -1135,7 +1133,7 @@ def emitted_arrays(m: ModelArrays, fmt: str = "lp",
     by_row = np.lexsort((indices, m.row_of_entry()))
     return ModelArrays(
         names=[m.names[j] for j in order.tolist()], obj=m.obj[order] + 0.0,
-        lb=m.lb[order] + 0.0, ub=m.ub[order] + 0.0, integer=integer[order],
+        lb=m.lb[order] + 0.0, ub=m.ub[order] + 0.0, integer=m.integer[order],
         start=m.start, cols=indices[by_row], vals=m.vals[by_row] + 0.0,
         sense=m.sense, rhs=m.rhs + 0.0, tag=np.zeros(len(m.rhs), np.int64),
         tags=["r"])
@@ -1182,11 +1180,12 @@ def write_solution_text(path, values: dict, status: str,
 def parse_solution_text(path) -> RawSolution:
     """Parse ``name value`` lines under ``# status/objective/bound`` headers.
 
-    Comment lines (``#``, ``//``), objective lines (``=obj=`` and the like)
-    and one-word lines are skipped; a value line whose value is not a finite
-    number is an ``LpFormatError`` naming the line, never a variable read
-    as 0.  An objective or bound header that is not a number is taken as
-    absent, one that is NaN or infinite is an ``LpFormatError`` too.
+    A header, like a bare objective line (``=obj=`` and the like), reads its
+    last token, so Gurobi's ``# Objective value = 12.5`` is 12.5.  Other
+    comment lines (``#``, ``//``) and one-word lines are skipped.  A value,
+    objective or bound that is not a finite number is an ``LpFormatError``
+    naming the line, never a variable read as 0 or an objective taken as
+    absent.
     """
     values: dict = {}
     meta: dict = {}                 # key -> (text, line number, line)
@@ -1198,7 +1197,7 @@ def parse_solution_text(path) -> RawSolution:
             if line.startswith("#") or line.startswith("//"):
                 parts = line.lstrip("#/ ").split()
                 if len(parts) >= 2 and parts[0].lower() in _META_KEYS:
-                    meta[parts[0].lower()] = (parts[1], lineno, line)
+                    meta[parts[0].lower()] = (parts[-1], lineno, line)
                 continue
             parts = line.split()
             if parts[0].lower() in ("=obj=", "objective", "objective_value",
@@ -1222,13 +1221,10 @@ def parse_solution_text(path) -> RawSolution:
             return None
         text, lineno, line = meta[key]
         try:
-            value = float(text)
+            return _finite(float(text))
         except ValueError:
-            return None
-        if not math.isfinite(value):
             raise LpFormatError(f"{path}:{lineno}: {key} is not a finite "
-                                f"number: {line!r}")
-        return value
+                                f"number: {line!r}") from None
 
     return RawSolution(values=values, objective=_f("objective"),
                        bound=_f("bound"), status=status)

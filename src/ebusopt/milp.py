@@ -830,9 +830,14 @@ def _writer(fmt: str):
     return _WRITERS[fmt]
 
 
+def _arrays(model: MilpModel, relax: bool) -> ModelArrays:
+    return model.arrays().relaxed() if relax else model.arrays()
+
+
 def emit_model(model: MilpModel, fmt: str, path, relax: bool = False) -> None:
-    """Write the model as LP or MPS; byte-deterministic for a fixed model."""
-    _writer(fmt)(model.arrays(), path, relax=relax)
+    """Write the model as LP or MPS; byte-deterministic for a fixed model.
+    ``relax`` writes its integer columns as continuous ones."""
+    _writer(fmt)(_arrays(model, relax), path)
 
 
 def solve_model(model: MilpModel, workdir, command_template=None,
@@ -863,7 +868,7 @@ def solve_model(model: MilpModel, workdir, command_template=None,
                               time_limit=time_limit, threads=threads)
     try:
         status, values, objective, bound = solve_arrays(
-            emitted_arrays(model.arrays(), fmt, relax), time_limit)
+            emitted_arrays(_arrays(model, relax), fmt), time_limit)
     except Exception as exc:  # solver-internal failure
         raise SolverError(f"in-process HiGHS failed: {exc}",
                           command=IN_PROCESS_COMMAND) from exc

@@ -11,8 +11,8 @@ Solution files are plain text: `# status/objective/bound` headers followed
 by `name value` lines.  Exit code 0 covers every properly diagnosed outcome
 (optimal, infeasible, time limit); 2 means the model file could not be read
 (missing, not text, or a malformed line, which the message names) or an
-argument is invalid, such as a NaN time limit; 3 means the solver itself
-failed.
+argument is invalid, such as a time limit that is NaN or not above 0; 3
+means the solver itself failed.
 
 ``solve_arrays`` is the one HiGHS call site, and the one place where the
 rows' senses and right-hand sides become HiGHS's row bounds: this CLI
@@ -43,7 +43,6 @@ there.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -153,17 +152,14 @@ def solve_parsed(model: ModelArrays, time_limit: float | None = None,
                  relax: bool = False):
     """Returns (status, values, objective, bound); ``relax`` makes the
     integer columns continuous."""
-    if relax:
-        model = dataclasses.replace(
-            model, integer=np.zeros_like(model.integer))
-    return solve_arrays(model, time_limit)
+    return solve_arrays(model.relaxed() if relax else model, time_limit)
 
 
 def _time_limit(text: str) -> float:
-    """A ``--time-limit`` in seconds: any number but NaN."""
+    """A ``--time-limit`` in seconds: a number above 0."""
     value = float(text)
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError("a time limit of NaN s cannot run")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"a time limit of {text} s cannot run")
     return value
 
 

@@ -164,10 +164,10 @@ def _assert_read_back_as_emitted(arrays, directory):
     """Each file, plain and relaxed, reads back as ``emitted_arrays``."""
     for fmt, write, read in (("lp", write_lp, read_lp),
                              ("mps", write_mps, read_mps)):
-        for relax in (False, True):
+        for emitted in (arrays, arrays.relaxed()):
             path = f"{directory}/model.{fmt}"
-            write(arrays, path, relax=relax)
-            _assert_same_arrays(read(path), emitted_arrays(arrays, fmt, relax))
+            write(emitted, path)
+            _assert_same_arrays(read(path), emitted_arrays(emitted, fmt))
 
 
 @settings(max_examples=25, deadline=None)

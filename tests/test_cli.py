@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -121,6 +122,24 @@ def test_solve_out_of_range_input_exits_2(runner, tmp_path, kind, key, value,
                                "--out", str(tmp_path / "run")])
     assert res.exit_code == 2, res.output
     assert named in res.output
+
+
+def test_solve_convex_tabulated_profile_exits_2(runner, tmp_path):
+    # chords of a convex profile's increment lie above it, so the
+    # "underestimator" would overstate charging: the instance is refused
+    doc = charger_toy().to_dict()
+    socs = np.linspace(0.5, 1.0, 101)
+    rates = 0.5 / 600.0 * ((1.0 - socs) / 0.5) ** 2
+    doc["profiles"]["toy-quad"] = {
+        "cc_rate_per_s": 0.5 / 600.0, "cv_break": 0.5,
+        "cv_shape": "tabulated", "cv_second_derivative_bound": 1e-2,
+        "cv_points": [[a, b] for a, b in zip(socs.tolist(), rates.tolist())]}
+    inst_path = tmp_path / "convex.json"
+    inst_path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["solve", str(inst_path), "--time-limit", "30",
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert "concave" in res.output
 
 
 @pytest.mark.parametrize("command", ["sweep", "solve",
@@ -295,8 +314,9 @@ def _solver_cmd(tmp_path, solution_text):
     ('<?xml version="1.0"?>\n<CPLEXSolution><header objectiveValue="1" '
      'solutionStatusString="optimal"/><variables><variable name="a" '
      'value="nan"/></variables></CPLEXSolution>\n', "'nan'"),
+    ("# status optimal\n# objective n/a\na 1\n", "objective n/a"),
 ], ids=["text-value", "xml-value", "xml-objective", "text-value-nan",
-        "text-objective-nan", "xml-value-nan"])
+        "text-objective-nan", "xml-value-nan", "text-objective-na"])
 def test_solve_non_numeric_solution_exits_3(runner, tmp_path, solution_text,
                                             message):
     inst_path = tmp_path / "toy.json"

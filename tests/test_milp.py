@@ -289,18 +289,21 @@ def test_in_process_arrays_equal_lp_file_arrays(tmp_path, relax):
         from_file = read_lp(str(path))
         _assert_same_arrays(_oracles.parsed_arrays(
             _oracles.parsed_model(model, "lp", relax)), from_file)
-        in_memory = emitted_arrays(model.arrays(), "lp", relax)
+        arrays = model.arrays()
+        in_memory = emitted_arrays(arrays.relaxed() if relax else arrays, "lp")
         _assert_same_arrays(in_memory, from_file)
         assert bool(in_memory.integer.any()) == (not relax)
 
 
 def test_in_process_arrays_equal_mps_file_arrays(tmp_path):
     model = _identity_models()[1]
+    arrays = model.arrays()
     for relax in (False, True):
         path = tmp_path / "m.mps"
         emit_model(model, "mps", path, relax=relax)
-        _assert_same_arrays(emitted_arrays(model.arrays(), "mps", relax),
-                            read_mps(str(path)))
+        _assert_same_arrays(
+            emitted_arrays(arrays.relaxed() if relax else arrays, "mps"),
+            read_mps(str(path)))
 
 
 def test_in_process_model_leaves_out_unused_variables(tmp_path):
@@ -334,13 +337,14 @@ def test_writers_match_dict_row_reference(tmp_path, relax):
     writers = {"lp": (write_lp, _oracles.write_lp),
                "mps": (write_mps, _oracles.write_mps)}
     for label, model in _reference_models():
+        arrays = model.arrays().relaxed() if relax else model.arrays()
         for fmt, (ours, reference) in writers.items():
             got, want = tmp_path / f"{label}.{fmt}", tmp_path / f"ref.{fmt}"
-            ours(model.arrays(), got, relax=relax)
+            ours(arrays, got)
             reference(model, want, relax=relax)
             assert got.read_bytes() == want.read_bytes(), (label, fmt)
             _assert_same_arrays(
-                emitted_arrays(model.arrays(), fmt, relax),
+                emitted_arrays(arrays, fmt),
                 _oracles.parsed_arrays(_oracles.parsed_model(model, fmt,
                                                              relax)))
 
@@ -400,11 +404,10 @@ def test_writer_reader_round_trip_is_exact(model):
     with tempfile.TemporaryDirectory() as tmp:
         for fmt, write, read in (("lp", write_lp, read_lp),
                                  ("mps", write_mps, read_mps)):
-            for relax in (False, True):
+            for emitted in (arrays, arrays.relaxed()):
                 path = os.path.join(tmp, f"m.{fmt}")
-                write(arrays, path, relax=relax)
-                _assert_same_arrays(emitted_arrays(arrays, fmt, relax),
-                                    read(path))
+                write(emitted, path)
+                _assert_same_arrays(emitted_arrays(emitted, fmt), read(path))
 
 
 @pytest.mark.parametrize("relax", [False, True])
@@ -562,11 +565,14 @@ def test_nan_time_limit_is_refused(tmp_path):
     arrays = _hand_arrays(tmp_path, HAND_LP)
     with pytest.raises(ValueError, match="time limit is NaN"):
         solve_arrays(arrays, math.nan)
+    # ebusopt-solve refuses a limit that is not above 0, as ebusopt does,
+    # instead of writing "time-limit" with no solve
     solution = tmp_path / "hand.sol"
-    with pytest.raises(SystemExit) as stop:
-        refsolver.main([str(tmp_path / "hand.lp"), str(solution),
-                        "--time-limit", "nan"])
-    assert stop.value.code == 2 and not solution.exists()
+    for limit in ("nan", "0", "-5"):
+        with pytest.raises(SystemExit) as stop:
+            refsolver.main([str(tmp_path / "hand.lp"), str(solution),
+                            "--time-limit", limit])
+        assert stop.value.code == 2 and not solution.exists()
 
 
 def _one_row(rhs, vals):
@@ -734,6 +740,15 @@ def test_solution_text_roundtrip(tmp_path):
     assert sol.objective == 12.5
     assert sol.bound == 12.0
     assert sol.values["y[2]"] == 0.25
+
+
+def test_gurobi_solution_header_is_read(tmp_path):
+    path = tmp_path / "gurobi.sol"
+    path.write_text("# Solution for model ebusopt\n# Objective value = 12.5\n"
+                    "x[1] 1\ny[2] 0.25\n")
+    sol = parse_solution_text(path)
+    assert sol.objective == 12.5
+    assert sol.values == {"x[1]": 1.0, "y[2]": 0.25}
 
 
 def test_solution_xml_parse(tmp_path):
