@@ -81,12 +81,17 @@ class ChargingPowerProfile:
         default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.cc_rate > 0.0:
-            raise ChargeModelError(f"cc_rate must be positive, got {self.cc_rate}")
+        if not 0.0 < self.cc_rate < math.inf:
+            raise ChargeModelError(
+                f"cc_rate must be positive and finite, got {self.cc_rate}")
         if not 0.0 < self.cv_break <= 1.0:
             raise ChargeModelError(f"cv_break must lie in (0, 1], got {self.cv_break}")
         if self.cv_shape not in CV_SHAPES:
             raise ChargeModelError(f"unknown cv_shape {self.cv_shape!r}")
+        bound = self.cv_second_derivative_bound
+        if bound is not None and not 0.0 <= bound < math.inf:
+            raise ChargeModelError(f"cv_second_derivative_bound must be "
+                                   f"finite and not negative, got {bound}")
         if self.cv_shape == "tabulated" and self.cv_break < 1.0:
             if not self.cv_points or len(self.cv_points) < 2:
                 raise ChargeModelError("tabulated profile needs >= 2 cv_points")
@@ -390,10 +395,11 @@ class IncrementDomainPWL:
         return len(self.slopes)
 
     def value(self, y):
-        """Evaluated bound min_j(alpha_j * y + beta_j)."""
+        """Evaluated bound min_j(alpha_j * y + beta_j), segment by segment."""
         y_arr = np.asarray(y, dtype=float)
-        vals = self.offsets + np.multiply.outer(y_arr, self.slopes)
-        out = np.min(vals, axis=-1)
+        out = self.offsets[0] + y_arr * self.slopes[0]
+        for a, b in zip(self.slopes[1:], self.offsets[1:]):
+            out = np.minimum(out, b + y_arr * a)
         return float(out) if out.ndim == 0 else out
 
     def greedy_step(self, y):

@@ -71,12 +71,6 @@ class GridPoint:
     max_power_kw: tuple   # ((start_s, end_s, kw), ...) piecewise constant
     energy_price: tuple   # ((start_s, end_s, price_per_kwh), ...)
 
-    def price_at(self, t: float) -> float:
-        for s, e, p in self.energy_price:
-            if s <= t < e:
-                return p
-        return 0.0
-
 
 @dataclass(frozen=True)
 class MixConstraint:

@@ -263,7 +263,7 @@ def _grid_limits(graph: SchedulingGraph, override):
     slot_gp = np.array([gp_rank[inst.charger(graph.slot_charger[sid])
                                 .grid_point] for sid in graph.slots], int)
     limit = np.full((len(inst.grid_points), steps + 1), math.inf)
-    times = np.array([graph.event_time(i) for i in range(steps + 1)], float)
+    times = _event_times(graph).astype(float)
     for r, gp in enumerate(inst.grid_points):
         if not (slot_gp == r).any():
             continue
@@ -276,6 +276,22 @@ def _grid_limits(graph: SchedulingGraph, override):
         else:
             limit[r, 1:] = _min_power_steps(gp.max_power_kw, times)
     return limit, slot_gp
+
+
+def _event_times(graph: SchedulingGraph) -> np.ndarray:
+    """The time of each timeline event 0..H, in whole seconds."""
+    steps = np.arange(graph.horizon_steps + 1) * graph.theta
+    return graph.instance.horizon[0] + steps.astype(np.int64)
+
+
+def _step_prices(table, times: np.ndarray) -> np.ndarray:
+    """The price at each of ``times`` in a (start, end, price) ``table``:
+    that of the first entry whose [start, end) holds it, 0 where none does
+    (a last entry over all time)."""
+    start, end, price = np.array(list(table) + [(-math.inf, math.inf, 0.0)],
+                                 float).T
+    holds = (start[:, None] <= times) & (times < end[:, None])
+    return price[holds.argmax(axis=0)]
 
 
 def _min_power_steps(table, times: np.ndarray) -> np.ndarray:
@@ -485,13 +501,13 @@ class _GraphArrays:
                       zero[rc_dom[held]])
         self.y_ub = np.where(cap < 1.0, cap, 1.0)
 
-        # energy price per (charger, step), looked up once per (charger,
-        # step), not per variable
+        # energy price per (charger, step): step i's is the price at its
+        # start, event i - 1
         self.price = np.zeros((len(charger_ids), graph.horizon_steps + 1))
+        starts = _event_times(graph)[:-1]
         for c in np.unique(self.charger[self.phi_arc]):
             gp = inst.grid_point(inst.charger(charger_ids[c]).grid_point)
-            self.price[c, 1:] = [gp.price_at(graph.event_time(i - 1))
-                                 for i in range(1, graph.horizon_steps + 1)]
+            self.price[c, 1:] = _step_prices(gp.energy_price, starts)
 
 
 def _column_arcs(graph: SchedulingGraph, dead: np.ndarray,

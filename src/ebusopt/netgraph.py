@@ -21,11 +21,10 @@ reproduces course energy arithmetic exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,8 +42,7 @@ ARC_KINDS = ("pullout", "pullin", "connection", "access", "egress",
 PULLOUT, PULLIN, CONNECTION, ACCESS, EGRESS, RECHARGE = range(6)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     kind: str                       # depot-source | depot-sink | trip | charge
     depot: Optional[str] = None
@@ -103,9 +101,6 @@ class SchedulingGraph:
             if p.id == pid:
                 return p
         raise GraphError(f"unknown plan type {pid!r}")
-
-    def event_time(self, i: int) -> int:
-        return self.instance.horizon[0] + int(i * self.theta)
 
     def topological_order(self) -> list:
         """Node ids in topological order, computed once per graph.
@@ -166,9 +161,10 @@ def _snap_windows_to_steps(windows, start: int, theta: float,
     return usable
 
 
-def _drop_dead_pairs(graph: SchedulingGraph, order: list) -> SchedulingGraph:
-    """The graph without the pairs whose plan is not live on their slot,
-    and without the timeline arcs this leaves with no pair.
+def _drop_dead_pairs(graph: SchedulingGraph, order: list) -> None:
+    """Narrow ``graph`` in place: drop the pairs whose plan is not live on
+    their slot, and the timeline arcs this leaves with no pair.  Its nodes
+    and plans stay as they are.
 
     Plans are bit masks, bit k for plan code k.  A forward pass in
     topological order marks the plans that reach each node from their
@@ -209,11 +205,11 @@ def _drop_dead_pairs(graph: SchedulingGraph, order: list) -> SchedulingGraph:
     arc = graph.pair_arc[keep]
     kept = (graph.slot < 0) | (np.bincount(arc, minlength=len(graph.tail))
                                > 0)
-    return dataclasses.replace(
-        graph, **{f: getattr(graph, f)[kept] for f in (
-            "tail", "head", "kind", "slot", "step", "available", "leg")},
-        pair_arc=(np.cumsum(kept) - 1)[arc], pair_plan=graph.pair_plan[keep],
-        pair_cost=graph.pair_cost[keep], pair_cons=graph.pair_cons[keep])
+    for f in ("tail", "head", "kind", "slot", "step", "available", "leg"):
+        setattr(graph, f, getattr(graph, f)[kept])
+    graph.pair_arc = (np.cumsum(kept) - 1)[arc]
+    for f in ("pair_plan", "pair_cost", "pair_cons"):
+        setattr(graph, f, getattr(graph, f)[keep])
 
 
 def build_graph(instance: Instance, theta: float,
@@ -260,7 +256,8 @@ def build_graph(instance: Instance, theta: float,
     and in a DAG that flow splits into such paths.  An (arc, plan) pair on
     no such path is 0 in every feasible solution, so dropping it keeps
     every schedule, and the energy bounds of the narrower graph, which can
-    only tighten, stay valid.
+    only tighten, stay valid.  The dead pairs are dropped from the laid-out
+    graph in place, so its node and plan codes are built once.
     """
     start, end = instance.horizon
     span = end - start
@@ -290,17 +287,18 @@ def build_graph(instance: Instance, theta: float,
     slots, slot_charger = [], {}
     usable = []                     # per slot, per step 0..H: in a window
     for c in instance.chargers:
-        steps = (_snap_windows_to_steps(c.windows, start, theta,
-                                        horizon_steps) if c.windows
-                 else range(1, horizon_steps + 1))
+        steps = np.zeros(horizon_steps + 1, bool)
+        steps[list(_snap_windows_to_steps(c.windows, start, theta,
+                                          horizon_steps)) if c.windows
+              else slice(1, None)] = True
         for j in range(c.slots):
             sid = f"{c.id}#{j}"
             slots.append(sid)
             slot_charger[sid] = c.id
-            usable.append([i in steps for i in range(horizon_steps + 1)])
+            usable.append(steps)
             for i in range(horizon_steps + 1):
-                nodes[f"{sid}@{i}"] = Node(f"{sid}@{i}", "charge", slot=sid,
-                                           event=i)
+                nid = f"{sid}@{i}"
+                nodes[nid] = Node(nid, "charge", slot=sid, event=i)
     code = {nid: k for k, nid in enumerate(sorted(nodes))}
     trip_code = [code[f"trip:{t.id}"] for t in instance.trips]
 
@@ -458,7 +456,7 @@ def build_graph(instance: Instance, theta: float,
     at = (np.repeat((np.cumsum(size) - size)[arc_leg]
                     - (np.cumsum(count) - count), count)
           + np.arange(count.sum()))
-    laid = SchedulingGraph(
+    graph = SchedulingGraph(
         instance=instance, theta=float(theta), horizon_steps=horizon_steps,
         nodes=nodes, plan_types=plans, slots=slots, slot_charger=slot_charger,
         tail=np.array(tail, np.int64), head=np.array(head, np.int64),
@@ -467,8 +465,8 @@ def build_graph(instance: Instance, theta: float,
         pair_plan=entries[at, 0].astype(np.int64), pair_cost=entries[at, 1],
         pair_cons=entries[at, 2])
     # raises on cycles; the graph keeps this order (see topological_order)
-    order = _topological_order(laid)
-    graph = _drop_dead_pairs(laid, order)
+    order = _topological_order(graph)
+    _drop_dead_pairs(graph, order)
     graph._order = order
     return graph
 

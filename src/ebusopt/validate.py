@@ -32,8 +32,9 @@ import numpy as np
 from .chargemodel import (CourseTrace, ROLE_CHARGE_ARRIVAL,
                           ROLE_CHARGE_DEPARTURE, ROLE_DEPOT_END,
                           ROLE_DEPOT_START, ROLE_TRIP_END, ROLE_TRIP_START,
-                          build_underestimator, linear_reference_domain,
-                          soc_ledger, solve_max_power_curve, trace_ledgers)
+                          build_overestimator, build_underestimator,
+                          linear_reference_domain, soc_ledger,
+                          solve_max_power_curve, trace_ledgers)
 from .instance import Instance
 from .milp import (ModelOptions, Schedule, build_model, decode_solution,
                    solve_model)
@@ -140,7 +141,9 @@ def validate_schedule(instance: Instance, schedule: Schedule,
 
     ``mode`` selects what the claimed increments are checked against:
     "exact" needs only the curves, "approx-under"/"approx-over" additionally
-    require the PWL ``domains`` keyed by (charger id, vehicle type).
+    require the PWL ``domains`` keyed by (charger id, vehicle type).  The
+    certified gap of each (curve, domain, window length) is computed once
+    for the whole validation and shared by the courses that use it.
     """
     if mode not in ("exact", "approx-under", "approx-over"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -151,9 +154,10 @@ def validate_schedule(instance: Instance, schedule: Schedule,
 
     course_reports = []
     violations: list = []
+    gaps: dict = {}         # _sup_gap's memo, across the courses
     for ci, course in enumerate(schedule.courses):
         rep = _validate_course(ci, course, instance, schedule, graph, mode,
-                               curves, domains, bounds)
+                               curves, domains, bounds, gaps)
         course_reports.append(rep)
         if not rep.strongly_feasible and rep.first_violation is not None:
             j, role, soc, floor = rep.first_violation
@@ -229,7 +233,7 @@ def _first_below(socs, floors) -> Optional[int]:
 
 
 def _validate_course(ci, course, instance, schedule, graph, mode, curves,
-                     domains, bounds):
+                     domains, bounds, gaps):
     vtype = course.vehicle_type
     theta = schedule.theta
     trace, floors, windows = course_trace(course, graph, theta, bounds)
@@ -274,7 +278,7 @@ def _validate_course(ci, course, instance, schedule, graph, mode, curves,
     first_violation = None if j is None else (   # exact first on a tie
         j, trace.roles[j],
         (trace.soc_exact if j == j_exact else trace.soc_approx)[j], floors[j])
-    eps_bound = (len(specs) * _sup_gap(specs, theta)
+    eps_bound = (len(specs) * _sup_gap(specs, theta, gaps)
                  if domains is not None and specs else None)
 
     return CourseReport(course_index=ci, plan=course.plan, trace=trace,
@@ -285,22 +289,26 @@ def _validate_course(ci, course, instance, schedule, graph, mode, curves,
                         eps_bound=eps_bound, sigma_final=len(specs))
 
 
-def _sup_gap(charge_specs, theta) -> float:
-    """Max |exact - approximate| single-window increment over the used specs."""
+def _sup_gap(charge_specs, theta, gaps=None) -> float:
+    """Max |exact - approximate| single-window increment over the used specs.
+
+    The gap of a (curve, domain, window length) is the max over 1001 socs
+    on [0, soc_cap]; ``gaps`` memoizes it by that key, so one dict shared
+    by the courses of a validation computes each gap grid once.
+    """
+    gaps = {} if gaps is None else gaps
     worst = 0.0
-    seen = set()
     for curve, dom, win, _ in charge_specs:
         if dom is None:
             continue
-        key = (id(curve), id(dom), len(win.phis))
-        if key in seen:
-            continue
-        seen.add(key)
-        ys = np.linspace(0.0, curve.soc_cap, 1001)
         k = len(win.phis)
-        exact = np.asarray(curve.increment(ys, k * theta))
-        greedy = dom.greedy_final_soc(ys, k) - ys
-        worst = max(worst, float(np.max(np.abs(exact - greedy))))
+        key = (id(curve), id(dom), k)
+        if key not in gaps:
+            ys = np.linspace(0.0, curve.soc_cap, 1001)
+            exact = np.asarray(curve.increment(ys, k * theta))
+            greedy = dom.greedy_final_soc(ys, k) - ys
+            gaps[key] = float(np.max(np.abs(exact - greedy)))
+        worst = max(worst, gaps[key])
     return worst
 
 
@@ -368,6 +376,10 @@ def discretization_sweep(instance: Instance, m_grid, theta_grid,
     reported in ``ref_feasible`` (infeasible reference schedules are exactly
     what the exact charging model is there to catch).
 
+    The graph depends on theta only, so each theta's is built once and
+    shared by its cells and, at the least theta, the reference.  A theta
+    whose graph cannot be built gives an error row in each of its cells.
+
     Solves run in process and write no files unless ``solver_cmd`` or
     EBUSOPT_SOLVER_CMD sends them through the bridge; only then are model
     and solution files written, under ``workdir`` (a fresh temporary
@@ -378,20 +390,26 @@ def discretization_sweep(instance: Instance, m_grid, theta_grid,
     if workdir is None and external_command(solver_cmd):
         workdir = tempfile.mkdtemp(prefix="ebusopt-sweep-")
     curves = exact_curves(instance)
+    graphs: dict = {}       # theta -> its graph, or the error building it
+    for theta in map(float, theta_grid):
+        if theta not in graphs:
+            try:
+                graphs[theta] = build_graph(instance, theta)
+            except Exception as exc:
+                graphs[theta] = exc
 
     reference = None
     if check_reference:
-        theta_ref = float(min(theta_grid))
         try:
-            reference = _solve_reference_linear(instance, curves, theta_ref,
-                                                solver_cmd, time_limit,
-                                                workdir and f"{workdir}/ref",
-                                                strengthen)
+            reference = _solve_reference_linear(
+                instance, curves, graphs[float(min(theta_grid))], solver_cmd,
+                time_limit, workdir and f"{workdir}/ref", strengthen)
         except Exception:  # the fs? column is best-effort
             reference = None
 
-    cells = [(instance, curves, reference, m, float(theta), solver_cmd,
-              time_limit, workdir, strengthen)
+    cells = [(instance, curves, reference, m, float(theta),
+              graphs[float(theta)], solver_cmd, time_limit, workdir,
+              strengthen)
              for m in m_grid for theta in theta_grid]
     if workers > 1:
         # HiGHS holds the interpreter lock, so cells run in processes
@@ -406,10 +424,11 @@ def discretization_sweep(instance: Instance, m_grid, theta_grid,
 
 def _sweep_cell(cell) -> SweepRow:
     """One (m, theta) cell of ``discretization_sweep``; errors become rows."""
-    (instance, curves, reference, m, theta, solver_cmd, time_limit, workdir,
-     strengthen) = cell
+    (instance, curves, reference, m, theta, graph, solver_cmd, time_limit,
+     workdir, strengthen) = cell
     try:
-        graph = build_graph(instance, theta)
+        if isinstance(graph, Exception):
+            raise graph
         domains = build_domains(instance, curves, theta, m, "under")
         fs = _reference_feasible_at(reference, instance, domains, theta)
         model = build_model(graph, domains,
@@ -441,31 +460,33 @@ def build_domains(instance: Instance, curves: dict, theta: float, m: int,
     """PWL increment domain per (charger, electric vehicle type).
 
     ``estimator`` is "under" (chords), "over" (tangents), or "linear" (the
-    classical fully linear charging baseline, which ignores ``m``).
+    classical fully linear charging baseline, which ignores ``m``).  A
+    domain depends only on its charging profile, so each profile gets one,
+    and every (charger, vehicle type) pair that charges by that profile
+    maps to the same domain object.
     """
-    from .chargemodel import build_overestimator
+    build = {"under": lambda curve: build_underestimator(curve, theta, m),
+             "over": lambda curve: build_overestimator(curve, theta, m),
+             "linear": lambda curve: linear_reference_domain(curve, theta)}
+    if estimator not in build:
+        raise ValidationError(f"unknown estimator {estimator!r}")
+    by_profile: dict = {}
     domains = {}
     for c in instance.chargers:
         for vt, pname in c.profiles.items():
-            if estimator == "under":
-                domains[(c.id, vt)] = build_underestimator(curves[pname],
-                                                           theta, m)
-            elif estimator == "over":
-                domains[(c.id, vt)] = build_overestimator(curves[pname],
-                                                          theta, m)
-            elif estimator == "linear":
-                domains[(c.id, vt)] = linear_reference_domain(curves[pname],
-                                                              theta)
-            else:
-                raise ValidationError(f"unknown estimator {estimator!r}")
+            if pname not in by_profile:
+                by_profile[pname] = build[estimator](curves[pname])
+            domains[(c.id, vt)] = by_profile[pname]
     return domains
 
 
-def _solve_reference_linear(instance, curves, theta, solver_cmd, time_limit,
+def _solve_reference_linear(instance, curves, graph, solver_cmd, time_limit,
                             workdir, strengthen):
-    """Schedule under the fully linear charging model (the classic baseline)."""
-    graph = build_graph(instance, theta)
-    domains = build_domains(instance, curves, theta, 0, "linear")
+    """Schedule under the fully linear charging model (the classic baseline)
+    on ``graph``, or raise the error that building it gave."""
+    if isinstance(graph, Exception):
+        raise graph
+    domains = build_domains(instance, curves, graph.theta, 0, "linear")
     model = build_model(graph, domains,
                         ModelOptions(use_strengthening=strengthen))
     raw = solve_model(model, workdir, command_template=solver_cmd,

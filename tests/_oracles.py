@@ -14,11 +14,15 @@ package's graph, which drops the plans that cannot reach a slot.  It lays
 the graph out as ``Arc`` records and stores them in the package's columns,
 one leg per arc; ``arc_records`` reads any graph's columns back as such
 records, the form in which the tests and the dict-row builder read a graph.
-The readers at the bottom (``_tokenize_lp``, ``read_lp`` and ``read_mps``)
-lex an LP file one regex match per position and read an MPS file line by
-line into a ``ParsedModel`` of name-keyed dicts, one per row; with
-``parsed_arrays`` they are the reference for the package's readers, which
-build ``ModelArrays`` directly.
+``event_time`` and ``price_at`` are the scalar lookups of a timeline
+event's time and a grid point's energy price, the reference for the
+package's one-pass tables; ``pwl_value`` evaluates a PWL domain over the
+outer product of socs and slopes, the reference for its segment-by-segment
+minimum.  The readers at the bottom (``_tokenize_lp``, ``read_lp`` and
+``read_mps``) lex an LP file one regex match per position and read an MPS
+file line by line into a ``ParsedModel`` of name-keyed dicts, one per row;
+with ``parsed_arrays`` they are the reference for the package's readers,
+which build ``ModelArrays`` directly.
 
 The closed-form charge curves evaluate the max-power charge curve
 analytically, bypassing the numerical integrator entirely:
@@ -69,6 +73,15 @@ class ClosedFormCurve:
         y = np.minimum(np.asarray(y, dtype=float), self.soc_cap)
         out = np.maximum(self.soc_at(self.time_at(y) + np.asarray(t)) - y, 0.0)
         return float(out) if np.ndim(out) == 0 else out
+
+
+def pwl_value(dom, y):
+    """A PWL domain's bound min_j(alpha_j * y + beta_j), over the n x m
+    outer product of socs and slopes at once."""
+    y_arr = np.asarray(y, dtype=float)
+    vals = dom.offsets + np.multiply.outer(y_arr, dom.slopes)
+    out = np.min(vals, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def constant_curve(c=0.5, soc_cap=0.999):
@@ -478,6 +491,20 @@ def column_arcs(graph, arcs, dead, lead):
     return rep
 
 
+def event_time(graph, i: int) -> int:
+    """The time of timeline event i, one event at a time."""
+    return graph.instance.horizon[0] + int(i * graph.theta)
+
+
+def price_at(gp, t: float) -> float:
+    """A grid point's energy price at time t: the first entry whose
+    [start, end) holds t, 0 where none does."""
+    for s, e, p in gp.energy_price:
+        if s <= t < e:
+            return p
+    return 0.0
+
+
 def min_power_over(gp, start: float, end: float) -> float:
     """Most restrictive limit of a grid point over [start, end), one
     interval at a time: 0 where any part of it is uncovered."""
@@ -506,8 +533,8 @@ def _grid_limit(gp, graph, step: int, override) -> float:
             raise ModelError(f"grid limit override of {gp.id!r} is {val}: "
                              f"NaN or negative")
         return val
-    return min_power_over(gp, graph.event_time(step - 1),
-                          graph.event_time(step))
+    return min_power_over(gp, event_time(graph, step - 1),
+                          event_time(graph, step))
 
 
 def build_model(graph, domains, options=ModelOptions(), compress=True):
@@ -578,12 +605,12 @@ def build_model(graph, domains, options=ModelOptions(), compress=True):
         if a.kind != "recharge" or a.index in dead:
             continue
         gp = inst.grid_point(inst.charger(a.charger).grid_point)
-        step_start = graph.event_time(a.step - 1)
+        step_start = event_time(graph, a.step - 1)
         for pid in a.plans:
             if pid not in electric:
                 continue
             dom = _domain_for(domains, a.charger, vtype_of[pid])
-            price = gp.price_at(step_start) * battery[vtype_of[pid]]
+            price = price_at(gp, step_start) * battery[vtype_of[pid]]
             ub = dom.offsets[0] if a.available else 0.0
             idx = model.add_vars([f"phi[{a.index:06d}][{pid}]"], ub=ub,
                                  obj=price)

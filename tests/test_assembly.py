@@ -319,8 +319,8 @@ def test_energy_bounds_are_computed_once_per_graph_in_a_sweep(tmp_path,
     rows = discretization_sweep(inst, [2, 3], [600.0], time_limit=60,
                                 workdir=str(tmp_path))
     assert [r.ref_feasible is not None for r in rows] == [True, True]
-    # the reference graph and one graph per cell
-    assert calls == {"energy_bounds": 3, "_topological_order": 3}
+    # one graph for the one theta, shared by the reference and both cells
+    assert calls == {"energy_bounds": 1, "_topological_order": 1}
 
 
 # ---------------------------------------------------------------------------

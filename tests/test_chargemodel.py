@@ -4,11 +4,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ebusopt.chargemodel as cm
 from ebusopt.generators import _wc_profile
-from _oracles import constant_curve, linear_cv_curve, quadratic_cv_curve
+from _oracles import (constant_curve, linear_cv_curve, pwl_value,
+                      quadratic_cv_curve)
 from test_acceptance import sine_tabulated_profile
 
 THETA = 0.2
@@ -40,6 +41,27 @@ def test_profile_rejects_bad_parameters():
         cm.ChargingPowerProfile(cc_rate=0.5, cv_break=0.0)
     with pytest.raises(cm.ChargeModelError):
         cm.ChargingPowerProfile(cc_rate=0.5, cv_break=1.2)
+
+
+@pytest.mark.parametrize("cc_rate", [math.inf, math.nan, -0.5])
+def test_profile_rejects_a_rate_that_is_not_positive_and_finite(cc_rate):
+    with pytest.raises(cm.ChargeModelError, match="cc_rate"):
+        cm.ChargingPowerProfile(cc_rate=cc_rate, cv_break=0.8)
+
+
+@pytest.mark.parametrize("bound", [math.nan, -1.0, -math.inf, math.inf])
+@pytest.mark.parametrize("shape, points", [
+    ("quadratic", None), ("tabulated", ((0.8, 0.5), (1.0, 0.0)))])
+def test_profile_rejects_a_meaningless_curvature_bound(shape, points, bound):
+    # the bound scales the certified error bound of every PWL domain
+    with pytest.raises(cm.ChargeModelError,
+                       match="cv_second_derivative_bound"):
+        cm.ChargingPowerProfile(cc_rate=0.5, cv_break=0.8, cv_shape=shape,
+                                cv_points=points,
+                                cv_second_derivative_bound=bound)
+    assert cm.ChargingPowerProfile(
+        cc_rate=0.5, cv_break=0.8, cv_shape=shape, cv_points=points,
+        cv_second_derivative_bound=0.0).cv_curvature_bound == 0.0
 
 
 def test_profile_rejects_increasing_tabulated_rate():
@@ -270,6 +292,30 @@ def test_increment_curve_linear_cv_slope():
 # ---------------------------------------------------------------------------
 # PWL under/overestimators
 # ---------------------------------------------------------------------------
+
+SOCS = st.floats(min_value=-0.5, max_value=1.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cc=CC_RATES, yv=CV_BREAKS, m=st.integers(2, 8),
+       kind=st.sampled_from(["under", "over"]), y=SOCS,
+       ys=st.lists(SOCS, max_size=40))
+def test_domain_value_matches_the_outer_product(cc, yv, m, kind, y, ys):
+    curve = cm.solve_max_power_curve(
+        cm.ChargingPowerProfile(cc_rate=cc, cv_break=yv, cv_shape="quadratic"))
+    build = {"under": cm.build_underestimator,
+             "over": cm.build_overestimator}[kind]
+    try:
+        dom = build(curve, THETA, m)
+    except cm.DegenerateGridError:
+        assume(False)
+    got = dom.value(y)
+    assert type(got) is float and got == pwl_value(dom, y)
+    grid = np.array(ys + [0.0, curve.soc_cap])
+    assert np.array_equal(dom.value(grid), pwl_value(dom, grid))
+    rows = np.stack([grid, grid[::-1]])
+    assert np.array_equal(dom.value(rows), pwl_value(dom, rows))
+
 
 def test_underestimator_structure_m2():
     curve = make_quadratic()

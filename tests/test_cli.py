@@ -142,6 +142,22 @@ def test_solve_convex_tabulated_profile_exits_2(runner, tmp_path):
     assert "concave" in res.output
 
 
+@pytest.mark.parametrize("key, value", [
+    ("cc_rate_per_s", float("inf")),
+    ("cv_second_derivative_bound", float("nan")),
+    ("cv_second_derivative_bound", -3.0)])
+def test_solve_meaningless_profile_number_exits_2(runner, tmp_path, key,
+                                                  value):
+    doc = charger_toy().to_dict()
+    doc["profiles"]["toy-quad"][key] = value
+    inst_path = tmp_path / "bad.json"
+    inst_path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["solve", str(inst_path), "--time-limit", "30",
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert key.replace("_per_s", "") in res.output
+
+
 @pytest.mark.parametrize("command", ["sweep", "solve",
                                      "compare-estimators"])
 def test_nan_mix_coefficient_exits_2(runner, tmp_path, command):

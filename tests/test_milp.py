@@ -21,8 +21,9 @@ from ebusopt.lpformat import (SENSES, LpFormatError, ModelArrays,
                               read_lp, read_mps, write_lp, write_mps,
                               write_solution_text)
 from ebusopt.milp import (DecodeError, MilpModel, ModelError, ModelOptions,
-                          _min_power_steps, build_model, decode_solution,
-                          emit_model, solve_model)
+                          _event_times, _min_power_steps, _step_prices,
+                          build_model, decode_solution, emit_model,
+                          solve_model)
 from ebusopt.netgraph import RECHARGE, GraphOptions, build_graph
 from ebusopt.refsolver import load_model, solve_arrays, solve_parsed
 from ebusopt.solverbridge import (DEFAULT_SOLVER_CMD, SOLVER_ENV_VAR,
@@ -524,6 +525,28 @@ def test_grid_limits_match_the_scalar_lookup(table, first, widths):
                 for lo, hi in zip(times[:-1], times[1:])]
     assert _min_power_steps(gp.max_power_kw, times.astype(float)).tolist() \
         == expected
+
+
+PRICE_ENTRIES = st.tuples(st.integers(0, 40), st.integers(0, 40),
+                          st.sampled_from([0.0, 0.12, 0.3, 7]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.lists(PRICE_ENTRIES, max_size=5),
+       times=st.lists(st.integers(-5, 45), max_size=12))
+def test_step_prices_match_the_scalar_lookup(table, times):
+    # gaps, overlaps (the first entry wins), touching and reversed entries
+    gp = GridPoint("g", (), tuple(table))
+    expected = [_oracles.price_at(gp, t) for t in times]
+    assert _step_prices(gp.energy_price, np.array(times, np.int64)).tolist() \
+        == expected
+
+
+@pytest.mark.parametrize("theta", [300.0, 600.0])
+def test_event_times_match_the_scalar_lookup(theta):
+    graph = build_graph(charger_toy(horizon_s=7200), theta)
+    assert _event_times(graph).tolist() == [
+        _oracles.event_time(graph, i) for i in range(graph.horizon_steps + 1)]
 
 
 @pytest.mark.parametrize("limit", [-1.0, -1e-9])

@@ -5,6 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ebusopt.chargemodel import (ChargingPowerProfile, IncrementDomainPWL,
+                                 build_overestimator, build_underestimator,
+                                 linear_reference_domain)
 from ebusopt.generators import generate_worst_case
 from ebusopt.milp import (ChargeWindow, Course, ModelOptions, Schedule,
                           build_model, decode_solution, solve_model)
@@ -296,6 +299,24 @@ def test_sweep_models_are_strengthened_by_default(tmp_path, monkeypatch,
     assert built == [strengthen is None] * 2     # reference, then the cell
 
 
+def test_sweep_builds_one_graph_per_theta(tmp_path, monkeypatch):
+    import ebusopt.validate as validate
+    built = []
+
+    def spy(instance, theta, *args):
+        built.append(theta)
+        return build_graph(instance, theta, *args)
+
+    monkeypatch.setattr(validate, "build_graph", spy)
+    inst = charger_toy(horizon_s=7200, theta=600, trip_consumption=0.3)
+    rows = discretization_sweep(inst, [2, 3], [600.0, 300.0], time_limit=60,
+                                workdir=str(tmp_path))
+    # the reference solves on the 300 s cells' graph
+    assert sorted(built) == [300.0, 600.0]
+    assert [r.error for r in rows] == [None] * 4
+    assert all(r.ref_feasible is not None for r in rows)
+
+
 def test_sweep_survives_cell_errors(tmp_path):
     inst = charger_toy(horizon_s=7200)
     # 777 does not divide the horizon: that cell must fail, not raise
@@ -429,3 +450,79 @@ def test_greedy_sweep_bit_identical_to_scalar_loop(estimator):
             assert _sup_gap(specs[-1:], theta) == reference
         assert _sup_gap(specs, theta) == max(
             _sup_gap([spec], theta) for spec in specs)
+
+
+# ---------------------------------------------------------------------------
+# one domain per profile, one gap grid per (curve, domain, window length)
+# ---------------------------------------------------------------------------
+
+FRESH = {"under": build_underestimator, "over": build_overestimator,
+         "linear": lambda curve, theta, m: linear_reference_domain(curve,
+                                                                   theta)}
+
+
+def _same_domain(a, b):
+    return (all(np.array_equal(getattr(a, f), getattr(b, f))
+                for f in ("slopes", "offsets", "breakpoints"))
+            and (a.theta, a.kind, a.soc_cap) == (b.theta, b.kind, b.soc_cap)
+            and np.array_equal(a.error_bound, b.error_bound, equal_nan=True))
+
+
+@pytest.mark.parametrize("estimator", ["under", "over", "linear"])
+def test_chargers_that_share_a_profile_share_one_domain(estimator):
+    theta = 300.0
+    inst = generate_worst_case(4, 0.005, 0.02, theta=theta, segments=2)
+    # one more profile, on the last charger only
+    last = inst.chargers[-1]
+    other = ChargingPowerProfile(cc_rate=0.4 / 600.0, cv_break=0.7,
+                                 name="other")
+    inst = dataclasses.replace(
+        inst, profiles={**inst.profiles, "other": other},
+        chargers=inst.chargers[:-1] + (dataclasses.replace(
+            last, profiles={vt: "other" for vt in last.profiles}),))
+    curves = exact_curves(inst)
+    domains = build_domains(inst, curves, theta, 2, estimator)
+    by_profile = {}
+    for c in inst.chargers:
+        for vt, pname in c.profiles.items():
+            dom = domains[(c.id, vt)]
+            assert by_profile.setdefault(pname, dom) is dom
+            assert _same_domain(dom, FRESH[estimator](curves[pname], theta, 2))
+    assert len(inst.chargers) >= 3
+    assert len({id(d) for d in domains.values()}) == 2
+
+
+def test_one_gap_grid_per_window_length_in_a_validation(tmp_path,
+                                                        monkeypatch):
+    theta = 300.0
+    inst = generate_worst_case(5, 0.005, 0.02, estimator="over", theta=theta,
+                               segments=2)
+    curves = exact_curves(inst)
+    graph = build_graph(inst, theta)
+    shared = build_domains(inst, curves, theta, 2, "over")
+    model = build_model(graph, shared, ModelOptions(use_strengthening=True))
+    sched = decode_solution(model, solve_model(model, tmp_path))
+    # the same course twice: the gap grid is shared across courses too
+    sched = dataclasses.replace(sched, courses=sched.courses * 2)
+    # a domain per charger, equal to the shared one but not the same object
+    apart = {key: build_overestimator(curves[inst.charger(key[0])
+                                             .profiles[key[1]]], theta, 2)
+             for key in shared}
+    grids = []
+    real = IncrementDomainPWL.greedy_final_soc
+
+    def spy(dom, y0, n_steps):
+        if np.size(y0) == 1001:
+            grids.append(id(dom))
+        return real(dom, y0, n_steps)
+
+    monkeypatch.setattr(IncrementDomainPWL, "greedy_final_soc", spy)
+    want = validate_schedule(inst, sched, graph, "approx-over", curves, apart)
+    assert len(grids) == 4      # one per charger the course visits
+    grids.clear()
+    got = validate_schedule(inst, sched, graph, "approx-over", curves, shared)
+    assert len(grids) == 1
+    bounds = [c.eps_bound for c in got.courses]
+    assert bounds == [c.eps_bound for c in want.courses]
+    assert bounds[0] is not None and bounds[0] > 0.0
+    assert got.to_dict() == want.to_dict()
