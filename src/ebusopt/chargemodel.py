@@ -13,6 +13,8 @@ The chords of the increment are a lower bound only for a profile concave
 in soc: Delta''(y) = f(z)/f(y)^2 * (f'(z) - f'(y)) with z > y the step's
 end soc.  The linear and quadratic CV shapes are concave by their
 formulas; a tabulated branch is checked on its points and refused if not.
+Each domain's certified error bound follows from Delta and its closed-form
+slope Delta'(y) = f(z)/f(y) - 1 alone, the same way for every shape.
 
 Because f(1) = 0 for a CC-CV profile, the flow only reaches a full battery
 asymptotically.  All curves therefore stop at an effective full level
@@ -63,18 +65,12 @@ class ChargingPowerProfile:
     rate is then positive up to soc_cap, so its flow reaches soc_cap.
 
     ``cv_break == 1.0`` is the degenerate constant-rate profile (no CV phase).
-
-    ``cv_curvature_bound`` is the sup norm of the CV branch's second
-    derivative; it feeds the PWL interpolation error bound.  It is derived
-    for the analytic shapes and must be supplied for tabulated ones (the
-    bound of the physical curve the table was sampled from).
     """
 
     cc_rate: float
     cv_break: float
     cv_shape: str = "linear"
     cv_points: Optional[tuple[tuple[float, float], ...]] = None
-    cv_second_derivative_bound: Optional[float] = None
     name: str = ""
     # cv_points as (socs, rates) arrays, built once in __post_init__
     _cv_table: Optional[tuple[np.ndarray, np.ndarray]] = field(
@@ -88,10 +84,6 @@ class ChargingPowerProfile:
             raise ChargeModelError(f"cv_break must lie in (0, 1], got {self.cv_break}")
         if self.cv_shape not in CV_SHAPES:
             raise ChargeModelError(f"unknown cv_shape {self.cv_shape!r}")
-        bound = self.cv_second_derivative_bound
-        if bound is not None and not 0.0 <= bound < math.inf:
-            raise ChargeModelError(f"cv_second_derivative_bound must be "
-                                   f"finite and not negative, got {bound}")
         if self.cv_shape == "tabulated" and self.cv_break < 1.0:
             if not self.cv_points or len(self.cv_points) < 2:
                 raise ChargeModelError("tabulated profile needs >= 2 cv_points")
@@ -116,9 +108,6 @@ class ChargingPowerProfile:
             if len(rising):
                 raise ChargeModelError(f"cv rate must be concave: its slope "
                                        f"rises at soc {ys[rising[0] + 1]:.6g}")
-            if self.cv_second_derivative_bound is None:
-                raise ChargeModelError(
-                    "tabulated profile requires cv_second_derivative_bound")
             object.__setattr__(self, "_cv_table", (ys, rs))
 
     def rate(self, y):
@@ -139,18 +128,6 @@ class ChargingPowerProfile:
         out = np.where(yc < self.cv_break, self.cc_rate, np.maximum(cv, 0.0))
         return out if out.shape else float(out)
 
-    @property
-    def cv_curvature_bound(self) -> float:
-        """Sup norm of the CV branch's second derivative."""
-        if self.cv_second_derivative_bound is not None:
-            return self.cv_second_derivative_bound
-        if self.cv_break >= 1.0 or self.cv_shape == "linear":
-            return 0.0
-        if self.cv_shape == "quadratic":
-            w = 1.0 - self.cv_break
-            return 2.0 * self.cc_rate / (w * w)
-        raise ChargeModelError("tabulated profile has no derived curvature bound")
-
     def to_dict(self) -> dict:
         d = {
             "cc_rate_per_s": self.cc_rate,
@@ -159,8 +136,6 @@ class ChargingPowerProfile:
         }
         if self.cv_points is not None:
             d["cv_points"] = [[float(a), float(b)] for a, b in self.cv_points]
-        if self.cv_second_derivative_bound is not None:
-            d["cv_second_derivative_bound"] = self.cv_second_derivative_bound
         return d
 
     @staticmethod
@@ -171,7 +146,6 @@ class ChargingPowerProfile:
             cv_break=float(d["cv_break"]),
             cv_shape=d.get("cv_shape", "linear"),
             cv_points=tuple((float(a), float(b)) for a, b in pts) if pts else None,
-            cv_second_derivative_bound=d.get("cv_second_derivative_bound"),
             name=name,
         )
 
@@ -322,18 +296,16 @@ def solve_max_power_curve(profile: ChargingPowerProfile) -> MaxPowerCurve:
                          t_full=t_full, profile=profile, t_cv=t_cv)
 
 
-def increment_slope(curve: MaxPowerCurve, y: float, theta: float) -> float:
-    """Analytic slope of the per-step increment curve at soc y.
+def increment_slope(curve: MaxPowerCurve, y, theta: float) -> np.ndarray:
+    """Analytic slope of the per-step increment curve at socs y (vectorized).
 
     d/dy [zeta(zeta^-1(y) + theta) - y] = f(z)/f(y) - 1 with z the end-of-step
     soc, except in the clamp region (z at cap) where the slope is -1.
     """
-    y = float(min(max(y, 0.0), curve.soc_cap))
-    z = y + float(curve.increment(y, theta))
-    if z >= curve.soc_cap - 1e-12:
-        return -1.0
-    fz = float(curve.profile.rate(z))
-    return fz / float(curve.profile.rate(y)) - 1.0
+    y = np.clip(np.asarray(y, dtype=float), 0.0, curve.soc_cap)
+    z = y + curve.increment(y, theta)
+    slope = curve.profile.rate(z) / curve.profile.rate(y) - 1.0
+    return np.where(z >= curve.soc_cap - 1e-12, -1.0, slope)
 
 
 def compose_steps_check(curve: SampledChargeCurve, y0: float,
@@ -364,6 +336,11 @@ class IncrementDomainPWL:
     exact increment) or "over" (tangents at interval midpoints, dominating
     it).  Slopes are strictly decreasing with alpha_1 = 0, so the evaluated
     bound min_j(alpha_j y + beta_j) is concave.
+
+    ``error_bound`` certifies the largest gap between the bound and the
+    increment over [0, soc_cap]: increment minus bound for "under", bound
+    minus increment for "over".  The builders derive it from the increment
+    curve and its slope at the knots, with nothing declared by the profile.
     """
 
     theta: float
@@ -428,9 +405,9 @@ def _breakpoint_grid(curve: MaxPowerCurve, theta: float, m: int) -> np.ndarray:
     equidistant.
 
     The soc_cap clamp puts a kink into the increment curve at
-    y_c = zeta(t_full - theta) that is not covered by the CV curvature
-    bound, so the nearest interior knot is snapped onto it; right of y_c the
-    increment curve is exactly cap - y and chords are exact.
+    y_c = zeta(t_full - theta), so the nearest interior knot is snapped onto
+    it; right of y_c the increment curve is exactly cap - y and chords are
+    exact.
     """
     if m < 2:
         raise ChargeModelError("need at least 2 segments")
@@ -475,32 +452,26 @@ def _merge_collinear(slopes: list[float], offsets: list[float],
     return np.asarray(a_out), np.asarray(b_out)
 
 
-def _segment_error_bound(curve: MaxPowerCurve, theta: float,
-                         knots: np.ndarray, flat_first: bool) -> float:
-    """theta * h^2 / 8 * ||f_cv''|| with h the widest inexact segment."""
-    widths = np.diff(knots)
-    if flat_first and len(widths) > 1:
-        widths = widths[1:]
-    h = float(np.max(widths))
-    return theta * h * h / 8.0 * curve.profile.cv_curvature_bound
-
-
 def build_underestimator(curve: MaxPowerCurve, theta: float,
                          m: int) -> IncrementDomainPWL:
     """Chord interpolation of the step-increment curve (dominated bound).
 
     For a concave charging profile the increment curve is concave, so every
     chord lies below it and min over the chord lines underestimates the true
-    admissible increment everywhere.
+    admissible increment everywhere.  The curve also lies below its tangents
+    at a chord's knots, of slopes p >= q, so a chord of slope s over width h
+    is off by at most the height h (p - s)(s - q) / (p - q) of the triangle
+    they enclose.
     """
     knots = _breakpoint_grid(curve, theta, m)
     vals = np.asarray(curve.increment(knots, theta), dtype=float)
-    slopes, offsets = [], []
-    for i in range(len(knots) - 1):
-        a = (vals[i + 1] - vals[i]) / (knots[i + 1] - knots[i])
-        b = vals[i] - a * knots[i]
-        slopes.append(a)
-        offsets.append(b)
+    chords = np.diff(vals) / np.diff(knots)
+    tangents = increment_slope(curve, knots, theta)
+    rise = np.maximum(tangents[:-1] - chords, 0.0)
+    fall = np.maximum(chords - tangents[1:], 0.0)
+    span = rise + fall
+    heights = np.diff(knots) * rise * fall / np.where(span > 0.0, span, 1.0)
+    slopes, offsets = chords.tolist(), (vals[:-1] - chords * knots[:-1]).tolist()
     flat_first = knots[1] < curve.soc_at(max(curve.t_cv - theta, 0.0)) + 1e-12 \
         and curve.t_cv > theta
     if flat_first:
@@ -513,8 +484,7 @@ def build_underestimator(curve: MaxPowerCurve, theta: float,
     a, b = _merge_collinear(slopes, offsets, "under")
     return IncrementDomainPWL(
         theta=theta, slopes=a, offsets=b, breakpoints=knots, kind="under",
-        error_bound=_segment_error_bound(curve, theta, knots, flat_first),
-        soc_cap=curve.soc_cap)
+        error_bound=float(np.max(heights)), soc_cap=curve.soc_cap)
 
 
 def build_overestimator(curve: MaxPowerCurve, theta: float,
@@ -524,18 +494,18 @@ def build_overestimator(curve: MaxPowerCurve, theta: float,
     Each tangent of the concave increment curve lies above it, so the min
     over tangent lines overestimates the admissible increment and touches it
     at every midpoint.  The implicit battery-cap segment phi <= cap - y is
-    appended explicitly.
+    appended explicitly.  A tangent minus the curve is convex on its
+    interval, so its largest gap there is at one of the two knots.
     """
     knots = _breakpoint_grid(curve, theta, m)
-    slopes, offsets = [], []
-    for i in range(len(knots) - 1):
-        mid = 0.5 * (knots[i] + knots[i + 1])
-        a = increment_slope(curve, mid, theta)
-        v = float(curve.increment(mid, theta))
-        if abs(a) <= 1e-9:
-            a = 0.0
-        slopes.append(a)
-        offsets.append(v - a * mid)
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    tangents = increment_slope(curve, mids, theta)
+    tangents = np.where(np.abs(tangents) <= 1e-9, 0.0, tangents)
+    lifts = np.asarray(curve.increment(mids, theta)) - tangents * mids
+    vals = np.asarray(curve.increment(knots, theta))
+    gaps = np.maximum(tangents * knots[:-1] + lifts - vals[:-1],
+                      tangents * knots[1:] + lifts - vals[1:])
+    slopes, offsets = tangents.tolist(), lifts.tolist()
     if slopes[0] != 0.0:
         slopes.insert(0, 0.0)
         offsets.insert(0, float(curve.increment(0.0, theta)))
@@ -544,11 +514,9 @@ def build_overestimator(curve: MaxPowerCurve, theta: float,
         slopes.append(-1.0)
         offsets.append(curve.soc_cap)
     a, b = _merge_collinear(slopes, offsets, "over")
-    flat_first = curve.t_cv > theta
     return IncrementDomainPWL(
         theta=theta, slopes=a, offsets=b, breakpoints=knots, kind="over",
-        error_bound=_segment_error_bound(curve, theta, knots, flat_first),
-        soc_cap=curve.soc_cap)
+        error_bound=max(float(np.max(gaps)), 0.0), soc_cap=curve.soc_cap)
 
 
 def linear_reference_domain(curve: SampledChargeCurve,

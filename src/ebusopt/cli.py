@@ -300,6 +300,10 @@ def cmd_sweep(instance_path, m_grid, theta_grid, time_limit, solver_cmd,
     try:
         ms = [int(v) for v in m_grid.split(",") if v.strip()]
         thetas = [float(v) for v in theta_grid.split(",") if v.strip()]
+        if not (ms and thetas):
+            raise ValueError("an empty grid runs no cell")
+        if not all(map(math.isfinite, thetas)):
+            raise ValueError(f"theta must be finite, got {theta_grid!r}")
     except ValueError as exc:
         _fail(EXIT_INPUT, f"bad grid: {exc}")
     config = {"command": "sweep", "instance": instance_path, "m_grid": ms,

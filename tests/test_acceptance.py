@@ -44,8 +44,7 @@ def sine_tabulated_profile(cc=0.7 / 2400.0, yv=0.6):
     rates = cc * np.sin(0.5 * math.pi * (1.0 - ys) / w)
     return cm.ChargingPowerProfile(
         cc_rate=cc, cv_break=yv, cv_shape="tabulated",
-        cv_points=tuple(zip(ys.tolist(), rates.tolist())),
-        cv_second_derivative_bound=cc * (math.pi / (2.0 * w)) ** 2)
+        cv_points=tuple(zip(ys.tolist(), rates.tolist())))
 
 
 CONCAVE_PROFILES = [

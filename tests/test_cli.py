@@ -132,7 +132,7 @@ def test_solve_convex_tabulated_profile_exits_2(runner, tmp_path):
     rates = 0.5 / 600.0 * ((1.0 - socs) / 0.5) ** 2
     doc["profiles"]["toy-quad"] = {
         "cc_rate_per_s": 0.5 / 600.0, "cv_break": 0.5,
-        "cv_shape": "tabulated", "cv_second_derivative_bound": 1e-2,
+        "cv_shape": "tabulated",
         "cv_points": [[a, b] for a, b in zip(socs.tolist(), rates.tolist())]}
     inst_path = tmp_path / "convex.json"
     inst_path.write_text(json.dumps(doc))
@@ -143,9 +143,7 @@ def test_solve_convex_tabulated_profile_exits_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("cc_rate_per_s", float("inf")),
-    ("cv_second_derivative_bound", float("nan")),
-    ("cv_second_derivative_bound", -3.0)])
+    ("cc_rate_per_s", float("inf"))])
 def test_solve_meaningless_profile_number_exits_2(runner, tmp_path, key,
                                                   value):
     doc = charger_toy().to_dict()
@@ -156,6 +154,29 @@ def test_solve_meaningless_profile_number_exits_2(runner, tmp_path, key,
                                "--out", str(tmp_path / "run")])
     assert res.exit_code == 2, res.output
     assert key.replace("_per_s", "") in res.output
+
+
+@pytest.mark.parametrize("bound", [None, 0.0, float("nan")])
+def test_old_curvature_bound_key_is_ignored(runner, tmp_path, bound):
+    # the PWL error bound is derived from the profile; a file that still
+    # declares one solves to the same schedule as a file without the key
+    socs = np.linspace(0.5, 1.0, 101)
+    rates = 0.5 / 600.0 * (1.0 - ((socs - 0.5) / 0.5) ** 2)
+    table = {"cc_rate_per_s": 0.5 / 600.0, "cv_break": 0.5,
+             "cv_shape": "tabulated",
+             "cv_points": [[a, b] for a, b in zip(socs.tolist(), rates.tolist())]}
+    schedules = []
+    for extra in ({}, {"cv_second_derivative_bound": bound}):
+        doc = charger_toy().to_dict()
+        doc["profiles"]["toy-quad"] = {**table, **extra}
+        inst_path = tmp_path / f"toy{len(extra)}.json"
+        inst_path.write_text(json.dumps(doc))
+        out = tmp_path / f"run{len(extra)}"
+        res = runner.invoke(main, ["solve", str(inst_path), "--time-limit",
+                                   "30", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        schedules.append((out / "schedule.json").read_bytes())
+    assert schedules[1] == schedules[0]
 
 
 @pytest.mark.parametrize("command", ["sweep", "solve",
@@ -358,6 +379,22 @@ def test_sweep_missing_solver_exits_3(runner, tmp_path):
     assert res.exit_code == 3, res.output
     assert "not found" in (out / "sweep.csv").read_text()
     assert json.loads(res.output.strip().splitlines()[-1])["status"] == "error"
+
+
+@pytest.mark.parametrize("m_grid, theta_grid, named", [
+    ("", "600", "empty grid"), ("2", " , ", "empty grid"),
+    ("2", "nan", "theta must be finite"),
+    ("2", "600,inf", "theta must be finite")])
+def test_sweep_grid_that_cannot_run_exits_2(runner, tmp_path, m_grid,
+                                            theta_grid, named):
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(horizon_s=7200), inst_path)
+    res = runner.invoke(main, ["sweep", str(inst_path), "--m-grid", m_grid,
+                               "--theta-grid", theta_grid,
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert "bad grid" in res.output and named in res.output
+    assert not (tmp_path / "run").exists()
 
 
 def test_sweep_in_process_writes_no_cell_files(runner, tmp_path):
