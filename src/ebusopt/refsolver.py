@@ -4,15 +4,16 @@ Runs as a standalone executable (`ebusopt-solve model.lp out.sol`) so the
 package's solver bridge can treat it exactly like any other external solver:
 model file in, solution file out, status carried in the file header.  The
 actual branch-and-bound is HiGHS: the ``_Highs`` object that scipy bundles
-(``scipy.optimize._highspy._core``), given the CSR rows as a row-wise
-``HighsLp``.
+(``scipy.optimize._highspy._core``), given the model in one ``passModel``
+call with the CSR rows row-wise and the integrality beside them.
 
 Solution files are plain text: `# status/objective/bound` headers followed
 by `name value` lines.  Exit code 0 covers every properly diagnosed outcome
 (optimal, infeasible, time limit); 2 means the model file could not be read
 (missing, not text, or a malformed line, which the message names) or an
-argument is invalid, such as a time limit that is NaN or not above 0; 3
-means the solver itself failed.
+argument is invalid, such as a time limit that is NaN or not above 0 or a
+solution path that cannot be written; 3 means the solver itself failed or
+HiGHS could not be loaded.
 
 ``solve_arrays`` is the one HiGHS call site, and the one place where the
 rows' senses and right-hand sides become HiGHS's row bounds: this CLI
@@ -34,16 +35,31 @@ On the small ``charger_toy`` it finds the optimum before the root LP
 does; without it the root LP finds the same one, and only the signs of
 some zeros and the last bit of one value move.
 
-scipy is imported on first use, so importing this module stays cheap.
-The HiGHS module is private to scipy; ``tests/test_milp.py`` pins the
-names and options used here, so a scipy release that moves them fails
-there.
+HiGHS is loaded on the first solve, by ``highs_core``; importing this
+module loads no scipy module.  ``highs_core`` imports the top-level
+``scipy`` package, which is cheap and runs scipy's distributor hooks, and
+then loads the extension file ``optimize/_highspy/_core*.so`` from that
+package's folder under the name scipy gives it.  It does not run
+``scipy.optimize/__init__.py``, which imports scipy's optimizers with
+``scipy.sparse`` and ``scipy.linalg`` though the extension needs none of
+them: on a 2-CPU x86-64 host with scipy 1.17.1 that import took
+0.37-0.46 s and 49 MiB, the direct load 0.012-0.021 s and 3.3 MiB.  The
+module is registered in ``sys.modules``, so a later ``import
+scipy.optimize`` reuses it, and a process that imported
+``scipy.optimize`` first gets scipy's own object; either way the
+extension is initialised once.  The module is private to scipy;
+``tests/test_milp.py`` pins its file and the names and options used
+here, so a scipy release that moves them fails there, and a solve
+without the file fails naming the folder it looked in.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 
 import numpy as np
@@ -52,6 +68,8 @@ from .lpformat import (SENSES, LpFormatError, ModelArrays, read_lp, read_mps,
                        write_solution_text)
 
 MIP_REL_GAP = 1e-9
+
+HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 # HiGHS model status name -> status; any other status is "error"
 _STATUS = {
@@ -77,6 +95,30 @@ def load_model(path: str) -> ModelArrays:
     return read_lp(path)
 
 
+def highs_core():
+    """scipy's bundled HiGHS extension, loaded without ``scipy.optimize``.
+
+    Returns the module already in ``sys.modules`` under ``HIGHS_MODULE``
+    if there is one, else loads ``_core`` from the ``optimize/_highspy``
+    folder of the installed scipy and registers it there.  Raises
+    ``ImportError`` naming the folder when the file is not in it.
+    """
+    core = sys.modules.get(HIGHS_MODULE)
+    if core is not None:
+        return core
+    import scipy
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize",
+                          "_highspy")
+    found = importlib.machinery.PathFinder.find_spec("_core", [folder])
+    if found is None:
+        raise ImportError(f"scipy's HiGHS extension _core is not in {folder}")
+    spec = importlib.util.spec_from_file_location(HIGHS_MODULE, found.origin)
+    core = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(core)
+    sys.modules[HIGHS_MODULE] = core
+    return core
+
+
 def solve_arrays(p: ModelArrays, time_limit: float | None = None):
     """Solve with HiGHS; returns (status, values, objective, bound).
 
@@ -86,50 +128,46 @@ def solve_arrays(p: ModelArrays, time_limit: float | None = None):
     hands back values only when optimal.  The bound is HiGHS's dual bound
     when it has an incumbent, and otherwise the optimal LP objective.  A
     model HiGHS refuses (a NaN or infinite rhs, an infinite coefficient)
-    raises ``RuntimeError``; so does a NaN coefficient, which HiGHS would
-    take and report a status for.  A NaN time limit raises ``ValueError``:
-    HiGHS would take it and run with no limit.
+    raises ``RuntimeError``; so do a NaN coefficient, which HiGHS would
+    take and report a status for, and arrays whose lengths disagree,
+    which HiGHS would read past the end of.  A NaN time limit raises
+    ``ValueError``: HiGHS would take it and run with no limit.
     """
     if time_limit is not None and math.isnan(time_limit):
         raise ValueError("time limit is NaN")
-    from scipy.optimize._highspy import _core
+    core = highs_core()
 
     if time_limit is not None and time_limit <= 0:
         return "time-limit", {}, None, None
     if not np.isfinite(p.vals).all():
         raise RuntimeError("HiGHS refused the model: a matrix coefficient "
                            "is not finite")
-    n, m = len(p.names), len(p.rhs)
+    n, m, nnz = len(p.names), len(p.rhs), len(p.vals)
+    # passModel reads these lengths through raw pointers
+    if {len(p.obj), len(p.lb), len(p.ub), len(p.integer)} != {n} or \
+            len(p.start) != m + 1 or len(p.cols) != nnz:
+        raise RuntimeError("HiGHS refused the model: array lengths disagree")
     row_lb = np.where(p.sense == SENSES.index("<="), -np.inf, p.rhs)
     row_ub = np.where(p.sense == SENSES.index(">="), np.inf, p.rhs)
-    lp = _core.HighsLp()
-    lp.num_col_, lp.num_row_ = n, m
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = p.obj, p.lb, p.ub
-    lp.row_lower_, lp.row_upper_ = row_lb, row_ub
-    a = lp.a_matrix_
-    a.format_ = _core.MatrixFormat.kRowwise
-    a.num_col_, a.num_row_ = n, m
-    a.start_, a.index_, a.value_ = p.start, p.cols, p.vals
-    lp.a_matrix_ = a
-
-    highs = _core._Highs()
+    highs = core._Highs()
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("mip_rel_gap", MIP_REL_GAP)
     highs.setOptionValue("mip_heuristic_run_feasibility_jump", False)
     if time_limit is not None:
         highs.setOptionValue("time_limit", float(time_limit))
-    if highs.passModel(lp) == _core.HighsStatus.kError:
+    # integrality codes are HighsVarType's: 0 continuous, 1 integer
+    passed = highs.passModel(
+        n, m, nnz, core.MatrixFormat.kRowwise, core.ObjSense.kMinimize, 0.0,
+        p.obj, p.lb, p.ub, row_lb, row_ub, p.start.astype(np.int32),
+        p.cols.astype(np.int32), p.vals, p.integer.astype(np.int32))
+    if passed == core.HighsStatus.kError:
         raise RuntimeError("HiGHS refused the model")
-    integer = np.flatnonzero(p.integer)
-    if len(integer):
-        highs.changeColsIntegrality(
-            len(integer), integer.astype(np.int32),
-            np.full(len(integer), _core.HighsVarType.kInteger))
+    mip = bool(p.integer.any())
     highs.run()
     status = _STATUS.get(highs.getModelStatus().name, "error")
     info = highs.getInfo()
     has_x = status == "optimal" or (
-        len(integer) > 0 and status == "time-limit"
+        mip and status == "time-limit"
         and info.objective_function_value != math.inf)
 
     sign = 1.0 if p.minimize else -1.0
@@ -139,7 +177,7 @@ def solve_arrays(p: ModelArrays, time_limit: float | None = None):
         objective = sign * float(info.objective_function_value)
         if status == "time-limit":
             status = "feasible"
-        if len(integer) and math.isfinite(info.mip_dual_bound):
+        if mip and math.isfinite(info.mip_dual_bound):
             bound = sign * float(info.mip_dual_bound)
         elif status == "optimal":
             bound = objective
@@ -186,7 +224,11 @@ def main(argv=None) -> int:
     except Exception as exc:  # solver-internal failure
         print(f"ebusopt-solve: solver failure: {exc}", file=sys.stderr)
         return 3
-    write_solution_text(args.solution, values, status, objective, bound)
+    try:
+        write_solution_text(args.solution, values, status, objective, bound)
+    except OSError as exc:
+        print(f"ebusopt-solve: cannot write solution: {exc}", file=sys.stderr)
+        return 2
     print(f"ebusopt-solve: status={status}"
           + (f" objective={objective:.9g}" if objective is not None else ""))
     return 0

@@ -63,8 +63,10 @@ def solve_external(model_path, command_template: Optional[str] = None,
     """Run the solver command on a model file and parse its solution file,
     the model path with ``.sol`` for its extension.
 
-    A nonzero exit or unparseable output raises SolverError carrying the
-    captured diagnostics; a wall-clock timeout (time limit plus grace) kills
+    A command that cannot be started (not found, a directory, a file
+    without the x bit or in no executable format), a nonzero exit or
+    unparseable output raises SolverError carrying the captured
+    diagnostics; a wall-clock timeout (time limit plus grace) kills
     the subprocess and returns status "time-limit" with the best incumbent
     found in the solution file, if any.
     """
@@ -84,6 +86,9 @@ def solve_external(model_path, command_template: Optional[str] = None,
                               timeout=wall_limit)
     except FileNotFoundError as exc:
         raise SolverError(f"solver executable not found: {exc}",
+                          command=command) from exc
+    except OSError as exc:  # a directory, no x bit, not an executable format
+        raise SolverError(f"solver executable cannot run: {exc}",
                           command=command) from exc
     except subprocess.TimeoutExpired as exc:
         # the captured output comes as bytes here even with text=True

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from ebusopt import cli
 from ebusopt.cli import main
 from ebusopt.instance import load_instance, save_instance
+from ebusopt.refsolver import highs_core
 from _toys import charger_toy, charging_required_instance
 
 
@@ -245,13 +246,44 @@ def test_solve_missing_solver_exits_3(runner, tmp_path):
     assert "solver" in res.output.lower()
 
 
+def _unrunnable_solver_cmd(tmp_path, kind):
+    """A solver command whose executable exists but cannot be started."""
+    path = tmp_path / "solver"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text("echo solved\n")
+        path.chmod(0o755 if kind == "no-shebang" else 0o644)
+    return f"{path} {{model}} {{solution}}"
+
+
+@pytest.mark.parametrize("kind", ["directory", "no-x-bit", "no-shebang"])
+@pytest.mark.parametrize("command", ["solve", "compare-estimators", "sweep"])
+def test_solver_that_cannot_start_exits_3(runner, tmp_path, command, kind):
+    # subprocess raises PermissionError or "Exec format error" for these,
+    # not FileNotFoundError; each is the solver failing, never a traceback
+    # (exit 1) or an infeasible sweep (exit 4)
+    inst_path = tmp_path / "toy.json"
+    save_instance(charging_required_instance(), inst_path)
+    out = tmp_path / "run"
+    args = [command, str(inst_path), "--time-limit", "30", "--solver-cmd",
+            _unrunnable_solver_cmd(tmp_path, kind), "--out", str(out)]
+    if command == "sweep":
+        args += ["--m-grid", "2", "--theta-grid", "600", "--no-reference"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3, res.output
+    payload = json.loads(res.output.strip().splitlines()[-1])
+    assert payload["status"] == "error"
+    message = ((out / "sweep.csv").read_text() if command == "sweep"
+               else payload["message"])
+    assert "solver executable cannot run" in message
+
+
 def test_solve_in_process_solver_failure_exits_3(runner, tmp_path,
                                                 monkeypatch):
-    from scipy.optimize._highspy import _core
-
     def boom(*args, **kwargs):
         raise RuntimeError("HiGHS crashed")
-    monkeypatch.setattr(_core, "_Highs", boom)
+    monkeypatch.setattr(highs_core(), "_Highs", boom)
     inst_path = tmp_path / "toy.json"
     save_instance(charger_toy(), inst_path)
     res = runner.invoke(main, ["solve", str(inst_path), "--time-limit", "30",
@@ -408,28 +440,86 @@ def test_sweep_in_process_writes_no_cell_files(runner, tmp_path):
     assert sorted(os.listdir(out)) == ["config.json", "sweep.csv"]
 
 
-def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+def _fresh_python(code, *args, path=()):
+    """Run ``python -c code args`` in a fresh interpreter that imports this
+    checkout's package, with the folders ``path`` ahead of it."""
     import ebusopt
     src = os.path.dirname(os.path.dirname(os.path.abspath(ebusopt.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+        p for p in (*map(str, path), src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
     lp, mps = tmp_path / "m.lp", tmp_path / "m.mps"
     lp.write_text("Minimize\n obj: x\nSubject To\n c: x >= 1\nEnd\n")
     mps.write_text("NAME m\nROWS\n N obj\n G c\nCOLUMNS\n x obj 1 c 1\n"
                    "RHS\n RHS c 1\nENDATA\n")
     # the package loads scipy only inside the calls that solve, so neither
-    # an import nor a read of a model file loads any scipy module
+    # an import nor a read of a model file loads any scipy module; a solve
+    # loads HiGHS alone, without scipy's optimizers, sparse or linalg
     code = ("import sys, ebusopt.cli, ebusopt.validate, ebusopt.milp, "
-            "ebusopt.lpformat, ebusopt.refsolver; "
-            f"ebusopt.lpformat.read_lp({str(lp)!r}); "
-            f"ebusopt.lpformat.read_mps({str(mps)!r}); "
+            "ebusopt.lpformat, ebusopt.refsolver as r\n"
+            "ebusopt.lpformat.read_lp(sys.argv[1])\n"
+            "ebusopt.lpformat.read_mps(sys.argv[2])\n"
             "print(any(m == 'scipy' or m.startswith('scipy.') "
-            "for m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+            "for m in sys.modules))\n"
+            "for model in sys.argv[1:3]:\n"
+            "    assert r.main([model, sys.argv[3]]) == 0\n"
+            "print(r.HIGHS_MODULE in sys.modules, sorted(m for m in ("
+            "'scipy.optimize', 'scipy.sparse', 'scipy.linalg') "
+            "if m in sys.modules))")
+    proc = _fresh_python(code, lp, mps, tmp_path / "m.sol")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "True []"), proc.stdout
+
+
+@pytest.mark.parametrize("first", ["loader", "scipy.optimize"])
+def test_highs_module_is_one_object_in_either_import_order(first):
+    # pybind11 would refuse to register HiGHS's types a second time, and
+    # scipy's own milp must keep working beside the loader
+    code = ("import sys, numpy as np\n"
+            "from ebusopt.refsolver import HIGHS_MODULE, highs_core\n"
+            "loaded = [highs_core()] if sys.argv[1] == 'loader' else []\n"
+            "import scipy.optimize\n"
+            "from scipy.optimize._highspy import _core\n"
+            "for core in loaded + [highs_core(), sys.modules[HIGHS_MODULE]]:\n"
+            "    assert core is _core\n"
+            "from scipy.optimize import Bounds, LinearConstraint, milp\n"
+            "res = milp([1, 1], integrality=[1, 1], bounds=Bounds(0, 1),\n"
+            "           constraints=LinearConstraint([[2, 2]], 1, np.inf))\n"
+            "print(res.status, res.fun)")
+    proc = _fresh_python(code, first)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1.0"]     # the LP optimum is 0.5
+
+
+def test_solve_without_the_highs_file_exits_3(tmp_path):
+    # a scipy whose folder holds no optimize/_highspy/_core: both solving
+    # entry points fail as the solver, naming where they looked
+    fake = tmp_path / "fake"
+    (fake / "scipy").mkdir(parents=True)
+    (fake / "scipy" / "__init__.py").write_text("")
+    folder = os.path.join(str(fake), "scipy", "optimize", "_highspy")
+    inst_path = tmp_path / "toy.json"
+    save_instance(charger_toy(), inst_path)
+    proc = _fresh_python(
+        "from ebusopt.cli import main; main()", "solve", inst_path,
+        "--time-limit", "30", "--out", tmp_path / "run", path=[fake])
+    assert proc.returncode == 3, proc.stderr
+    assert folder in json.loads(proc.stdout.splitlines()[-1])["message"]
+    model = tmp_path / "run" / "model" / "model.lp"
+    assert model.exists()
+    proc = _fresh_python(
+        "import sys; from ebusopt.refsolver import main; sys.exit(main())",
+        model, tmp_path / "m.sol", path=[fake])
+    assert proc.returncode == 3, proc.stderr
+    assert "solver failure" in proc.stderr and folder in proc.stderr
+    assert not (tmp_path / "m.sol").exists()
 
 
 def test_solve_bad_instance_exits_2(runner, tmp_path):

@@ -454,7 +454,7 @@ def test_unknown_format_is_model_error_before_any_solve(tmp_path, monkeypatch,
                                                         command_template):
     def boom(*args, **kwargs):
         raise AssertionError("solved a model in an unknown format")
-    monkeypatch.setattr(_highs_core(), "_Highs", boom)
+    monkeypatch.setattr(refsolver.highs_core(), "_Highs", boom)
     _, _, _, model = toy_setup(charger_toy())
     with pytest.raises(ModelError, match="unknown model format"):
         solve_model(model, tmp_path / "work", fmt="xml",
@@ -465,7 +465,7 @@ def test_unknown_format_is_model_error_before_any_solve(tmp_path, monkeypatch,
 def test_in_process_solver_failure_is_solver_error(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("HiGHS crashed")
-    monkeypatch.setattr(_highs_core(), "_Highs", boom)
+    monkeypatch.setattr(refsolver.highs_core(), "_Highs", boom)
     _, _, _, model = toy_setup(charger_toy())
     with pytest.raises(SolverError, match="HiGHS crashed"):
         solve_model(model, tmp_path, time_limit=30)
@@ -598,6 +598,15 @@ def test_nan_time_limit_is_refused(tmp_path):
         assert stop.value.code == 2 and not solution.exists()
 
 
+def test_refsolver_cli_unwritable_solution_exits_2(tmp_path, capsys):
+    lp = tmp_path / "hand.lp"
+    lp.write_text(HAND_LP)
+    solution = tmp_path / "no" / "such" / "dir" / "x.sol"
+    assert refsolver.main([str(lp), str(solution)]) == 2
+    assert "cannot write solution" in capsys.readouterr().err
+    assert not solution.parent.exists()
+
+
 def _one_row(rhs, vals):
     """min a + b over binaries a, b with the one row vals . (a, b) >= rhs."""
     return ModelArrays(
@@ -620,6 +629,16 @@ def test_model_highs_refuses_is_an_error_not_a_status(tmp_path, rhs, vals):
         solve_model(model, tmp_path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("obj", np.ones(1)), ("integer", np.ones(3, bool)),
+    ("start", np.array([0])), ("cols", np.array([0]))])
+def test_arrays_of_disagreeing_lengths_are_refused(field, value):
+    # HiGHS takes the arrays as pointers and the lengths from the counts
+    arrays = dataclasses.replace(_one_row(1.0, [2.0, 2.0]), **{field: value})
+    with pytest.raises(RuntimeError, match="array lengths disagree"):
+        solve_arrays(arrays)
+
+
 def test_nan_coefficient_is_an_error_not_a_status(tmp_path):
     # HiGHS itself takes a NaN coefficient and reports kOptimal
     with pytest.raises(RuntimeError, match="coefficient is not finite"):
@@ -632,7 +651,7 @@ def test_nan_coefficient_is_an_error_not_a_status(tmp_path):
 
 
 def test_solve_runs_without_feasibility_jump(monkeypatch):
-    core = _highs_core()
+    core = refsolver.highs_core()
     options = []
 
     class Recording(core._Highs):
@@ -646,28 +665,24 @@ def test_solve_runs_without_feasibility_jump(monkeypatch):
     assert dict(options)["mip_heuristic_run_feasibility_jump"] is False
 
 
-def _highs_core():
-    """The private scipy module that ``refsolver.solve_arrays`` calls."""
-    from scipy.optimize._highspy import _core
-    return _core
-
-
 def test_private_highs_entry_point_is_pinned():
-    # every name solve_arrays takes from scipy's private HiGHS module; a
-    # scipy release that moves or renames one fails here first
-    core = _highs_core()
-    highs, lp = core._Highs(), core.HighsLp()
-    for name in ("passModel", "changeColsIntegrality", "setOptionValue",
-                 "run", "getModelStatus", "getInfo", "getSolution"):
+    # the file the loader reads and every name solve_arrays takes from
+    # scipy's private HiGHS module; a scipy release that moves or renames
+    # one fails here first
+    import scipy
+    core = refsolver.highs_core()
+    assert sys.modules[refsolver.HIGHS_MODULE] is core
+    assert os.path.dirname(core.__file__) == os.path.join(
+        os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    highs = core._Highs()
+    for name in ("passModel", "setOptionValue", "run", "getModelStatus",
+                 "getInfo", "getSolution"):
         assert callable(getattr(highs, name)), name
-    for name in ("num_col_", "num_row_", "col_cost_", "col_lower_",
-                 "col_upper_", "row_lower_", "row_upper_"):
-        assert hasattr(lp, name), name
-    for name in ("format_", "num_col_", "num_row_", "start_", "index_",
-                 "value_"):
-        assert hasattr(lp.a_matrix_, name), name
     assert core.MatrixFormat.kRowwise is not None
-    assert core.HighsVarType.kInteger is not None
+    assert core.ObjSense.kMinimize is not None
+    # passModel's array overload takes the integrality as these codes
+    assert int(core.HighsVarType.kContinuous) == 0
+    assert int(core.HighsVarType.kInteger) == 1
     for name in ("kOptimal", "kTimeLimit", "kIterationLimit", "kInfeasible",
                  "kUnbounded"):
         assert hasattr(core.HighsModelStatus, name), name
@@ -679,8 +694,8 @@ def test_private_highs_entry_point_is_pinned():
                           ("time_limit", 5.0)):
         assert highs.setOptionValue(option, value) == core.HighsStatus.kOk
 
-    # a row-wise model with integrality set after passModel is solved as a
-    # MIP: the LP optimum 0.5 would show if the integrality were lost
+    # a row-wise model passed with its integrality is solved as a MIP: the
+    # LP optimum 0.5 would show if the integrality were lost
     arrays = _one_row(rhs=1.0, vals=[2.0, 2.0])
     assert solve_arrays(arrays)[::2] == ("optimal", 1.0)
     relaxed = solve_parsed(arrays, relax=True)
